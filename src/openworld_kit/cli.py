@@ -256,10 +256,14 @@ def _checkpoint_dir(cfg: RunConfig, task_id: int) -> Path:
 
 
 def _threads() -> int:
+    value = os.environ.get(THREADS_ENV) or "1"
     try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,6 @@ class _TaskData:
 
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
-    schedule = world.schedule()
     train_cfg = cfg.train_config()
     embeddings = load_embedding_file(_world_dir(cfg) / EMBEDDINGS_NAME)
 
@@ -304,7 +307,7 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
         registry = replace(registry, alpha=train_cfg.alpha)
         freeze_class_modules(modules, task_id - 1)
 
-    new_names = schedule.classes_for(task_id)
+    new_names = world.task_split().current_classes(task_id)
     registry = register_task(registry, [(n, embeddings[n]) for n in new_names])
 
     data = _TaskData(
@@ -336,6 +339,7 @@ def _infer_scene(scene, prompts, num_known, modules, theta, cfg, gate_mode):
 def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               no_mscal: bool, prompt_key: str | None = None,
               out_file: str | None = None) -> int:
+    workers = _threads()
     ckpt = _checkpoint_dir(cfg, task_id)
     registry, modules, theta = load_checkpoint(ckpt)
     alpha = cfg.get("train", "alpha")
@@ -359,7 +363,6 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
 
     scenes = load_split(world, split, _world_dir(cfg))
     num_known = registry.num_known
-    workers = _threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(

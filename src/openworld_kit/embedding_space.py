@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DegenerateMean, DuplicateClass, EmptyRegistry, ParseError, ZeroVector
 
-UNKNOWN_LABEL = "unknown"
 GENERIC_OBJECT_KEY = "object"
 
 _EPS = 1e-12
@@ -149,14 +148,6 @@ def prompt_matrix(registry: ClassEmbeddingRegistry, include_unknown: bool) -> np
     return np.stack(rows, axis=0)
 
 
-def prompt_labels(registry: ClassEmbeddingRegistry, include_unknown: bool) -> list[str]:
-    """Row labels matching `prompt_matrix`; the appended row is UNKNOWN."""
-    labels = registry.names
-    if include_unknown:
-        labels.append(UNKNOWN_LABEL)
-    return labels
-
-
 def register_task(
     registry: ClassEmbeddingRegistry,
     new_classes: list[tuple[str, np.ndarray]],
@@ -178,55 +169,6 @@ def register_task(
         entries.append(ClassEntry(name=name, embedding=np.asarray(emb, dtype=np.float64),
                                   task_id=next_task, frozen=False))
     return replace(registry, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class TaskSchedule:
-    """Ordered class introduction plan: task_id -> class names.
-
-    Classes never listed are the implicit unknown set.
-    """
-
-    tasks: tuple[tuple[int, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        ids = [t for t, _ in self.tasks]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"task ids must be contiguous from 1, got {ids}")
-        seen: set[str] = set()
-        for _, names in self.tasks:
-            for n in names:
-                if n in seen:
-                    raise DuplicateClass(f"class {n!r} appears in more than one task")
-                seen.add(n)
-        object.__setattr__(
-            self, "tasks", tuple((t, tuple(names)) for t, names in self.tasks)
-        )
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
-    def classes_for(self, task_id: int) -> tuple[str, ...]:
-        for t, names in self.tasks:
-            if t == task_id:
-                return names
-        raise KeyError(task_id)
-
-    def known_at(self, task_id: int) -> tuple[str, ...]:
-        """All classes introduced at or before `task_id`."""
-        out: list[str] = []
-        for t, names in self.tasks:
-            if t <= task_id:
-                out.extend(names)
-        return tuple(out)
-
-    def previously_known_at(self, task_id: int) -> tuple[str, ...]:
-        out: list[str] = []
-        for t, names in self.tasks:
-            if t < task_id:
-                out.extend(names)
-        return tuple(out)
 
 
 def _round9(x: float) -> float:

@@ -53,6 +53,10 @@ class MissingCheckpoint(OpenWorldKitError):
     """A required checkpoint directory or file does not exist."""
 
 
+class MissingWorld(OpenWorldKitError):
+    """A command needs a generated world that is not there."""
+
+
 class UndefinedOperatingPoint(OpenWorldKitError):
     """The requested recall level is unreachable on this detection set."""
 

@@ -23,11 +23,11 @@ from .errors import (
     EmptyScores,
     NoModules,
     NoSamples,
+    ParseError,
     ShapeMismatch,
     ZeroVector,
 )
 from .pyramid import FeaturePyramid, PyramidGeometry
-from .seeding import derive_rng
 
 BN_EPS = 1e-5
 _NORM_EPS = 1e-12
@@ -272,85 +272,6 @@ def _ownership_masks(geometry: PyramidGeometry, gt_boxes) -> list[dict[int, np.n
     return per_layer
 
 
-def assign_samples_batch(
-    geometry: PyramidGeometry,
-    gt_boxes_per_scene: list[list],
-    class_id: int,
-    neg_cap: int,
-    rng: np.random.Generator,
-) -> SampleAssignment:
-    """Batched positive/negative assignment for one class.
-
-    Positives are locations whose center lies inside a box of `class_id`
-    at the level the size rule assigns the box to. Locations positive for
-    any other class are negatives; background fills the remaining negative
-    quota of `neg_cap * max(1, positives)` by uniform subsampling.
-    """
-    batch = len(gt_boxes_per_scene)
-    pos, other, bg = [], [], []
-    for g in geometry.layers:
-        pos.append(np.zeros((batch, g.height, g.width), dtype=bool))
-        other.append(np.zeros((batch, g.height, g.width), dtype=bool))
-        bg.append(np.zeros((batch, g.height, g.width), dtype=bool))
-    for b, gt_boxes in enumerate(gt_boxes_per_scene):
-        owners = _ownership_masks(geometry, gt_boxes)
-        for j in range(geometry.num_layers):
-            any_fg = np.zeros_like(pos[j][b])
-            for cls, mask in owners[j].items():
-                any_fg |= mask
-                if cls == class_id:
-                    pos[j][b] |= mask
-                else:
-                    other[j][b] |= mask
-            bg[j][b] = ~any_fg
-    for j in range(geometry.num_layers):
-        other[j] &= ~pos[j]
-
-    n_pos = int(sum(m.sum() for m in pos))
-    cap = int(neg_cap) * max(1, n_pos)
-
-    flat_other = np.concatenate([m.ravel() for m in other])
-    flat_bg = np.concatenate([m.ravel() for m in bg])
-    keep = np.zeros(flat_other.size, dtype=bool)
-
-    other_idx = np.flatnonzero(flat_other)
-    if other_idx.size > cap:
-        other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
-    keep[other_idx] = True
-
-    quota = cap - other_idx.size
-    bg_idx = np.flatnonzero(flat_bg)
-    if quota > 0 and bg_idx.size > 0:
-        if bg_idx.size > quota:
-            bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
-        keep[bg_idx] = True
-
-    negatives = []
-    offset = 0
-    for j, m in enumerate(other):
-        size = m.size
-        negatives.append(keep[offset:offset + size].reshape(m.shape))
-        offset += size
-    return SampleAssignment(positive=pos, negative=negatives)
-
-
-def assign_samples(
-    geometry: PyramidGeometry,
-    gt_boxes: list,
-    class_id: int,
-    neg_cap: int,
-    rng_seed,
-) -> SampleAssignment:
-    """Single-scene assignment; `rng_seed` is an int seed or a Generator."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    batched = assign_samples_batch(geometry, [gt_boxes], class_id, neg_cap, rng)
-    return SampleAssignment(
-        positive=[m[0] for m in batched.positive],
-        negative=[m[0] for m in batched.negative],
-    )
-
-
 # ---------------------------------------------------------------------------
 # contrastive loss and gradients
 
@@ -459,12 +380,10 @@ def mscal_loss_gradients(
         d_beta = dy.sum(axis=0)
         dx_hat = dy * params.gamma
         if trace["mode"] == "train":
-            m_rows = trace["h"].shape[0]
             mean_dx_hat = dx_hat.mean(axis=0)
             mean_dx_hat_xhat = np.mean(dx_hat * trace["x_hat"], axis=0)
             dh = trace["inv_std"] * (dx_hat - mean_dx_hat
                                      - trace["x_hat"] * mean_dx_hat_xhat)
-            del m_rows
         else:
             dh = dx_hat * trace["inv_std"]
         d_w1 = trace["x2d"].T @ dh
@@ -482,38 +401,6 @@ def mscal_loss_gradients(
     return loss, grads
 
 
-def mscal_total_loss(
-    modules: list[MscalModule],
-    pyramid: FeaturePyramid | list[np.ndarray],
-    gt_boxes: list,
-    neg_cap: int = 10,
-    rng_seed: int = 0,
-    mode: str = "train",
-) -> float:
-    """Mean per-class loss over all modules for one scene.
-
-    Classes without positives in the scene contribute zero; the average
-    still divides by the number of known classes.
-    """
-    if not modules:
-        return 0.0
-    geometry = pyramid.geometry if isinstance(pyramid, FeaturePyramid) else None
-    if geometry is None:
-        raise ShapeMismatch("mscal_total_loss needs a FeaturePyramid for geometry")
-    total = 0.0
-    for k, module in enumerate(modules):
-        rng = derive_rng(rng_seed, "assign-scene", module.class_id)
-        assignment = assign_samples_batch(geometry, [gt_boxes], module.class_id,
-                                          neg_cap, rng)
-        squeezed = SampleAssignment(positive=[m[0] for m in assignment.positive],
-                                    negative=[m[0] for m in assignment.negative])
-        if squeezed.num_positive == 0:
-            continue
-        projected = project(module, pyramid, mode=mode, update_stats=False)
-        total += mscal_loss(module, projected, squeezed)
-    return total / len(modules)
-
-
 # ---------------------------------------------------------------------------
 # OOD scoring
 
@@ -526,21 +413,6 @@ class OodScoreMap:
 
     def score_at(self, layer: int, row: int, col: int) -> float:
         return float(self.layers[layer][row, col])
-
-
-def ood_score(modules: list[MscalModule], zs: list[np.ndarray], layer: int) -> float:
-    """Score for one location: negated best anchor similarity across classes.
-
-    `zs[i]` is the location as projected by `modules[i]`.
-    """
-    if not modules:
-        raise NoModules("ood_score needs at least one class module")
-    if len(zs) != len(modules):
-        raise ShapeMismatch("one projected vector per module is required")
-    best = -np.inf
-    for module, z in zip(modules, zs):
-        best = max(best, float(module.effective_anchor(layer) @ z))
-    return -best
 
 
 def anchor_similarity_maps(module: MscalModule,
@@ -620,7 +492,7 @@ def module_to_payload(module: MscalModule) -> dict:
 
 def module_from_payload(payload: dict) -> MscalModule:
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported module checkpoint format {payload.get('format')}")
+        raise ParseError(f"unsupported module checkpoint format {payload.get('format')!r}")
     layers = [
         MscalLayerParams(**{name: np.asarray(rec[name], dtype=np.float64)
                             for name in _ARRAY_FIELDS})

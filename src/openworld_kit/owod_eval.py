@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .detection import iou
-from .errors import ParseError, UndefinedOperatingPoint
+from .errors import DuplicateClass, ParseError, UndefinedOperatingPoint
 
 UNKNOWN_NAME = "unknown"
 
@@ -74,7 +74,7 @@ class TaskSplitSpec:
         for _, names in self.tasks:
             for n in names:
                 if n in seen:
-                    raise ValueError(f"class {n!r} assigned to two tasks")
+                    raise DuplicateClass(f"class {n!r} assigned to two tasks")
                 seen.add(n)
         object.__setattr__(self, "tasks",
                            tuple((t, tuple(ns)) for t, ns in self.tasks))
@@ -114,45 +114,28 @@ def load_task_split(path) -> TaskSplitSpec:
 # matching
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy matching outcome for one scene.
+def _claim(box, label, gts, taken, iou_thr: float) -> int | None:
+    """Greedy claim of one ground-truth box for one detection.
 
-    `det_matches[i]` is (gt_index or None, iou, correct) for the i-th input
-    detection; `gt_matches[g]` is the covering detection index or None.
+    Picks the untaken box in `gts` with the highest IoU at or above the
+    threshold, restricted to class `label` unless it is None, with IoU ties
+    broken toward the lower index; marks it taken and returns its index,
+    or None when nothing qualifies.
     """
+    best_g, best_iou = None, 0.0
+    for g, gt in enumerate(gts):
+        if taken[g] or (label is not None and gt.class_name != label):
+            continue
+        overlap = iou(box, gt.box)
+        if overlap >= iou_thr and overlap > best_iou:
+            best_g, best_iou = g, overlap
+    if best_g is not None:
+        taken[best_g] = True
+    return best_g
 
-    det_matches: tuple[tuple[int | None, float, bool], ...]
-    gt_matches: tuple[int | None, ...]
 
-
-def match_detections(dets, gts, iou_thr: float = 0.5,
-                     label_aware: bool = True) -> MatchResult:
-    """Match one scene's detections to ground truth.
-
-    Detections are processed in descending confidence (ties keep input
-    order); each takes the highest-IoU unmatched ground-truth box at or
-    above the threshold, restricted to equal labels when `label_aware`,
-    with IoU ties broken toward the lower ground-truth index.
-    """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    det_matches: list[tuple[int | None, float, bool]] = [(None, 0.0, False)] * len(dets)
-    gt_matches: list[int | None] = [None] * len(gts)
-    for i in order:
-        det = dets[i]
-        best_gt, best_iou = None, 0.0
-        for g, gt in enumerate(gts):
-            if gt_matches[g] is not None:
-                continue
-            if label_aware and gt.class_name != det.label:
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap >= iou_thr and overlap > best_iou:
-                best_gt, best_iou = g, overlap
-        if best_gt is not None:
-            gt_matches[best_gt] = i
-            det_matches[i] = (best_gt, best_iou, True)
-    return MatchResult(det_matches=tuple(det_matches), gt_matches=tuple(gt_matches))
+def _untaken(pool: dict[str, list]) -> dict[str, list[bool]]:
+    return {sid: [False] * len(boxes) for sid, boxes in pool.items()}
 
 
 def _group_by_scene(records) -> dict[str, list]:
@@ -212,25 +195,11 @@ def class_average_precision(dets, gts, class_name: str, iou_thr: float = 0.5):
     gt_by_scene = _group_by_scene([g for g in gts if g.class_name == class_name])
     n_gt = sum(len(v) for v in gt_by_scene.values())
     class_dets = [d for d in dets if d.label == class_name]
-    ordered = _global_order(class_dets)
-    matched: dict[str, list[bool]] = {
-        sid: [False] * len(boxes) for sid, boxes in gt_by_scene.items()}
-    flags: list[tuple[float, bool]] = []
-    for det in ordered:
-        scene_gts = gt_by_scene.get(det.scene_id, [])
-        taken = matched.get(det.scene_id, [])
-        best_g, best_iou = None, 0.0
-        for g, gt in enumerate(scene_gts):
-            if taken[g]:
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap >= iou_thr and overlap > best_iou:
-                best_g, best_iou = g, overlap
-        if best_g is not None:
-            taken[best_g] = True
-            flags.append((det.confidence, True))
-        else:
-            flags.append((det.confidence, False))
+    matched = _untaken(gt_by_scene)
+    flags = [(det.confidence,
+              _claim(det.box, None, gt_by_scene.get(det.scene_id, []),
+                     matched.get(det.scene_id), iou_thr) is not None)
+             for det in _global_order(class_dets)]
     return average_precision(flags, n_gt)
 
 
@@ -240,23 +209,10 @@ def _match_pool(dets, gt_pool, iou_thr: float) -> int:
     `dets` must already be in evaluation order; each detection claims at
     most one unmatched box from its scene, and a box is released once.
     """
-    matched: dict[str, list[bool]] = {
-        sid: [False] * len(boxes) for sid, boxes in gt_pool.items()}
-    covered = 0
-    for det in dets:
-        scene_gts = gt_pool.get(det.scene_id, [])
-        taken = matched.get(det.scene_id, [])
-        best_g, best_iou = None, 0.0
-        for g, gt in enumerate(scene_gts):
-            if taken[g]:
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap >= iou_thr and overlap > best_iou:
-                best_g, best_iou = g, overlap
-        if best_g is not None:
-            taken[best_g] = True
-            covered += 1
-    return covered
+    matched = _untaken(gt_pool)
+    return sum(_claim(det.box, None, gt_pool.get(det.scene_id, []),
+                      matched.get(det.scene_id), iou_thr) is not None
+               for det in dets)
 
 
 def u_recall(dets, gts, known_names, iou_thr: float = 0.5):
@@ -301,41 +257,22 @@ def wilderness_impact(dets, gts, known_names, recall_level: float = 0.8,
         raise UndefinedOperatingPoint("no known ground truth in split")
     known_pool = _group_by_scene(known_gts)
     unknown_pool = _group_by_scene([g for g in gts if g.class_name not in known])
-    known_matched = {sid: [False] * len(v) for sid, v in known_pool.items()}
-    unknown_matched = {sid: [False] * len(v) for sid, v in unknown_pool.items()}
+    known_matched = _untaken(known_pool)
+    unknown_matched = _untaken(unknown_pool)
 
     ordered = _global_order([d for d in dets if d.label in known])
     tp = 0
     fp_closed = 0
     fp_unknown = 0
     for det in ordered:
-        scene_known = known_pool.get(det.scene_id, [])
-        taken = known_matched.get(det.scene_id, [])
-        best_g, best_iou = None, 0.0
-        for g, gt in enumerate(scene_known):
-            if taken[g] or gt.class_name != det.label:
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap >= iou_thr and overlap > best_iou:
-                best_g, best_iou = g, overlap
-        if best_g is not None:
-            taken[best_g] = True
+        if _claim(det.box, det.label, known_pool.get(det.scene_id, []),
+                  known_matched.get(det.scene_id), iou_thr) is not None:
             tp += 1
+        elif _claim(det.box, None, unknown_pool.get(det.scene_id, []),
+                    unknown_matched.get(det.scene_id), iou_thr) is not None:
+            fp_unknown += 1
         else:
-            scene_unknown = unknown_pool.get(det.scene_id, [])
-            taken_u = unknown_matched.get(det.scene_id, [])
-            best_u, best_iou_u = None, 0.0
-            for g, gt in enumerate(scene_unknown):
-                if taken_u[g]:
-                    continue
-                overlap = iou(det.box, gt.box)
-                if overlap >= iou_thr and overlap > best_iou_u:
-                    best_u, best_iou_u = g, overlap
-            if best_u is not None:
-                taken_u[best_u] = True
-                fp_unknown += 1
-            else:
-                fp_closed += 1
+            fp_closed += 1
         if tp / n_known >= recall_level:
             p_closed = tp / (tp + fp_closed)
             p_open = tp / (tp + fp_closed + fp_unknown)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding_space import GENERIC_OBJECT_KEY, TaskSchedule, save_embedding_file
-from .errors import InfeasibleSpec, ParseError
+from .embedding_space import GENERIC_OBJECT_KEY, save_embedding_file
+from .errors import InfeasibleSpec, MissingWorld, ParseError
 from .owod_eval import GtRecord, TaskSplitSpec, save_task_split, write_gt_jsonl
 from .pyramid import (
     FeaturePyramid,
@@ -147,15 +147,11 @@ class World:
                 return c
         raise KeyError(name)
 
-    def schedule(self) -> TaskSchedule:
-        tasks = []
-        for t in range(1, len(self.spec.known_per_task) + 1):
-            names = tuple(c.name for c in self.classes if c.task_id == t)
-            tasks.append((t, names))
-        return TaskSchedule(tasks=tuple(tasks))
-
     def task_split(self) -> TaskSplitSpec:
-        return TaskSplitSpec(tasks=self.schedule().tasks)
+        """Known class names per task, in the order `make_world` built them."""
+        return TaskSplitSpec(tasks=tuple(
+            (t, tuple(c.name for c in self.classes if c.task_id == t))
+            for t in range(1, len(self.spec.known_per_task) + 1)))
 
 
 def _angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -428,11 +424,11 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
     for g in geometry.layers:
         feats = _background_features(world, g.height * g.width, rng)
         layers.append(feats.reshape(g.height, g.width, spec.dim))
-        cells = np.zeros((g.height, g.width, 4))
-        for r in range(g.height):
-            for c in range(g.width):
-                cells[r, c] = g.cell_box(r, c)
-        box_fields.append(cells)
+        # the same float64 values as LayerGeometry.cell_box at every cell
+        xs = np.arange(g.width + 1) * g.stride
+        ys = np.arange(g.height + 1) * g.stride
+        box_fields.append(np.stack(np.broadcast_arrays(
+            xs[None, :-1], ys[:-1, None], xs[None, 1:], ys[1:, None]), axis=-1))
 
     for sb in gt:
         level = geometry.level_for_box(sb.box)
@@ -494,7 +490,7 @@ def export_world(world: World, out_dir) -> None:
             }
             for c in world.classes
         ],
-        "tasks": {str(t): list(names) for t, names in world.schedule().tasks},
+        "tasks": {str(t): list(names) for t, names in world.task_split().tasks},
     }
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -510,8 +506,8 @@ def load_world(out_dir) -> World:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except FileNotFoundError:
-        raise
+    except FileNotFoundError as exc:
+        raise MissingWorld(f"no world manifest at {path}; run gen first") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad world manifest: {exc}", path=str(path)) from exc
     spec = _spec_from_json(manifest["spec"])
@@ -553,14 +549,7 @@ def export_split(world: World, split: str, out_dir) -> list[Scene]:
     return scenes
 
 
-@dataclass(frozen=True)
-class LoadedScene:
-    scene_id: str
-    pyramid: FeaturePyramid
-    gt: tuple[SceneBox, ...]
-
-
-def load_split(world: World, split: str, out_dir) -> list[LoadedScene]:
+def load_split(world: World, split: str, out_dir) -> list[Scene]:
     """Read a split back from disk in scene-id order."""
     base = Path(out_dir) / "scenes" / split
     from .owod_eval import read_gt_jsonl
@@ -573,6 +562,6 @@ def load_split(world: World, split: str, out_dir) -> list[LoadedScene]:
     for blob in sorted(base.glob("*.pyr")):
         scene_id = blob.stem
         pyramid = read_pyramid_blob(blob, thresholds)
-        scenes.append(LoadedScene(scene_id=scene_id, pyramid=pyramid,
-                                  gt=tuple(gt_by_scene.get(scene_id, ()))))
+        scenes.append(Scene(scene_id=scene_id, pyramid=pyramid,
+                            gt=tuple(gt_by_scene.get(scene_id, ()))))
     return scenes

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .detection import _sigmoid
 from .embedding_space import ClassEmbeddingRegistry, ClassEntry
-from .errors import MissingCheckpoint, NoSamples, ShapeMismatch
+from .errors import MissingCheckpoint, NoSamples, ParseError, ShapeMismatch
 from .mscal import (
     MscalModule,
     SampleAssignment,
@@ -132,15 +133,6 @@ def adamw_step(
 # detection loss (classification pathway only)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x + np.log1p(np.exp(-x)), np.log1p(np.exp(x)))
 
@@ -225,7 +217,13 @@ def _assignment_for_class(
     neg_cap: int,
     rng: np.random.Generator,
 ) -> SampleAssignment:
-    """Batched assignment built from cached per-scene ownership masks."""
+    """Batched positive/negative assignment for one class from cached
+    per-scene ownership masks (`mscal._ownership_masks`).
+
+    Positives are locations owned by `class_id`. Locations owned by any
+    other class are negatives; background fills the remaining negative
+    quota of `neg_cap * max(1, positives)` by uniform subsampling.
+    """
     batch = len(owners_per_scene)
     pos, other, bg = [], [], []
     for h, w in layer_shapes:
@@ -565,6 +563,8 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
     base = Path(directory)
     if not (base / REGISTRY_FILE).exists():
         raise MissingCheckpoint(f"no checkpoint at {base}")
+    if not (base / THETA_FILE).exists():
+        raise MissingCheckpoint(f"incomplete checkpoint: {base / THETA_FILE} missing")
     with open(base / REGISTRY_FILE, "r", encoding="utf-8") as fh:
         registry = registry_from_payload(json.load(fh))
     with open(base / THETA_FILE, "r", encoding="utf-8") as fh:
@@ -572,5 +572,9 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
     modules = []
     for path in sorted((base / MODULE_DIR).glob("class_*.json")):
         with open(path, "r", encoding="utf-8") as fh:
-            modules.append(module_from_payload(json.load(fh)))
+            payload = json.load(fh)
+        try:
+            modules.append(module_from_payload(payload))
+        except ParseError as exc:
+            raise ParseError(str(exc), path=str(path)) from exc
     return registry, modules, theta

@@ -1,14 +1,18 @@
-"""Brute-force metric oracles, independent of the library implementations.
+"""Brute-force metric oracles, independent of the library implementations,
+plus single-scene MSCAL references built on the library's assignment code.
 
-Shared by the unit tests and the acceptance suite; everything here is written
-directly from the metric definitions with plain loops.
+Shared by the unit tests and the acceptance suite; the metric oracles are
+written directly from the metric definitions with plain loops.
 """
 
 import numpy as np
 
 from openworld_kit.detection import DetectionRecord
-from openworld_kit.errors import UndefinedOperatingPoint
+from openworld_kit.errors import NoModules, ShapeMismatch, UndefinedOperatingPoint
+from openworld_kit.mscal import SampleAssignment, _ownership_masks, mscal_loss, project
 from openworld_kit.owod_eval import GtRecord
+from openworld_kit.seeding import derive_rng
+from openworld_kit.training import _assignment_for_class
 
 KNOWN = ("car", "bus", "dog")
 
@@ -220,3 +224,51 @@ def random_instance(seed):
     return dets[:8], gts
 
 
+
+
+# ---------------------------------------------------------------------------
+# single-scene MSCAL references
+
+
+def assign_samples(geometry, gt_boxes, class_id, neg_cap, rng_seed):
+    """Single-scene assignment; `rng_seed` is an int seed or a Generator."""
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
+        else np.random.default_rng(rng_seed)
+    batched = _assignment_for_class(
+        [_ownership_masks(geometry, gt_boxes)],
+        [(g.height, g.width) for g in geometry.layers], class_id, neg_cap, rng)
+    return SampleAssignment(positive=[m[0] for m in batched.positive],
+                            negative=[m[0] for m in batched.negative])
+
+
+def mscal_total_loss(modules, pyramid, gt_boxes, neg_cap=10, rng_seed=0, mode="train"):
+    """Mean per-class loss over all modules for one scene.
+
+    Classes without positives in the scene contribute zero; the average
+    still divides by the number of known classes.
+    """
+    if not modules:
+        return 0.0
+    total = 0.0
+    for module in modules:
+        rng = derive_rng(rng_seed, "assign-scene", module.class_id)
+        assignment = assign_samples(pyramid.geometry, gt_boxes, module.class_id,
+                                    neg_cap, rng)
+        if assignment.num_positive == 0:
+            continue
+        projected = project(module, pyramid, mode=mode, update_stats=False)
+        total += mscal_loss(module, projected, assignment)
+    return total / len(modules)
+
+
+def ood_score(modules, zs, layer):
+    """Score for one location: negated best anchor similarity across classes.
+
+    `zs[i]` is the location as projected by `modules[i]`.
+    """
+    if not modules:
+        raise NoModules("ood_score needs at least one class module")
+    if len(zs) != len(modules):
+        raise ShapeMismatch("one projected vector per module is required")
+    return -max(float(module.effective_anchor(layer) @ z)
+                for module, z in zip(modules, zs))

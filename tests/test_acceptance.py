@@ -48,8 +48,10 @@ from criteria_log import record as report_line
 from gradcheck_support import run_full_gradcheck
 from oracles import (
     KNOWN,
+    assign_samples,
     det,
     gt,
+    mscal_total_loss,
     oracle_a_ose,
     oracle_class_ap,
     oracle_u_recall,
@@ -167,7 +169,6 @@ def test_criterion_2_closed_forms():
     pair = mscal_loss(module, projected, SampleAssignment(positive=pos, negative=neg))
 
     # the all-classes loss equals the componentwise mean of per-class losses
-    from openworld_kit.mscal import assign_samples, mscal_total_loss
     from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
     from openworld_kit.seeding import derive_seed
     rng2 = np.random.default_rng(1)

@@ -153,7 +153,7 @@ class TestPipeline:
             "--out-file", "b.jsonl")
         assert (trained / "a.jsonl").read_bytes() == (trained / "b.jsonl").read_bytes()
 
-    def test_thread_sharding_is_deterministic(self, trained, monkeypatch):
+    def test_thread_sharding_is_deterministic(self, trained, monkeypatch, capsys):
         run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
             "--out-file", "serial.jsonl")
         monkeypatch.setenv(cli.THREADS_ENV, "3")
@@ -161,6 +161,12 @@ class TestPipeline:
             "--out-file", "threaded.jsonl")
         assert (trained / "serial.jsonl").read_bytes() == \
             (trained / "threaded.jsonl").read_bytes()
+        capsys.readouterr()
+        monkeypatch.setenv(cli.THREADS_ENV, "two")
+        assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+                   "--out-file", "bad.jsonl") == 1
+        assert f"error: {cli.THREADS_ENV}" in capsys.readouterr().err
+        assert not (trained / "bad.jsonl").exists()
 
     def test_no_mscal_changes_only_labels_and_ood(self, trained):
         # the gate contract operates before suppression: same boxes, same
@@ -198,6 +204,38 @@ class TestPipeline:
         assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
                    "--split", "empty", "--out-file", "empty.jsonl") == 0
         assert (trained / "empty.jsonl").read_text() == ""
+
+
+class TestLoaderErrors:
+    """Broken inputs end in a one-line error naming the path, not a traceback."""
+
+    def infer(self):
+        return run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+                   "--out-file", "d.jsonl")
+
+    def test_train_before_gen(self, workdir, capsys):
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/world/manifest.json" in err
+
+    def test_checkpoint_without_theta(self, trained, capsys):
+        theta = trained / "out" / "checkpoints" / "task_2" / "theta.json"
+        theta.unlink()
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/checkpoints/task_2/theta.json" in err
+
+    def test_module_with_unknown_format(self, trained, capsys):
+        path = trained / "out" / "checkpoints" / "task_2" / "modules" / "class_000.json"
+        payload = json.loads(path.read_text())
+        payload["format"] = 99
+        path.write_text(json.dumps(payload))
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/checkpoints/task_2/modules/class_000.json" in err
 
 
 class TestThresholdGate:

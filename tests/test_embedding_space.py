@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from openworld_kit.embedding_space import (
     ClassEmbeddingRegistry,
     ClassEntry,
-    TaskSchedule,
-    UNKNOWN_LABEL,
     load_embedding_file,
     mean_known_embedding,
     normalize,
-    prompt_labels,
     prompt_matrix,
     pseudo_unknown_embedding,
     register_task,
@@ -25,6 +22,7 @@ from openworld_kit.errors import (
     EmptyRegistry,
     ZeroVector,
 )
+from openworld_kit.owod_eval import TaskSplitSpec
 
 
 def make_registry(embs, generic, alpha=0.4, task_id=1, frozen=False):
@@ -131,7 +129,6 @@ class TestPromptMatrix:
         mat = prompt_matrix(reg, include_unknown=True)
         assert mat.shape == (4, 4)
         np.testing.assert_array_equal(mat[3], pseudo_unknown_embedding(reg))
-        assert prompt_labels(reg, True)[-1] == UNKNOWN_LABEL
 
     def test_voc_sized_registry_gets_21_rows(self):
         rng = np.random.default_rng(1)
@@ -186,18 +183,18 @@ class TestRegisterTask:
 
 class TestTaskSchedule:
     def test_known_at_accumulates(self):
-        sched = TaskSchedule(tasks=((1, ("a", "b")), (2, ("c",))))
-        assert sched.known_at(1) == ("a", "b")
-        assert sched.known_at(2) == ("a", "b", "c")
-        assert sched.previously_known_at(2) == ("a", "b")
+        sched = TaskSplitSpec(tasks=((1, ("a", "b")), (2, ("c",))))
+        assert sched.known_classes(1) == ("a", "b")
+        assert sched.known_classes(2) == ("a", "b", "c")
+        assert sched.previous_classes(2) == ("a", "b")
 
     def test_duplicate_class_across_tasks(self):
         with pytest.raises(DuplicateClass):
-            TaskSchedule(tasks=((1, ("a",)), (2, ("a",))))
+            TaskSplitSpec(tasks=((1, ("a",)), (2, ("a",))))
 
     def test_non_contiguous_ids(self):
         with pytest.raises(ValueError):
-            TaskSchedule(tasks=((1, ("a",)), (3, ("b",))))
+            TaskSplitSpec(tasks=((1, ("a",)), (3, ("b",))))
 
 
 class TestEmbeddingFile:

@@ -14,19 +14,18 @@ from openworld_kit.mscal import (
     BN_EPS,
     MscalModule,
     SampleAssignment,
-    assign_samples,
     calibrate_threshold,
     freeze_class_modules,
     init_module,
     module_from_payload,
     module_to_payload,
     mscal_loss,
-    mscal_total_loss,
-    ood_score,
     ood_score_map,
     project,
 )
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
+
+from oracles import assign_samples, mscal_total_loss, ood_score
 
 
 def make_pyramid(rng, dim=8, shapes=((4, 4, 8.0), (2, 2, 16.0)), thresholds=(0.0, 16.0)):

@@ -7,12 +7,12 @@ import pytest
 from openworld_kit.errors import UndefinedOperatingPoint
 from openworld_kit.owod_eval import (
     TaskSplitSpec,
+    _claim,
     a_ose,
     average_precision,
     class_average_precision,
     evaluate_task,
     load_task_split,
-    match_detections,
     read_gt_jsonl,
     render_report,
     report_csv_row,
@@ -39,34 +39,46 @@ from oracles import (
 # oracles shared with the acceptance suite live in tests/oracles.py
 
 
+def greedy_match(dets, gts, iou_thr=0.5, label_aware=True):
+    """One scene's detections in descending confidence (ties keep input
+    order), each claiming a ground-truth box; detection index -> box index."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    taken = [False] * len(gts)
+    matches = {}
+    for i in order:
+        label = dets[i].label if label_aware else None
+        g = _claim(dets[i].box, label, gts, taken, iou_thr)
+        if g is not None:
+            matches[i] = g
+    return matches
+
+
 class TestMatchDetections:
     def test_exact_hit(self):
         d = [det("s", (0, 0, 4, 4), "car", 0.9)]
         g = [gt("s", (0, 0, 4, 4), "car")]
-        result = match_detections(d, g)
-        assert result.det_matches[0] == (0, 1.0, True)
-        assert result.gt_matches == (0,)
+        taken = [False]
+        assert _claim(d[0].box, "car", g, taken, 0.5) == 0
+        assert taken == [True]
+        assert greedy_match(d, g) == {0: 0}
 
     def test_higher_confidence_wins(self):
         d = [det("s", (0, 0, 4, 4), "car", 0.5), det("s", (0, 0, 4, 4), "car", 0.9)]
         g = [gt("s", (0, 0, 4, 4), "car")]
-        result = match_detections(d, g)
-        assert result.gt_matches == (1,)
-        assert result.det_matches[0][0] is None
+        assert greedy_match(d, g) == {1: 0}
 
     def test_label_aware_blocks_wrong_class(self):
         d = [det("s", (0, 0, 4, 4), "bus", 0.9)]
         g = [gt("s", (0, 0, 4, 4), "car")]
-        assert match_detections(d, g).gt_matches == (None,)
-        assert match_detections(d, g, label_aware=False).gt_matches == (0,)
+        assert greedy_match(d, g) == {}
+        assert greedy_match(d, g, label_aware=False) == {0: 0}
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_brute_force_replay(self, seed):
         dets, gts = random_instance(seed)
-        result = match_detections(dets, gts, 0.5, True)
-        want = oracle_greedy_match(dets, gts, 0.5, True)
-        got = {i: m[0] for i, m in enumerate(result.det_matches) if m[0] is not None}
-        assert got == want
+        for label_aware in (True, False):
+            assert greedy_match(dets, gts, 0.5, label_aware) == \
+                oracle_greedy_match(dets, gts, 0.5, label_aware)
 
 
 class TestAveragePrecision:

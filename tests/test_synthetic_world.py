@@ -85,11 +85,11 @@ class TestMakeWorld:
             assert float(default_world.generic_object @ c.prototype) > 0.0
 
     def test_schedule_and_split(self, world):
-        sched = world.schedule()
-        assert sched.num_tasks == 2
-        assert len(sched.known_at(2)) == 6
         split = world.task_split()
-        assert split.known_classes(1) == sched.known_at(1)
+        assert len(split.tasks) == 2
+        assert len(split.known_classes(2)) == 6
+        assert split.known_classes(1) == tuple(
+            c.name for c in world.known_classes if c.task_id == 1)
 
     def test_infeasible_spec_raises(self):
         spec = WorldSpec(dim=6, known_per_task=(30,), n_nood=0, n_food=0,
@@ -174,6 +174,21 @@ class TestGenerateScene:
                      (cy >= sb.box[1]) & (cy < sb.box[3])
             fields = scene.pyramid.box_field[level][inside]
             np.testing.assert_array_equal(fields, np.tile(sb.box, (fields.shape[0], 1)))
+
+    def test_background_box_field_is_the_cell_box(self, world):
+        scene = generate_scene(world, "train", 2)
+        geometry = world.geometry
+        foreground = [np.zeros((g.height, g.width), dtype=bool) for g in geometry.layers]
+        for sb in scene.gt:
+            level = geometry.level_for_box(sb.box)
+            cx, cy = geometry.layers[level].centers()
+            foreground[level] |= (cx >= sb.box[0]) & (cx < sb.box[2]) & \
+                                 (cy >= sb.box[1]) & (cy < sb.box[3])
+        for g, field, fg in zip(geometry.layers, scene.pyramid.box_field, foreground):
+            assert field.dtype == np.float64
+            assert (~fg).any()
+            for r, c in zip(*np.nonzero(~fg)):
+                assert tuple(field[r, c]) == g.cell_box(int(r), int(c))
 
     def test_boxes_disjoint(self, world):
         for index in range(3):

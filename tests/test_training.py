@@ -53,10 +53,10 @@ class TaskData:
 def fresh_registry(world, task_id=1):
     registry = ClassEmbeddingRegistry(entries=(), generic_object=world.generic_object,
                                       alpha=0.4)
-    schedule = world.schedule()
+    split = world.task_split()
     for t in range(1, task_id + 1):
         registry = register_task(
-            registry, [(n, world.text_embeddings[n]) for n in schedule.classes_for(t)])
+            registry, [(n, world.text_embeddings[n]) for n in split.current_classes(t)])
     return registry
 
 
@@ -181,9 +181,8 @@ class TestTrainTask:
         reg1, modules1 = finalize_task(reg1, modules1, 1)
         save_checkpoint(tmp_path / "task1", reg1, modules1, log1.theta, config, log1)
 
-        schedule = tiny_world.schedule()
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
-                                    for n in schedule.classes_for(2)])
+                                    for n in tiny_world.task_split().current_classes(2)])
         fixed_scene = data.cal_scenes[0]
         maps_before = [anchor_similarity_maps(m, fixed_scene.pyramid) for m in modules1]
         reg2, modules2, log2 = train_task(data, reg2, modules1, config, 2)
@@ -211,9 +210,8 @@ class TestTrainTask:
         config = self.config(steps_per_task=3)
         registry = fresh_registry(tiny_world)
         reg1, modules, log1 = train_task(data, registry, [], config, 1)
-        schedule = tiny_world.schedule()
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
-                                    for n in schedule.classes_for(2)])
+                                    for n in tiny_world.task_split().current_classes(2)])
         from openworld_kit.mscal import freeze_class_modules
         freeze_class_modules(modules, 1)
         snapshot = copy.deepcopy([m.layers[0].anchor for m in modules])
