@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,8 +45,6 @@ from .training import (
     save_checkpoint,
     train_task,
 )
-
-THREADS_ENV = "OPENWORLD_KIT_THREADS"
 
 
 def _parse_bool(text: str) -> bool:
@@ -255,17 +251,6 @@ def _checkpoint_dir(cfg: RunConfig, task_id: int) -> Path:
     return cfg.out_dir / "checkpoints" / f"task_{task_id}"
 
 
-def _threads() -> int:
-    value = os.environ.get(THREADS_ENV) or "1"
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -324,22 +309,9 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
     return 0
 
 
-def _infer_scene(scene, prompts, num_known, modules, theta, cfg, gate_mode):
-    scores = det.classify_locations(scene.pyramid, prompts,
-                                    cfg.get("train", "logit_scale"))
-    dets = det.decode_detections(scene.pyramid, scores,
-                                 cfg.get("detect", "conf_threshold"), num_known)
-    smap = ood_score_map(modules, scene.pyramid)
-    dets = det.apply_ood_gate(dets, smap, theta, mode=gate_mode)
-    dets = det.nms(dets, cfg.get("detect", "nms_iou"),
-                   cfg.get("detect", "class_wise_nms"))
-    return scene.scene_id, dets
-
-
 def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               no_mscal: bool, prompt_key: str | None = None,
               out_file: str | None = None) -> int:
-    workers = _threads()
     ckpt = _checkpoint_dir(cfg, task_id)
     registry, modules, theta = load_checkpoint(ckpt)
     alpha = cfg.get("train", "alpha")
@@ -361,16 +333,18 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         theta = float("inf")
     gate_mode = cfg.get("detect", "ood_gate_mode")
 
-    scenes = load_split(world, split, _world_dir(cfg))
-    num_known = registry.num_known
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _infer_scene(s, prompts, num_known, modules, theta,
-                                       cfg, gate_mode), scenes))
-    else:
-        results = [_infer_scene(s, prompts, num_known, modules, theta, cfg, gate_mode)
-                   for s in scenes]
+    results = []
+    for scene in load_split(world, split, _world_dir(cfg)):
+        scores = det.classify_locations(scene.pyramid, prompts,
+                                        cfg.get("train", "logit_scale"))
+        dets = det.decode_detections(scene.pyramid, scores,
+                                     cfg.get("detect", "conf_threshold"),
+                                     registry.num_known)
+        smap = ood_score_map(modules, scene.pyramid)
+        dets = det.apply_ood_gate(dets, smap, theta, mode=gate_mode)
+        dets = det.nms(dets, cfg.get("detect", "nms_iou"),
+                       cfg.get("detect", "class_wise_nms"))
+        results.append((scene.scene_id, dets))
 
     if out_file is None:
         suffix = ""
@@ -482,10 +456,8 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("value,map_both,u_recall,wi,a_ose\n")
         for value, rep in reports:
-            cells = [str(value)] + [
-                "" if rep[k] is None else repr(rep[k]) if isinstance(rep[k], float) else str(rep[k])
-                for k in ("map_both", "u_recall", "wi", "a_ose")
-            ]
+            cells = [str(value)] + [ev.csv_cell(rep[k])
+                                    for k in ("map_both", "u_recall", "wi", "a_ose")]
             fh.write(",".join(cells) + "\n")
     print(f"sweep over {parameter} ({len(reports)} rows) -> {summary}")
     return 0

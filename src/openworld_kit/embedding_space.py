@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateMean, DuplicateClass, EmptyRegistry, ParseError, ZeroVector
+from .errors import (DegenerateMean, DuplicateClass, EmptyRegistry, MissingWorld,
+                     ParseError, ZeroVector)
 
 GENERIC_OBJECT_KEY = "object"
 
@@ -194,6 +195,8 @@ def load_embedding_file(path) -> dict[str, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except FileNotFoundError as exc:
+        raise MissingWorld(f"no embedding file at {path}; run gen first") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid embedding file: {exc}", path=str(path)) from exc
     out: dict[str, np.ndarray] = {}

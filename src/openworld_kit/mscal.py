@@ -47,8 +47,10 @@ class MscalLayerParams:
     b2: np.ndarray            # (Dz,)
     anchor: np.ndarray        # (Dz,)
 
-    def copy(self) -> "MscalLayerParams":
-        return MscalLayerParams(**{k: np.array(v) for k, v in vars(self).items()})
+
+# the fields the optimizer updates, in the order it sees them; the running
+# batchnorm statistics move only by momentum
+TRAINED_FIELDS = ("w1", "b1", "gamma", "beta", "w2", "b2", "anchor")
 
 
 @dataclass
@@ -468,8 +470,7 @@ def freeze_class_modules(modules: list[MscalModule], up_to_task: int) -> list[Ms
 
 CHECKPOINT_FORMAT = 1
 
-_ARRAY_FIELDS = ("w1", "b1", "gamma", "beta", "running_mean", "running_var",
-                 "w2", "b2", "anchor")
+_ARRAY_FIELDS = TRAINED_FIELDS + ("running_mean", "running_var")
 
 
 def module_to_payload(module: MscalModule) -> dict:

@@ -365,12 +365,15 @@ def write_report_json(path, report: EvalReport) -> None:
 REPORT_CSV_HEADER = "task_id,map_prev,map_curr,map_both,u_recall,wi,a_ose"
 
 
+def csv_cell(v) -> str:
+    """A report value as a CSV cell: empty when undefined, floats exact."""
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+
 def report_csv_row(report: EvalReport) -> str:
-    def cell(v):
-        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
     return ",".join([
-        str(report.task_id), cell(report.map_prev), cell(report.map_curr),
-        cell(report.map_both), cell(report.u_recall), cell(report.wi),
+        str(report.task_id), csv_cell(report.map_prev), csv_cell(report.map_curr),
+        csv_cell(report.map_both), csv_cell(report.u_recall), csv_cell(report.wi),
         str(report.a_ose),
     ])
 

@@ -128,26 +128,34 @@ def write_pyramid_blob(path, pyramid: FeaturePyramid) -> None:
             fh.write(np.ascontiguousarray(boxes, dtype="<f4").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ParseError(f"truncated pyramid blob: expected {size} more bytes, "
+                         f"found {len(data)}", path=str(path))
+    return data
+
+
 def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
     """Read a pyramid blob; thresholds come from the world manifest."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ParseError("not a pyramid blob (bad magic)", path=str(path))
-        version, count = struct.unpack("<ii", fh.read(8))
+        version, count = struct.unpack("<ii", _read_exact(fh, 8, path))
         if version != _VERSION:
             raise ParseError(f"unsupported blob version {version}", path=str(path))
         headers = []
         for _ in range(count):
-            h, w, d, stride = struct.unpack("<iiif", fh.read(16))
+            h, w, d, stride = struct.unpack("<iiif", _read_exact(fh, 16, path))
             headers.append((h, w, d, stride))
         feats: list[np.ndarray] = []
         boxes: list[np.ndarray] = []
         for h, w, d, _ in headers:
-            feat = np.frombuffer(fh.read(h * w * d * 4), dtype="<f4").astype(np.float64)
-            feats.append(feat.reshape(h, w, d))
-            box = np.frombuffer(fh.read(h * w * 4 * 4), dtype="<f4").astype(np.float64)
-            boxes.append(box.reshape(h, w, 4))
+            feat = np.frombuffer(_read_exact(fh, h * w * d * 4, path), dtype="<f4")
+            feats.append(feat.astype(np.float64).reshape(h, w, d))
+            box = np.frombuffer(_read_exact(fh, h * w * 4 * 4, path), dtype="<f4")
+            boxes.append(box.astype(np.float64).reshape(h, w, 4))
     geometry = PyramidGeometry(
         layers=tuple(LayerGeometry(h, w, float(s)) for h, w, _, s in headers),
         level_thresholds=tuple(level_thresholds),

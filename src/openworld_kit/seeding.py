@@ -9,7 +9,7 @@ Labels in use:
     ("scene", split, index)               per-scene content
     ("batch", task_id, step)              training batch composition
     ("assign", task_id, step, class_id)   background negative subsampling
-    ("assign-scene", class_id)            single-scene loss assignments
+    ("assign-scene", class_id)            single-scene loss assignments (test oracles only)
     ("module", class_id)                  projector/anchor initialization
 """
 

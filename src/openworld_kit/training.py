@@ -20,6 +20,7 @@ from .embedding_space import ClassEmbeddingRegistry, ClassEntry
 from .errors import MissingCheckpoint, NoSamples, ParseError, ShapeMismatch
 from .mscal import (
     MscalModule,
+    TRAINED_FIELDS,
     SampleAssignment,
     _ownership_masks,
     calibrate_threshold,
@@ -79,54 +80,49 @@ class OptimizerState:
     """First/second moment accumulators plus the shared step counter."""
 
     step: int
-    exp_avg: dict[str, np.ndarray]
-    exp_avg_sq: dict[str, np.ndarray]
+    exp_avg: list[np.ndarray]
+    exp_avg_sq: list[np.ndarray]
 
 
-def init_optimizer_state(params: dict[str, np.ndarray]) -> OptimizerState:
+def init_optimizer_state(params: list[np.ndarray]) -> OptimizerState:
     return OptimizerState(
         step=0,
-        exp_avg={k: np.zeros_like(v) for k, v in params.items()},
-        exp_avg_sq={k: np.zeros_like(v) for k, v in params.items()},
+        exp_avg=[np.zeros_like(p) for p in params],
+        exp_avg_sq=[np.zeros_like(p) for p in params],
     )
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
     state: OptimizerState,
     learning_rate: float,
     weight_decay: float,
     beta1: float = ADAM_BETA1,
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One bias-corrected moment update with decoupled weight decay.
+) -> None:
+    """One bias-corrected moment update with decoupled weight decay, applied
+    in place to `params` and to the moments in `state`.
 
     The decay term `-lr * wd * theta` is applied separately from the
     gradient step, so zero gradients still shrink parameters by exactly
     (1 - lr * wd) per step.
     """
-    step = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    bias1 = 1.0 - beta1 ** step
-    bias2 = 1.0 - beta2 ** step
-    for key, theta in params.items():
-        g = grads[key]
+    state.step += 1
+    bias1 = 1.0 - beta1 ** state.step
+    bias2 = 1.0 - beta2 ** state.step
+    for i, (theta, g, m, v) in enumerate(zip(params, grads, state.exp_avg,
+                                             state.exp_avg_sq, strict=True)):
         if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter {theta.shape} [{key}]")
-        m = beta1 * state.exp_avg[key] + (1.0 - beta1) * g
-        v = beta2 * state.exp_avg_sq[key] + (1.0 - beta2) * (g * g)
+            raise ShapeMismatch(f"gradient shape {g.shape} != parameter {theta.shape} [{i}]")
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
         # factored decay so zero-gradient steps scale by exactly (1 - lr*wd)
-        new_params[key] = (theta * (1.0 - learning_rate * weight_decay)
-                           - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, OptimizerState(step=step, exp_avg=new_m, exp_avg_sq=new_v)
+        theta[...] = (theta * (1.0 - learning_rate * weight_decay)
+                      - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +284,6 @@ def write_train_log_csv(path, log: TrainLog) -> None:
             fh.write(f"{step},{det!r},{con!r},{total!r}\n")
 
 
-def _module_param_keys(class_id: int, layer: int) -> list[tuple[str, str]]:
-    names = ("w1", "b1", "gamma", "beta", "w2", "b2", "anchor")
-    return [(f"mod/{class_id}/{layer}/{n}", n) for n in names]
-
-
 def _init_modules_for_task(
     registry: ClassEmbeddingRegistry,
     modules: list[MscalModule],
@@ -338,37 +329,11 @@ def _init_modules_for_task(
     return out
 
 
-def _gather_trainable(registry, modules) -> tuple[dict[str, np.ndarray], list]:
-    params: dict[str, np.ndarray] = {}
-    for entry in registry.entries:
-        if not entry.frozen:
-            params[f"emb/{entry.name}"] = entry.embedding.copy()
+def _normalize_anchors(modules: list[MscalModule]) -> None:
     for module in modules:
-        if module.frozen:
-            continue
-        for layer_idx, layer in enumerate(module.layers):
-            for key, name in _module_param_keys(module.class_id, layer_idx):
-                params[key] = getattr(layer, name).copy()
-    return params, list(params.keys())
-
-
-def _write_back(params: dict[str, np.ndarray], registry, modules) -> ClassEmbeddingRegistry:
-    emb_updates = {}
-    for entry in registry.entries:
-        key = f"emb/{entry.name}"
-        if key in params:
-            emb_updates[entry.name] = params[key]
-    registry = registry.with_embeddings(emb_updates)
-    for module in modules:
-        if module.frozen:
-            continue
-        for layer_idx, layer in enumerate(module.layers):
-            for key, name in _module_param_keys(module.class_id, layer_idx):
-                setattr(layer, name, params[key])
         if module.normalize:
             for layer in module.layers:
-                layer.anchor = layer.anchor / np.linalg.norm(layer.anchor)
-    return registry
+                layer.anchor /= np.linalg.norm(layer.anchor)
 
 
 def train_task(
@@ -407,10 +372,18 @@ def train_task(
         owners_cache.append(_ownership_masks(geometry, labeled))
     layer_shapes = [(g.height, g.width) for g in geometry.layers]
 
-    params, _ = _gather_trainable(registry, modules)
-    state = init_optimizer_state(params)
     n_classes = registry.num_known
     trainable_rows = np.array([not e.frozen for e in registry.entries])
+    trainable_idx = np.flatnonzero(trainable_rows)
+    # one stacked copy per task keeps the caller's entries untouched; the
+    # optimizer updates the trainable rows in place through row views
+    embeddings = np.stack([e.embedding for e in registry.entries])
+    trained = [m for m in modules if not m.frozen]
+    params = [embeddings[i] for i in trainable_idx]
+    params += [getattr(layer, name) for m in trained for layer in m.layers
+               for name in TRAINED_FIELDS]
+    state = init_optimizer_state(params)
+    scale = config.mscal_weight / n_classes
     log = TrainLog()
 
     for step in range(config.steps_per_task):
@@ -427,19 +400,18 @@ def train_task(
             assignments.append(_assignment_for_class(
                 batch_owners, layer_shapes, class_id, config.neg_cap, rng))
 
-        embeddings = np.stack([params.get(f"emb/{e.name}", e.embedding)
-                               for e in registry.entries])
         det_value, det_grads = detection_loss(
             grids, embeddings, trainable_rows, assignments, config.logit_scale)
 
+        # gradients line up with `params`: rows first, then modules in class order
+        grads = [config.det_weight * det_grads[i] for i in trainable_idx]
         con_value = 0.0
-        grad_map: dict[str, np.ndarray] = {
-            f"emb/{e.name}": config.det_weight * det_grads[i]
-            for i, e in enumerate(registry.entries) if not e.frozen
-        }
         for module in modules:
             assignment = assignments[module.class_id]
             if assignment.num_positive == 0:
+                if not module.frozen:
+                    grads += [np.zeros_like(getattr(layer, name))
+                              for layer in module.layers for name in TRAINED_FIELDS]
                 continue
             if module.frozen:
                 projected = project(module, grids, mode="infer")
@@ -449,22 +421,20 @@ def train_task(
                                 with_trace=True)
             value, layer_grads = mscal_loss_gradients(module, traces, assignment)
             con_value += value
-            scale = config.mscal_weight / n_classes
-            for layer_idx, g in enumerate(layer_grads):
-                for key, name in _module_param_keys(module.class_id, layer_idx):
-                    grad_map[key] = scale * g[name]
+            grads += [scale * g[name] for g in layer_grads for name in TRAINED_FIELDS]
         con_value /= n_classes
 
-        grads = {k: grad_map.get(k, np.zeros_like(v)) for k, v in params.items()}
-        params, state = adamw_step(params, grads, state,
-                                   config.learning_rate, config.weight_decay)
-        registry = _write_back(params, registry, modules)
-        params, _ = _gather_trainable(registry, modules)
+        adamw_step(params, grads, state, config.learning_rate, config.weight_decay)
+        _normalize_anchors(trained)
 
         total = config.det_weight * det_value + config.mscal_weight * con_value
         log.rows.append((step, det_value, con_value, total))
 
-    registry = _write_back(params, registry, modules)
+    # one more pass after the last step, even at zero steps: saved anchors
+    # carry the rounding of this second normalization
+    _normalize_anchors(trained)
+    registry = registry.with_embeddings(
+        {registry.entries[i].name: embeddings[i] for i in trainable_idx})
     scores = known_positive_scores_for_registry(modules, cal_scenes, geometry, name_to_id)
     log.theta = calibrate_threshold(scores, config.quantile) if scores else float("inf")
     return registry, modules, log
@@ -545,6 +515,14 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed checkpoint file: {exc}", path=str(path)) from exc
+
+
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None) -> None:
     base = Path(directory)
@@ -565,14 +543,11 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
         raise MissingCheckpoint(f"no checkpoint at {base}")
     if not (base / THETA_FILE).exists():
         raise MissingCheckpoint(f"incomplete checkpoint: {base / THETA_FILE} missing")
-    with open(base / REGISTRY_FILE, "r", encoding="utf-8") as fh:
-        registry = registry_from_payload(json.load(fh))
-    with open(base / THETA_FILE, "r", encoding="utf-8") as fh:
-        theta = float(json.load(fh)["theta"])
+    registry = registry_from_payload(_load_json(base / REGISTRY_FILE))
+    theta = float(_load_json(base / THETA_FILE)["theta"])
     modules = []
     for path in sorted((base / MODULE_DIR).glob("class_*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(path)
         try:
             modules.append(module_from_payload(payload))
         except ParseError as exc:

@@ -153,21 +153,6 @@ class TestPipeline:
             "--out-file", "b.jsonl")
         assert (trained / "a.jsonl").read_bytes() == (trained / "b.jsonl").read_bytes()
 
-    def test_thread_sharding_is_deterministic(self, trained, monkeypatch, capsys):
-        run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
-            "--out-file", "serial.jsonl")
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
-            "--out-file", "threaded.jsonl")
-        assert (trained / "serial.jsonl").read_bytes() == \
-            (trained / "threaded.jsonl").read_bytes()
-        capsys.readouterr()
-        monkeypatch.setenv(cli.THREADS_ENV, "two")
-        assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
-                   "--out-file", "bad.jsonl") == 1
-        assert f"error: {cli.THREADS_ENV}" in capsys.readouterr().err
-        assert not (trained / "bad.jsonl").exists()
-
     def test_no_mscal_changes_only_labels_and_ood(self, trained):
         # the gate contract operates before suppression: same boxes, same
         # confidences, same sources; only labels and ood fields may differ
@@ -219,6 +204,14 @@ class TestLoaderErrors:
         assert err.startswith("error: ")
         assert "out/world/manifest.json" in err
 
+    def test_world_without_embeddings(self, workdir, capsys):
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        (workdir / "out" / "world" / "embeddings.json").unlink()
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/world/embeddings.json" in err
+
     def test_checkpoint_without_theta(self, trained, capsys):
         theta = trained / "out" / "checkpoints" / "task_2" / "theta.json"
         theta.unlink()
@@ -236,6 +229,17 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "out/checkpoints/task_2/modules/class_000.json" in err
+
+    @pytest.mark.parametrize("name", ["registry.json", "theta.json",
+                                      "modules/class_000.json"])
+    def test_truncated_checkpoint_file(self, trained, capsys, name):
+        path = trained / "out" / "checkpoints" / "task_2" / name
+        data = path.read_bytes()
+        path.write_bytes(data[:min(200, len(data) // 2)])
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"out/checkpoints/task_2/{name}" in err
 
 
 class TestThresholdGate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openworld_kit.errors import ShapeMismatch
+from openworld_kit.errors import ParseError, ShapeMismatch
 from openworld_kit.pyramid import (
     FeaturePyramid,
     LayerGeometry,
@@ -95,3 +95,12 @@ class TestBlobFormat:
         for g_orig, g_back in zip(pyr.geometry.layers, loaded.geometry.layers):
             assert g_orig.stride == g_back.stride
             assert (g_orig.height, g_orig.width) == (g_back.height, g_back.width)
+
+    @pytest.mark.parametrize("cut", [10, 1000])  # inside the header, inside layer 0
+    def test_truncated_blob_is_a_parse_error(self, tmp_path, cut):
+        pyr = random_pyramid(seed=5, dim=16)
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, pyr)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match="truncated"):
+            read_pyramid_blob(path, pyr.geometry.level_thresholds)

@@ -67,42 +67,47 @@ def tiny_world():
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        params = {"x": np.array([1.0, -2.0, 3.0])}
+        x = np.array([1.0, -2.0, 3.0])
+        params = [x]
         state = init_optimizer_state(params)
-        out, _ = adamw_step(params, {"x": np.zeros(3)}, state, 1e-4, 0.0)
-        np.testing.assert_array_equal(out["x"], params["x"])
+        adamw_step(params, [np.zeros(3)], state, 1e-4, 0.0)
+        assert params[0] is x
+        np.testing.assert_array_equal(x, [1.0, -2.0, 3.0])
 
     def test_zero_gradient_decay_only_closed_form(self):
-        params = {"x": np.array([1.0, -0.5])}
+        params = [np.array([1.0, -0.5])]
         state = init_optimizer_state(params)
-        theta = params["x"].copy()
+        theta = params[0].copy()
         for _ in range(3):
-            params, state = adamw_step(params, {"x": np.zeros(2)}, state, 1e-4, 0.0125)
+            adamw_step(params, [np.zeros(2)], state, 1e-4, 0.0125)
             theta = theta * (1.0 - 1e-4 * 0.0125)
-            np.testing.assert_array_equal(params["x"], theta)
+            np.testing.assert_array_equal(params[0], theta)
 
     def test_single_step_hand_computation(self):
-        params = {"x": np.array([1.0])}
-        state = init_optimizer_state(params)
-        out, state = adamw_step(params, {"x": np.array([1.0])}, state, 1e-4, 0.0125)
+        x = np.array([1.0])
+        state = init_optimizer_state([x])
+        m, v = state.exp_avg[0], state.exp_avg_sq[0]
+        adamw_step([x], [np.array([1.0])], state, 1e-4, 0.0125)
         # bias-corrected m_hat = v_hat = 1 on the first step
         m_hat = (0.1 / (1 - 0.9))
         v_hat = (0.001 / (1 - 0.999))
         expected = 1.0 - 1e-4 * m_hat / (math.sqrt(v_hat) + 1e-8) - 1e-4 * 0.0125 * 1.0
-        assert abs(out["x"][0] - expected) < 1e-12
+        assert abs(x[0] - expected) < 1e-12
         assert state.step == 1
+        # parameters and moments are updated in place
+        assert state.exp_avg[0] is m and state.exp_avg_sq[0] is v
+        assert m[0] == pytest.approx(0.1) and v[0] == pytest.approx(0.001)
 
     def test_decoupled_decay_invariant_over_steps(self):
         rng = np.random.default_rng(0)
-        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
+        params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
         state = init_optimizer_state(params)
-        snapshot = {k: v.copy() for k, v in params.items()}
+        snapshot = [p.copy() for p in params]
         for step in range(5):
-            zero = {k: np.zeros_like(v) for k, v in params.items()}
-            params, state = adamw_step(params, zero, state, 2e-3, 0.5)
-            for k in snapshot:
-                snapshot[k] = snapshot[k] * (1.0 - 2e-3 * 0.5)
-                np.testing.assert_array_equal(params[k], snapshot[k])
+            adamw_step(params, [np.zeros_like(p) for p in params], state, 2e-3, 0.5)
+            for i in range(len(snapshot)):
+                snapshot[i] = snapshot[i] * (1.0 - 2e-3 * 0.5)
+                np.testing.assert_array_equal(params[i], snapshot[i])
 
 
 class TestDetectionLoss:
@@ -153,6 +158,15 @@ class TestTrainTask:
         assert len(modules) == 2
         assert math.isfinite(log.theta)
         assert log.rows == []
+
+    def test_caller_embeddings_untouched(self, tiny_world):
+        # the optimizer writes in place; the caller's entries must not alias it
+        data = TaskData(tiny_world)
+        registry = fresh_registry(tiny_world)
+        before = [e.embedding.tobytes() for e in registry.entries]
+        out_reg, _, _ = train_task(data, registry, [], self.config(), 1)
+        assert [e.embedding.tobytes() for e in registry.entries] == before
+        assert [e.embedding.tobytes() for e in out_reg.entries] != before
 
     def test_loss_sum_decomposition(self, tiny_world):
         data = TaskData(tiny_world)
