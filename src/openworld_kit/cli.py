@@ -178,16 +178,19 @@ class RunConfig:
         if config_path:
             parser = configparser.ConfigParser()
             parser.optionxform = str
-            read = parser.read(config_path)
-            if not read:
-                raise ConfigError(f"config file not found: {config_path}")
-            for section in parser.sections():
-                if section not in SCHEMA:
-                    raise ConfigError(f"unknown config section [{section}]")
-                for key, value in parser.items(section):
-                    if key not in SCHEMA[section]:
-                        raise ConfigError(f"unknown config key {section}.{key}")
-                    raw[section][key] = value
+            try:
+                read = parser.read(config_path)
+                if not read:
+                    raise ConfigError(f"config file not found: {config_path}")
+                for section in parser.sections():
+                    if section not in SCHEMA:
+                        raise ConfigError(f"unknown config section [{section}]")
+                    for key, value in parser.items(section):
+                        if key not in SCHEMA[section]:
+                            raise ConfigError(f"unknown config key {section}.{key}")
+                        raw[section][key] = value
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigError(f"unreadable config file {config_path}: {exc}") from exc
         for item in overrides or []:
             if "=" not in item or "." not in item.split("=", 1)[0]:
                 raise ConfigError(f"override must look like section.key=value: {item!r}")

@@ -10,7 +10,7 @@ overlaps. Everything is deterministic for a fixed pyramid and prompt set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,8 +133,9 @@ def apply_ood_gate(
         gated = (not det.is_unknown) and score > theta
         if gated and mode == "suppress":
             continue
-        out.append(replace(det, ood=score,
-                           label=UNKNOWN_CLASS_ID if gated else det.label))
+        out.append(Detection(box=det.box,
+                             label=UNKNOWN_CLASS_ID if gated else det.label,
+                             confidence=det.confidence, source=det.source, ood=score))
     return out
 
 
@@ -154,32 +155,73 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def _suppression_matrix(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """(m, m) bool: entry (i, j) is True iff `iou(boxes[j], boxes[i]) >=
+    iou_threshold`, with the float64 operations of `iou` in the same order,
+    so every IoU carries the same bits as the scalar one. Built in place so
+    that at most three (m, m) float arrays are alive at once."""
+    x1, y1, x2, y2 = boxes.T
+    inter = np.minimum.outer(x2, x2)
+    tmp = np.maximum.outer(x1, x1)
+    np.subtract(inter, tmp, out=inter)
+    np.fmax(inter, 0.0, out=inter)          # iw; fmax maps NaN to 0 like max(0.0, ·)
+    np.minimum.outer(y2, y2, out=tmp)
+    np.subtract(tmp, np.maximum.outer(y1, y1), out=tmp)
+    np.fmax(tmp, 0.0, out=tmp)              # ih
+    np.multiply(inter, tmp, out=inter)
+    area = (x2 - x1) * (y2 - y1)
+    np.add.outer(area, area, out=tmp)
+    np.subtract(tmp, inter, out=tmp)        # union
+    empty = inter <= 0.0
+    np.divide(inter, tmp, out=tmp, where=~empty)
+    tmp[empty] = 0.0
+    # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
+    return tmp >= iou_threshold
+
+
+def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Keep mask of greedy NMS over boxes already in visiting order: each
+    survivor clears the later boxes it suppresses."""
+    spared = ~_suppression_matrix(boxes, iou_threshold)
+    alive = np.ones(len(boxes), dtype=bool)
+    for i in range(len(boxes) - 1):
+        if alive[i]:
+            alive[i + 1:] &= spared[i, i + 1:]
+    return alive
+
+
 def nms(dets: list[Detection], iou_threshold: float = 0.7,
         class_wise: bool = True) -> list[Detection]:
     """Greedy suppression by descending confidence.
 
     A detection survives iff its IoU with every kept detection (of the same
     label when `class_wise`; unknown counts as its own class) stays below
-    the threshold. Confidence ties keep the earlier source index.
+    the threshold. Confidence ties keep the earlier source index. The result
+    equals the scalar greedy loop over `iou`; each label group is decided
+    from one pairwise suppression matrix.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    kept: list[Detection] = []
-    for i in order:
-        cand = dets[i]
-        suppressed = False
-        for k in kept:
-            if class_wise and k.label != cand.label:
-                continue
-            if iou(cand.box, k.box) >= iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(cand)
-    return kept
+    n = len(dets)
+    if n == 0:
+        return []
+    conf = np.fromiter((d.confidence for d in dets), dtype=np.float64, count=n)
+    order = np.argsort(-conf, kind="stable")   # (-confidence, index)
+    boxes = np.array([dets[i].box for i in order], dtype=np.float64)
+    if class_wise:
+        labels = np.fromiter((dets[i].label for i in order), dtype=np.int64, count=n)
+        groups = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
+    else:
+        groups = [np.arange(n)]
+    keep = np.ones(n, dtype=bool)
+    for group in groups:
+        if len(group) > 1:
+            keep[group] = _greedy_keep(boxes[group], iou_threshold)
+    return [dets[i] for i in order[keep]]
 
 
 # ---------------------------------------------------------------------------
 # detection file format: JSON lines, one object per detection
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def format_detection_line(scene_id: str, det: Detection, label_names: list[str]) -> str:
@@ -194,7 +236,7 @@ def format_detection_line(scene_id: str, det: Detection, label_names: list[str])
         "confidence": det.confidence,
         "ood": det.ood,
     }
-    return json.dumps(record, sort_keys=True)
+    return _ENCODER.encode(record)
 
 
 def write_detections_jsonl(path, per_scene: list[tuple[str, list[Detection]]],

@@ -199,10 +199,17 @@ def load_embedding_file(path) -> dict[str, np.ndarray]:
         raise MissingWorld(f"no embedding file at {path}; run gen first") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid embedding file: {exc}", path=str(path)) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("embedding file is not a JSON object", path=str(path))
     out: dict[str, np.ndarray] = {}
     for name, values in raw.items():
-        arr = np.asarray(values, dtype=np.float64)
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"embedding {name!r} is not numeric: {exc}", path=str(path)) from exc
         if arr.ndim != 1:
             raise ParseError(f"embedding {name!r} is not a flat vector", path=str(path))
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"embedding {name!r} has a non-finite entry", path=str(path))
         out[name] = arr
     return out

@@ -515,12 +515,21 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_json(path):
+def _load_json(path, parse):
+    """Read one checkpoint file and build its object with `parse`; a file
+    that is not JSON or lacks a field raises `ParseError` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed checkpoint file: {exc}", path=str(path)) from exc
+    try:
+        return parse(payload)
+    except ParseError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed checkpoint file: missing or bad field {exc!r}",
+                         path=str(path)) from exc
 
 
 def save_checkpoint(directory, registry, modules, theta: float,
@@ -543,13 +552,8 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
         raise MissingCheckpoint(f"no checkpoint at {base}")
     if not (base / THETA_FILE).exists():
         raise MissingCheckpoint(f"incomplete checkpoint: {base / THETA_FILE} missing")
-    registry = registry_from_payload(_load_json(base / REGISTRY_FILE))
-    theta = float(_load_json(base / THETA_FILE)["theta"])
-    modules = []
-    for path in sorted((base / MODULE_DIR).glob("class_*.json")):
-        payload = _load_json(path)
-        try:
-            modules.append(module_from_payload(payload))
-        except ParseError as exc:
-            raise ParseError(str(exc), path=str(path)) from exc
+    registry = _load_json(base / REGISTRY_FILE, registry_from_payload)
+    theta = _load_json(base / THETA_FILE, lambda payload: float(payload["theta"]))
+    modules = [_load_json(path, module_from_payload)
+               for path in sorted((base / MODULE_DIR).glob("class_*.json"))]
     return registry, modules, theta

@@ -7,7 +7,7 @@ written directly from the metric definitions with plain loops.
 
 import numpy as np
 
-from openworld_kit.detection import DetectionRecord
+from openworld_kit.detection import DetectionRecord, iou
 from openworld_kit.errors import NoModules, ShapeMismatch, UndefinedOperatingPoint
 from openworld_kit.mscal import SampleAssignment, _ownership_masks, mscal_loss, project
 from openworld_kit.owod_eval import GtRecord
@@ -34,6 +34,19 @@ def oracle_iou(a, b):
     inter = w * h
     union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union
+
+
+def oracle_nms(dets, iou_threshold, class_wise):
+    """Greedy NMS as the scalar loop over `iou`: visit by (-confidence,
+    index) and keep a detection unless a kept one (of its label when
+    `class_wise`) overlaps it with IoU >= the threshold."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    kept = []
+    for i in order:
+        if not any(iou(dets[i].box, dets[j].box) >= iou_threshold
+                   for j in kept if not class_wise or dets[j].label == dets[i].label):
+            kept.append(i)
+    return [dets[i] for i in kept]
 
 
 def oracle_greedy_match(dets, gts, iou_thr, label_aware):

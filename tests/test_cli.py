@@ -78,6 +78,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cli.RunConfig.load(None, overrides=["train.batch_size=three"])
 
+    @pytest.mark.parametrize("data", [b"seed = 1\n", b"[run]\nseed = %(x\n",
+                                      b"[run]\nseed = \xff\xfe\n"],
+                             ids=["no-section-header", "bad-interpolation", "not-utf8"])
+    def test_unreadable_file_rejected(self, workdir, data):
+        (workdir / "bad.ini").write_bytes(data)
+        with pytest.raises(ConfigError, match="bad.ini"):
+            cli.RunConfig.load("bad.ini")
+
     def test_echo_reflects_resolved_strings(self, workdir):
         cfg = cli.RunConfig.load("tiny.ini", seed=7)
         echo = cfg.echo()
@@ -236,6 +244,26 @@ class TestLoaderErrors:
         path = trained / "out" / "checkpoints" / "task_2" / name
         data = path.read_bytes()
         path.write_bytes(data[:min(200, len(data) // 2)])
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"out/checkpoints/task_2/{name}" in err
+
+
+    @pytest.mark.parametrize("name, edit", [
+        ("registry.json", lambda p: {k: v for k, v in p.items() if k != "entries"}),
+        ("registry.json", lambda p: p | {"entries": [
+            {k: v for k, v in e.items() if k != "task_id"} for e in p["entries"]]}),
+        ("registry.json", lambda p: {k: v for k, v in p.items() if k != "generic_object"}),
+        ("registry.json", lambda p: {k: v for k, v in p.items() if k != "alpha"}),
+        ("theta.json", lambda p: {}),
+        ("modules/class_000.json", lambda p: {k: v for k, v in p.items() if k != "layers"}),
+        ("modules/class_000.json", lambda p: []),
+    ], ids=["no-entries", "entry-without-task-id", "no-generic-object", "no-alpha",
+            "no-theta", "module-without-layers", "module-not-an-object"])
+    def test_checkpoint_file_missing_field(self, trained, capsys, name, edit):
+        path = trained / "out" / "checkpoints" / "task_2" / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert self.infer() == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openworld_kit import cli
 from openworld_kit.detection import (
     Detection,
     UNKNOWN_CLASS_ID,
@@ -18,9 +19,14 @@ from openworld_kit.detection import (
     read_detections_jsonl,
     write_detections_jsonl,
 )
+from openworld_kit.embedding_space import prompt_matrix
 from openworld_kit.errors import SourceOutOfRange, ZeroVector
-from openworld_kit.mscal import OodScoreMap
+from openworld_kit.mscal import OodScoreMap, ood_score_map
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
+from openworld_kit.synthetic_world import load_split, load_world
+from openworld_kit.training import load_checkpoint
+
+from oracles import oracle_nms
 
 
 def pyramid_with_features(features_by_layer, strides=(8.0, 16.0)):
@@ -191,22 +197,6 @@ class TestIou:
         assert iou(a, a) == 1.0
 
 
-def reference_nms(dets, threshold, class_wise):
-    """Quadratic reference: re-derives the keep set from the definition."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    kept = []
-    for i in order:
-        ok = True
-        for j in kept:
-            if class_wise and dets[j].label != dets[i].label:
-                continue
-            if iou(dets[i].box, dets[j].box) >= threshold:
-                ok = False
-        if ok:
-            kept.append(i)
-    return [dets[i] for i in kept]
-
-
 class TestNms:
     def test_identical_boxes_same_class(self):
         dets = [Detection(box=(0, 0, 4, 4), label=0, confidence=0.9, source=(0, 0, 0)),
@@ -234,7 +224,7 @@ class TestNms:
                     source=(0, 0, i)))
             for class_wise in (True, False):
                 got = nms(dets, 0.4, class_wise)
-                want = reference_nms(dets, 0.4, class_wise)
+                want = oracle_nms(dets, 0.4, class_wise)
                 assert got == want
 
     def test_output_is_subset_sorted_and_separated(self):
@@ -249,6 +239,43 @@ class TestNms:
         for a, b in itertools.combinations(out, 2):
             if a.label == b.label:
                 assert iou(a.box, b.box) < 0.5
+
+    @given(st.sampled_from([0, 1, 2, 5, 30, 400]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_on_grid_boxes(self, n, seed, threshold, class_wise):
+        # a coarse grid makes identical boxes, zero-area boxes and exact
+        # confidence ties common; at threshold 0.0 disjoint boxes suppress
+        rng = np.random.default_rng(seed)
+        corners = rng.integers(0, 7, size=(n, 2))
+        sizes = rng.integers(0, 4, size=(n, 2))
+        labels = rng.choice([UNKNOWN_CLASS_ID, 0, 1, 2], size=n)
+        confs = rng.choice([0.25, 0.5, 0.75, 1.0], size=n)
+        dets = [Detection(box=(float(x), float(y), float(x + w), float(y + h)),
+                          label=int(labels[i]), confidence=float(confs[i]),
+                          source=(0, 0, i))
+                for i, ((x, y), (w, h)) in enumerate(zip(corners, sizes))]
+        assert nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
+
+    def test_equals_oracle_on_a_gated_scene(self, tmp_path):
+        # a zero-step checkpoint gates almost every detection of a seed-0
+        # test scene into one unknown group of about 300 boxes
+        out = tmp_path / "out"
+        assert cli.main(["gen", "--seed", "0", "--out", str(out)]) == 0
+        assert cli.main(["train", "--seed", "0", "--out", str(out), "--task", "1",
+                         "--set", "train.steps_per_task=0"]) == 0
+        registry, modules, theta = load_checkpoint(out / "checkpoints" / "task_1")
+        world = load_world(out / "world")
+        scene = load_split(world, "test", out / "world")[0]
+        scores = classify_locations(scene.pyramid, prompt_matrix(registry, True))
+        dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
+        dets = apply_ood_gate(dets, ood_score_map(modules, scene.pyramid), theta)
+        unknown = [d for d in dets if d.is_unknown]
+        assert len(unknown) >= 200
+        for threshold in (0.3, 0.7):
+            for class_wise in (True, False):
+                assert nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
+            assert nms(unknown, threshold) == oracle_nms(unknown, threshold, True)
 
 
 class TestDetectionsFile:

@@ -20,6 +20,7 @@ from openworld_kit.errors import (
     DegenerateMean,
     DuplicateClass,
     EmptyRegistry,
+    ParseError,
     ZeroVector,
 )
 from openworld_kit.owod_eval import TaskSplitSpec
@@ -215,3 +216,19 @@ class TestEmbeddingFile:
         save_embedding_file(path, {"c": np.array([1.23456789123456789, 2.0])})
         raw = json.loads(path.read_text())
         assert raw["c"][0] == float("1.23456789")
+
+    @pytest.mark.parametrize("text", [
+        '{"object": [1, "a"]}',
+        '{"object": [1, NaN]}',
+        '{"object": [1, -Infinity]}',
+        '{"object": [1, null]}',
+        '{"object": [1, {"x": 2}]}',
+        '[[1, 2]]',
+        '"object"',
+    ])
+    def test_malformed_vectors_are_parse_errors(self, tmp_path, text):
+        path = tmp_path / "emb.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_embedding_file(path)
+        assert err.value.path == str(path)
