@@ -287,11 +287,13 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
             entries=(), generic_object=embeddings[GENERIC_OBJECT_KEY],
             alpha=train_cfg.alpha)
         modules = []
+        prev_dir, unchanged = None, set()
     else:
         prev_dir = _checkpoint_dir(cfg, task_id - 1)
         if not prev_dir.exists():
             raise MissingCheckpoint(f"train task {task_id - 1} first: {prev_dir} missing")
         registry, modules, _ = load_checkpoint(prev_dir)
+        unchanged = {m.class_id for m in modules if m.frozen}
         registry = replace(registry, alpha=train_cfg.alpha)
         freeze_class_modules(modules, task_id - 1)
 
@@ -306,7 +308,8 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
     registry, modules, log = train_task(data, registry, modules, train_cfg, task_id)
     registry, modules = finalize_task(registry, modules, task_id)
     ckpt = _checkpoint_dir(cfg, task_id)
-    save_checkpoint(ckpt, registry, modules, log.theta, train_cfg, log)
+    save_checkpoint(ckpt, registry, modules, log.theta, train_cfg, log,
+                    previous=prev_dir, unchanged=unchanged)
     print(f"task {task_id}: {registry.num_known} embeddings, {len(modules)} modules, "
           f"theta={log.theta:.6f} -> {ckpt}")
     return 0
@@ -343,8 +346,8 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         dets = det.decode_detections(scene.pyramid, scores,
                                      cfg.get("detect", "conf_threshold"),
                                      registry.num_known)
-        smap = ood_score_map(modules, scene.pyramid)
-        dets = det.apply_ood_gate(dets, smap, theta, mode=gate_mode)
+        dets = det.apply_ood_gate(dets, ood_score_map(modules, scene.pyramid), theta,
+                                  mode=gate_mode)
         dets = det.nms(dets, cfg.get("detect", "nms_iou"),
                        cfg.get("detect", "class_wise_nms"))
         results.append((scene.scene_id, dets))

@@ -4,18 +4,23 @@ Inference walks each pyramid location: confidences are sigmoids of scaled
 cosine similarity against the prompt matrix, the argmax class (ties to the
 lower index) emits the location's box field when above threshold, the OOD
 gate relabels suspicious known detections to unknown, and greedy NMS prunes
-overlaps. Everything is deterministic for a fixed pyramid and prompt set.
+overlaps. A scene's detections travel as one structure of arrays
+(`Detections`), so each step is a few array passes rather than one Python
+object per candidate. Everything is deterministic for a fixed pyramid and
+prompt set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector
-from .mscal import OodScoreMap
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
@@ -23,8 +28,10 @@ UNKNOWN_CLASS_ID = -1
 Box = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
+    """One row of `Detections` as a record, for code that walks detections
+    one at a time. Inference itself never builds one."""
+
     box: Box
     label: int              # known class index, or UNKNOWN_CLASS_ID
     confidence: float
@@ -34,6 +41,42 @@ class Detection:
     @property
     def is_unknown(self) -> bool:
         return self.label == UNKNOWN_CLASS_ID
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """One scene's detections as parallel arrays, row i being detection i."""
+
+    boxes: np.ndarray       # (n, 4) float64 (x1, y1, x2, y2)
+    labels: np.ndarray      # (n,) int64 known class index, or UNKNOWN_CLASS_ID
+    confidence: np.ndarray  # (n,) float64
+    ood: np.ndarray         # (n,) float64 OOD score at the source location
+    source: np.ndarray      # (n, 3) int64 (layer, row, col)
+
+    @classmethod
+    def from_rows(cls, rows) -> Detections:
+        """The columns of a sequence of `Detection` rows, in that order."""
+        return cls(
+            boxes=np.array([d.box for d in rows], dtype=np.float64).reshape(-1, 4),
+            labels=np.array([d.label for d in rows], dtype=np.int64),
+            confidence=np.array([d.confidence for d in rows], dtype=np.float64),
+            ood=np.array([d.ood for d in rows], dtype=np.float64),
+            source=np.array([d.source for d in rows], dtype=np.int64).reshape(-1, 3))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        """The rows as `Detection` records, in order."""
+        for box, label, conf, source, ood in zip(
+                self.boxes.tolist(), self.labels.tolist(), self.confidence.tolist(),
+                self.source.tolist(), self.ood.tolist()):
+            yield Detection(tuple(box), label, conf, tuple(source), ood)
+
+    def take(self, idx) -> Detections:
+        """The rows `idx` (an index array or a boolean mask), in that order."""
+        return Detections(self.boxes[idx], self.labels[idx], self.confidence[idx],
+                          self.ood[idx], self.source[idx])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -83,39 +126,38 @@ def decode_detections(
     class_scores: list[np.ndarray],
     conf_threshold: float,
     num_known: int,
-) -> list[Detection]:
+) -> Detections:
     """One candidate detection per location whose argmax confidence clears
-    the threshold. Rows past `num_known` carry the unknown label. Ties go
-    to the lower row index (argmax convention), so known beats unknown."""
+    the threshold, in (layer, row, col) order. Rows past `num_known` carry
+    the unknown label. Ties go to the lower row index (argmax convention),
+    so known beats unknown. OOD scores are zero until the gate fills them."""
     if len(class_scores) != len(pyramid.layers):
         raise ShapeMismatch("scores and pyramid disagree on layer count")
-    dets: list[Detection] = []
+    parts = []
     for j, (scores, boxes) in enumerate(zip(class_scores, pyramid.box_field)):
         if scores.shape[:2] != boxes.shape[:2]:
             raise ShapeMismatch("scores and pyramid disagree on grid shape")
         best_idx = np.argmax(scores, axis=-1)
         best_conf = np.take_along_axis(scores, best_idx[..., None], axis=-1)[..., 0]
-        keep = best_conf >= conf_threshold
-        for row, col in np.argwhere(keep):
-            idx = int(best_idx[row, col])
-            label = idx if idx < num_known else UNKNOWN_CLASS_ID
-            dets.append(Detection(
-                box=tuple(float(v) for v in boxes[row, col]),
-                label=label,
-                confidence=float(best_conf[row, col]),
-                source=(j, int(row), int(col)),
-            ))
-    return dets
+        row, col = np.nonzero(best_conf >= conf_threshold)
+        idx = best_idx[row, col]
+        parts.append((boxes[row, col], np.where(idx < num_known, idx, UNKNOWN_CLASS_ID),
+                      best_conf[row, col], np.column_stack((np.full_like(row, j), row, col))))
+    boxes, labels, conf, source = (np.concatenate(column) for column in zip(*parts))
+    return Detections(boxes=boxes.astype(np.float64), labels=labels.astype(np.int64),
+                      confidence=conf.astype(np.float64), ood=np.zeros(len(labels)),
+                      source=source.astype(np.int64))
 
 
 def apply_ood_gate(
-    dets: list[Detection],
-    ood_map: OodScoreMap,
+    dets: Detections,
+    ood_layers: list[np.ndarray],
     theta: float,
     mode: str = "relabel",
-) -> list[Detection]:
-    """Fill each detection's OOD score from its source location and convert
-    known detections scoring above `theta` into unknowns.
+) -> Detections:
+    """Fill each detection's OOD score from its source location in the
+    per-layer (H, W) score grids and convert known detections scoring above
+    `theta` into unknowns.
 
     Boxes and confidences are never touched; unknown-labeled detections
     pass through unchanged. `mode="suppress"` drops gated detections
@@ -123,20 +165,25 @@ def apply_ood_gate(
     """
     if mode not in ("relabel", "suppress"):
         raise ValueError(f"gate mode must be 'relabel' or 'suppress', got {mode!r}")
-    out: list[Detection] = []
-    for det in dets:
-        layer, row, col = det.source
-        try:
-            score = ood_map.score_at(layer, row, col)
-        except IndexError as exc:
-            raise SourceOutOfRange(f"detection source {det.source} outside map") from exc
-        gated = (not det.is_unknown) and score > theta
-        if gated and mode == "suppress":
-            continue
-        out.append(Detection(box=det.box,
-                             label=UNKNOWN_CLASS_ID if gated else det.label,
-                             confidence=det.confidence, source=det.source, ood=score))
-    return out
+    if not len(dets):
+        return dets
+    layer, row, col = dets.source.T
+    shapes = np.array([grid.shape for grid in ood_layers], dtype=np.int64).reshape(-1, 2)
+    outside = (layer < 0) | (layer >= len(shapes))
+    if not outside.any():
+        height, width = shapes[layer].T
+        outside = (row < 0) | (row >= height) | (col < 0) | (col >= width)
+    if outside.any():
+        bad = tuple(dets.source[np.argmax(outside)].tolist())
+        raise SourceOutOfRange(f"detection source {bad} outside map")
+    sizes = shapes.prod(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate([grid.ravel() for grid in ood_layers])
+    score = flat[starts[layer] + row * width + col]
+    gated = (dets.labels != UNKNOWN_CLASS_ID) & (score > theta)
+    if mode == "suppress":
+        return replace(dets, ood=score).take(~gated)
+    return replace(dets, labels=np.where(gated, UNKNOWN_CLASS_ID, dets.labels), ood=score)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -190,24 +237,27 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     return alive
 
 
-def nms(dets: list[Detection], iou_threshold: float = 0.7,
-        class_wise: bool = True) -> list[Detection]:
-    """Greedy suppression by descending confidence.
+def nms(dets: Detections, iou_threshold: float = 0.7,
+        class_wise: bool = True) -> Detections:
+    """Greedy suppression by descending confidence. `dets` may also be a
+    sequence of `Detection` rows.
 
     A detection survives iff its IoU with every kept detection (of the same
     label when `class_wise`; unknown counts as its own class) stays below
-    the threshold. Confidence ties keep the earlier source index. The result
-    equals the scalar greedy loop over `iou`; each label group is decided
-    from one pairwise suppression matrix.
+    the threshold. Confidence ties keep the earlier index. The survivors
+    come back in visiting order. The result equals the scalar greedy loop
+    over `iou`; each label group is decided from one pairwise suppression
+    matrix.
     """
+    if not isinstance(dets, Detections):
+        dets = Detections.from_rows(dets)
     n = len(dets)
     if n == 0:
-        return []
-    conf = np.fromiter((d.confidence for d in dets), dtype=np.float64, count=n)
-    order = np.argsort(-conf, kind="stable")   # (-confidence, index)
-    boxes = np.array([dets[i].box for i in order], dtype=np.float64)
+        return dets
+    order = np.argsort(-dets.confidence, kind="stable")   # (-confidence, index)
+    boxes = dets.boxes[order]
     if class_wise:
-        labels = np.fromiter((dets[i].label for i in order), dtype=np.int64, count=n)
+        labels = dets.labels[order]
         groups = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
     else:
         groups = [np.arange(n)]
@@ -215,37 +265,47 @@ def nms(dets: list[Detection], iou_threshold: float = 0.7,
     for group in groups:
         if len(group) > 1:
             keep[group] = _greedy_keep(boxes[group], iou_threshold)
-    return [dets[i] for i in order[keep]]
+    return dets.take(order[keep])
 
 
 # ---------------------------------------------------------------------------
-# detection file format: JSON lines, one object per detection
+# detection file format: JSON lines, one object per detection, keys sorted
 
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def format_detection_line(scene_id: str, det: Detection, label_names: list[str]) -> str:
-    name = "unknown" if det.is_unknown else label_names[det.label]
-    record = {
-        "scene_id": scene_id,
-        "x1": round(det.box[0], 4),
-        "y1": round(det.box[1], 4),
-        "x2": round(det.box[2], 4),
-        "y2": round(det.box[3], 4),
-        "label": name,
-        "confidence": det.confidence,
-        "ood": det.ood,
-    }
-    return _ENCODER.encode(record)
+# the bytes json.JSONEncoder(sort_keys=True) writes, every value encoded
+_LINE = ('{"confidence": %s, "label": %s, "ood": %s, "scene_id": %s, '
+         '"x1": %s, "x2": %s, "y1": %s, "y2": %s}\n')
 
 
-def write_detections_jsonl(path, per_scene: list[tuple[str, list[Detection]]],
+def _json_float(v: float) -> str:
+    # json writes NaN / Infinity / -Infinity where repr writes nan / inf / -inf
+    return repr(v) if isfinite(v) else json.dumps(v)
+
+
+def label_texts(label_names: list[str]) -> dict[int, str]:
+    """Label id -> its encoded JSON string, `unknown` included."""
+    texts = {i: encode_basestring_ascii(name) for i, name in enumerate(label_names)}
+    texts[UNKNOWN_CLASS_ID] = encode_basestring_ascii("unknown")
+    return texts
+
+
+def format_detection_lines(scene_id: str, dets: Detections,
+                           labels: dict[int, str]) -> str:
+    """The scene's JSONL lines; coordinates are `round(v, 4)`."""
+    scene = encode_basestring_ascii(scene_id)
+    x1, y1, x2, y2 = ([_json_float(round(v, 4)) for v in column]
+                      for column in dets.boxes.T.tolist())
+    rows = zip(map(_json_float, dets.confidence.tolist()),
+               map(labels.__getitem__, dets.labels.tolist()),
+               map(_json_float, dets.ood.tolist()), [scene] * len(dets), x1, x2, y1, y2)
+    return "".join([_LINE % row for row in rows])
+
+
+def write_detections_jsonl(path, per_scene: list[tuple[str, Detections]],
                            label_names: list[str]) -> None:
+    labels = label_texts(label_names)
     with open(path, "w", encoding="utf-8") as fh:
         for scene_id, dets in per_scene:
-            for det in dets:
-                fh.write(format_detection_line(scene_id, det, label_names))
-                fh.write("\n")
+            fh.write(format_detection_lines(scene_id, dets, labels))
 
 
 @dataclass(frozen=True)
@@ -260,6 +320,8 @@ class DetectionRecord:
 
 
 def read_detections_jsonl(path) -> list[DetectionRecord]:
+    """Every record of a detections file; a line that is not such a record,
+    or carries a non-finite number, raises `ParseError` naming its line."""
     records: list[DetectionRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -268,15 +330,21 @@ def read_detections_jsonl(path) -> list[DetectionRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(DetectionRecord(
+                record = DetectionRecord(
                     scene_id=str(obj["scene_id"]),
                     box=(float(obj["x1"]), float(obj["y1"]),
                          float(obj["x2"]), float(obj["y2"])),
                     label=str(obj["label"]),
                     confidence=float(obj["confidence"]),
                     ood=float(obj.get("ood", 0.0)),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                )
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad detection record: {exc}",
                                  path=str(path), line=lineno) from exc
+            x1, y1, x2, y2 = record.box
+            if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
+                    and isfinite(record.confidence) and isfinite(record.ood)):
+                raise ParseError("non-finite number in detection record",
+                                 path=str(path), line=lineno)
+            records.append(record)
     return records

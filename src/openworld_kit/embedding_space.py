@@ -205,7 +205,7 @@ def load_embedding_file(path) -> dict[str, np.ndarray]:
     for name, values in raw.items():
         try:
             arr = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"embedding {name!r} is not numeric: {exc}", path=str(path)) from exc
         if arr.ndim != 1:
             raise ParseError(f"embedding {name!r} is not a flat vector", path=str(path))

@@ -82,10 +82,6 @@ class MscalModule:
     def in_dim(self) -> int:
         return int(self.layers[0].w1.shape[0])
 
-    @property
-    def out_dim(self) -> int:
-        return int(self.layers[0].w2.shape[1])
-
     def effective_anchor(self, layer: int) -> np.ndarray:
         mu = self.layers[0 if self.share_anchor else layer].anchor
         if not self.normalize:
@@ -252,10 +248,6 @@ class SampleAssignment:
     def num_positive(self) -> int:
         return int(sum(m.sum() for m in self.positive))
 
-    @property
-    def num_negative(self) -> int:
-        return int(sum(m.sum() for m in self.negative))
-
 
 def _ownership_masks(geometry: PyramidGeometry, gt_boxes) -> list[dict[int, np.ndarray]]:
     """Per layer: class_id -> mask of centers inside that class's boxes at
@@ -407,16 +399,6 @@ def mscal_loss_gradients(
 # OOD scoring
 
 
-@dataclass
-class OodScoreMap:
-    """Per-layer grids of out-of-distribution scores; higher means more OOD."""
-
-    layers: list[np.ndarray]
-
-    def score_at(self, layer: int, row: int, col: int) -> float:
-        return float(self.layers[layer][row, col])
-
-
 def anchor_similarity_maps(module: MscalModule,
                            pyramid: FeaturePyramid) -> list[np.ndarray]:
     """Infer-mode per-layer grids of anchor similarity for one class."""
@@ -424,8 +406,8 @@ def anchor_similarity_maps(module: MscalModule,
     return [grid @ module.effective_anchor(j) for j, grid in enumerate(projected)]
 
 
-def ood_score_map(modules: list[MscalModule], pyramid: FeaturePyramid) -> OodScoreMap:
-    """Infer-mode OOD score at every pyramid location."""
+def ood_score_map(modules: list[MscalModule], pyramid: FeaturePyramid) -> list[np.ndarray]:
+    """Infer-mode per-layer (H, W) grids of OOD scores; higher means more OOD."""
     if not modules:
         raise NoModules("ood_score_map needs at least one class module")
     best: list[np.ndarray] | None = None
@@ -438,7 +420,7 @@ def ood_score_map(modules: list[MscalModule], pyramid: FeaturePyramid) -> OodSco
                 raise ShapeMismatch("modules disagree on pyramid geometry")
             best = [np.maximum(b, s) for b, s in zip(best, sims)]
     assert best is not None
-    return OodScoreMap(layers=[-b for b in best])
+    return [-b for b in best]
 
 
 def calibrate_threshold(known_scores, quantile: float = 0.95) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .detection import iou
 from .errors import DuplicateClass, ParseError, UndefinedOperatingPoint
@@ -40,6 +41,8 @@ def write_gt_jsonl(path, records: list[GtRecord]) -> None:
 
 
 def read_gt_jsonl(path) -> list[GtRecord]:
+    """Every record of a ground-truth file; a line that is not such a
+    record, or has a non-finite coordinate, raises `ParseError` naming it."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -48,15 +51,20 @@ def read_gt_jsonl(path) -> list[GtRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(GtRecord(
+                record = GtRecord(
                     scene_id=str(obj["scene_id"]),
                     box=(float(obj["x1"]), float(obj["y1"]),
                          float(obj["x2"]), float(obj["y2"])),
                     class_name=str(obj["class_name"]),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                )
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad ground-truth record: {exc}",
                                  path=str(path), line=lineno) from exc
+            x1, y1, x2, y2 = record.box
+            if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+                raise ParseError("non-finite coordinate in ground-truth record",
+                                 path=str(path), line=lineno)
+            records.append(record)
     return records
 
 

@@ -107,9 +107,6 @@ class FeaturePyramid:
     def dim(self) -> int:
         return int(self.layers[0].shape[2])
 
-    def location_count(self) -> int:
-        return sum(g.height * g.width for g in self.geometry.layers)
-
 
 def write_pyramid_blob(path, pyramid: FeaturePyramid) -> None:
     """Serialize a pyramid as little-endian float32.

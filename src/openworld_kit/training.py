@@ -10,6 +10,7 @@ labeled streams of the run seed.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -453,7 +454,7 @@ def known_positive_scores_for_registry(modules, scenes, geometry, name_to_id) ->
         owners = _ownership_masks(geometry, labeled)
         for j, by_class in enumerate(owners):
             for _, mask in by_class.items():
-                scores.extend(smap.layers[j][mask].tolist())
+                scores.extend(smap[j][mask].tolist())
     return scores
 
 
@@ -527,13 +528,17 @@ def _load_json(path, parse):
         return parse(payload)
     except ParseError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed checkpoint file: missing or bad field {exc!r}",
                          path=str(path)) from exc
 
 
 def save_checkpoint(directory, registry, modules, theta: float,
-                    config: TrainConfig, log: TrainLog | None = None) -> None:
+                    config: TrainConfig, log: TrainLog | None = None,
+                    previous=None, unchanged=frozenset()) -> None:
+    """Write a checkpoint. `unchanged` names the classes whose modules were
+    loaded frozen from the checkpoint at `previous` and never trained since;
+    their files are copied byte for byte instead of re-encoded."""
     base = Path(directory)
     (base / MODULE_DIR).mkdir(parents=True, exist_ok=True)
     _dump_json(base / REGISTRY_FILE, registry_to_payload(registry))
@@ -541,7 +546,10 @@ def save_checkpoint(directory, registry, modules, theta: float,
     _dump_json(base / CONFIG_FILE, vars(config) | {"format": 1})
     for module in modules:
         name = f"class_{module.class_id:03d}.json"
-        _dump_json(base / MODULE_DIR / name, module_to_payload(module))
+        if module.class_id in unchanged:
+            shutil.copyfile(Path(previous) / MODULE_DIR / name, base / MODULE_DIR / name)
+        else:
+            _dump_json(base / MODULE_DIR / name, module_to_payload(module))
     if log is not None:
         write_train_log_csv(base / LOG_FILE, log)
 

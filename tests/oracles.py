@@ -1,14 +1,29 @@
 """Brute-force metric oracles, independent of the library implementations,
-plus single-scene MSCAL references built on the library's assignment code.
+the scalar inference path (one object per candidate detection: decode, OOD
+gate, greedy NMS and the json-encoder line) that the columnar path must
+match, plus single-scene MSCAL references built on the library's assignment
+code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
 """
 
+import json
+
 import numpy as np
 
-from openworld_kit.detection import DetectionRecord, iou
-from openworld_kit.errors import NoModules, ShapeMismatch, UndefinedOperatingPoint
+from openworld_kit.detection import (
+    UNKNOWN_CLASS_ID,
+    Detection,
+    DetectionRecord,
+    iou,
+)
+from openworld_kit.errors import (
+    NoModules,
+    ShapeMismatch,
+    SourceOutOfRange,
+    UndefinedOperatingPoint,
+)
 from openworld_kit.mscal import SampleAssignment, _ownership_masks, mscal_loss, project
 from openworld_kit.owod_eval import GtRecord
 from openworld_kit.seeding import derive_rng
@@ -34,6 +49,63 @@ def oracle_iou(a, b):
     inter = w * h
     union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# the scalar inference path: one object per candidate detection
+
+
+def oracle_decode(pyramid, class_scores, conf_threshold, num_known):
+    """One detection per location, visited layer by layer in row-major
+    order, whose argmax confidence clears the threshold."""
+    dets = []
+    for j, (scores, boxes) in enumerate(zip(class_scores, pyramid.box_field)):
+        best_idx = np.argmax(scores, axis=-1)
+        for row in range(scores.shape[0]):
+            for col in range(scores.shape[1]):
+                idx = int(best_idx[row, col])
+                conf = float(scores[row, col, idx])
+                if conf >= conf_threshold:
+                    dets.append(Detection(
+                        box=tuple(float(v) for v in boxes[row, col]),
+                        label=idx if idx < num_known else UNKNOWN_CLASS_ID,
+                        confidence=conf, source=(j, row, col)))
+    return dets
+
+
+def oracle_gate(dets, ood_layers, theta, mode="relabel"):
+    """Per detection: read the score at its source, relabel (or drop) a
+    known detection scoring above `theta`."""
+    out = []
+    for d in dets:
+        layer, row, col = d.source
+        if not (0 <= layer < len(ood_layers) and 0 <= row < ood_layers[layer].shape[0]
+                and 0 <= col < ood_layers[layer].shape[1]):
+            raise SourceOutOfRange(f"detection source {d.source} outside map")
+        score = float(ood_layers[layer][row, col])
+        gated = not d.is_unknown and score > theta
+        if gated and mode == "suppress":
+            continue
+        out.append(Detection(box=d.box, label=UNKNOWN_CLASS_ID if gated else d.label,
+                             confidence=d.confidence, source=d.source, ood=score))
+    return out
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def oracle_format_detection_line(scene_id, d, label_names):
+    """One detections-file line (without its newline) from the json encoder."""
+    return _ENCODER.encode({
+        "scene_id": scene_id,
+        "x1": round(d.box[0], 4),
+        "y1": round(d.box[1], 4),
+        "x2": round(d.box[2], 4),
+        "y2": round(d.box[3], 4),
+        "label": "unknown" if d.is_unknown else label_names[d.label],
+        "confidence": d.confidence,
+        "ood": d.ood,
+    })
 
 
 def oracle_nms(dets, iou_threshold, class_wise):
@@ -285,3 +357,19 @@ def ood_score(modules, zs, layer):
         raise ShapeMismatch("one projected vector per module is required")
     return -max(float(module.effective_anchor(layer) @ z)
                 for module, z in zip(modules, zs))
+
+
+# ---------------------------------------------------------------------------
+# sizes only the tests read
+
+
+def out_dim(module):
+    return int(module.layers[0].w2.shape[1])
+
+
+def num_negative(assignment):
+    return int(sum(m.sum() for m in assignment.negative))
+
+
+def location_count(pyramid):
+    return sum(g.height * g.width for g in pyramid.geometry.layers)

@@ -56,6 +56,7 @@ from oracles import (
     oracle_class_ap,
     oracle_u_recall,
     oracle_wi,
+    out_dim,
     random_instance,
 )
 
@@ -155,8 +156,8 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_closed_forms():
     rng = np.random.default_rng(0)
     module = init_module(0, 1, dim=8, num_layers=2, rng=rng)
-    projected = [rng.normal(size=(4, 4, module.out_dim)),
-                 rng.normal(size=(2, 2, module.out_dim))]
+    projected = [rng.normal(size=(4, 4, out_dim(module))),
+                 rng.normal(size=(2, 2, out_dim(module)))]
     projected = [p / np.linalg.norm(p, axis=-1, keepdims=True) for p in projected]
 
     pos = [np.zeros((4, 4), dtype=bool), np.zeros((2, 2), dtype=bool)]

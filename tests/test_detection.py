@@ -8,25 +8,32 @@ from hypothesis import strategies as st
 
 from openworld_kit import cli
 from openworld_kit.detection import (
-    Detection,
     UNKNOWN_CLASS_ID,
+    Detection,
+    Detections,
     apply_ood_gate,
     classify_locations,
     decode_detections,
-    format_detection_line,
+    format_detection_lines,
     iou,
+    label_texts,
     nms,
     read_detections_jsonl,
     write_detections_jsonl,
 )
 from openworld_kit.embedding_space import prompt_matrix
-from openworld_kit.errors import SourceOutOfRange, ZeroVector
-from openworld_kit.mscal import OodScoreMap, ood_score_map
+from openworld_kit.errors import ParseError, SourceOutOfRange, ZeroVector
+from openworld_kit.mscal import ood_score_map
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 from openworld_kit.synthetic_world import load_split, load_world
 from openworld_kit.training import load_checkpoint
 
-from oracles import oracle_nms
+from oracles import (
+    oracle_decode,
+    oracle_format_detection_line,
+    oracle_gate,
+    oracle_nms,
+)
 
 
 def pyramid_with_features(features_by_layer, strides=(8.0, 16.0)):
@@ -45,6 +52,21 @@ def pyramid_with_features(features_by_layer, strides=(8.0, 16.0)):
     thresholds = tuple([0.0] + [strides[j] * 2 for j in range(len(strides) - 1)]) + (float("inf"),)
     geo = PyramidGeometry(layers=tuple(geo_layers), level_thresholds=thresholds)
     return FeaturePyramid(geometry=geo, layers=tuple(layers), box_field=tuple(boxes))
+
+
+def random_scene(seed):
+    """A pyramid of one to three small layers with coarse confidence grids
+    (ties are common; some layers clear no threshold) and a known-class
+    count that may leave every row unknown."""
+    rng = np.random.default_rng(seed)
+    n_layers = int(rng.integers(1, 4))
+    channels = int(rng.integers(1, 5))
+    shapes = [tuple(rng.integers(1, 5, size=2)) for _ in range(n_layers)]
+    pyr = pyramid_with_features([np.ones((h, w, 3)) for h, w in shapes],
+                                strides=(8.0, 16.0, 32.0)[:n_layers])
+    scores = [rng.choice([0.1, 0.25, 0.5, 0.9, 1.0], size=(h, w, channels))
+              * float(rng.random() > 0.25) for h, w in shapes]
+    return pyr, scores, int(rng.integers(0, channels + 1))
 
 
 def sigmoid(x):
@@ -92,13 +114,13 @@ class TestDecodeDetections:
     def test_all_below_threshold(self):
         pyr = pyramid_with_features([np.ones((2, 2, 3))], strides=(8.0,))
         dets = decode_detections(pyr, self.scores(np.full((2, 2, 2), 0.1)), 0.25, 2)
-        assert dets == []
+        assert list(dets) == []
 
     def test_unknown_row_wins(self):
         pyr = pyramid_with_features([np.ones((1, 1, 3))], strides=(8.0,))
         grid = np.zeros((1, 1, 3))
         grid[0, 0] = [0.3, 0.4, 0.9]
-        dets = decode_detections(pyr, self.scores(grid), 0.25, 2)
+        dets = list(decode_detections(pyr, self.scores(grid), 0.25, 2))
         assert len(dets) == 1
         assert dets[0].label == UNKNOWN_CLASS_ID
         assert dets[0].confidence == pytest.approx(0.9)
@@ -107,73 +129,98 @@ class TestDecodeDetections:
         pyr = pyramid_with_features([np.ones((1, 1, 3))], strides=(8.0,))
         grid = np.zeros((1, 1, 3))
         grid[0, 0] = [0.7, 0.7, 0.1]
-        dets = decode_detections(pyr, self.scores(grid), 0.25, 3)
+        dets = list(decode_detections(pyr, self.scores(grid), 0.25, 3))
         assert dets[0].label == 0
 
     def test_box_comes_from_box_field(self):
         pyr = pyramid_with_features([np.ones((2, 2, 3))], strides=(8.0,))
         grid = np.full((2, 2, 1), 0.8)
-        dets = decode_detections(pyr, self.scores(grid), 0.25, 1)
+        dets = list(decode_detections(pyr, self.scores(grid), 0.25, 1))
         assert len(dets) == 4
         assert dets[0].box == (0.0, 0.0, 8.0, 8.0)
         assert dets[0].source == (0, 0, 0)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 0.5, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_oracle_on_random_grids(self, seed, threshold):
+        pyr, scores, num_known = random_scene(seed)
+        got = decode_detections(pyr, scores, threshold, num_known)
+        assert repr(list(got)) == repr(oracle_decode(pyr, scores, threshold, num_known))
+        assert got.boxes.dtype == got.confidence.dtype == got.ood.dtype == np.float64
+        assert got.labels.dtype == got.source.dtype == np.int64
+
 
 class TestApplyOodGate:
     def dets(self):
-        return [
+        return Detections.from_rows([
             Detection(box=(0, 0, 8, 8), label=0, confidence=0.9, source=(0, 0, 0)),
             Detection(box=(8, 0, 16, 8), label=1, confidence=0.8, source=(0, 0, 1)),
             Detection(box=(0, 8, 8, 16), label=UNKNOWN_CLASS_ID, confidence=0.7,
                       source=(0, 1, 0)),
-        ]
+        ])
 
     def smap(self):
-        return OodScoreMap(layers=[np.array([[0.2, -0.5], [0.9, 0.0]])])
+        return [np.array([[0.2, -0.5], [0.9, 0.0]])]
 
     def test_infinite_theta_only_fills_scores(self):
-        out = apply_ood_gate(self.dets(), self.smap(), float("inf"))
+        out = list(apply_ood_gate(self.dets(), self.smap(), float("inf")))
         assert [d.label for d in out] == [0, 1, UNKNOWN_CLASS_ID]
         assert [d.ood for d in out] == [0.2, -0.5, 0.9]
         assert [d.confidence for d in out] == [0.9, 0.8, 0.7]
 
     def test_negative_infinite_theta_relabels_all_known(self):
-        out = apply_ood_gate(self.dets(), self.smap(), float("-inf"))
+        out = list(apply_ood_gate(self.dets(), self.smap(), float("-inf")))
         assert all(d.label == UNKNOWN_CLASS_ID for d in out)
 
     def test_relabeled_count_matches_enumeration(self):
         rng = np.random.default_rng(0)
-        smap = OodScoreMap(layers=[rng.normal(size=(4, 4))])
+        smap = [rng.normal(size=(4, 4))]
         dets = [Detection(box=(0, 0, 4, 4), label=int(rng.integers(0, 3)),
                           confidence=float(rng.random()), source=(0, r, c))
                 for r in range(4) for c in range(4)]
         theta = 0.3
-        out = apply_ood_gate(dets, smap, theta)
+        out = list(apply_ood_gate(Detections.from_rows(dets), smap, theta))
         relabeled = sum(1 for before, after in zip(dets, out)
                         if before.label != UNKNOWN_CLASS_ID and after.label == UNKNOWN_CLASS_ID)
         expected = sum(1 for d in dets
                        if d.label != UNKNOWN_CLASS_ID
-                       and smap.layers[0][d.source[1], d.source[2]] > theta)
+                       and smap[0][d.source[1], d.source[2]] > theta)
         assert relabeled == expected
 
     def test_never_relabels_unknown_to_known(self):
-        out = apply_ood_gate(self.dets(), self.smap(), -10.0)
+        out = list(apply_ood_gate(self.dets(), self.smap(), -10.0))
         assert out[2].label == UNKNOWN_CLASS_ID
 
     def test_boxes_and_confidences_untouched(self):
-        dets = self.dets()
-        out = apply_ood_gate(dets, self.smap(), 0.1)
+        dets = list(self.dets())
+        out = list(apply_ood_gate(self.dets(), self.smap(), 0.1))
         assert [d.box for d in out] == [d.box for d in dets]
         assert [d.confidence for d in out] == [d.confidence for d in dets]
 
     def test_suppress_mode_drops_gated(self):
-        out = apply_ood_gate(self.dets(), self.smap(), 0.1, mode="suppress")
+        out = list(apply_ood_gate(self.dets(), self.smap(), 0.1, mode="suppress"))
         assert [d.source for d in out] == [(0, 0, 1), (0, 1, 0)]
 
     def test_source_out_of_range(self):
-        dets = [Detection(box=(0, 0, 1, 1), label=0, confidence=0.5, source=(0, 9, 9))]
-        with pytest.raises(SourceOutOfRange):
-            apply_ood_gate(dets, self.smap(), 0.0)
+        for source in [(0, 9, 9), (0, 2, 0), (0, 0, -1), (1, 0, 0), (-1, 0, 0)]:
+            dets = Detections.from_rows([Detection(box=(0, 0, 1, 1), label=0, confidence=0.5,
+                                         source=source)])
+            with pytest.raises(SourceOutOfRange):
+                apply_ood_gate(dets, self.smap(), 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 0.5, 2.0]),
+           st.sampled_from([float("-inf"), -0.5, 0.0, 0.3, float("inf")]),
+           st.sampled_from(["relabel", "suppress"]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_oracle_on_random_grids(self, seed, threshold, theta, mode):
+        pyr, scores, num_known = random_scene(seed)
+        rows = oracle_decode(pyr, scores, threshold, num_known)
+        rng = np.random.default_rng(seed + 1)
+        ood = [rng.choice([-0.5, 0.0, 0.3, 0.7, np.nan], size=g.shape[:2]) for g in scores]
+        got = apply_ood_gate(decode_detections(pyr, scores, threshold, num_known),
+                             ood, theta, mode)
+        # repr compares float bits, and NaN scores equal themselves
+        assert repr(list(got)) == repr(oracle_gate(rows, ood, theta, mode))
 
 
 class TestIou:
@@ -197,18 +244,22 @@ class TestIou:
         assert iou(a, a) == 1.0
 
 
+def run_nms(rows, iou_threshold, class_wise=True):
+    return list(nms(Detections.from_rows(rows), iou_threshold, class_wise))
+
+
 class TestNms:
     def test_identical_boxes_same_class(self):
         dets = [Detection(box=(0, 0, 4, 4), label=0, confidence=0.9, source=(0, 0, 0)),
                 Detection(box=(0, 0, 4, 4), label=0, confidence=0.8, source=(0, 0, 1))]
-        out = nms(dets, 0.7, class_wise=True)
+        out = run_nms(dets, 0.7, class_wise=True)
         assert len(out) == 1 and out[0].confidence == 0.9
 
     def test_identical_boxes_different_classes_kept_classwise(self):
         dets = [Detection(box=(0, 0, 4, 4), label=0, confidence=0.9, source=(0, 0, 0)),
                 Detection(box=(0, 0, 4, 4), label=1, confidence=0.8, source=(0, 0, 1))]
-        assert len(nms(dets, 0.7, class_wise=True)) == 2
-        assert len(nms(dets, 0.7, class_wise=False)) == 1
+        assert len(run_nms(dets, 0.7, class_wise=True)) == 2
+        assert len(run_nms(dets, 0.7, class_wise=False)) == 1
 
     def test_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(0)
@@ -223,7 +274,7 @@ class TestNms:
                     confidence=float(rng.choice([0.9, 0.8, 0.8, 0.5, rng.random()])),
                     source=(0, 0, i)))
             for class_wise in (True, False):
-                got = nms(dets, 0.4, class_wise)
+                got = run_nms(dets, 0.4, class_wise)
                 want = oracle_nms(dets, 0.4, class_wise)
                 assert got == want
 
@@ -232,7 +283,7 @@ class TestNms:
         dets = [Detection(box=(float(x), float(y), float(x + 6), float(y + 6)),
                           label=0, confidence=float(rng.random()), source=(0, 0, i))
                 for i, (x, y) in enumerate(rng.uniform(0, 16, size=(12, 2)))]
-        out = nms(dets, 0.5, class_wise=True)
+        out = run_nms(dets, 0.5, class_wise=True)
         assert all(d in dets for d in out)
         confs = [d.confidence for d in out]
         assert confs == sorted(confs, reverse=True)
@@ -253,9 +304,9 @@ class TestNms:
         confs = rng.choice([0.25, 0.5, 0.75, 1.0], size=n)
         dets = [Detection(box=(float(x), float(y), float(x + w), float(y + h)),
                           label=int(labels[i]), confidence=float(confs[i]),
-                          source=(0, 0, i))
+                          source=(0, 0, i), ood=float(i))
                 for i, ((x, y), (w, h)) in enumerate(zip(corners, sizes))]
-        assert nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
+        assert run_nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
 
     def test_equals_oracle_on_a_gated_scene(self, tmp_path):
         # a zero-step checkpoint gates almost every detection of a seed-0
@@ -268,14 +319,44 @@ class TestNms:
         world = load_world(out / "world")
         scene = load_split(world, "test", out / "world")[0]
         scores = classify_locations(scene.pyramid, prompt_matrix(registry, True))
+        ood = ood_score_map(modules, scene.pyramid)
         dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
-        dets = apply_ood_gate(dets, ood_score_map(modules, scene.pyramid), theta)
-        unknown = [d for d in dets if d.is_unknown]
+        rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)
+        assert list(dets) == rows
+        dets = apply_ood_gate(dets, ood, theta)
+        rows = oracle_gate(rows, ood, theta)
+        assert list(dets) == rows
+        unknown = [d for d in rows if d.is_unknown]
         assert len(unknown) >= 200
         for threshold in (0.3, 0.7):
             for class_wise in (True, False):
-                assert nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
-            assert nms(unknown, threshold) == oracle_nms(unknown, threshold, True)
+                assert list(nms(dets, threshold, class_wise)) == \
+                    oracle_nms(rows, threshold, class_wise)
+            assert run_nms(unknown, threshold) == oracle_nms(unknown, threshold, True)
+
+
+# floats JSON writes in a form of its own, or that `round(v, 4)` treats
+# unusually: signed zero, subnormals, values past 1e16, huge, NaN, infinities
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+                                  -1.2345678901234567e17, 1.7976931348623157e308,
+                                  0.00005, 0.00015, 2.675, float("nan"), float("inf"),
+                                  float("-inf")])
+TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\tu\x00\x7f\xe9\u2603\U0001f600'))
+
+
+@st.composite
+def columnar_scene(draw):
+    finite_only = draw(st.booleans())
+    number = st.one_of(st.floats(allow_nan=not finite_only,
+                                 allow_infinity=not finite_only),
+                       SPECIAL_FLOATS.filter(lambda v: math.isfinite(v) or not finite_only))
+    names = draw(st.lists(TEXT, min_size=1, max_size=3))
+    n = draw(st.integers(0, 6))
+    rows = [Detection(box=tuple(draw(number) for _ in range(4)),
+                      label=draw(st.integers(UNKNOWN_CLASS_ID, len(names) - 1)),
+                      confidence=draw(number), source=(0, 0, i), ood=draw(number))
+            for i in range(n)]
+    return draw(TEXT), rows, names
 
 
 class TestDetectionsFile:
@@ -285,7 +366,7 @@ class TestDetectionsFile:
                 Detection(box=(0.0, 0.0, 4.0, 4.0), label=UNKNOWN_CLASS_ID,
                           confidence=0.5, source=(0, 0, 1), ood=0.75)]
         path = tmp_path / "dets.jsonl"
-        write_detections_jsonl(path, [("scene-0", dets)], ["cat"])
+        write_detections_jsonl(path, [("scene-0", Detections.from_rows(dets))], ["cat"])
         records = read_detections_jsonl(path)
         assert len(records) == 2
         assert records[0].label == "cat"
@@ -294,17 +375,56 @@ class TestDetectionsFile:
         assert records[0].confidence == 0.875
 
     def test_line_is_canonical_json(self):
-        det = Detection(box=(0, 0, 1, 1), label=0, confidence=0.5, source=(0, 0, 0))
-        line = format_detection_line("s", det, ["dog"])
+        dets = Detections.from_rows([Detection(box=(0, 0, 1, 1), label=0, confidence=0.5,
+                                     source=(0, 0, 0))])
+        line = format_detection_lines("s", dets, label_texts(["dog"]))
         assert line.index('"confidence"') < line.index('"label"') < line.index('"scene_id"')
 
+    @given(columnar_scene())
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_the_json_encoder(self, scene):
+        scene_id, rows, names = scene
+        want = "".join(oracle_format_detection_line(scene_id, d, names) + "\n" for d in rows)
+        assert format_detection_lines(scene_id, Detections.from_rows(rows), label_texts(names)) == want
+
     def test_parse_error_carries_line_number(self, tmp_path):
-        from openworld_kit.errors import ParseError
         path = tmp_path / "bad.jsonl"
-        good = format_detection_line(
+        good = oracle_format_detection_line(
             "s", Detection(box=(0, 0, 1, 1), label=0, confidence=0.5,
                            source=(0, 0, 0)), ["dog"])
         path.write_text(good + "\nnot json\n")
         with pytest.raises(ParseError) as err:
             read_detections_jsonl(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", [
+        '[1]',
+        '"s"',
+        'null',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": null, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": NaN, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1e999, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": Infinity, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": -Infinity, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": NaN, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 1' + '0' * 400 + ', "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 1' + '0' * 400 + ', "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+    ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "overflow-box",
+            "infinite-confidence", "infinite-ood", "nan-ood", "overflow-int-box",
+            "overflow-int-ood"])
+    def test_malformed_record_is_a_parse_error(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+                        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}\n' + line + "\n")
+        with pytest.raises(ParseError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)

@@ -223,6 +223,7 @@ class TestEmbeddingFile:
         '{"object": [1, -Infinity]}',
         '{"object": [1, null]}',
         '{"object": [1, {"x": 2}]}',
+        pytest.param('{"object": [1' + '0' * 400 + ', 2]}', id="integer-overflow"),
         '[[1, 2]]',
         '"object"',
     ])

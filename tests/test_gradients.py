@@ -12,6 +12,7 @@ from openworld_kit.mscal import (
 from openworld_kit.training import detection_loss
 
 from gradcheck_support import H, build_instance, check_gradient, sweep_module
+from oracles import out_dim
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -54,7 +55,7 @@ def test_doubling_tau_halves_logit_gap_and_keeps_anchor_direction():
         module = build(tau)
         projected, traces = project(module, grids, mode="train", with_trace=True)
         mu = module.effective_anchor(0)
-        flat = projected[0].reshape(-1, module.out_dim)
+        flat = projected[0].reshape(-1, out_dim(module))
         logits = flat[:2] @ mu / tau
         gaps[tau] = logits[0] - logits[1]
         _, grads = mscal_loss_gradients(module, traces, assignment)

@@ -25,7 +25,14 @@ from openworld_kit.mscal import (
 )
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 
-from oracles import assign_samples, mscal_total_loss, ood_score
+from oracles import (
+    assign_samples,
+    location_count,
+    mscal_total_loss,
+    num_negative,
+    ood_score,
+    out_dim,
+)
 
 
 def make_pyramid(rng, dim=8, shapes=((4, 4, 8.0), (2, 2, 16.0)), thresholds=(0.0, 16.0)):
@@ -175,11 +182,11 @@ class TestAssignSamples:
         a = assign_samples(geo, boxes, class_id=0, neg_cap=10, rng_seed=0)
         assert a.num_positive == 4
         # 4 other-class positives are negatives, background fills up to the cap
-        neg = a.num_negative
+        neg = num_negative(a)
         assert neg <= 10 * 4
         other = a.negative[0][2:, 2:]
         assert other.all()
-        assert a.num_negative == 4 + (16 - 4 - 4) + 4  # class negs + level-1 bg + level-2 bg
+        assert num_negative(a) == 4 + (16 - 4 - 4) + 4  # class negs + level-1 bg + level-2 bg
 
     def test_masks_disjoint(self):
         geo = self.geometry()
@@ -193,7 +200,7 @@ class TestAssignSamples:
         boxes = [((0.0, 0.0, 9.0, 9.0), 0)]
         a = assign_samples(geo, boxes, class_id=0, neg_cap=3, rng_seed=2)
         assert a.num_positive == 1
-        assert a.num_negative <= 3
+        assert num_negative(a) <= 3
 
 
 class TestMscalLoss:
@@ -201,7 +208,7 @@ class TestMscalLoss:
         rng = np.random.default_rng(seed)
         module = init_module(0, 1, dim=dim, num_layers=num_layers, rng=rng, tau=tau)
         shapes = [(4, 4), (2, 2)][:num_layers]
-        projected = [rng.normal(size=s + (module.out_dim,)) for s in shapes]
+        projected = [rng.normal(size=s + (out_dim(module),)) for s in shapes]
         projected = [p / np.linalg.norm(p, axis=-1, keepdims=True) for p in projected]
         pos = [np.zeros(s, dtype=bool) for s in shapes]
         neg = [np.zeros(s, dtype=bool) for s in shapes]
@@ -220,7 +227,7 @@ class TestMscalLoss:
     def test_uniform_two_way_softmax_gives_ln2(self):
         module, projected, assignment = self.build(1, 1)
         # same vector at both sampled locations makes the two logits equal
-        flat = projected[0].reshape(-1, module.out_dim)
+        flat = projected[0].reshape(-1, out_dim(module))
         flat[1] = flat[0]
         assert mscal_loss(module, projected, assignment) == pytest.approx(math.log(2), abs=1e-9)
 
@@ -301,7 +308,7 @@ class TestProjectionFlags:
         smap = ood_score_map([module], pyr)
         projected = project(module, pyr, mode="infer")
         mu = module.effective_anchor(0)
-        for got, z in zip(smap.layers, projected):
+        for got, z in zip(smap, projected):
             np.testing.assert_allclose(got, -(z @ mu), atol=1e-12)
 
 
@@ -397,21 +404,21 @@ class TestOodScoreMap:
         modules = [init_module(i, 1, dim=8, num_layers=1, rng=rng) for i in range(3)]
         smap = ood_score_map(modules, pyr)
         zs = [project(m, pyr, mode="infer")[0][0, 0] for m in modules]
-        assert smap.layers[0][0, 0] == pytest.approx(ood_score(modules, zs, 0), abs=1e-12)
+        assert smap[0][0, 0] == pytest.approx(ood_score(modules, zs, 0), abs=1e-12)
 
     def test_entry_count_matches_pyramid(self):
         rng = np.random.default_rng(1)
         pyr = make_pyramid(rng)
         modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng) for i in range(2)]
         smap = ood_score_map(modules, pyr)
-        assert sum(layer.size for layer in smap.layers) == pyr.location_count()
+        assert sum(layer.size for layer in smap) == location_count(pyr)
 
     def test_scores_finite(self):
         rng = np.random.default_rng(2)
         pyr = make_pyramid(rng)
         modules = [init_module(0, 1, dim=8, num_layers=2, rng=rng)]
         smap = ood_score_map(modules, pyr)
-        assert all(np.isfinite(layer).all() for layer in smap.layers)
+        assert all(np.isfinite(layer).all() for layer in smap)
 
 
 class TestCalibrateThreshold:

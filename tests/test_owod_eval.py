@@ -4,7 +4,7 @@ oracle written from the definitions, with exact equality on small instances."""
 import numpy as np
 import pytest
 
-from openworld_kit.errors import UndefinedOperatingPoint
+from openworld_kit.errors import ParseError, UndefinedOperatingPoint
 from openworld_kit.owod_eval import (
     TaskSplitSpec,
     _claim,
@@ -275,3 +275,26 @@ class TestGtFile:
         path = tmp_path / "gt.jsonl"
         write_gt_jsonl(path, records)
         assert read_gt_jsonl(path) == records
+
+    @pytest.mark.parametrize("line", [
+        '[1]',
+        '"s"',
+        'null',
+        '{"class_name": "car", "scene_id": "s", "x1": null, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"class_name": "car", "scene_id": "s", "x1": NaN, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": Infinity, "y1": 0.0, '
+        '"y2": 1.0}',
+        '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1e999}',
+        '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1.0, "y1": 0.0, '
+        '"y2": 1' + '0' * 400 + '}',
+    ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "infinite-box",
+            "overflow-box", "overflow-int-box"])
+    def test_malformed_record_is_a_parse_error(self, tmp_path, line):
+        path = tmp_path / "gt.jsonl"
+        write_gt_jsonl(path, [gt("s0", (1.5, 2.5, 10.0, 12.0), "car")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ParseError) as err:
+            read_gt_jsonl(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)

@@ -10,6 +10,8 @@ from openworld_kit.pyramid import (
     write_pyramid_blob,
 )
 
+from oracles import location_count
+
 
 def small_geometry():
     return PyramidGeometry(
@@ -72,7 +74,9 @@ class TestFeaturePyramid:
             FeaturePyramid(geometry=geo, layers=tuple(layers), box_field=tuple(boxes))
 
     def test_location_count(self):
-        assert random_pyramid().location_count() == 16 + 4
+        pyr = random_pyramid()
+        assert location_count(pyr) == 16 + 4
+        assert sum(g.shape[0] * g.shape[1] for g in pyr.layers) == 16 + 4
 
 
 class TestBlobFormat:

@@ -274,7 +274,7 @@ class TestTrainTask:
             values = []
             for j, by_class in enumerate(owners):
                 for mask in by_class.values():
-                    values.extend(smap.layers[j][mask].tolist())
+                    values.extend(smap[j][mask].tolist())
             return float(np.mean(values))
 
         registry, modules, _ = train_task(data, registry, modules, config, 1)
