@@ -26,7 +26,7 @@ from .embedding_space import (
     prompt_matrix,
     register_task,
 )
-from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError
+from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, ParseError
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     EMBEDDINGS_NAME,
@@ -470,14 +470,17 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
 
 
 def cmd_report(report_path: str) -> int:
-    with open(report_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    report = ev.EvalReport(
-        task_id=raw["task_id"], map_prev=raw["map_prev"], map_curr=raw["map_curr"],
-        map_both=raw["map_both"], u_recall=raw["u_recall"], wi=raw["wi"],
-        a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
-        config_echo=raw.get("config", {}),
-    )
+    try:
+        with open(report_path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        report = ev.EvalReport(
+            task_id=raw["task_id"], map_prev=raw["map_prev"], map_curr=raw["map_curr"],
+            map_both=raw["map_both"], u_recall=raw["u_recall"], wi=raw["wi"],
+            a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
+            config_echo=raw.get("config", {}),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad report: {exc!r}", path=report_path) from exc
     print(ev.render_report(report))
     return 0
 

@@ -12,6 +12,7 @@ prompt set.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -310,7 +311,7 @@ def write_detections_jsonl(path, per_scene: list[tuple[str, Detections]],
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """A detection as read back from a detections file (label by name)."""
+    """One row of a `DetectionTable` as a record (label by name)."""
 
     scene_id: str
     box: Box
@@ -319,32 +320,148 @@ class DetectionRecord:
     ood: float
 
 
-def read_detections_jsonl(path) -> list[DetectionRecord]:
-    """Every record of a detections file; a line that is not such a record,
-    or carries a non-finite number, raises `ParseError` naming its line."""
-    records: list[DetectionRecord] = []
+def _codes(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct names in first-seen order and each name's index there."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(name, len(index)) for name in names]
+    return list(index), np.array(codes, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """A detections file as columns, row i being record i of the file."""
+
+    scene_names: list[str]
+    scenes: np.ndarray      # (n,) int64 index into scene_names
+    label_names: list[str]  # class names, `unknown` included when present
+    labels: np.ndarray      # (n,) int64 index into label_names
+    boxes: np.ndarray       # (n, 4) float64 (x1, y1, x2, y2)
+    confidence: np.ndarray  # (n,) float64
+    ood: np.ndarray         # (n,) float64
+
+    @classmethod
+    def from_columns(cls, scene_ids: list[str], labels: list[str], boxes, confidence,
+                     ood) -> DetectionTable:
+        scene_names, scenes = _codes(scene_ids)
+        label_names, label_codes = _codes(labels)
+        return cls(scene_names, scenes, label_names, label_codes,
+                   np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
+                   np.asarray(confidence, dtype=np.float64),
+                   np.asarray(ood, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        """The rows as `DetectionRecord`s, in order."""
+        for scene, box, label, conf, ood in zip(
+                self.scenes.tolist(), self.boxes.tolist(), self.labels.tolist(),
+                self.confidence.tolist(), self.ood.tolist()):
+            yield DetectionRecord(self.scene_names[scene], tuple(box),
+                                  self.label_names[label], conf, ood)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _loads(line: str):
+    """`json.loads(line)`, without its two whitespace scans when the line is
+    one JSON value and its newline."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+        if line[end:].isspace():
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
+def _record_line(path, index: int) -> int:
+    """The line number of record `index` (blank lines hold no record)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = DetectionRecord(
-                    scene_id=str(obj["scene_id"]),
-                    box=(float(obj["x1"]), float(obj["y1"]),
-                         float(obj["x2"]), float(obj["y2"])),
-                    label=str(obj["label"]),
-                    confidence=float(obj["confidence"]),
-                    ood=float(obj.get("ood", 0.0)),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad detection record: {exc}",
-                                 path=str(path), line=lineno) from exc
-            x1, y1, x2, y2 = record.box
-            if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
-                    and isfinite(record.confidence) and isfinite(record.ood)):
-                raise ParseError("non-finite number in detection record",
-                                 path=str(path), line=lineno)
-            records.append(record)
-    return records
+        records = (lineno for lineno, line in enumerate(fh, start=1)
+                   if not line.isspace())
+        return next(itertools.islice(records, index, None))
+
+
+def _first(values: list, ok) -> int:
+    return next(i for i, v in enumerate(values) if not ok(v))
+
+
+def _fits_float(v) -> bool:
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what: str,
+                     defaults: dict[str, float] | None = None):
+    """The columns of a JSON-lines file of boxed records, one object per
+    line (blank lines skipped): `(texts, boxes, values)`, a list of strings
+    per `text` key, the `x1, y1, x2, y2` fields as an (n, 4) float64 array
+    and a float64 array per `numbers` key (`defaults` fills numbers a record
+    may omit).
+
+    A line that is not such an object, a string field that is not a JSON
+    string, a number that is not a JSON int or float (`true` is not one) or
+    is not finite, and a box with x2 < x1 or y2 < y1 raise `ParseError`
+    naming the line. Types are checked once per column after the read."""
+    defaults = defaults or {}
+    keys = (*text, "x1", "y1", "x2", "y2", *numbers)
+    columns = {key: [] for key in keys}
+    required = [(key, columns[key].append) for key in keys if key not in defaults]
+    optional = [(key, value, columns[key].append) for key, value in defaults.items()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    obj = _loads(line)
+                    for key, append in required:
+                        append(obj[key])
+                    for key, value, append in optional:
+                        append(obj.get(key, value))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"bad {what} record: {exc}",
+                                     path=str(path), line=lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file is not UTF-8: {exc}", path=str(path)) from exc
+
+    def reject(key, index, problem):
+        raise ParseError(f"bad {what} record: {key} {problem}",
+                         path=str(path), line=_record_line(path, index))
+
+    for key in text:
+        if set(map(type, columns[key])) - {str}:
+            reject(key, _first(columns[key], lambda v: type(v) is str), "is not a string")
+    arrays = {}
+    for key in keys[len(text):]:
+        column = columns[key]
+        if set(map(type, column)) - {int, float}:
+            reject(key, _first(column, lambda v: type(v) in (int, float)),
+                   "is not a number")
+        try:
+            values = np.array(column, dtype=np.float64)
+        except OverflowError:
+            reject(key, _first(column, _fits_float), "is too large for a float")
+        finite = np.isfinite(values)
+        if not finite.all():
+            reject(key, int(np.argmin(finite)), "is not finite")
+        arrays[key] = values
+    boxes = np.column_stack([arrays.pop(key) for key in ("x1", "y1", "x2", "y2")])
+    inverted = (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])
+    if inverted.any():
+        reject("box", int(np.argmax(inverted)), "has x2 < x1 or y2 < y1")
+    return {key: columns[key] for key in text}, boxes, arrays
+
+
+def read_detections_jsonl(path) -> DetectionTable:
+    """Every record of a detections file as one `DetectionTable`; malformed
+    records raise `ParseError` as `read_box_columns` describes."""
+    texts, boxes, values = read_box_columns(
+        path, ("scene_id", "label"), ("confidence", "ood"), "detection", {"ood": 0.0})
+    return DetectionTable.from_columns(texts["scene_id"], texts["label"], boxes,
+                                       values["confidence"], values["ood"])

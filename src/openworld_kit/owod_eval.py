@@ -1,20 +1,28 @@
 """Open-world detection metrics: greedy matching, AP/mAP, unknown recall,
 wilderness impact, and absolute open-set error.
 
-Aggregation is a deterministic fold in scene-id order and all arithmetic is
-plain Python, so results are reproducible bit-for-bit and comparable against
-brute-force oracles with exact equality. AP is all-point interpolated at
-IoU 0.5. Undefined metrics are reported as None (JSON null), never as 0.
+An eval takes a detections file as columns (`detection.DetectionTable`) and
+computes the IoU of every detection against every ground-truth box of its
+scene once, in one numpy pass that repeats the float64 operations of the
+scalar `detection.iou` in order, keeping only the pairs that can match
+(`find_overlaps`). The greedy claims, the AP envelope and recall steps and
+the WI operating point stay plain Python in the canonical order
+(-confidence, scene_id, index), but walk only those pairs: a detection
+without one is a miss that costs no Python work. Results are reproducible
+bit-for-bit and equal brute-force oracles exactly. AP is all-point
+interpolated at IoU 0.5. Undefined metrics are reported as None (JSON
+null), never as 0.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite
 
-from .detection import iou
-from .errors import DuplicateClass, ParseError, UndefinedOperatingPoint
+import numpy as np
+
+from .detection import DetectionTable, read_box_columns
+from .errors import DuplicateClass, MissingWorld, ParseError, UndefinedOperatingPoint
 
 UNKNOWN_NAME = "unknown"
 
@@ -41,31 +49,12 @@ def write_gt_jsonl(path, records: list[GtRecord]) -> None:
 
 
 def read_gt_jsonl(path) -> list[GtRecord]:
-    """Every record of a ground-truth file; a line that is not such a
-    record, or has a non-finite coordinate, raises `ParseError` naming it."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = GtRecord(
-                    scene_id=str(obj["scene_id"]),
-                    box=(float(obj["x1"]), float(obj["y1"]),
-                         float(obj["x2"]), float(obj["y2"])),
-                    class_name=str(obj["class_name"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad ground-truth record: {exc}",
-                                 path=str(path), line=lineno) from exc
-            x1, y1, x2, y2 = record.box
-            if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-                raise ParseError("non-finite coordinate in ground-truth record",
-                                 path=str(path), line=lineno)
-            records.append(record)
-    return records
+    """Every record of a ground-truth file; malformed records raise
+    `ParseError` as `detection.read_box_columns` describes."""
+    texts, boxes, _ = read_box_columns(path, ("scene_id", "class_name"), (),
+                                       "ground-truth")
+    return [GtRecord(scene_id, tuple(box), class_name) for scene_id, box, class_name
+            in zip(texts["scene_id"], boxes.tolist(), texts["class_name"])]
 
 
 @dataclass(frozen=True)
@@ -112,143 +101,189 @@ def save_task_split(path, split: TaskSplitSpec) -> None:
 
 
 def load_task_split(path) -> TaskSplitSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    tasks = sorted((int(t), tuple(names)) for t, names in raw.items())
-    return TaskSplitSpec(tasks=tuple(tasks))
+    """The split `save_task_split` wrote; a file that is not one raises
+    `ParseError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict) or not all(
+                isinstance(names, list) and all(isinstance(n, str) for n in names)
+                for names in raw.values()):
+            raise ValueError("not an object of task id -> list of class names")
+        return TaskSplitSpec(tasks=tuple(sorted((int(t), tuple(names))
+                                                for t, names in raw.items())))
+    except FileNotFoundError as exc:
+        raise MissingWorld(f"no task split at {path}; run gen first") from exc
+    except (ValueError, DuplicateClass) as exc:
+        raise ParseError(f"bad task split: {exc}", path=str(path)) from exc
 
 
 # ---------------------------------------------------------------------------
-# matching
+# matching: which detections can claim which ground-truth boxes
 
 
-def _claim(box, label, gts, taken, iou_thr: float) -> int | None:
-    """Greedy claim of one ground-truth box for one detection.
-
-    Picks the untaken box in `gts` with the highest IoU at or above the
-    threshold, restricted to class `label` unless it is None, with IoU ties
-    broken toward the lower index; marks it taken and returns its index,
-    or None when nothing qualifies.
-    """
-    best_g, best_iou = None, 0.0
-    for g, gt in enumerate(gts):
-        if taken[g] or (label is not None and gt.class_name != label):
-            continue
-        overlap = iou(box, gt.box)
-        if overlap >= iou_thr and overlap > best_iou:
-            best_g, best_iou = g, overlap
-    if best_g is not None:
-        taken[best_g] = True
-    return best_g
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou(a[i], b[i])` for every row, with the float64 operations of `iou`
+    in the same order, so each IoU carries the scalar one's bits."""
+    iw = np.fmax(np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]), 0.0)
+    ih = np.fmax(np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]), 0.0)
+    inter = iw * ih
+    out = np.zeros(len(inter))
+    hit = inter > 0.0
+    a, b, inter = a[hit], b[hit], inter[hit]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    out[hit] = inter / (area_a + area_b - inter)
+    return out
 
 
-def _untaken(pool: dict[str, list]) -> dict[str, list[bool]]:
-    return {sid: [False] * len(boxes) for sid, boxes in pool.items()}
+@dataclass(frozen=True, eq=False)
+class Overlaps:
+    """One eval's detections and ground truth, reduced to what the greedy
+    claims read: each detection's label and rank in the canonical order
+    (-confidence, scene_id, index), each box's class, and every
+    (detection, box) pair that can match, i.e. in one scene with IoU at or
+    above the threshold and above zero. Pairs are sorted by detection rank,
+    then descending IoU, then box index: the order in which a detection
+    prefers its boxes. Labels and classes share one name table."""
+
+    codes: dict[str, int]    # class or label name -> code
+    det_label: np.ndarray    # (n,) label code of each detection
+    det_rank: np.ndarray     # (n,) rank of each detection
+    gt_class: np.ndarray     # (g,) class code of each box
+    pair_rank: np.ndarray    # (p,) rank of the pair's detection
+    pair_gt: np.ndarray      # (p,) the pair's box index
+    pair_label: np.ndarray   # (p,) label code of the pair's detection
+    pair_class: np.ndarray   # (p,) class code of the pair's box
+
+    def known_mask(self, known_names) -> np.ndarray:
+        """Over the codes: True for the names in `known_names`."""
+        known = set(known_names)
+        return np.array([name in known for name in self.codes], dtype=bool)
 
 
-def _group_by_scene(records) -> dict[str, list]:
-    groups: dict[str, list] = {}
-    for rec in records:
-        groups.setdefault(rec.scene_id, []).append(rec)
-    return groups
+def find_overlaps(dets: DetectionTable, gts: list[GtRecord],
+                  iou_thr: float = 0.5) -> Overlaps:
+    """The `Overlaps` of a detections table against ground-truth records."""
+    codes = {name: i for i, name in enumerate(dets.label_names)}
+    gt_class = np.array([codes.setdefault(g.class_name, len(codes)) for g in gts],
+                        dtype=np.int64)
+    scenes = {name: i for i, name in enumerate(dets.scene_names)}
+    gt_scene = np.array([scenes.setdefault(g.scene_id, len(scenes)) for g in gts],
+                        dtype=np.int64)
+    gt_boxes = np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4)
+
+    n = len(dets)
+    by_name = sorted(range(len(dets.scene_names)), key=dets.scene_names.__getitem__)
+    scene_rank = np.empty(len(by_name), dtype=np.int64)
+    scene_rank[by_name] = np.arange(len(by_name))
+    order = np.lexsort((np.arange(n), scene_rank[dets.scenes], -dets.confidence))
+    det_rank = np.empty(n, dtype=np.int64)
+    det_rank[order] = np.arange(n)
+
+    # every same-scene pair: detection i meets the boxes of its scene, which
+    # sit at starts[scene]:starts[scene] + counts[scene] of `by_scene`
+    by_scene = np.argsort(gt_scene, kind="stable")
+    counts = np.bincount(gt_scene, minlength=len(scenes))
+    starts = np.cumsum(counts) - counts
+    per_det = counts[dets.scenes]
+    pair_det = np.repeat(np.arange(n), per_det)
+    offset = np.repeat(starts[dets.scenes] - (np.cumsum(per_det) - per_det), per_det)
+    pair_gt = by_scene[offset + np.arange(len(pair_det))]
+
+    overlap = _pair_iou(dets.boxes[pair_det], gt_boxes[pair_gt])
+    keep = (overlap >= iou_thr) & (overlap > 0.0)
+    pair_det, pair_gt, overlap = pair_det[keep], pair_gt[keep], overlap[keep]
+    pair_rank = det_rank[pair_det]
+    pref = np.lexsort((pair_gt, -overlap, pair_rank))
+    pair_det, pair_gt, pair_rank = pair_det[pref], pair_gt[pref], pair_rank[pref]
+    return Overlaps(codes=codes, det_label=dets.labels, det_rank=det_rank,
+                    gt_class=gt_class, pair_rank=pair_rank, pair_gt=pair_gt,
+                    pair_label=dets.labels[pair_det], pair_class=gt_class[pair_gt])
 
 
-def _global_order(dets) -> list:
-    """Detections across scenes in the canonical evaluation order."""
-    indexed = list(enumerate(dets))
-    indexed.sort(key=lambda pair: (-pair[1].confidence, pair[1].scene_id, pair[0]))
-    return [rec for _, rec in indexed]
+def _claim_walk(ranks: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """Indices of the claiming pairs among pairs listed by detection rank,
+    each detection's pairs in its order of preference: every detection
+    claims the first box of its pairs that no earlier detection took.
+    Detections without a pair cost nothing here."""
+    taken: set[int] = set()
+    claims: list[int] = []
+    last = -1
+    for i, (rank, g) in enumerate(zip(ranks.tolist(), gts.tolist())):
+        if rank != last and g not in taken:
+            taken.add(g)
+            claims.append(i)
+            last = rank
+    return np.array(claims, dtype=np.int64)
+
+
+def _claiming_ranks(ov: Overlaps, pairs: np.ndarray) -> np.ndarray:
+    """Ranks of the detections that claim a box through the `pairs` mask."""
+    ranks = ov.pair_rank[pairs]
+    return ranks[_claim_walk(ranks, ov.pair_gt[pairs])]
 
 
 # ---------------------------------------------------------------------------
 # average precision
 
 
-def average_precision(scored_flags, n_gt: int):
-    """All-point interpolated AP from (confidence, is_true_positive) pairs.
+def average_precision(tp_positions: list[int], n_gt: int) -> float:
+    """All-point interpolated AP over a confidence-ranked detection list,
+    given the 0-based positions of its true positives and `n_gt` >= 1.
 
-    Returns None when the class is undefined (no ground truth and no
-    detections); 0.0 when there is no ground truth but detections exist.
+    Precision only rises at a true positive, so the envelope and the recall
+    steps need only those positions; the fold is plain Python, in list
+    order, so the result carries the same bits as the full-list fold.
     """
-    if n_gt == 0:
-        return 0.0 if scored_flags else None
-    ranked = sorted(range(len(scored_flags)),
-                    key=lambda i: (-scored_flags[i][0], i))
-    tp = 0
-    fp = 0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for i in ranked:
-        if scored_flags[i][1]:
-            tp += 1
-        else:
-            fp += 1
-        recalls.append(tp / n_gt)
-        precisions.append(tp / (tp + fp))
-    # precision envelope from the right, then integrate recall steps
+    precisions = [tp / (pos + 1) for tp, pos in enumerate(tp_positions, start=1)]
     for i in range(len(precisions) - 2, -1, -1):
         if precisions[i + 1] > precisions[i]:
             precisions[i] = precisions[i + 1]
     ap = 0.0
     prev_recall = 0.0
-    for r, p in zip(recalls, precisions):
-        if r > prev_recall:
-            ap += (r - prev_recall) * p
-            prev_recall = r
+    for tp, p in enumerate(precisions, start=1):
+        recall = tp / n_gt
+        ap += (recall - prev_recall) * p
+        prev_recall = recall
     return ap
 
 
-def class_average_precision(dets, gts, class_name: str, iou_thr: float = 0.5):
-    """AP for one class pooled over scenes (greedy matching per scene)."""
-    gt_by_scene = _group_by_scene([g for g in gts if g.class_name == class_name])
-    n_gt = sum(len(v) for v in gt_by_scene.values())
-    class_dets = [d for d in dets if d.label == class_name]
-    matched = _untaken(gt_by_scene)
-    flags = [(det.confidence,
-              _claim(det.box, None, gt_by_scene.get(det.scene_id, []),
-                     matched.get(det.scene_id), iou_thr) is not None)
-             for det in _global_order(class_dets)]
-    return average_precision(flags, n_gt)
+def class_average_precision(ov: Overlaps, class_name: str):
+    """AP for one class pooled over scenes (greedy matching per scene).
 
-
-def _match_pool(dets, gt_pool, iou_thr: float) -> int:
-    """Greedy count of pooled ground-truth boxes covered by `dets`.
-
-    `dets` must already be in evaluation order; each detection claims at
-    most one unmatched box from its scene, and a box is released once.
+    None when the class has neither ground truth nor detections; 0.0 when
+    it has detections but no ground truth.
     """
-    matched = _untaken(gt_pool)
-    return sum(_claim(det.box, None, gt_pool.get(det.scene_id, []),
-                      matched.get(det.scene_id), iou_thr) is not None
-               for det in dets)
+    code = ov.codes.get(class_name, -1)
+    n_gt = int(np.count_nonzero(ov.gt_class == code))
+    ranked = np.sort(ov.det_rank[ov.det_label == code])
+    if n_gt == 0:
+        return 0.0 if len(ranked) else None
+    claims = _claiming_ranks(ov, (ov.pair_label == code) & (ov.pair_class == code))
+    return average_precision(np.searchsorted(ranked, claims).tolist(), n_gt)
 
 
-def u_recall(dets, gts, known_names, iou_thr: float = 0.5):
+def u_recall(ov: Overlaps, known_names):
     """Fraction of unknown ground-truth boxes covered by unknown-labeled
     detections; all unknown classes pool into one. None without unknown GT."""
-    known = set(known_names)
-    unknown_gts = [g for g in gts if g.class_name not in known]
-    if not unknown_gts:
+    known = ov.known_mask(known_names)
+    n_unknown = int(np.count_nonzero(~known[ov.gt_class]))
+    if not n_unknown:
         return None
-    pool = _group_by_scene(unknown_gts)
-    unk_dets = _global_order([d for d in dets if d.label == UNKNOWN_NAME])
-    return _match_pool(unk_dets, pool, iou_thr) / len(unknown_gts)
+    unknown_label = ov.codes.get(UNKNOWN_NAME, -1)
+    pairs = (ov.pair_label == unknown_label) & ~known[ov.pair_class]
+    return len(_claiming_ranks(ov, pairs)) / n_unknown
 
 
-def a_ose(dets, gts, known_names, iou_thr: float = 0.5) -> int:
+def a_ose(ov: Overlaps, known_names) -> int:
     """Count of unknown ground-truth boxes claimed by known-labeled
     detections (greedy by confidence, one claim per box)."""
-    known = set(known_names)
-    unknown_gts = [g for g in gts if g.class_name not in known]
-    if not unknown_gts:
-        return 0
-    pool = _group_by_scene(unknown_gts)
-    known_dets = _global_order([d for d in dets if d.label in known])
-    return _match_pool(known_dets, pool, iou_thr)
+    known = ov.known_mask(known_names)
+    return len(_claiming_ranks(ov, known[ov.pair_label] & ~known[ov.pair_class]))
 
 
-def wilderness_impact(dets, gts, known_names, recall_level: float = 0.8,
-                      iou_thr: float = 0.5) -> float:
+def wilderness_impact(ov: Overlaps, known_names, recall_level: float = 0.8) -> float:
     """Closed-set over open-set precision, minus one, at the first
     operating point reaching the recall level.
 
@@ -256,32 +291,33 @@ def wilderness_impact(dets, gts, known_names, recall_level: float = 0.8,
     positive (matches its own class), an unknown hit (matches an unknown
     box; ignored by closed-set precision, a false positive in the open
     set), or a plain false positive. The operating point is the shortest
-    prefix whose known recall reaches `recall_level`.
+    prefix whose known recall reaches `recall_level`; a level of zero or
+    below would be the empty prefix, whose precision is undefined.
     """
-    known = set(known_names)
-    known_gts = [g for g in gts if g.class_name in known]
-    n_known = len(known_gts)
+    known = ov.known_mask(known_names)
+    n_known = int(np.count_nonzero(known[ov.gt_class]))
     if n_known == 0:
         raise UndefinedOperatingPoint("no known ground truth in split")
-    known_pool = _group_by_scene(known_gts)
-    unknown_pool = _group_by_scene([g for g in gts if g.class_name not in known])
-    known_matched = _untaken(known_pool)
-    unknown_matched = _untaken(unknown_pool)
-
-    ordered = _global_order([d for d in dets if d.label in known])
+    if not recall_level > 0.0:
+        raise UndefinedOperatingPoint(f"recall level {recall_level} is not positive")
+    ranked = np.sort(ov.det_rank[known[ov.det_label]])
+    gt_known = known[ov.pair_class]
+    pairs = known[ov.pair_label] & (~gt_known | (ov.pair_label == ov.pair_class))
+    # a detection tries the boxes of its own class before the unknown ones
+    ranks, hits_unknown = ov.pair_rank[pairs], ~gt_known[pairs]
+    pref = np.lexsort((np.arange(len(ranks)), hits_unknown, ranks))
+    ranks, hits_unknown = ranks[pref], hits_unknown[pref]
+    claims = _claim_walk(ranks, ov.pair_gt[pairs][pref])
     tp = 0
-    fp_closed = 0
     fp_unknown = 0
-    for det in ordered:
-        if _claim(det.box, det.label, known_pool.get(det.scene_id, []),
-                  known_matched.get(det.scene_id), iou_thr) is not None:
-            tp += 1
-        elif _claim(det.box, None, unknown_pool.get(det.scene_id, []),
-                    unknown_matched.get(det.scene_id), iou_thr) is not None:
+    for pos, unknown_hit in zip(np.searchsorted(ranked, ranks[claims]).tolist(),
+                                hits_unknown[claims].tolist()):
+        if unknown_hit:
             fp_unknown += 1
-        else:
-            fp_closed += 1
+            continue
+        tp += 1
         if tp / n_known >= recall_level:
+            fp_closed = pos + 1 - tp - fp_unknown
             p_closed = tp / (tp + fp_closed)
             p_open = tp / (tp + fp_closed + fp_unknown)
             return p_closed / p_open - 1.0
@@ -337,18 +373,18 @@ def _mean_defined(values):
     return sum(defined) / len(defined)
 
 
-def evaluate_task(dets, gts, task_split: TaskSplitSpec, task_id: int,
-                  iou_thr: float = 0.5, recall_level: float = 0.8,
+def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSplitSpec,
+                  task_id: int, iou_thr: float = 0.5, recall_level: float = 0.8,
                   config_echo: dict | None = None) -> EvalReport:
     """All metrics for one task: mAP split into previously/currently known,
     pooled unknown recall, wilderness impact, and open-set error count."""
     prev = task_split.previous_classes(task_id)
     curr = task_split.current_classes(task_id)
     known = prev + curr
-    per_class = {name: class_average_precision(dets, gts, name, iou_thr)
-                 for name in known}
+    ov = find_overlaps(dets, gts, iou_thr)
+    per_class = {name: class_average_precision(ov, name) for name in known}
     try:
-        wi = wilderness_impact(dets, gts, known, recall_level, iou_thr)
+        wi = wilderness_impact(ov, known, recall_level)
     except UndefinedOperatingPoint:
         wi = None
     return EvalReport(
@@ -356,9 +392,9 @@ def evaluate_task(dets, gts, task_split: TaskSplitSpec, task_id: int,
         map_prev=_mean_defined([per_class[n] for n in prev]) if prev else None,
         map_curr=_mean_defined([per_class[n] for n in curr]) if curr else None,
         map_both=_mean_defined([per_class[n] for n in known]),
-        u_recall=u_recall(dets, gts, known, iou_thr),
+        u_recall=u_recall(ov, known),
         wi=wi,
-        a_ose=a_ose(dets, gts, known, iou_thr),
+        a_ose=a_ose(ov, known),
         per_class_ap=per_class,
         config_echo=config_echo or {},
     )

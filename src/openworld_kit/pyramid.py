@@ -150,11 +150,18 @@ def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
         boxes: list[np.ndarray] = []
         for h, w, d, _ in headers:
             feat = np.frombuffer(_read_exact(fh, h * w * d * 4, path), dtype="<f4")
-            feats.append(feat.astype(np.float64).reshape(h, w, d))
             box = np.frombuffer(_read_exact(fh, h * w * 4 * 4, path), dtype="<f4")
+            if not np.isfinite(np.concatenate((feat, box))).all():
+                raise ParseError("non-finite feature or box value in pyramid blob",
+                                 path=str(path))
+            feats.append(feat.astype(np.float64).reshape(h, w, d))
             boxes.append(box.astype(np.float64).reshape(h, w, 4))
-    geometry = PyramidGeometry(
-        layers=tuple(LayerGeometry(h, w, float(s)) for h, w, _, s in headers),
-        level_thresholds=tuple(level_thresholds),
-    )
-    return FeaturePyramid(geometry=geometry, layers=tuple(feats), box_field=tuple(boxes))
+    try:
+        geometry = PyramidGeometry(
+            layers=tuple(LayerGeometry(h, w, float(s)) for h, w, _, s in headers),
+            level_thresholds=tuple(level_thresholds),
+        )
+        return FeaturePyramid(geometry=geometry, layers=tuple(feats),
+                              box_field=tuple(boxes))
+    except ValueError as exc:  # bad strides or a degenerate box field
+        raise ParseError(f"bad pyramid blob: {exc}", path=str(path)) from exc

@@ -16,6 +16,7 @@ from openworld_kit.detection import (
     UNKNOWN_CLASS_ID,
     Detection,
     DetectionRecord,
+    DetectionTable,
     iou,
 )
 from openworld_kit.errors import (
@@ -25,7 +26,7 @@ from openworld_kit.errors import (
     UndefinedOperatingPoint,
 )
 from openworld_kit.mscal import SampleAssignment, _ownership_masks, mscal_loss, project
-from openworld_kit.owod_eval import GtRecord
+from openworld_kit.owod_eval import GtRecord, find_overlaps
 from openworld_kit.seeding import derive_rng
 from openworld_kit.training import _assignment_for_class
 
@@ -39,6 +40,19 @@ def det(scene, box, label, conf, ood=0.0):
 
 def gt(scene, box, name):
     return GtRecord(scene_id=scene, box=tuple(float(v) for v in box), class_name=name)
+
+
+def table_of(records):
+    """The `DetectionTable` of detection records, in order."""
+    return DetectionTable.from_columns(
+        [r.scene_id for r in records], [r.label for r in records],
+        [r.box for r in records], [r.confidence for r in records],
+        [r.ood for r in records])
+
+
+def overlaps_of(dets, gts, iou_thr=0.5):
+    """The `Overlaps` the metrics read, from detection and GT records."""
+    return find_overlaps(table_of(dets), gts, iou_thr)
 
 
 def oracle_iou(a, b):

@@ -57,6 +57,7 @@ from oracles import (
     oracle_u_recall,
     oracle_wi,
     out_dim,
+    overlaps_of,
     random_instance,
 )
 
@@ -209,26 +210,26 @@ def test_criterion_3_metric_oracles():
     for seed in range(100):
         dets, gts = random_instance(seed)
         for name in KNOWN:
-            if class_average_precision(dets, gts, name, 0.5) != \
+            if class_average_precision(overlaps_of(dets, gts), name) != \
                     oracle_class_ap(dets, gts, name, 0.5):
                 mismatches += 1
-        if u_recall(dets, gts, KNOWN) != oracle_u_recall(dets, gts, KNOWN):
+        if u_recall(overlaps_of(dets, gts), KNOWN) != oracle_u_recall(dets, gts, KNOWN):
             mismatches += 1
-        if a_ose(dets, gts, KNOWN) != oracle_a_ose(dets, gts, KNOWN):
+        if a_ose(overlaps_of(dets, gts), KNOWN) != oracle_a_ose(dets, gts, KNOWN):
             mismatches += 1
         try:
             want = oracle_wi(dets, gts, KNOWN)
         except Exception:
             want = None
         try:
-            got = wilderness_impact(dets, gts, KNOWN)
+            got = wilderness_impact(overlaps_of(dets, gts), KNOWN)
         except Exception:
             got = None
         if got != want:
             mismatches += 1
 
-    flags = [(0.9, True), (0.8, False), (0.7, True), (0.6, False), (0.5, True)]
-    ap = average_precision(flags, 3)
+    # ranked flags True, False, True, False, True: true positives at 0, 2, 4
+    ap = average_precision([0, 2, 4], 3)
     ap_expected = (1.0 / 3) + (2 / 3 / 3) + (3 / 5 / 3)
     ap_ok = abs(ap - ap_expected) < 1e-12
 
@@ -239,7 +240,7 @@ def test_criterion_3_metric_oracles():
     dets.append(det("s", (200, 200, 205, 205), "car", 0.95))
     dets += [det("s", (i * 10, 0, i * 10 + 5, 5), "car", 0.9 - i * 0.001)
              for i in range(9)]
-    wi = wilderness_impact(dets, gts, KNOWN)
+    wi = wilderness_impact(overlaps_of(dets, gts), KNOWN)
     wi_ok = abs(wi - 0.5) < 1e-12
 
     ok = mismatches == 0 and ap_ok and wi_ok

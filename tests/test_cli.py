@@ -289,6 +289,65 @@ class TestInferEqualsScalarPath:
             assert "unknown" in labels and len(labels) > 1
 
 
+def oracle_report_files(root, common, task_id, det_path, split="test"):
+    """The report JSON and CSV bytes of `eval`, from the oracle metrics over
+    records parsed with the json module, not the library readers."""
+    from openworld_kit.owod_eval import (
+        EvalReport, load_task_split, write_report_csv, write_report_json)
+    from oracles import (
+        det, gt, oracle_a_ose, oracle_class_ap, oracle_u_recall, oracle_wi)
+    from openworld_kit.errors import UndefinedOperatingPoint
+
+    def records(path):
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh]
+
+    dets = [det(o["scene_id"], (o["x1"], o["y1"], o["x2"], o["y2"]), o["label"],
+                o["confidence"], o["ood"]) for o in records(det_path)]
+    world = root / "out" / "world"
+    gts = [gt(o["scene_id"], (o["x1"], o["y1"], o["x2"], o["y2"]), o["class_name"])
+           for o in records(world / "scenes" / split / "gt.jsonl")]
+    task_split = load_task_split(world / "task_split.json")
+    prev = task_split.previous_classes(task_id)
+    curr = task_split.current_classes(task_id)
+    per_class = {n: oracle_class_ap(dets, gts, n, 0.5) for n in prev + curr}
+
+    def mean(names):
+        defined = [per_class[n] for n in names if per_class[n] is not None]
+        return sum(defined) / len(defined) if defined else None
+
+    try:
+        wi = oracle_wi(dets, gts, prev + curr, 0.8, 0.5)
+    except UndefinedOperatingPoint:
+        wi = None
+    cfg = cli.RunConfig.load(common[1], [], int(common[3]), common[5])
+    report = EvalReport(
+        task_id=task_id, map_prev=mean(prev) if prev else None,
+        map_curr=mean(curr) if curr else None, map_both=mean(prev + curr),
+        u_recall=oracle_u_recall(dets, gts, prev + curr, 0.5), wi=wi,
+        a_ose=oracle_a_ose(dets, gts, prev + curr, 0.5), per_class_ap=per_class,
+        config_echo=cfg.echo() | {"detections": str(det_path), "split": split})
+    write_report_json(root / "oracle.json", report)
+    write_report_csv(root / "oracle.csv", [report])
+    return (root / "oracle.json").read_bytes(), (root / "oracle.csv").read_bytes()
+
+
+class TestEvalEqualsScalarPath:
+    @pytest.mark.parametrize("args", [[], ["--no-mscal"], ["--no-owel", "--no-mscal"]],
+                             ids=["gated", "no-mscal", "base"])
+    def test_report_is_byte_identical(self, trained_world, args):
+        root, common = trained_world
+        det_path = root / "eval_dets.jsonl"
+        assert run("infer", *common, "--task", "2", "--out-file", str(det_path), *args) == 0
+        report = root / "eval_report.json"
+        run("eval", *common, "--task", "2", "--detections", str(det_path),
+            "--split", "test", "--report", str(report))
+        want_json, want_csv = oracle_report_files(root, common, 2, det_path)
+        assert report.read_bytes() == want_json
+        assert report.with_suffix(".csv").read_bytes() == want_csv
+        assert json.loads(want_json)["u_recall"] is not None
+
+
 class TestLoaderErrors:
     """Broken inputs end in a one-line error naming the path, not a traceback."""
 
@@ -442,3 +501,12 @@ class TestReportCommand:
         assert run("report", "r.json") == 0
         out = capsys.readouterr().out
         assert "task 2" in out and "U-Recall" in out
+
+    @pytest.mark.parametrize("text", ['{"task_id": 2, "map_prev"', '{}', '[1]', '"r"',
+                                      '\udcff'],
+                             ids=["truncated", "no-fields", "list", "string", "not-utf8"])
+    def test_malformed_report_is_an_error(self, workdir, capsys, text):
+        (workdir / "r.json").write_text(text, errors="surrogateescape")
+        assert run("report", "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "r.json" in err

@@ -10,6 +10,7 @@ from openworld_kit import cli
 from openworld_kit.detection import (
     UNKNOWN_CLASS_ID,
     Detection,
+    DetectionRecord,
     Detections,
     apply_ood_gate,
     classify_locations,
@@ -367,8 +368,9 @@ class TestDetectionsFile:
                           confidence=0.5, source=(0, 0, 1), ood=0.75)]
         path = tmp_path / "dets.jsonl"
         write_detections_jsonl(path, [("scene-0", Detections.from_rows(dets))], ["cat"])
-        records = read_detections_jsonl(path)
-        assert len(records) == 2
+        table = read_detections_jsonl(path)
+        assert len(table) == 2
+        records = list(table)
         assert records[0].label == "cat"
         assert records[1].label == "unknown"
         assert records[0].box[0] == 1.2346  # four decimal places
@@ -417,9 +419,29 @@ class TestDetectionsFile:
         '"x1": 1' + '0' * 400 + ', "x2": 1.0, "y1": 0.0, "y2": 1.0}',
         '{"confidence": 0.5, "label": "dog", "ood": 1' + '0' * 400 + ', "scene_id": "s", '
         '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": "0.5", "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": true, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": false, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": null, '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": 3, '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": ["dog"], "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 2.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.5, "y2": 0.25}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0} {}',
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "overflow-box",
             "infinite-confidence", "infinite-ood", "nan-ood", "overflow-int-box",
-            "overflow-int-ood"])
+            "overflow-int-ood", "string-coordinate", "bool-confidence", "bool-ood",
+            "null-scene", "numeric-scene", "list-label", "x2-below-x1", "y2-below-y1",
+            "trailing-data"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
@@ -427,4 +449,23 @@ class TestDetectionsFile:
         with pytest.raises(ParseError) as err:
             read_detections_jsonl(path)
         assert err.value.line == 2
+        assert str(path) in str(err.value)
+
+    def test_zero_area_box_and_blank_lines_are_read(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text('\n  \n{"confidence": 1, "label": "dog", "scene_id": "s", '
+                        '"x1": 2, "x2": 2, "y1": 0.5, "y2": 0.5}\n\n'
+                        ' {"confidence": 0.5, "label": "unknown", "ood": -1, '
+                        '"scene_id": "t", "x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}')
+        table = read_detections_jsonl(path)
+        assert list(table) == [
+            DetectionRecord("s", (2.0, 0.5, 2.0, 0.5), "dog", 1.0, 0.0),
+            DetectionRecord("t", (0.0, 0.0, 1.0, 1.0), "unknown", 0.5, -1.0)]
+        assert table.scene_names == ["s", "t"] and table.label_names == ["dog", "unknown"]
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_bytes(b'{"confidence": 0.5, "label": "d\xff"}\n')
+        with pytest.raises(ParseError) as err:
+            read_detections_jsonl(path)
         assert str(path) in str(err.value)

@@ -108,3 +108,29 @@ class TestBlobFormat:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ParseError, match="truncated"):
             read_pyramid_blob(path, pyr.geometry.level_thresholds)
+
+    @pytest.mark.parametrize("where, value", [
+        ("feature", float("nan")), ("feature", float("inf")), ("box", float("nan")),
+        ("box", float("-inf")),
+    ])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, where, value):
+        pyr = random_pyramid(seed=6)
+        layers, boxes = [g.copy() for g in pyr.layers], [b.copy() for b in pyr.box_field]
+        (layers if where == "feature" else boxes)[1][1, 0, 0] = value
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, FeaturePyramid(pyr.geometry, tuple(layers), tuple(boxes)))
+        with pytest.raises(ParseError, match="non-finite"):
+            read_pyramid_blob(path, pyr.geometry.level_thresholds)
+
+    def test_degenerate_box_field_is_a_parse_error(self, tmp_path):
+        pyr = random_pyramid(seed=7)
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, pyr)
+        data = bytearray(path.read_bytes())
+        # layer 0's first box starts after the 4 + 8 + 2 * 16 header bytes
+        # and its 4 x 4 x 6 float32 features; set its x2 to its x1
+        start = 4 + 8 + 2 * 16 + 4 * 4 * 6 * 4
+        data[start + 8:start + 12] = data[start:start + 4]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="degenerate"):
+            read_pyramid_blob(path, pyr.geometry.level_thresholds)
