@@ -479,7 +479,7 @@ def cmd_report(report_path: str) -> int:
             a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
             config_echo=raw.get("config", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad report: {exc!r}", path=report_path) from exc
     print(ev.render_report(report))
     return 0

@@ -365,15 +365,16 @@ _DECODER = json.JSONDecoder()
 
 
 def _loads(line: str):
-    """`json.loads(line)`, without its two whitespace scans when the line is
-    one JSON value and its newline."""
+    """`json.loads(line.strip())`. A line that is one JSON value and its
+    newline, as every line the writers emit is, goes to `raw_decode` alone,
+    skipping the strip and the whitespace scans and calls of `json.loads`."""
     try:
         obj, end = _DECODER.raw_decode(line)
         if line[end:].isspace():
             return obj
     except ValueError:
         pass
-    return json.loads(line)
+    return json.loads(line.strip())
 
 
 def _record_line(path, index: int) -> int:
@@ -424,7 +425,7 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
                         append(obj[key])
                     for key, value, append in optional:
                         append(obj.get(key, value))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ParseError(f"bad {what} record: {exc}",
                                      path=str(path), line=lineno) from exc
     except UnicodeDecodeError as exc:

@@ -114,7 +114,7 @@ def load_task_split(path) -> TaskSplitSpec:
                                                 for t, names in raw.items())))
     except FileNotFoundError as exc:
         raise MissingWorld(f"no task split at {path}; run gen first") from exc
-    except (ValueError, DuplicateClass) as exc:
+    except (ValueError, RecursionError, DuplicateClass) as exc:
         raise ParseError(f"bad task split: {exc}", path=str(path)) from exc
 
 

@@ -503,8 +503,9 @@ class TestReportCommand:
         assert "task 2" in out and "U-Recall" in out
 
     @pytest.mark.parametrize("text", ['{"task_id": 2, "map_prev"', '{}', '[1]', '"r"',
-                                      '\udcff'],
-                             ids=["truncated", "no-fields", "list", "string", "not-utf8"])
+                                      '\udcff', '[' * 100_000],
+                             ids=["truncated", "no-fields", "list", "string", "not-utf8",
+                                  "deep-nesting"])
     def test_malformed_report_is_an_error(self, workdir, capsys, text):
         (workdir / "r.json").write_text(text, errors="surrogateescape")
         assert run("report", "r.json") == 1

@@ -437,26 +437,29 @@ class TestDetectionsFile:
         '"x1": 0.0, "x2": 1.0, "y1": 0.5, "y2": 0.25}',
         '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
         '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0} {}',
+        '[' * 100_000,
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "overflow-box",
             "infinite-confidence", "infinite-ood", "nan-ood", "overflow-int-box",
             "overflow-int-ood", "string-coordinate", "bool-confidence", "bool-ood",
             "null-scene", "numeric-scene", "list-label", "x2-below-x1", "y2-below-y1",
-            "trailing-data"])
+            "trailing-data", "deep-nesting"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
-                        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}\n' + line + "\n")
+        path.write_text('\xa0\n{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+                        '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}\n' + line + "\n",
+                        encoding="utf-8")
         with pytest.raises(ParseError) as err:
             read_detections_jsonl(path)
-        assert err.value.line == 2
+        assert err.value.line == 3
         assert str(path) in str(err.value)
 
     def test_zero_area_box_and_blank_lines_are_read(self, tmp_path):
         path = tmp_path / "dets.jsonl"
-        path.write_text('\n  \n{"confidence": 1, "label": "dog", "scene_id": "s", '
-                        '"x1": 2, "x2": 2, "y1": 0.5, "y2": 0.5}\n\n'
+        path.write_text('\n  \n\x0b{"confidence": 1, "label": "dog", "scene_id": "s", '
+                        '"x1": 2, "x2": 2, "y1": 0.5, "y2": 0.5}\x85\n\xa0\n'
                         ' {"confidence": 0.5, "label": "unknown", "ood": -1, '
-                        '"scene_id": "t", "x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}')
+                        '"scene_id": "t", "x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}\x0c',
+                        encoding="utf-8")
         table = read_detections_jsonl(path)
         assert list(table) == [
             DetectionRecord("s", (2.0, 0.5, 2.0, 0.5), "dog", 1.0, 0.0),

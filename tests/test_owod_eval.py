@@ -394,8 +394,10 @@ class TestTaskSplitFile:
         '{"1": ["a", 2]}',
         '{"1": ["a"], "3": ["b"]}',
         '{"1": ["a"], "2": ["a"]}',
+        '[' * 100_000,
     ], ids=["truncated", "task-not-a-number", "not-an-object", "names-not-a-list",
-            "name-not-a-string", "task-ids-not-contiguous", "class-in-two-tasks"])
+            "name-not-a-string", "task-ids-not-contiguous", "class-in-two-tasks",
+            "deep-nesting"])
     def test_malformed_split_is_a_parse_error(self, tmp_path, text):
         path = tmp_path / "split.json"
         path.write_text(text)
@@ -435,9 +437,11 @@ class TestGtFile:
         '{"class_name": ["a"], "scene_id": "s", "x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
         '{"class_name": "car", "scene_id": "s", "x1": 2.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
         '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1.0, "y1": 3.0, "y2": 1.0}',
+        '[' * 100_000,
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "infinite-box",
             "overflow-box", "overflow-int-box", "string-coordinate", "bool-coordinate",
-            "null-scene", "numeric-scene", "list-class", "x2-below-x1", "y2-below-y1"])
+            "null-scene", "numeric-scene", "list-class", "x2-below-x1", "y2-below-y1",
+            "deep-nesting"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "gt.jsonl"
         write_gt_jsonl(path, [gt("s0", (1.5, 2.5, 10.0, 12.0), "car")])
