@@ -26,7 +26,7 @@ from .embedding_space import (
     prompt_matrix,
     register_task,
 )
-from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, ParseError
+from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, read_json
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     EMBEDDINGS_NAME,
@@ -279,6 +279,7 @@ class _TaskData:
 
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
+    new_names = world.task_split().current_classes(task_id)
     train_cfg = cfg.train_config()
     embeddings = load_embedding_file(_world_dir(cfg) / EMBEDDINGS_NAME)
 
@@ -297,7 +298,6 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
         registry = replace(registry, alpha=train_cfg.alpha)
         freeze_class_modules(modules, task_id - 1)
 
-    new_names = world.task_split().current_classes(task_id)
     registry = register_task(registry, [(n, embeddings[n]) for n in new_names])
 
     data = _TaskData(
@@ -469,19 +469,17 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
     return 0
 
 
+def _report_from_json(raw) -> ev.EvalReport:
+    return ev.EvalReport(
+        task_id=raw["task_id"], map_prev=raw["map_prev"], map_curr=raw["map_curr"],
+        map_both=raw["map_both"], u_recall=raw["u_recall"], wi=raw["wi"],
+        a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
+        config_echo=raw.get("config", {}),
+    )
+
+
 def cmd_report(report_path: str) -> int:
-    try:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        report = ev.EvalReport(
-            task_id=raw["task_id"], map_prev=raw["map_prev"], map_curr=raw["map_curr"],
-            map_both=raw["map_both"], u_recall=raw["u_recall"], wi=raw["wi"],
-            a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
-            config_echo=raw.get("config", {}),
-        )
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"bad report: {exc!r}", path=report_path) from exc
-    print(ev.render_report(report))
+    print(ev.render_report(read_json(report_path, "report", _report_from_json)))
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector
+from .errors import MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
@@ -428,6 +428,8 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ParseError(f"bad {what} record: {exc}",
                                      path=str(path), line=lineno) from exc
+    except FileNotFoundError as exc:
+        raise MissingInput(f"no {what} file at {path}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file is not UTF-8: {exc}", path=str(path)) from exc
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DegenerateMean, DuplicateClass, EmptyRegistry, MissingWorld,
-                     ParseError, ZeroVector)
+                     ParseError, ZeroVector, read_json)
 
 GENERIC_OBJECT_KEY = "object"
 
@@ -191,25 +191,23 @@ def save_embedding_file(path, embeddings: dict[str, np.ndarray]) -> None:
         fh.write("\n")
 
 
-def load_embedding_file(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingWorld(f"no embedding file at {path}; run gen first") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid embedding file: {exc}", path=str(path)) from exc
+def _embeddings_from_json(raw) -> dict[str, np.ndarray]:
     if not isinstance(raw, dict):
-        raise ParseError("embedding file is not a JSON object", path=str(path))
+        raise ParseError("not a JSON object")
     out: dict[str, np.ndarray] = {}
     for name, values in raw.items():
         try:
             arr = np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"embedding {name!r} is not numeric: {exc}", path=str(path)) from exc
+            raise ParseError(f"embedding {name!r} is not numeric: {exc}") from exc
         if arr.ndim != 1:
-            raise ParseError(f"embedding {name!r} is not a flat vector", path=str(path))
+            raise ParseError(f"embedding {name!r} is not a flat vector")
         if not np.all(np.isfinite(arr)):
-            raise ParseError(f"embedding {name!r} has a non-finite entry", path=str(path))
+            raise ParseError(f"embedding {name!r} has a non-finite entry")
         out[name] = arr
     return out
+
+
+def load_embedding_file(path) -> dict[str, np.ndarray]:
+    return read_json(path, "embedding file", _embeddings_from_json, MissingWorld,
+                     "; run gen first")

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the JSON file reader
+that maps a missing or malformed file onto it."""
+
+import json
 
 
 class OpenWorldKitError(Exception):
@@ -57,6 +60,10 @@ class MissingWorld(OpenWorldKitError):
     """A command needs a generated world that is not there."""
 
 
+class MissingInput(OpenWorldKitError):
+    """An input file named on the command line or by a run does not exist."""
+
+
 class UndefinedOperatingPoint(OpenWorldKitError):
     """The requested recall level is unreachable on this detection set."""
 
@@ -75,3 +82,29 @@ class ParseError(OpenWorldKitError):
 
 class ConfigError(OpenWorldKitError):
     """A run configuration contains unknown keys or invalid values."""
+
+
+def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
+    """`parse` applied to the JSON document in the file at `path`.
+
+    A missing file raises `missing` (with `hint` appended). A file that is
+    not UTF-8 JSON or nests past the recursion limit, and a document that
+    `parse` rejects with a `ParseError`, `KeyError`, `TypeError`,
+    `ValueError`, `AttributeError` or `OverflowError`, raise `ParseError`.
+    Every message names `what` and the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except FileNotFoundError as exc:
+        raise missing(f"no {what} at {path}{hint}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad {what}: {exc}", path=str(path)) from exc
+    try:
+        return parse(document)
+    except ParseError as exc:
+        raise ParseError(f"bad {what}: {exc}", path=str(path)) from exc
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        raise ParseError(f"bad {what}: missing or bad field {exc!r}",
+                         path=str(path)) from exc

@@ -270,6 +270,27 @@ def _ownership_masks(geometry: PyramidGeometry, gt_boxes) -> list[dict[int, np.n
 # contrastive loss and gradients
 
 
+def _sample_index(assignment: SampleAssignment, layer: int) -> tuple[np.ndarray, int]:
+    """Flat indices of a layer's samples, positives first, and the positive
+    count."""
+    pos_idx = np.flatnonzero(assignment.positive[layer].ravel())
+    neg_idx = np.flatnonzero(assignment.negative[layer].ravel())
+    return np.concatenate([pos_idx, neg_idx]), pos_idx.size
+
+
+def sampled_rows(grids: list[np.ndarray], assignment: SampleAssignment
+                 ) -> tuple[list[np.ndarray], SampleAssignment]:
+    """Each layer's sampled rows of `grids` as one (n, D) block, in the
+    order `_gather_samples` reads them, plus the assignment that marks the
+    same samples in those blocks: the first `n_pos` rows are positives."""
+    rows, positive = [], []
+    for j, grid in enumerate(grids):
+        idx, n_pos = _sample_index(assignment, j)
+        rows.append(grid.reshape(-1, grid.shape[-1])[idx])
+        positive.append(np.arange(idx.size) < n_pos)
+    return rows, SampleAssignment(positive=positive, negative=[~m for m in positive])
+
+
 def _gather_samples(module: MscalModule, projected: list[np.ndarray],
                     assignment: SampleAssignment):
     """Flattened per-layer sample rows and their logits against the layer
@@ -281,16 +302,11 @@ def _gather_samples(module: MscalModule, projected: list[np.ndarray],
     all_logits = []
     for j, grid in enumerate(projected):
         z2d = grid.reshape(-1, grid.shape[-1])
-        pos_idx = np.flatnonzero(assignment.positive[j].ravel())
-        neg_idx = np.flatnonzero(assignment.negative[j].ravel())
-        idx = np.concatenate([pos_idx, neg_idx])
-        mu = module.effective_anchor(j)
-        logits = (z2d[idx] @ mu) / module.tau if idx.size else np.zeros(0)
-        records.append({
-            "layer": j, "idx": idx, "n_pos": pos_idx.size,
-            "z": z2d[idx], "logits": logits, "grid_size": z2d.shape[0],
-        })
-        pos_logits.append(logits[:pos_idx.size])
+        idx, n_pos = _sample_index(assignment, j)
+        z = z2d[idx]
+        logits = (z @ module.effective_anchor(j)) / module.tau if idx.size else np.zeros(0)
+        records.append({"layer": j, "idx": idx, "n_pos": n_pos, "z": z})
+        pos_logits.append(logits[:n_pos])
         all_logits.append(logits)
     return records, np.concatenate(pos_logits), np.concatenate(all_logits)
 

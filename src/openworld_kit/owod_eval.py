@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import DetectionTable, read_box_columns
-from .errors import DuplicateClass, MissingWorld, ParseError, UndefinedOperatingPoint
+from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
+                     UndefinedOperatingPoint, read_json)
 
 UNKNOWN_NAME = "unknown"
 
@@ -80,7 +81,8 @@ class TaskSplitSpec:
         for t, names in self.tasks:
             if t == task_id:
                 return names
-        raise KeyError(task_id)
+        raise ConfigError(f"no task {task_id}; the task split has tasks "
+                          f"{', '.join(str(t) for t, _ in self.tasks) or 'none'}")
 
     def previous_classes(self, task_id: int) -> tuple[str, ...]:
         out: list[str] = []
@@ -100,22 +102,22 @@ def save_task_split(path, split: TaskSplitSpec) -> None:
         fh.write("\n")
 
 
+def _split_from_json(raw) -> TaskSplitSpec:
+    if not isinstance(raw, dict) or not all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            for names in raw.values()):
+        raise ParseError("not an object of task id -> list of class names")
+    try:
+        return TaskSplitSpec(tasks=tuple(sorted((int(t), tuple(names))
+                                                for t, names in raw.items())))
+    except DuplicateClass as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def load_task_split(path) -> TaskSplitSpec:
     """The split `save_task_split` wrote; a file that is not one raises
     `ParseError` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or not all(
-                isinstance(names, list) and all(isinstance(n, str) for n in names)
-                for names in raw.values()):
-            raise ValueError("not an object of task id -> list of class names")
-        return TaskSplitSpec(tasks=tuple(sorted((int(t), tuple(names))
-                                                for t, names in raw.items())))
-    except FileNotFoundError as exc:
-        raise MissingWorld(f"no task split at {path}; run gen first") from exc
-    except (ValueError, RecursionError, DuplicateClass) as exc:
-        raise ParseError(f"bad task split: {exc}", path=str(path)) from exc
+    return read_json(path, "task split", _split_from_json, MissingWorld, "; run gen first")
 
 
 # ---------------------------------------------------------------------------

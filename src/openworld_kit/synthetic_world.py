@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding_space import GENERIC_OBJECT_KEY, save_embedding_file
-from .errors import InfeasibleSpec, MissingWorld, ParseError
+from .embedding_space import GENERIC_OBJECT_KEY, load_embedding_file, save_embedding_file
+from .errors import InfeasibleSpec, MissingWorld, ParseError, read_json
 from .owod_eval import GtRecord, TaskSplitSpec, save_task_split, write_gt_jsonl
 from .pyramid import (
     FeaturePyramid,
@@ -501,26 +501,27 @@ def export_world(world: World, out_dir) -> None:
     save_task_split(out / TASK_SPLIT_NAME, world.task_split())
 
 
-def load_world(out_dir) -> World:
-    path = Path(out_dir) / MANIFEST_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingWorld(f"no world manifest at {path}; run gen first") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad world manifest: {exc}", path=str(path)) from exc
-    spec = _spec_from_json(manifest["spec"])
+def _manifest_fields(manifest) -> tuple[WorldSpec, int, tuple[WorldClass, ...]]:
     classes = tuple(
         WorldClass(name=c["name"], kind=c["kind"], task_id=c["task_id"],
                    prototype=np.asarray(c["prototype"], dtype=np.float64),
                    partner=c.get("partner"))
         for c in manifest["classes"]
     )
-    from .embedding_space import load_embedding_file
-    embeddings = load_embedding_file(Path(out_dir) / EMBEDDINGS_NAME)
+    return _spec_from_json(manifest["spec"]), int(manifest["seed"]), classes
+
+
+def load_world(out_dir) -> World:
+    """The world `export_world` wrote to `out_dir`; a manifest or embedding
+    file that is not one raises `ParseError` naming it."""
+    spec, seed, classes = read_json(Path(out_dir) / MANIFEST_NAME, "world manifest",
+                                    _manifest_fields, MissingWorld, "; run gen first")
+    path = Path(out_dir) / EMBEDDINGS_NAME
+    embeddings = load_embedding_file(path)
+    if GENERIC_OBJECT_KEY not in embeddings:
+        raise ParseError(f"no {GENERIC_OBJECT_KEY!r} embedding", path=str(path))
     generic = embeddings.pop(GENERIC_OBJECT_KEY)
-    return World(spec=spec, seed=int(manifest["seed"]), classes=classes,
+    return World(spec=spec, seed=seed, classes=classes,
                  generic_object=generic, text_embeddings=embeddings)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import _sigmoid
 from .embedding_space import ClassEmbeddingRegistry, ClassEntry
-from .errors import MissingCheckpoint, NoSamples, ParseError, ShapeMismatch
+from .errors import MissingCheckpoint, NoSamples, ShapeMismatch, read_json
 from .mscal import (
     MscalModule,
     TRAINED_FIELDS,
@@ -32,6 +32,7 @@ from .mscal import (
     mscal_loss_gradients,
     ood_score_map,
     project,
+    sampled_rows,
 )
 from .pyramid import PyramidGeometry
 from .seeding import derive_rng
@@ -160,26 +161,10 @@ def detection_loss(
     total_pairs = 0
     raw_losses = []
     per_class_rows = []
-    for i in range(n_classes):
-        a = assignments[i]
-        rows = []
-        targets = []
-        for j, f in enumerate(feat_hat):
-            pos_idx = np.flatnonzero(a.positive[j].ravel())
-            neg_idx = np.flatnonzero(a.negative[j].ravel())
-            if pos_idx.size:
-                rows.append(f[pos_idx])
-                targets.append(np.ones(pos_idx.size))
-            if neg_idx.size:
-                rows.append(f[neg_idx])
-                targets.append(np.zeros(neg_idx.size))
-        if rows:
-            rows = np.concatenate(rows)
-            targets = np.concatenate(targets)
-        else:
-            rows = np.zeros((0, embeddings.shape[1]))
-            targets = np.zeros(0)
-        per_class_rows.append((rows, targets))
+    for a in assignments:
+        blocks, compact = sampled_rows(feat_hat, a)
+        rows = np.concatenate(blocks)
+        per_class_rows.append((rows, np.concatenate(compact.positive).astype(np.float64)))
         total_pairs += rows.shape[0]
     if total_pairs == 0:
         raise NoSamples("detection loss has no assigned locations")
@@ -337,6 +322,23 @@ def _normalize_anchors(modules: list[MscalModule]) -> None:
                 layer.anchor /= np.linalg.norm(layer.anchor)
 
 
+def _frozen_mscal_loss(module: MscalModule, grids: list[np.ndarray],
+                       assignment: SampleAssignment) -> float:
+    """Anchor loss of a frozen module, which only the log reads.
+
+    Infer-mode projection works row by row apart from its two gemms, so
+    only the sampled rows are projected. With OpenBLAS at the widths the
+    workloads use, a gemm over some rows gives those rows of the full gemm
+    bit for bit, so the value equals that of a full-grid projection. A
+    one-row gemm takes the gemv path instead, so a module with a one-row
+    layer projects the full grids.
+    """
+    rows, compact = sampled_rows(grids, assignment)
+    if any(len(r) == 1 for r in rows):
+        return mscal_loss(module, project(module, grids, mode="infer"), assignment)
+    return mscal_loss(module, project(module, rows, mode="infer"), compact)
+
+
 def train_task(
     world_data,
     registry: ClassEmbeddingRegistry,
@@ -415,8 +417,7 @@ def train_task(
                               for layer in module.layers for name in TRAINED_FIELDS]
                 continue
             if module.frozen:
-                projected = project(module, grids, mode="infer")
-                con_value += mscal_loss(module, projected, assignment)
+                con_value += _frozen_mscal_loss(module, grids, assignment)
                 continue
             _, traces = project(module, grids, mode="train", update_stats=True,
                                 with_trace=True)
@@ -516,23 +517,6 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_json(path, parse):
-    """Read one checkpoint file and build its object with `parse`; a file
-    that is not JSON or lacks a field raises `ParseError` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed checkpoint file: {exc}", path=str(path)) from exc
-    try:
-        return parse(payload)
-    except ParseError as exc:
-        raise ParseError(str(exc), path=str(path)) from exc
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ParseError(f"malformed checkpoint file: missing or bad field {exc!r}",
-                         path=str(path)) from exc
-
-
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
                     previous=None, unchanged=frozenset()) -> None:
@@ -560,8 +544,9 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
         raise MissingCheckpoint(f"no checkpoint at {base}")
     if not (base / THETA_FILE).exists():
         raise MissingCheckpoint(f"incomplete checkpoint: {base / THETA_FILE} missing")
-    registry = _load_json(base / REGISTRY_FILE, registry_from_payload)
-    theta = _load_json(base / THETA_FILE, lambda payload: float(payload["theta"]))
-    modules = [_load_json(path, module_from_payload)
+    registry = read_json(base / REGISTRY_FILE, "checkpoint file", registry_from_payload)
+    theta = read_json(base / THETA_FILE, "checkpoint file",
+                      lambda payload: float(payload["theta"]))
+    modules = [read_json(path, "checkpoint file", module_from_payload)
                for path in sorted((base / MODULE_DIR).glob("class_*.json"))]
     return registry, modules, theta

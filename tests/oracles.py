@@ -360,6 +360,13 @@ def mscal_total_loss(modules, pyramid, gt_boxes, neg_cap=10, rng_seed=0, mode="t
     return total / len(modules)
 
 
+def frozen_loss_full_grid(module, grids, assignment):
+    """A frozen module's logged anchor loss from infer-mode projections of
+    the whole batch grids, which `training._frozen_mscal_loss` must equal
+    bit for bit."""
+    return mscal_loss(module, project(module, grids, mode="infer"), assignment)
+
+
 def ood_score(modules, zs, layer):
     """Score for one location: negated best anchor similarity across classes.
 

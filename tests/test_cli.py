@@ -419,6 +419,30 @@ class TestLoaderErrors:
         assert err.startswith("error: ")
         assert f"out/checkpoints/task_2/{name}" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_task_missing_from_split(self, trained, capsys, command):
+        # the world has tasks 1 and 2, and task 2's checkpoint is there
+        (trained / "d.jsonl").write_text("")
+        extra = ["--detections", "d.jsonl"] if command == "eval" else []
+        assert run(command, "--config", "tiny.ini", "--out", "out", "--task", "3",
+                   *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no task 3" in err and "tasks 1, 2" in err
+
+    @pytest.mark.parametrize("argv, path", [
+        (["eval", "--out", "out", "--task", "1", "--detections", "nope.jsonl"],
+         "nope.jsonl"),
+        (["eval", "--out", "out", "--task", "1", "--detections", "d.jsonl"],
+         "out/world/scenes/test/gt.jsonl"),
+        (["report", "nope.json"], "nope.json"),
+    ], ids=["detections", "ground-truth", "report"])
+    def test_missing_eval_input(self, workdir, capsys, argv, path):
+        (workdir / "d.jsonl").write_text("")
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+
 
 class TestThresholdGate:
     def test_unmet_threshold_fails(self, trained):

@@ -4,14 +4,19 @@ subclass; no other exception escapes a reader."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from openworld_kit import cli
 from openworld_kit.detection import read_detections_jsonl
-from openworld_kit.errors import OpenWorldKitError
+from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
+from openworld_kit.errors import OpenWorldKitError, ParseError
+from openworld_kit.mscal import init_module
 from openworld_kit.owod_eval import load_task_split, read_gt_jsonl
+from openworld_kit.synthetic_world import WorldSpec, export_world, load_world, make_world
+from openworld_kit.training import TrainConfig, load_checkpoint, save_checkpoint
 
 DETECTIONS = (
     b'{"confidence": 0.875, "label": "cat", "ood": -0.25, "scene_id": "s0", '
@@ -75,3 +80,67 @@ def test_only_toolkit_errors_escape(tmp_path, capsys, original, reader, data):
     except OpenWorldKitError:
         pass
     capsys.readouterr()
+
+
+def read_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def directories(tmp_path_factory):
+    """The files of a small world directory and of a one-class checkpoint,
+    by directory kind, then by path within it."""
+    world = tmp_path_factory.mktemp("world")
+    spec = WorldSpec(dim=8, known_per_task=(2, 2), n_nood=1, n_food=0,
+                     known_angle_range=(0.7, 1.1))
+    export_world(make_world(spec, seed=0), world)
+    checkpoint = tmp_path_factory.mktemp("checkpoint")
+    rng = np.random.default_rng(0)
+    registry = register_task(
+        ClassEmbeddingRegistry(entries=(), generic_object=rng.normal(size=4)),
+        [("a", rng.normal(size=4))])
+    save_checkpoint(checkpoint, registry, [init_module(0, 1, 4, 1, rng)], 0.5,
+                    TrainConfig())
+    return {"world": read_tree(world), "checkpoint": read_tree(checkpoint)}
+
+
+def write_with(root, files, name, content):
+    """`files` under `root`, with the file `name` holding `content`."""
+    for rel, data in (files | {name: content}).items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+
+
+DIRECTORY_READERS = pytest.mark.parametrize("kind, name, reader", [
+    ("world", "manifest.json", load_world),
+    ("world", "embeddings.json", load_world),
+    ("checkpoint", "registry.json", load_checkpoint),
+    ("checkpoint", "theta.json", load_checkpoint),
+    ("checkpoint", "modules/class_000.json", load_checkpoint),
+], ids=["manifest", "embeddings", "registry", "theta", "module"])
+
+
+@DIRECTORY_READERS
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_only_toolkit_errors_escape_directory_readers(tmp_path, directories, kind, name,
+                                                      reader, data):
+    """One file of a world or checkpoint directory mutated, the rest valid."""
+    files = directories[kind]
+    write_with(tmp_path, files, name, data.draw(mutated(files[name])))
+    try:
+        reader(tmp_path)
+    except OpenWorldKitError:
+        pass
+
+
+@DIRECTORY_READERS
+@pytest.mark.parametrize("content", [b'{"a": "\xff"}', b"[" * 100_000, b"{}"],
+                         ids=["not-utf8", "deep-nesting", "empty-object"])
+def test_unreadable_file_is_a_parse_error(tmp_path, directories, kind, name, reader,
+                                          content):
+    write_with(tmp_path, directories[kind], name, content)
+    with pytest.raises(ParseError) as err:
+        reader(tmp_path)
+    assert err.value.path == str(tmp_path / name)

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openworld_kit import training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
+from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
     SampleAssignment,
     _ownership_masks,
     anchor_similarity_maps,
+    init_module,
     mscal_loss_gradients,
     ood_score_map,
     project,
@@ -28,6 +33,8 @@ from openworld_kit.training import (
     train_task,
     write_train_log_csv,
 )
+
+from oracles import frozen_loss_full_grid
 
 TINY_SPEC = WorldSpec(
     dim=8,
@@ -293,6 +300,135 @@ class TestTrainTask:
         for m in modules:
             for layer in m.layers:
                 assert abs(np.linalg.norm(layer.anchor) - 1.0) < 1e-9
+
+
+def blas_name():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def frozen_module(seed, dim, num_layers, normalize=True, share_anchor=False):
+    """A frozen module with random weights and running statistics."""
+    rng = np.random.default_rng(seed)
+    module = init_module(0, 1, dim, num_layers, rng, normalize=normalize,
+                         share_anchor=share_anchor)
+    for layer in module.layers:
+        layer.running_mean = rng.normal(size=layer.running_mean.shape)
+        layer.running_var = rng.uniform(0.5, 2.0, size=layer.running_var.shape)
+    module.frozen = True
+    return module
+
+
+@st.composite
+def frozen_case(draw):
+    """(module, batch grids, assignment) with each layer's sample count drawn
+    from 0, 1, 2 or many; a layer's positives are some of its samples."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = draw(st.sampled_from((8, 16, 32)))
+    num_layers = draw(st.integers(1, 3))
+    module = frozen_module(seed, dim, num_layers, normalize=draw(st.booleans()),
+                           share_anchor=draw(st.booleans()))
+    batch = draw(st.integers(1, 3))
+    grids, positive, negative = [], [], []
+    for _ in range(num_layers):
+        shape = (batch, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        grids.append(rng.normal(size=shape + (dim,)))
+        size = int(np.prod(shape))
+        count = min(size, draw(st.one_of(st.sampled_from((0, 1, 2)),
+                                         st.integers(3, max(3, size)))))
+        n_pos = draw(st.integers(0, count))
+        chosen = rng.permutation(size)[:count]
+        pos = np.zeros(size, dtype=bool)
+        neg = np.zeros(size, dtype=bool)
+        pos[chosen[:n_pos]] = True
+        neg[chosen[n_pos:]] = True
+        positive.append(pos.reshape(shape))
+        negative.append(neg.reshape(shape))
+    return module, grids, SampleAssignment(positive=positive, negative=negative)
+
+
+class TestFrozenLoss:
+    """A frozen module's logged loss projects only the sampled rows and
+    equals the full-grid oracle bit for bit. That rests on the BLAS giving
+    a gemm over some rows the bits of the same rows of the full gemm."""
+
+    @given(case=frozen_case())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_grid_oracle(self, case):
+        module, grids, assignment = case
+        try:
+            expected = frozen_loss_full_grid(module, grids, assignment)
+        except NoSamples:
+            with pytest.raises(NoSamples):
+                training._frozen_mscal_loss(module, grids, assignment)
+            return
+        got = training._frozen_mscal_loss(module, grids, assignment)
+        assert got == expected, (
+            f"sampled-row loss {got!r} != full-grid loss {expected!r} under "
+            f"{blas_name()}: this BLAS does not give a row subset of a gemm "
+            f"the bits of the full gemm's rows")
+
+    def projected_rows(self, monkeypatch, samples_per_layer):
+        """Rows per layer that `project` receives for a module whose layers
+        have the given sample counts, one positive each."""
+        module = frozen_module(0, 8, len(samples_per_layer))
+        grids = [np.ones((2, 4, 4, 8)) for _ in samples_per_layer]
+        positive, negative = [], []
+        for count in samples_per_layer:
+            pos = np.zeros(32, dtype=bool)
+            neg = np.zeros(32, dtype=bool)
+            pos[:min(count, 1)] = True
+            neg[1:count] = True
+            positive.append(pos.reshape(2, 4, 4))
+            negative.append(neg.reshape(2, 4, 4))
+        seen = []
+
+        def spy(module, grids, mode):
+            seen.append([int(g.size // g.shape[-1]) for g in grids])
+            return project(module, grids, mode=mode)
+        monkeypatch.setattr(training, "project", spy)
+        training._frozen_mscal_loss(module, grids,
+                                    SampleAssignment(positive=positive, negative=negative))
+        monkeypatch.undo()
+        return seen
+
+    def test_projects_only_sampled_rows(self, monkeypatch):
+        assert self.projected_rows(monkeypatch, [5, 0, 2]) == [[5, 0, 2]]
+
+    def test_one_row_layer_projects_full_grids(self, monkeypatch):
+        # a one-row gemm takes the gemv path, whose bits differ
+        assert self.projected_rows(monkeypatch, [5, 1]) == [[32, 32]]
+
+    def test_train_task_matches_full_grid_oracle(self, tiny_world, tmp_path, monkeypatch):
+        data = TaskData(tiny_world)
+        config = TrainConfig(steps_per_task=6, batch_size=2, seed=0)
+        reg1, modules1, log1 = train_task(data, fresh_registry(tiny_world), [], config, 1)
+        reg1, modules1 = finalize_task(reg1, modules1, 1)
+        reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
+                                    for n in tiny_world.task_split().current_classes(2)])
+
+        def task2(label):
+            reg, modules, log = train_task(data, reg2, copy.deepcopy(modules1), config, 2)
+            reg, modules = finalize_task(reg, modules, 2)
+            save_checkpoint(tmp_path / label, reg, modules, log.theta, config, log)
+            files = {p.relative_to(tmp_path / label): p.read_bytes()
+                     for p in (tmp_path / label).rglob("*") if p.is_file()}
+            return log.rows, files
+
+        rows, files = task2("sampled")
+        calls = []
+
+        def oracle(*args):
+            calls.append(1)
+            return frozen_loss_full_grid(*args)
+        monkeypatch.setattr(training, "_frozen_mscal_loss", oracle)
+        oracle_rows, oracle_files = task2("full")
+        assert calls, "no frozen module was scored"
+        assert rows == oracle_rows, f"train log differs from the oracle's under {blas_name()}"
+        assert files.keys() == oracle_files.keys()
+        for name in files:
+            assert files[name] == oracle_files[name], name
 
 
 class TestCheckpointFiles:
