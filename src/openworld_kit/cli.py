@@ -22,14 +22,12 @@ from . import owod_eval as ev
 from .embedding_space import (
     ClassEmbeddingRegistry,
     GENERIC_OBJECT_KEY,
-    load_embedding_file,
     prompt_matrix,
     register_task,
 )
 from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, read_json
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
-    EMBEDDINGS_NAME,
     TASK_SPLIT_NAME,
     WorldSpec,
     export_split,
@@ -54,6 +52,12 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_gate_mode(text: str) -> str:
+    if text not in det.GATE_MODES:
+        raise ValueError(f"not a gate mode {det.GATE_MODES}: {text!r}")
+    return text
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -95,13 +99,11 @@ def _parse_splits(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-_IDENT = lambda s: s  # noqa: E731
-
 # section -> key -> (parser, default-as-string)
 SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seed": (int, "0"),
-        "out_dir": (_IDENT, "out"),
+        "out_dir": (str, "out"),
     },
     "world": {
         "dim": (int, "16"),
@@ -149,7 +151,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "conf_threshold": (float, "0.25"),
         "nms_iou": (float, "0.7"),
         "class_wise_nms": (_parse_bool, "true"),
-        "ood_gate_mode": (_IDENT, "relabel"),
+        "ood_gate_mode": (_parse_gate_mode, "relabel"),
     },
     "eval": {
         "iou_threshold": (float, "0.5"),
@@ -210,9 +212,11 @@ class RunConfig:
     def validate(self) -> None:
         for section, keys in self.raw.items():
             for key, value in keys.items():
+                parser_fn, default = SCHEMA[section][key]
                 if value == "":
-                    continue
-                parser_fn = SCHEMA[section][key][0]
+                    if default == "":
+                        continue  # an optional key left unset
+                    raise ConfigError(f"{section}.{key} needs a value")
                 try:
                     parser_fn(value)
                 except Exception as exc:
@@ -233,13 +237,17 @@ class RunConfig:
         return Path(self.get("run", "out_dir"))
 
     def world_spec(self) -> WorldSpec:
-        w = self.raw["world"]
-        kwargs = {key: self.get("world", key) for key in w}
-        return WorldSpec(**kwargs)
+        try:
+            return WorldSpec(**{key: self.get("world", key) for key in self.raw["world"]})
+        except ValueError as exc:
+            raise ConfigError(f"bad [world] config: {exc}") from exc
 
     def train_config(self) -> TrainConfig:
-        t = {key: self.get("train", key) for key in self.raw["train"]}
-        return TrainConfig(seed=self.seed, **t)
+        try:
+            return TrainConfig(seed=self.seed,
+                               **{key: self.get("train", key) for key in self.raw["train"]})
+        except ValueError as exc:
+            raise ConfigError(f"bad [train] config: {exc}") from exc
 
     def echo(self) -> dict:
         """The exact resolved configuration, as strings."""
@@ -281,12 +289,10 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
     new_names = world.task_split().current_classes(task_id)
     train_cfg = cfg.train_config()
-    embeddings = load_embedding_file(_world_dir(cfg) / EMBEDDINGS_NAME)
 
     if task_id == 1:
         registry = ClassEmbeddingRegistry(
-            entries=(), generic_object=embeddings[GENERIC_OBJECT_KEY],
-            alpha=train_cfg.alpha)
+            entries=(), generic_object=world.generic_object, alpha=train_cfg.alpha)
         modules = []
         prev_dir, unchanged = None, set()
     else:
@@ -298,7 +304,7 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
         registry = replace(registry, alpha=train_cfg.alpha)
         freeze_class_modules(modules, task_id - 1)
 
-    registry = register_task(registry, [(n, embeddings[n]) for n in new_names])
+    registry = register_task(registry, [(n, world.text_embeddings[n]) for n in new_names])
 
     data = _TaskData(
         geometry=world.geometry,
@@ -324,7 +330,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     registry = replace(registry, alpha=alpha)
     world = load_world(_world_dir(cfg))
     if prompt_key is not None:
-        embeddings = load_embedding_file(_world_dir(cfg) / EMBEDDINGS_NAME)
+        embeddings = world.text_embeddings | {GENERIC_OBJECT_KEY: world.generic_object}
         if prompt_key not in embeddings:
             raise ConfigError(f"prompt key {prompt_key!r} not in embedding file")
         registry = replace(registry, generic_object=embeddings[prompt_key])

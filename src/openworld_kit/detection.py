@@ -25,6 +25,7 @@ from .errors import MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, Z
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
+GATE_MODES = ("relabel", "suppress")
 
 Box = tuple[float, float, float, float]
 
@@ -164,8 +165,8 @@ def apply_ood_gate(
     pass through unchanged. `mode="suppress"` drops gated detections
     instead of relabeling them.
     """
-    if mode not in ("relabel", "suppress"):
-        raise ValueError(f"gate mode must be 'relabel' or 'suppress', got {mode!r}")
+    if mode not in GATE_MODES:
+        raise ValueError(f"gate mode must be one of {GATE_MODES}, got {mode!r}")
     if not len(dets):
         return dets
     layer, row, col = dets.source.T

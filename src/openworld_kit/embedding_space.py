@@ -9,13 +9,12 @@ known mean), and the prompt matrix consumed by the detection head.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DegenerateMean, DuplicateClass, EmptyRegistry, MissingWorld,
-                     ParseError, ZeroVector, read_json)
+                     ParseError, ZeroVector, read_json, write_json)
 
 GENERIC_OBJECT_KEY = "object"
 
@@ -186,9 +185,7 @@ def save_embedding_file(path, embeddings: dict[str, np.ndarray]) -> None:
         name: [_round9(v) for v in np.asarray(vec, dtype=np.float64)]
         for name, vec in embeddings.items()
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _embeddings_from_json(raw) -> dict[str, np.ndarray]:

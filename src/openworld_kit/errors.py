@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the toolkit, and the JSON file reader
-that maps a missing or malformed file onto it."""
+"""Exception taxonomy shared across the toolkit, the JSON file reader that
+maps a missing or malformed file onto it, and the JSON file writer."""
 
 import json
 
@@ -108,3 +108,11 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
             RecursionError) as exc:
         raise ParseError(f"bad {what}: missing or bad field {exc!r}",
                          path=str(path)) from exc
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as every JSON file of the toolkit is written: one-space
+    indent, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

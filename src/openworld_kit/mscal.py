@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .pyramid import FeaturePyramid, PyramidGeometry
+from .pyramid import FeaturePyramid
 
 BN_EPS = 1e-5
 _NORM_EPS = 1e-12
@@ -105,8 +105,6 @@ def init_module(
     dim: int,
     num_layers: int,
     rng: np.random.Generator,
-    hidden_dim: int | None = None,
-    proj_dim: int | None = None,
     tau: float = 0.1,
     normalize: bool = True,
     share_anchor: bool = False,
@@ -119,20 +117,17 @@ def init_module(
     batchnorm shift and small output bias keep ReLU rows alive and the
     final normalization away from zero vectors.
     """
-    dh = hidden_dim or dim
-    dz = proj_dim or max(2, dim // 2)
-    if dz > dim:
-        raise ValueError(f"projection dim {dz} must not exceed input dim {dim}")
+    dz = max(2, dim // 2)
     layers = []
     for _ in range(num_layers):
         layers.append(MscalLayerParams(
-            w1=_orthonormal(rng, dim, dh),
-            b1=np.zeros(dh),
-            gamma=np.ones(dh),
-            beta=np.full(dh, 0.25),
-            running_mean=np.zeros(dh),
-            running_var=np.ones(dh),
-            w2=_orthonormal(rng, dh, dz),
+            w1=_orthonormal(rng, dim, dim),
+            b1=np.zeros(dim),
+            gamma=np.ones(dim),
+            beta=np.full(dim, 0.25),
+            running_mean=np.zeros(dim),
+            running_var=np.ones(dim),
+            w2=_orthonormal(rng, dim, dz),
             b2=np.full(dz, 0.01),
             anchor=_unit(rng.normal(size=dz)),
         ))
@@ -247,23 +242,6 @@ class SampleAssignment:
     @property
     def num_positive(self) -> int:
         return int(sum(m.sum() for m in self.positive))
-
-
-def _ownership_masks(geometry: PyramidGeometry, gt_boxes) -> list[dict[int, np.ndarray]]:
-    """Per layer: class_id -> mask of centers inside that class's boxes at
-    the layer the size rule assigns them to."""
-    per_layer: list[dict[int, np.ndarray]] = [dict() for _ in geometry.layers]
-    centers = [g.centers() for g in geometry.layers]
-    for box, cls in gt_boxes:
-        level = geometry.level_for_box(box)
-        cx, cy = centers[level]
-        x1, y1, x2, y2 = box
-        inside = (cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2)
-        if cls in per_layer[level]:
-            per_layer[level][cls] |= inside
-        else:
-            per_layer[level][cls] = inside
-    return per_layer
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .detection import DetectionTable, read_box_columns
 from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
-                     UndefinedOperatingPoint, read_json)
+                     UndefinedOperatingPoint, read_json, write_json)
 
 UNKNOWN_NAME = "unknown"
 
@@ -96,10 +96,7 @@ class TaskSplitSpec:
 
 
 def save_task_split(path, split: TaskSplitSpec) -> None:
-    payload = {str(t): list(names) for t, names in split.tasks}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {str(t): list(names) for t, names in split.tasks})
 
 
 def _split_from_json(raw) -> TaskSplitSpec:
@@ -403,9 +400,7 @@ def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSpl
 
 
 def write_report_json(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 REPORT_CSV_HEADER = "task_id,map_prev,map_curr,map_both,u_recall,wi,a_ose"

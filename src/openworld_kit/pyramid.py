@@ -3,6 +3,7 @@ geometry, a per-location box field, and a binary blob format."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,10 +29,6 @@ class LayerGeometry:
         cy = (np.arange(self.height, dtype=np.float64) + 0.5) * self.stride
         return np.broadcast_to(cx[None, :], (self.height, self.width)), \
             np.broadcast_to(cy[:, None], (self.height, self.width))
-
-    def cell_box(self, row: int, col: int) -> tuple[float, float, float, float]:
-        s = self.stride
-        return (col * s, row * s, (col + 1) * s, (row + 1) * s)
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,15 @@ class PyramidGeometry:
             if th[j] <= side < th[j + 1]:
                 return j
         raise ValueError(f"box side {side} outside threshold range {th}")
+
+    def owned_cells(self, box: tuple[float, float, float, float]) -> tuple[int, np.ndarray]:
+        """The cells a box owns: its `level_for_box` layer, and the row-major
+        flat indices of that layer's cells whose centres lie in the half-open
+        box [x1, x2) x [y1, y2). The one ownership rule of the toolkit."""
+        level = self.level_for_box(box)
+        cx, cy = self.layers[level].centers()
+        x1, y1, x2, y2 = box
+        return level, np.flatnonzero((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,15 @@ def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
         headers = []
         for _ in range(count):
             h, w, d, stride = struct.unpack("<iiif", _read_exact(fh, 16, path))
+            if min(h, w, d) < 1:
+                raise ParseError(f"non-positive grid size {h}x{w}x{d} in pyramid blob",
+                                 path=str(path))
             headers.append((h, w, d, stride))
+        declared = sum(h * w * (d + 4) * 4 for h, w, d, _ in headers)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared > held:
+            raise ParseError(f"truncated pyramid blob: the header declares {declared} "
+                             f"bytes of grids, the file holds {held}", path=str(path))
         feats: list[np.ndarray] = []
         boxes: list[np.ndarray] = []
         for h, w, d, _ in headers:

@@ -12,14 +12,13 @@ data where unknowns are present but unannotated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embedding_space import GENERIC_OBJECT_KEY, load_embedding_file, save_embedding_file
-from .errors import InfeasibleSpec, MissingWorld, ParseError, read_json
+from .errors import InfeasibleSpec, MissingWorld, ParseError, read_json, write_json
 from .owod_eval import GtRecord, TaskSplitSpec, save_task_split, write_gt_jsonl
 from .pyramid import (
     FeaturePyramid,
@@ -86,6 +85,10 @@ class WorldSpec:
             raise ValueError("one box size range per pyramid layer")
         if len(self.level_thresholds) != len(self.pyramid_layers):
             raise ValueError("one lower size threshold per pyramid layer")
+        counts = self.boxes_per_scene
+        if len(counts) != 2 or not 0 <= counts[0] <= counts[1]:
+            raise ValueError("boxes_per_scene must be two counts lo <= hi")
+        self.geometry()  # raises on strides or thresholds that make no pyramid
 
     @property
     def num_known(self) -> int:
@@ -424,19 +427,17 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
     for g in geometry.layers:
         feats = _background_features(world, g.height * g.width, rng)
         layers.append(feats.reshape(g.height, g.width, spec.dim))
-        # the same float64 values as LayerGeometry.cell_box at every cell
+        # each background cell emits its own box, (col, row, col + 1, row + 1)
+        # strides, which the tests compare bit for bit
         xs = np.arange(g.width + 1) * g.stride
         ys = np.arange(g.height + 1) * g.stride
         box_fields.append(np.stack(np.broadcast_arrays(
             xs[None, :-1], ys[:-1, None], xs[None, 1:], ys[1:, None]), axis=-1))
 
     for sb in gt:
-        level = geometry.level_for_box(sb.box)
+        level, cells = geometry.owned_cells(sb.box)
         g = geometry.layers[level]
-        cx, cy = g.centers()
-        x1, y1, x2, y2 = sb.box
-        inside = (cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2)
-        rows, cols = np.nonzero(inside)
+        rows, cols = np.divmod(cells, g.width)
         proto = world.class_named(sb.class_name).prototype
         # noise_sigma scales the total perturbation norm, not each coordinate
         scale = spec.noise_sigma / np.sqrt(spec.dim)
@@ -460,10 +461,6 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
 # export / import
 
 
-def _spec_to_json(spec: WorldSpec) -> dict:
-    return asdict(spec)
-
-
 def _spec_from_json(raw: dict) -> WorldSpec:
     def tup(x):
         return tuple(tuple(v) if isinstance(v, list) else v for v in x)
@@ -482,7 +479,7 @@ def export_world(world: World, out_dir) -> None:
     manifest = {
         "format": 1,
         "seed": world.seed,
-        "spec": _spec_to_json(world.spec),
+        "spec": asdict(world.spec),
         "classes": [
             {
                 "name": c.name, "kind": c.kind, "task_id": c.task_id,
@@ -492,9 +489,7 @@ def export_world(world: World, out_dir) -> None:
         ],
         "tasks": {str(t): list(names) for t, names in world.task_split().tasks},
     }
-    with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / MANIFEST_NAME, manifest)
     embeddings = dict(world.text_embeddings)
     embeddings[GENERIC_OBJECT_KEY] = world.generic_object
     save_embedding_file(out / EMBEDDINGS_NAME, embeddings)
@@ -518,8 +513,10 @@ def load_world(out_dir) -> World:
                                     _manifest_fields, MissingWorld, "; run gen first")
     path = Path(out_dir) / EMBEDDINGS_NAME
     embeddings = load_embedding_file(path)
-    if GENERIC_OBJECT_KEY not in embeddings:
-        raise ParseError(f"no {GENERIC_OBJECT_KEY!r} embedding", path=str(path))
+    needed = [GENERIC_OBJECT_KEY] + [c.name for c in classes if c.kind == KIND_KNOWN]
+    missing = [name for name in needed if name not in embeddings]
+    if missing:
+        raise ParseError(f"no embedding for {missing}", path=str(path))
     generic = embeddings.pop(GENERIC_OBJECT_KEY)
     return World(spec=spec, seed=seed, classes=classes,
                  generic_object=generic, text_embeddings=embeddings)

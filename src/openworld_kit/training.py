@@ -9,22 +9,21 @@ labeled streams of the run seed.
 
 from __future__ import annotations
 
-import json
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .detection import _sigmoid
 from .embedding_space import ClassEmbeddingRegistry, ClassEntry
-from .errors import MissingCheckpoint, NoSamples, ShapeMismatch, read_json
+from .errors import MissingCheckpoint, NoSamples, ShapeMismatch, read_json, write_json
 from .mscal import (
     MscalModule,
     TRAINED_FIELDS,
     SampleAssignment,
-    _ownership_masks,
     calibrate_threshold,
+    freeze_class_modules,
     init_module,
     module_from_payload,
     module_to_payload,
@@ -53,15 +52,12 @@ class TrainConfig:
     det_weight: float = 1.0
     mscal_weight: float = 1.0
     bn_momentum: float = 0.1
-    hidden_dim: int | None = None
-    proj_dim: int | None = None
     normalize_projection: bool = True
     share_anchor: bool = False
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "batch_size", "tau",
-                     "logit_scale", "quantile"):
-            if getattr(self, name) <= 0 and name != "weight_decay":
+        for name in ("learning_rate", "batch_size", "tau", "logit_scale", "quantile"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
@@ -189,63 +185,85 @@ def detection_loss(
 
 
 # ---------------------------------------------------------------------------
-# assignment assembly from precomputed ownership
+# sample assignment from box ownership
 
 
-def _assignment_for_class(
-    owners_per_scene: list[list[dict[int, np.ndarray]]],
-    layer_shapes: list[tuple[int, int]],
-    class_id: int,
-    neg_cap: int,
-    rng: np.random.Generator,
-) -> SampleAssignment:
-    """Batched positive/negative assignment for one class from cached
-    per-scene ownership masks (`mscal._ownership_masks`).
+def _owned_pairs(scenes, geometry: PyramidGeometry,
+                 name_to_id: dict[str, int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per scene and layer, the (class, cell) pairs that the scene's boxes of
+    registered classes own (`PyramidGeometry.owned_cells`), each pair once.
+    Cells of boxes of other classes stay background."""
+    sizes = [g.height * g.width for g in geometry.layers]
+    out = []
+    for scene in scenes:
+        keys = [[np.empty(0, dtype=np.int64)] for _ in sizes]
+        for sb in scene.gt:
+            if sb.class_name in name_to_id:
+                level, cells = geometry.owned_cells(sb.box)
+                keys[level].append(name_to_id[sb.class_name] * sizes[level] + cells)
+        out.append([np.divmod(np.unique(np.concatenate(k)), size)
+                    for k, size in zip(keys, sizes)])
+    return out
+
+
+@dataclass(frozen=True)
+class OwnerIndex:
+    """Box ownership over a batch of scenes, in one flat layout: layer, then
+    scene, then row-major cell. `foreground` marks the locations some
+    registered class owns; `cells` and `classes` list each (location, class)
+    pair."""
+
+    shapes: tuple[tuple[int, int, int], ...]  # (scenes, H, W) per layer
+    foreground: np.ndarray
+    cells: np.ndarray
+    classes: np.ndarray
+
+    def layer_masks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """A flat boolean vector cut into per-layer (scenes, H, W) masks."""
+        ends = np.cumsum([np.prod(shape) for shape in self.shapes])[:-1]
+        return [m.reshape(shape) for m, shape in zip(np.split(flat, ends), self.shapes)]
+
+
+def _owner_index(batch_pairs, geometry: PyramidGeometry) -> OwnerIndex:
+    """The `OwnerIndex` of a batch, from each scene's `_owned_pairs`."""
+    cells, classes, shapes = [], [], []
+    offset = 0
+    for j, g in enumerate(geometry.layers):
+        shapes.append((len(batch_pairs), g.height, g.width))
+        for pairs in batch_pairs:
+            classes.append(pairs[j][0])
+            cells.append(offset + pairs[j][1])
+            offset += g.height * g.width
+    cells = np.concatenate(cells)
+    foreground = np.zeros(offset, dtype=bool)
+    foreground[cells] = True
+    return OwnerIndex(tuple(shapes), foreground, cells, np.concatenate(classes))
+
+
+def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
+                          rng: np.random.Generator) -> SampleAssignment:
+    """Batched positive/negative assignment for one class.
 
     Positives are locations owned by `class_id`. Locations owned by any
     other class are negatives; background fills the remaining negative
     quota of `neg_cap * max(1, positives)` by uniform subsampling.
     """
-    batch = len(owners_per_scene)
-    pos, other, bg = [], [], []
-    for h, w in layer_shapes:
-        pos.append(np.zeros((batch, h, w), dtype=bool))
-        other.append(np.zeros((batch, h, w), dtype=bool))
-        bg.append(np.zeros((batch, h, w), dtype=bool))
-    for b, owners in enumerate(owners_per_scene):
-        for j, by_class in enumerate(owners):
-            any_fg = np.zeros_like(pos[j][b])
-            for cls, mask in by_class.items():
-                any_fg |= mask
-                if cls == class_id:
-                    pos[j][b] |= mask
-                else:
-                    other[j][b] |= mask
-            bg[j][b] = ~any_fg
-    for j in range(len(layer_shapes)):
-        other[j] &= ~pos[j]
-
-    n_pos = int(sum(m.sum() for m in pos))
-    cap = int(neg_cap) * max(1, n_pos)
-    flat_other = np.concatenate([m.ravel() for m in other])
-    flat_bg = np.concatenate([m.ravel() for m in bg])
-    keep = np.zeros(flat_other.size, dtype=bool)
-    other_idx = np.flatnonzero(flat_other)
+    positive = np.zeros(owners.foreground.size, dtype=bool)
+    positive[owners.cells[owners.classes == class_id]] = True
+    cap = int(neg_cap) * max(1, int(positive.sum()))
+    keep = np.zeros(positive.size, dtype=bool)
+    other_idx = np.flatnonzero(owners.foreground & ~positive)
     if other_idx.size > cap:
         other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
     keep[other_idx] = True
     quota = cap - other_idx.size
-    bg_idx = np.flatnonzero(flat_bg)
+    bg_idx = np.flatnonzero(~owners.foreground)
     if quota > 0 and bg_idx.size > 0:
         if bg_idx.size > quota:
             bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
         keep[bg_idx] = True
-    negatives = []
-    offset = 0
-    for m in other:
-        negatives.append(keep[offset:offset + m.size].reshape(m.shape))
-        offset += m.size
-    return SampleAssignment(positive=pos, negative=negatives)
+    return SampleAssignment(positive=owners.layer_masks(positive),
+                            negative=owners.layer_masks(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +316,6 @@ def _init_modules_for_task(
         module = init_module(
             class_id=class_id, task_id=task_id, dim=registry.dim,
             num_layers=geometry.num_layers, rng=rng,
-            hidden_dim=config.hidden_dim, proj_dim=config.proj_dim,
             tau=config.tau, normalize=config.normalize_projection,
             share_anchor=config.share_anchor, bn_momentum=config.bn_momentum,
         )
@@ -352,7 +369,7 @@ def train_task(
     scenes expose a pyramid and ground-truth boxes with class names.
     Ground truth for classes missing from the registry (future tasks,
     never-introduced classes) is ignored, leaving their locations as
-    anonymous foreground. Only unfrozen embeddings and modules receive
+    background. Only unfrozen embeddings and modules receive
     updates; the loss is `det_weight * detection + mscal_weight * anchor
     loss`, logged per step.
     """
@@ -367,13 +384,7 @@ def train_task(
     modules = sorted(modules, key=lambda m: m.class_id)
     name_to_id = {e.name: i for i, e in enumerate(registry.entries)}
 
-    # static per-scene ownership over registry classes; other names are background
-    owners_cache = []
-    for scene in train_scenes:
-        labeled = [(sb.box, name_to_id[sb.class_name]) for sb in scene.gt
-                   if sb.class_name in name_to_id]
-        owners_cache.append(_ownership_masks(geometry, labeled))
-    layer_shapes = [(g.height, g.width) for g in geometry.layers]
+    train_pairs = _owned_pairs(train_scenes, geometry, name_to_id)
 
     n_classes = registry.num_known
     trainable_rows = np.array([not e.frozen for e in registry.entries])
@@ -395,13 +406,11 @@ def train_task(
         batch_scenes = [train_scenes[i] for i in idx]
         grids = [np.stack([s.pyramid.layers[j] for s in batch_scenes])
                  for j in range(geometry.num_layers)]
-        batch_owners = [owners_cache[i] for i in idx]
-
-        assignments = []
-        for class_id in range(n_classes):
-            rng = derive_rng(config.seed, "assign", task_id, step, class_id)
-            assignments.append(_assignment_for_class(
-                batch_owners, layer_shapes, class_id, config.neg_cap, rng))
+        owners = _owner_index([train_pairs[i] for i in idx], geometry)
+        assignments = [
+            _assignment_for_class(owners, class_id, config.neg_cap,
+                                  derive_rng(config.seed, "assign", task_id, step, class_id))
+            for class_id in range(n_classes)]
 
         det_value, det_grads = detection_loss(
             grids, embeddings, trainable_rows, assignments, config.logit_scale)
@@ -437,25 +446,24 @@ def train_task(
     _normalize_anchors(trained)
     registry = registry.with_embeddings(
         {registry.entries[i].name: embeddings[i] for i in trainable_idx})
-    scores = known_positive_scores_for_registry(modules, cal_scenes, geometry, name_to_id)
+    scores = known_positive_scores_for_registry(
+        modules, cal_scenes, _owned_pairs(cal_scenes, geometry, name_to_id))
     log.theta = calibrate_threshold(scores, config.quantile) if scores else float("inf")
     return registry, modules, log
 
 
-def known_positive_scores_for_registry(modules, scenes, geometry, name_to_id) -> list[float]:
+def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[float]:
+    """OOD scores at every (location, class) pair of `_owned_pairs` over
+    `scenes`: the known-positive scores threshold calibration reads."""
     scores: list[float] = []
     if not modules:
         return scores
-    for scene in scenes:
-        labeled = [(sb.box, name_to_id[sb.class_name]) for sb in scene.gt
-                   if sb.class_name in name_to_id]
-        if not labeled:
+    for scene, pairs in zip(scenes, scene_pairs):
+        if not any(cells.size for _, cells in pairs):
             continue
         smap = ood_score_map(modules, scene.pyramid)
-        owners = _ownership_masks(geometry, labeled)
-        for j, by_class in enumerate(owners):
-            for _, mask in by_class.items():
-                scores.extend(smap[j][mask].tolist())
+        for grid, (_, cells) in zip(smap, pairs):
+            scores.extend(grid.ravel()[cells].tolist())
     return scores
 
 
@@ -467,10 +475,8 @@ def finalize_task(registry: ClassEmbeddingRegistry, modules: list[MscalModule],
     modules are stored frozen; this keeps a class's checkpoint file
     byte-identical across all later tasks.
     """
-    from dataclasses import replace as dc_replace
-    from .mscal import freeze_class_modules
-    entries = tuple(dc_replace(e, frozen=True) for e in registry.entries)
-    registry = dc_replace(registry, entries=entries)
+    entries = tuple(replace(e, frozen=True) for e in registry.entries)
+    registry = replace(registry, entries=entries)
     freeze_class_modules(modules, task_id)
     return registry, modules
 
@@ -511,12 +517,6 @@ def registry_from_payload(payload: dict) -> ClassEmbeddingRegistry:
     )
 
 
-def _dump_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
                     previous=None, unchanged=frozenset()) -> None:
@@ -525,15 +525,15 @@ def save_checkpoint(directory, registry, modules, theta: float,
     their files are copied byte for byte instead of re-encoded."""
     base = Path(directory)
     (base / MODULE_DIR).mkdir(parents=True, exist_ok=True)
-    _dump_json(base / REGISTRY_FILE, registry_to_payload(registry))
-    _dump_json(base / THETA_FILE, {"theta": theta})
-    _dump_json(base / CONFIG_FILE, vars(config) | {"format": 1})
+    write_json(base / REGISTRY_FILE, registry_to_payload(registry))
+    write_json(base / THETA_FILE, {"theta": theta})
+    write_json(base / CONFIG_FILE, vars(config) | {"format": 1})
     for module in modules:
         name = f"class_{module.class_id:03d}.json"
         if module.class_id in unchanged:
             shutil.copyfile(Path(previous) / MODULE_DIR / name, base / MODULE_DIR / name)
         else:
-            _dump_json(base / MODULE_DIR / name, module_to_payload(module))
+            write_json(base / MODULE_DIR / name, module_to_payload(module))
     if log is not None:
         write_train_log_csv(base / LOG_FILE, log)
 

@@ -1,14 +1,16 @@
 """Brute-force metric oracles, independent of the library implementations,
 the scalar inference path (one object per candidate detection: decode, OOD
 gate, greedy NMS and the json-encoder line) that the columnar path must
-match, plus single-scene MSCAL references built on the library's assignment
-code.
+match, the per-scene ownership masks and assignment loop that the batched
+owner index must match, plus single-scene MSCAL references built on the
+library's assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,10 +27,11 @@ from openworld_kit.errors import (
     SourceOutOfRange,
     UndefinedOperatingPoint,
 )
-from openworld_kit.mscal import SampleAssignment, _ownership_masks, mscal_loss, project
+from openworld_kit.mscal import SampleAssignment, mscal_loss, project
 from openworld_kit.owod_eval import GtRecord, find_overlaps
 from openworld_kit.seeding import derive_rng
-from openworld_kit.training import _assignment_for_class
+from openworld_kit.synthetic_world import SceneBox
+from openworld_kit.training import _assignment_for_class, _owned_pairs, _owner_index
 
 KNOWN = ("car", "bus", "dog")
 
@@ -330,12 +333,13 @@ def random_instance(seed):
 
 
 def assign_samples(geometry, gt_boxes, class_id, neg_cap, rng_seed):
-    """Single-scene assignment; `rng_seed` is an int seed or a Generator."""
+    """Single-scene assignment from (box, class id) pairs; `rng_seed` is an
+    int seed or a Generator."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
-    batched = _assignment_for_class(
-        [_ownership_masks(geometry, gt_boxes)],
-        [(g.height, g.width) for g in geometry.layers], class_id, neg_cap, rng)
+    scene = SimpleNamespace(gt=[SceneBox(box, str(cls)) for box, cls in gt_boxes])
+    pairs = _owned_pairs([scene], geometry, {str(cls): cls for _, cls in gt_boxes})
+    batched = _assignment_for_class(_owner_index(pairs, geometry), class_id, neg_cap, rng)
     return SampleAssignment(positive=[m[0] for m in batched.positive],
                             negative=[m[0] for m in batched.negative])
 
@@ -381,7 +385,83 @@ def ood_score(modules, zs, layer):
 
 
 # ---------------------------------------------------------------------------
-# sizes only the tests read
+# per-scene ownership masks and the assignment built from them, the loops
+# that `training._owned_pairs`, `_owner_index` and `_assignment_for_class`
+# must match mask for mask
+
+
+def oracle_ownership_masks(geometry, gt_boxes):
+    """Per layer: class_id -> mask of centers inside that class's boxes at
+    the layer the size rule assigns them to."""
+    per_layer = [dict() for _ in geometry.layers]
+    centers = [g.centers() for g in geometry.layers]
+    for box, cls in gt_boxes:
+        level = geometry.level_for_box(box)
+        cx, cy = centers[level]
+        x1, y1, x2, y2 = box
+        inside = (cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2)
+        if cls in per_layer[level]:
+            per_layer[level][cls] |= inside
+        else:
+            per_layer[level][cls] = inside
+    return per_layer
+
+
+def oracle_assignment_for_class(owners_per_scene, layer_shapes, class_id, neg_cap, rng):
+    """Batched assignment for one class from per-scene `oracle_ownership_masks`:
+    positives are `class_id`'s locations, negatives every other owned
+    location plus background, subsampled to `neg_cap * max(1, positives)`."""
+    batch = len(owners_per_scene)
+    pos, other, bg = [], [], []
+    for h, w in layer_shapes:
+        pos.append(np.zeros((batch, h, w), dtype=bool))
+        other.append(np.zeros((batch, h, w), dtype=bool))
+        bg.append(np.zeros((batch, h, w), dtype=bool))
+    for b, owners in enumerate(owners_per_scene):
+        for j, by_class in enumerate(owners):
+            any_fg = np.zeros_like(pos[j][b])
+            for cls, mask in by_class.items():
+                any_fg |= mask
+                if cls == class_id:
+                    pos[j][b] |= mask
+                else:
+                    other[j][b] |= mask
+            bg[j][b] = ~any_fg
+    for j in range(len(layer_shapes)):
+        other[j] &= ~pos[j]
+
+    n_pos = int(sum(m.sum() for m in pos))
+    cap = int(neg_cap) * max(1, n_pos)
+    flat_other = np.concatenate([m.ravel() for m in other])
+    flat_bg = np.concatenate([m.ravel() for m in bg])
+    keep = np.zeros(flat_other.size, dtype=bool)
+    other_idx = np.flatnonzero(flat_other)
+    if other_idx.size > cap:
+        other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
+    keep[other_idx] = True
+    quota = cap - other_idx.size
+    bg_idx = np.flatnonzero(flat_bg)
+    if quota > 0 and bg_idx.size > 0:
+        if bg_idx.size > quota:
+            bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
+        keep[bg_idx] = True
+    negatives = []
+    offset = 0
+    for m in other:
+        negatives.append(keep[offset:offset + m.size].reshape(m.shape))
+        offset += m.size
+    return SampleAssignment(positive=pos, negative=negatives)
+
+
+# ---------------------------------------------------------------------------
+# sizes and cell boxes only the tests read
+
+
+def cell_box(layer, row, col):
+    """The image-plane box of one cell of a `LayerGeometry`."""
+    s = layer.stride
+    return (col * s, row * s, (col + 1) * s, (row + 1) * s)
+
 
 
 def out_dim(module):

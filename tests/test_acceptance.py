@@ -49,6 +49,7 @@ from gradcheck_support import run_full_gradcheck
 from oracles import (
     KNOWN,
     assign_samples,
+    cell_box,
     det,
     gt,
     mscal_total_loss,
@@ -177,7 +178,7 @@ def test_criterion_2_closed_forms():
     geo = PyramidGeometry(layers=(LayerGeometry(4, 4, 8.0), LayerGeometry(2, 2, 16.0)),
                           level_thresholds=(0.0, 16.0, float("inf")))
     layers = tuple(rng2.normal(size=(g.height, g.width, 8)) for g in geo.layers)
-    cells = tuple(np.stack([[g.cell_box(r, c) for c in range(g.width)]
+    cells = tuple(np.stack([[cell_box(g, r, c) for c in range(g.width)]
                             for r in range(g.height)]) for g in geo.layers)
     pyramid = FeaturePyramid(geometry=geo, layers=layers, box_field=cells)
     gt_boxes = [((0.0, 0.0, 14.0, 14.0), 0), ((16.0, 0.0, 30.0, 14.0), 1),

@@ -78,6 +78,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cli.RunConfig.load(None, overrides=["train.batch_size=three"])
 
+    @pytest.mark.parametrize("override", [
+        "world.dim=2", "world.pyramid_layers=16x16x32,8x8x16", "world.level_thresholds=64,0",
+        "world.boxes_per_scene=3", "world.boxes_per_scene=6,3", "train.batch_size=0",
+        "detect.ood_gate_mode=foo",
+    ])
+    def test_value_that_breaks_a_spec_is_a_config_error(self, override):
+        with pytest.raises(ConfigError):
+            cfg = cli.RunConfig.load(None, overrides=[override])
+            cfg.world_spec()
+            cfg.train_config()
+
     @pytest.mark.parametrize("data", [b"seed = 1\n", b"[run]\nseed = %(x\n",
                                       b"[run]\nseed = \xff\xfe\n"],
                              ids=["no-section-header", "bad-interpolation", "not-utf8"])
@@ -128,7 +139,10 @@ class TestPipeline:
         ckpt = trained / "out" / "checkpoints" / "task_1"
         assert (ckpt / "registry.json").exists()
         assert (ckpt / "theta.json").exists()
-        assert (ckpt / "config.json").exists()
+        assert sorted(json.loads((ckpt / "config.json").read_text())) == [
+            "alpha", "batch_size", "bn_momentum", "det_weight", "format", "learning_rate",
+            "logit_scale", "mscal_weight", "neg_cap", "normalize_projection", "quantile",
+            "seed", "share_anchor", "steps_per_task", "tau", "weight_decay"]
         assert (ckpt / "train_log.csv").exists()
         assert len(list((ckpt / "modules").glob("class_*.json"))) == 2
         ckpt2 = trained / "out" / "checkpoints" / "task_2"
@@ -368,6 +382,17 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "out/world/embeddings.json" in err
+
+    def test_world_without_a_class_embedding(self, workdir, capsys):
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        path = workdir / "out" / "world" / "embeddings.json"
+        embeddings = json.loads(path.read_text())
+        del embeddings["class_t1_0"]
+        path.write_text(json.dumps(embeddings))
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "class_t1_0" in err and "out/world/embeddings.json" in err
 
     def test_checkpoint_without_theta(self, trained, capsys):
         theta = trained / "out" / "checkpoints" / "task_2" / "theta.json"

@@ -27,6 +27,7 @@ from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 
 from oracles import (
     assign_samples,
+    cell_box,
     location_count,
     mscal_total_loss,
     num_negative,
@@ -46,7 +47,7 @@ def make_pyramid(rng, dim=8, shapes=((4, 4, 8.0), (2, 2, 16.0)), thresholds=(0.0
         cells = np.zeros((g.height, g.width, 4))
         for r in range(g.height):
             for c in range(g.width):
-                cells[r, c] = g.cell_box(r, c)
+                cells[r, c] = cell_box(g, r, c)
         boxes.append(cells)
     return FeaturePyramid(geometry=geo, layers=tuple(layers), box_field=tuple(boxes))
 
@@ -103,7 +104,7 @@ class TestProject:
         # scale 1 / shift 0 / running stats (0, 1) reduce batchnorm to a
         # near-identity; orthonormal affine2 rows preserve norms of ReLU images
         rng = np.random.default_rng(2)
-        module = init_module(0, 1, dim=6, num_layers=1, rng=rng, hidden_dim=6, proj_dim=3)
+        module = init_module(0, 1, dim=6, num_layers=1, rng=rng)
         params = module.layers[0]
         params.b1 = np.zeros(6)
         params.beta = np.zeros(6)

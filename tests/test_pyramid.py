@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from openworld_kit.errors import ParseError, ShapeMismatch
 from openworld_kit.pyramid import (
@@ -10,7 +14,7 @@ from openworld_kit.pyramid import (
     write_pyramid_blob,
 )
 
-from oracles import location_count
+from oracles import cell_box, location_count
 
 
 def small_geometry():
@@ -29,9 +33,13 @@ def random_pyramid(seed=0, dim=6):
         cells = np.zeros((g.height, g.width, 4))
         for r in range(g.height):
             for c in range(g.width):
-                cells[r, c] = g.cell_box(r, c)
+                cells[r, c] = cell_box(g, r, c)
         boxes.append(cells)
     return FeaturePyramid(geometry=geo, layers=tuple(layers), box_field=tuple(boxes))
+
+
+# multiples of 4 land on the cell centres and edges of both layers
+COORD = st.one_of(st.integers(-2, 12).map(lambda k: k * 4.0), st.floats(-8.0, 48.0))
 
 
 class TestGeometry:
@@ -46,6 +54,19 @@ class TestGeometry:
         assert geo.level_for_box((0, 0, 10, 4)) == 0
         assert geo.level_for_box((0, 0, 10, 20)) == 1
         assert geo.level_for_box((0, 0, 200, 10)) == 1
+
+    @given(corner=st.tuples(COORD, COORD), size=st.tuples(COORD, COORD))
+    @example(corner=(4.0, 4.0), size=(8.0, 8.0))  # edges on centres: (4, 4) in, (12, 12) out
+    def test_owned_cells_is_the_centre_in_box_rule(self, corner, size):
+        x1, y1 = corner
+        x2, y2 = x1 + abs(size[0]), y1 + abs(size[1])
+        geo = small_geometry()
+        level, cells = geo.owned_cells((x1, y1, x2, y2))
+        assert level == geo.level_for_box((x1, y1, x2, y2))
+        g = geo.layers[level]
+        expected = [r * g.width + c for r in range(g.height) for c in range(g.width)
+                    if x1 <= (c + 0.5) * g.stride < x2 and y1 <= (r + 0.5) * g.stride < y2]
+        assert cells.tolist() == expected
 
     def test_strides_must_increase(self):
         with pytest.raises(ValueError):
@@ -134,3 +155,29 @@ class TestBlobFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError, match="degenerate"):
             read_pyramid_blob(path, pyr.geometry.level_thresholds)
+
+    def one_layer_blob(self, tmp_path):
+        pyr = FeaturePyramid(
+            PyramidGeometry((LayerGeometry(2, 3, 8.0),), (0.0, float("inf"))),
+            (np.ones((2, 3, 4)),), (np.tile([0.0, 0.0, 8.0, 8.0], (2, 3, 1)),))
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, pyr)
+        return path, bytearray(path.read_bytes())
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["height", "width", "dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_grid_size_is_a_parse_error(self, tmp_path, field, value):
+        path, data = self.one_layer_blob(tmp_path)
+        # the layer header (H, W, D, stride) follows the magic, version and count
+        data[12 + 4 * field:16 + 4 * field] = struct.pack("<i", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="non-positive grid size"):
+            read_pyramid_blob(path, (0.0, float("inf")))
+
+    def test_grid_larger_than_the_file_is_a_parse_error(self, tmp_path):
+        # a 2^20 x 2^20 x 1 grid declares 2^42 bytes of features
+        path, data = self.one_layer_blob(tmp_path)
+        data[12:24] = struct.pack("<iii", 1 << 20, 1 << 20, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="declares"):
+            read_pyramid_blob(path, (0.0, float("inf")))

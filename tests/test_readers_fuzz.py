@@ -1,12 +1,15 @@
 """Fuzzed inputs for the file readers: a valid file, truncated or with bytes
 replaced, inserted or deleted, either reads or raises an `OpenWorldKitError`
-subclass; no other exception escapes a reader."""
+subclass; no other exception escapes a reader. Run configurations with
+fuzzed values either resolve into a world spec and a train config or raise
+`ConfigError`."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from openworld_kit import cli
@@ -15,6 +18,7 @@ from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.errors import OpenWorldKitError, ParseError
 from openworld_kit.mscal import init_module
 from openworld_kit.owod_eval import load_task_split, read_gt_jsonl
+from openworld_kit.pyramid import read_pyramid_blob
 from openworld_kit.synthetic_world import WorldSpec, export_world, load_world, make_world
 from openworld_kit.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -35,6 +39,11 @@ REPORT = json.dumps({
     "map_prev": 0.75, "per_class_ap": {"a": 0.75, "c": None}, "protocol": {},
     "task_id": 2, "u_recall": 0.125, "wi": None,
 }, indent=1, sort_keys=True).encode()
+# a one-layer pyramid blob: magic, version 1, one layer, the layer's
+# (H, W, D, stride) header, then its 2 x 3 x 4 features and 2 x 3 box field
+BLOB = (b"OWKP" + struct.pack("<iiiiif", 1, 1, 2, 3, 4, 8.0)
+        + np.ones((2, 3, 4), dtype="<f4").tobytes()
+        + np.tile(np.array([0.0, 0.0, 8.0, 8.0], dtype="<f4"), (2, 3, 1)).tobytes())
 
 # bytes that turn JSON into other JSON or into junk
 SPICY = st.sampled_from(b'{}[]",:0123456789.-+eE ntrufalsN\n\r\t\\\x00\xff\xc3')
@@ -144,3 +153,58 @@ def test_unreadable_file_is_a_parse_error(tmp_path, directories, kind, name, rea
     with pytest.raises(ParseError) as err:
         reader(tmp_path)
     assert err.value.path == str(tmp_path / name)
+
+
+@given(blob=mutated(BLOB))
+@example(blob=BLOB).via("the valid blob")
+@example(blob=BLOB[:12] + struct.pack("<iii", 1 << 20, 1 << 20, 1) + BLOB[24:]).via(
+    "a header declaring 2^42 bytes of features")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_only_toolkit_errors_escape_blob_reader(tmp_path, blob):
+    path = tmp_path / "scene.pyr"
+    path.write_bytes(blob)
+    try:
+        read_pyramid_blob(path, (0.0, float("inf")))
+    except OpenWorldKitError:
+        pass
+
+
+# values that parse as some key's type, values that break a spec, and junk
+INI_VALUES = st.one_of(
+    st.sampled_from(("", "0", "1", "-1", "2", "3", "4", "0.5", "nan", "inf", "1e999", "true",
+                     "foo", "relabel", "suppress", "3,6", "6,3", "0,64", "64,0", "1,2,3",
+                     "16x16x16,8x8x32", "16x16x32,8x8x16", "8x8x16", "0x4x16",
+                     "20-56,72-150", "20-56", "train:6,cal:3,test:4", "1.05,1.3")),
+    st.text(alphabet="0123456789.,-x:e ", max_size=12))
+
+
+@st.composite
+def ini_texts(draw):
+    """An INI file setting a few keys of each section to fuzzed values."""
+    lines = []
+    for section, keys in cli.SCHEMA.items():
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True))
+        if chosen:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {draw(INI_VALUES)}" for key in chosen]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=ini_texts())
+@example(text="[world]\ndim = 2\n")
+@example(text="[world]\npyramid_layers = 16x16x32,8x8x16\n")
+@example(text="[world]\ndim =\n")
+@example(text="[train]\nbatch_size = 0\n")
+@example(text="[detect]\nood_gate_mode = foo\n")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_only_config_errors_escape_run_config(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    try:
+        cfg = cli.RunConfig.load(str(path))
+        cfg.world_spec()
+        cfg.train_config()
+    except OpenWorldKitError:
+        pass

@@ -19,6 +19,8 @@ from openworld_kit.synthetic_world import (
     make_world,
 )
 
+from oracles import cell_box
+
 SMALL_SPEC = WorldSpec(
     dim=12,
     known_per_task=(3, 3),
@@ -188,7 +190,7 @@ class TestGenerateScene:
             assert field.dtype == np.float64
             assert (~fg).any()
             for r, c in zip(*np.nonzero(~fg)):
-                assert tuple(field[r, c]) == g.cell_box(int(r), int(c))
+                assert tuple(field[r, c]) == cell_box(g, int(r), int(c))
 
     def test_boxes_disjoint(self, world):
         for index in range(3):

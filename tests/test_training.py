@@ -1,10 +1,11 @@
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openworld_kit import training
@@ -12,14 +13,14 @@ from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
     SampleAssignment,
-    _ownership_masks,
     anchor_similarity_maps,
     init_module,
     mscal_loss_gradients,
     ood_score_map,
     project,
 )
-from openworld_kit.synthetic_world import WorldSpec, generate_scene, make_world
+from openworld_kit.pyramid import LayerGeometry, PyramidGeometry
+from openworld_kit.synthetic_world import SceneBox, WorldSpec, generate_scene, make_world
 from openworld_kit.training import (
     TrainConfig,
     adamw_step,
@@ -34,7 +35,11 @@ from openworld_kit.training import (
     write_train_log_csv,
 )
 
-from oracles import frozen_loss_full_grid
+from oracles import (
+    frozen_loss_full_grid,
+    oracle_assignment_for_class,
+    oracle_ownership_masks,
+)
 
 TINY_SPEC = WorldSpec(
     dim=8,
@@ -247,14 +252,11 @@ class TestTrainTask:
             grids = [np.stack([s.pyramid.layers[j] for s in data.train_scenes])
                      for j in range(2)]
             name_to_id = {e.name: i for i, e in enumerate(reg2.entries)}
-            owners = [_ownership_masks(data.geometry,
-                                       [(sb.box, name_to_id[sb.class_name]) for sb in s.gt
-                                        if sb.class_name in name_to_id])
-                      for s in data.train_scenes]
-            from openworld_kit.training import _assignment_for_class
-            assignment = _assignment_for_class(
-                owners, [(g.height, g.width) for g in data.geometry.layers],
-                m.class_id, 10, np.random.default_rng(0))
+            owners = training._owner_index(
+                training._owned_pairs(data.train_scenes, data.geometry, name_to_id),
+                data.geometry)
+            assignment = training._assignment_for_class(
+                owners, m.class_id, 10, np.random.default_rng(0))
             if assignment.num_positive == 0:
                 continue
             _, traces = project(m, grids, mode="train", with_trace=True)
@@ -272,7 +274,7 @@ class TestTrainTask:
         modules = []
         name_to_id = {e.name: i for i, e in enumerate(registry.entries)}
         scene = data.train_scenes[0]
-        owners = _ownership_masks(
+        owners = oracle_ownership_masks(
             data.geometry, [(sb.box, name_to_id[sb.class_name]) for sb in scene.gt
                             if sb.class_name in name_to_id])
 
@@ -429,6 +431,73 @@ class TestFrozenLoss:
         assert files.keys() == oracle_files.keys()
         for name in files:
             assert files[name] == oracle_files[name], name
+
+
+REGISTERED = {"c0": 0, "c1": 1, "c2": 2}  # c3 and c4 stay unregistered
+
+
+def pyramid_geometry(sizes):
+    """Layers of the given (H, W) with strides 8, 16, 32 and box-side
+    thresholds 0, 16, 32."""
+    return PyramidGeometry(
+        tuple(LayerGeometry(h, w, 8.0 * 2 ** j) for j, (h, w) in enumerate(sizes)),
+        (0.0,) + tuple(16.0 * 2 ** j for j in range(len(sizes) - 1)) + (math.inf,))
+
+
+def scene_of(*boxes):
+    return SimpleNamespace(gt=tuple(SceneBox(box, name) for box, name in boxes))
+
+
+@st.composite
+def ownership_case(draw):
+    """(geometry, scenes, neg_cap): 1-3 layers, 1-4 scenes of 0-6 boxes whose
+    corners snap to a 4-pixel grid, so box edges often fall on cell centres
+    and boxes of one class and of different classes often overlap."""
+    geometry = pyramid_geometry([(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+                                 for _ in range(draw(st.integers(1, 3)))])
+    coord = st.integers(0, 24).map(lambda k: 4.0 * k)
+    scenes = []
+    for _ in range(draw(st.integers(1, 4))):
+        boxes = []
+        for _ in range(draw(st.integers(0, 6))):
+            x1, y1 = draw(coord), draw(coord)
+            boxes.append(((x1, y1, x1 + draw(coord) + 4.0, y1 + draw(coord) + 4.0),
+                          f"c{draw(st.integers(0, 4))}"))
+        scenes.append(scene_of(*boxes))
+    return geometry, scenes, draw(st.sampled_from((0, 1, 3, 10)))
+
+
+class TestAssignment:
+    """The batched owner index gives the per-scene mask oracle's masks and
+    draws, mask for mask."""
+
+    @given(case=ownership_case(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=(pyramid_geometry([(4, 4), (2, 2)]), [
+        scene_of(((0.0, 0.0, 12.0, 12.0), "c0"), ((4.0, 4.0, 16.0, 16.0), "c0"),
+                 ((4.0, 0.0, 14.0, 10.0), "c1"), ((0.0, 0.0, 30.0, 30.0), "c3")),
+        scene_of()], 0), seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_scene_mask_oracle(self, case, seed):
+        geometry, scenes, neg_cap = case
+        pairs = training._owned_pairs(scenes, geometry, REGISTERED)
+        oracle_owners = [oracle_ownership_masks(
+            geometry, [(sb.box, REGISTERED[sb.class_name]) for sb in scene.gt
+                       if sb.class_name in REGISTERED]) for scene in scenes]
+        for scene_pairs, masks in zip(pairs, oracle_owners):
+            for (classes, cells), by_class in zip(scene_pairs, masks):
+                assert list(zip(classes.tolist(), cells.tolist())) == sorted(
+                    (cls, int(c)) for cls, m in by_class.items() for c in np.flatnonzero(m))
+        owners = training._owner_index(pairs, geometry)
+        shapes = [(g.height, g.width) for g in geometry.layers]
+        for class_id in range(len(REGISTERED) + 1):
+            got = training._assignment_for_class(owners, class_id, neg_cap,
+                                                 np.random.default_rng(seed))
+            want = oracle_assignment_for_class(oracle_owners, shapes, class_id, neg_cap,
+                                               np.random.default_rng(seed))
+            assert len(got.positive) == len(got.negative) == len(shapes)
+            for a, b in zip(got.positive + got.negative, want.positive + want.negative):
+                assert a.dtype == b.dtype == bool and a.shape == b.shape
+                assert np.array_equal(a, b)
 
 
 class TestCheckpointFiles:
