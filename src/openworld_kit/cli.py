@@ -326,8 +326,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               out_file: str | None = None) -> int:
     ckpt = _checkpoint_dir(cfg, task_id)
     registry, modules, theta = load_checkpoint(ckpt)
-    alpha = cfg.get("train", "alpha")
-    registry = replace(registry, alpha=alpha)
+    registry = replace(registry, alpha=cfg.train_config().alpha)
     world = load_world(_world_dir(cfg))
     if prompt_key is not None:
         embeddings = world.text_embeddings | {GENERIC_OBJECT_KEY: world.generic_object}

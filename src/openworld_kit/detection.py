@@ -1,4 +1,4 @@
-"""Cosine-similarity detection head, OOD gating, IoU, and NMS.
+"""Cosine-similarity detection head, OOD gating, box IoU, and NMS.
 
 Inference walks each pyramid location: confidences are sigmoids of scaled
 cosine similarity against the prompt matrix, the argmax class (ties to the
@@ -188,50 +188,38 @@ def apply_ood_gate(
     return replace(dets, labels=np.where(gated, UNKNOWN_CLASS_ID, dets.labels), ood=score)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two well-formed boxes."""
-    ix1 = max(a[0], b[0])
-    iy1 = max(a[1], b[1])
-    ix2 = min(a[2], b[2])
-    iy2 = min(a[3], b[3])
-    iw = max(0.0, ix2 - ix1)
-    ih = max(0.0, iy2 - iy1)
-    inter = iw * ih
-    if inter <= 0.0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes `a` against boxes `b` ((..., 4) arrays of x1, y1, x2, y2),
+    broadcast over their leading axes: two (p, 4) arrays give p paired IoUs,
+    `boxes[:, None]` against `boxes[None, :]` the (m, m) matrix.
 
-
-def _suppression_matrix(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """(m, m) bool: entry (i, j) is True iff `iou(boxes[j], boxes[i]) >=
-    iou_threshold`, with the float64 operations of `iou` in the same order,
-    so every IoU carries the same bits as the scalar one. Built in place so
-    that at most three (m, m) float arrays are alive at once."""
-    x1, y1, x2, y2 = boxes.T
-    inter = np.minimum.outer(x2, x2)
-    tmp = np.maximum.outer(x1, x1)
+    Each IoU is `inter / (area_a + area_b - inter)` with the float64
+    operations in that scalar order, the widths clipped at 0 (`fmax` maps
+    NaN to 0) and 0 wherever `inter <= 0`. IEEE `+`, `min` and `max`
+    commute, so the matrix is bitwise symmetric. Built in place: the matrix
+    form holds at most three (m, m) float arrays at once."""
+    inter = np.minimum(a[..., 2], b[..., 2])
+    tmp = np.maximum(a[..., 0], b[..., 0])
     np.subtract(inter, tmp, out=inter)
-    np.fmax(inter, 0.0, out=inter)          # iw; fmax maps NaN to 0 like max(0.0, ·)
-    np.minimum.outer(y2, y2, out=tmp)
-    np.subtract(tmp, np.maximum.outer(y1, y1), out=tmp)
+    np.fmax(inter, 0.0, out=inter)          # iw
+    np.minimum(a[..., 3], b[..., 3], out=tmp)
+    np.subtract(tmp, np.maximum(a[..., 1], b[..., 1]), out=tmp)
     np.fmax(tmp, 0.0, out=tmp)              # ih
     np.multiply(inter, tmp, out=inter)
-    area = (x2 - x1) * (y2 - y1)
-    np.add.outer(area, area, out=tmp)
+    np.add((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]),
+           (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]), out=tmp)
     np.subtract(tmp, inter, out=tmp)        # union
     empty = inter <= 0.0
     np.divide(inter, tmp, out=tmp, where=~empty)
     tmp[empty] = 0.0
-    # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
-    return tmp >= iou_threshold
+    return tmp
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Keep mask of greedy NMS over boxes already in visiting order: each
     survivor clears the later boxes it suppresses."""
-    spared = ~_suppression_matrix(boxes, iou_threshold)
+    # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
+    spared = ~(box_iou(boxes[:, None], boxes[None, :]) >= iou_threshold)
     alive = np.ones(len(boxes), dtype=bool)
     for i in range(len(boxes) - 1):
         if alive[i]:
@@ -248,7 +236,7 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
     label when `class_wise`; unknown counts as its own class) stays below
     the threshold. Confidence ties keep the earlier index. The survivors
     come back in visiting order. The result equals the scalar greedy loop
-    over `iou`; each label group is decided from one pairwise suppression
+    over pairwise IoU; each label group is decided from one `box_iou`
     matrix.
     """
     if not isinstance(dets, Detections):

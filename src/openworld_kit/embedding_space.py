@@ -96,12 +96,6 @@ class ClassEmbeddingRegistry:
     def current_task(self) -> int:
         return max((e.task_id for e in self.entries), default=0)
 
-    def entry(self, name: str) -> ClassEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def with_embeddings(self, embeddings: dict[str, np.ndarray]) -> "ClassEmbeddingRegistry":
         """Copy with the non-frozen entries' embeddings replaced."""
         new_entries = []

@@ -3,15 +3,14 @@ wilderness impact, and absolute open-set error.
 
 An eval takes a detections file as columns (`detection.DetectionTable`) and
 computes the IoU of every detection against every ground-truth box of its
-scene once, in one numpy pass that repeats the float64 operations of the
-scalar `detection.iou` in order, keeping only the pairs that can match
-(`find_overlaps`). The greedy claims, the AP envelope and recall steps and
-the WI operating point stay plain Python in the canonical order
-(-confidence, scene_id, index), but walk only those pairs: a detection
-without one is a miss that costs no Python work. Results are reproducible
-bit-for-bit and equal brute-force oracles exactly. AP is all-point
-interpolated at IoU 0.5. Undefined metrics are reported as None (JSON
-null), never as 0.
+scene once, in one `detection.box_iou` pass over the paired rows, and
+keeps only the pairs that can match (`find_overlaps`). The greedy claims,
+the AP envelope and recall steps and the WI operating point stay plain
+Python in the canonical order (-confidence, scene_id, index), but walk
+only those pairs: a detection without one is a miss that costs no Python
+work. Results are reproducible bit-for-bit and equal brute-force oracles
+exactly. AP is all-point interpolated at IoU 0.5. Undefined metrics are
+reported as None (JSON null), never as 0.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import DetectionTable, read_box_columns
+from .detection import DetectionTable, box_iou, read_box_columns
 from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
                      UndefinedOperatingPoint, read_json, write_json)
 
@@ -121,21 +120,6 @@ def load_task_split(path) -> TaskSplitSpec:
 # matching: which detections can claim which ground-truth boxes
 
 
-def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`iou(a[i], b[i])` for every row, with the float64 operations of `iou`
-    in the same order, so each IoU carries the scalar one's bits."""
-    iw = np.fmax(np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]), 0.0)
-    ih = np.fmax(np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]), 0.0)
-    inter = iw * ih
-    out = np.zeros(len(inter))
-    hit = inter > 0.0
-    a, b, inter = a[hit], b[hit], inter[hit]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    out[hit] = inter / (area_a + area_b - inter)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Overlaps:
     """One eval's detections and ground truth, reduced to what the greedy
@@ -190,7 +174,7 @@ def find_overlaps(dets: DetectionTable, gts: list[GtRecord],
     offset = np.repeat(starts[dets.scenes] - (np.cumsum(per_det) - per_det), per_det)
     pair_gt = by_scene[offset + np.arange(len(pair_det))]
 
-    overlap = _pair_iou(dets.boxes[pair_det], gt_boxes[pair_gt])
+    overlap = box_iou(dets.boxes[pair_det], gt_boxes[pair_gt])
     keep = (overlap >= iou_thr) & (overlap > 0.0)
     pair_det, pair_gt, overlap = pair_det[keep], pair_gt[keep], overlap[keep]
     pair_rank = det_rank[pair_det]

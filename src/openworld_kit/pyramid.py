@@ -109,10 +109,6 @@ class FeaturePyramid:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "box_field", tuple(self.box_field))
 
-    @property
-    def dim(self) -> int:
-        return int(self.layers[0].shape[2])
-
 
 def write_pyramid_blob(path, pyramid: FeaturePyramid) -> None:
     """Serialize a pyramid as little-endian float32.

@@ -88,7 +88,15 @@ class WorldSpec:
         counts = self.boxes_per_scene
         if len(counts) != 2 or not 0 <= counts[0] <= counts[1]:
             raise ValueError("boxes_per_scene must be two counts lo <= hi")
+        if any(h < 1 or w < 1 for h, w, _ in self.pyramid_layers):
+            raise ValueError("every pyramid layer needs a height and width of at least 1")
         self.geometry()  # raises on strides or thresholds that make no pyramid
+        # every box must fit the image and reach the first pyramid level
+        side, floor = min(self.image_extent()), self.level_thresholds[0]
+        for lo, hi in self.box_size_ranges:
+            if not (0.0 < lo <= hi <= side and lo >= floor):
+                raise ValueError(f"box size range {lo}-{hi} must have 0 < lo <= hi <= "
+                                 f"{side} (the shorter image side) and lo >= {floor}")
 
     @property
     def num_known(self) -> int:

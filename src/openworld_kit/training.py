@@ -56,9 +56,13 @@ class TrainConfig:
     share_anchor: bool = False
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "tau", "logit_scale", "quantile"):
+        for name in ("learning_rate", "batch_size", "tau", "logit_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.alpha <= 2.0:
+            raise ValueError(f"alpha must lie in [0, 2], got {self.alpha}")
+        if not 0.0 < self.quantile < 1.0:
+            raise ValueError(f"quantile must lie in (0, 1), got {self.quantile}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
         if self.steps_per_task < 0 or self.neg_cap < 0:

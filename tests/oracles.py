@@ -19,7 +19,6 @@ from openworld_kit.detection import (
     Detection,
     DetectionRecord,
     DetectionTable,
-    iou,
 )
 from openworld_kit.errors import (
     NoModules,
@@ -126,13 +125,13 @@ def oracle_format_detection_line(scene_id, d, label_names):
 
 
 def oracle_nms(dets, iou_threshold, class_wise):
-    """Greedy NMS as the scalar loop over `iou`: visit by (-confidence,
-    index) and keep a detection unless a kept one (of its label when
-    `class_wise`) overlaps it with IoU >= the threshold."""
+    """Greedy NMS as the scalar loop over `oracle_iou`: visit by
+    (-confidence, index) and keep a detection unless a kept one (of its
+    label when `class_wise`) overlaps it with IoU >= the threshold."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     kept = []
     for i in order:
-        if not any(iou(dets[i].box, dets[j].box) >= iou_threshold
+        if not any(oracle_iou(dets[i].box, dets[j].box) >= iou_threshold
                    for j in kept if not class_wise or dets[j].label == dets[i].label):
             kept.append(i)
     return [dets[i] for i in kept]

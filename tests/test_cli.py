@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from openworld_kit import cli
 from openworld_kit.errors import ConfigError
+from openworld_kit.synthetic_world import WorldSpec
+from openworld_kit.training import TrainConfig
 
 TINY_INI = """
 [world]
@@ -55,6 +58,13 @@ class TestRunConfig:
         assert cfg.get("train", "batch_size") == 16
         assert cfg.get("detect", "conf_threshold") == 0.25
         assert cfg.get("detect", "nms_iou") == 0.7
+
+    @pytest.mark.parametrize("section, spec", [("world", WorldSpec), ("train", TrainConfig)])
+    def test_schema_defaults_equal_the_spec_defaults(self, section, spec):
+        # the INI schema and the dataclasses each state the defaults
+        cfg = cli.RunConfig.load(None)
+        want = {f.name: f.default for f in dataclasses.fields(spec) if f.name != "seed"}
+        assert {key: cfg.get(section, key) for key in cli.SCHEMA[section]} == want
 
     def test_unknown_key_in_file_rejected(self, workdir):
         (workdir / "bad.ini").write_text("[train]\nlearning_rat = 1\n")
@@ -467,6 +477,34 @@ class TestLoaderErrors:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err
+
+
+class TestOutOfRangeValues:
+    """A value that parses but no run can use ends in a one-line error."""
+
+    @pytest.mark.parametrize("override", ["train.alpha=5", "train.quantile=1.5"])
+    def test_train(self, workdir, capsys, override):
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1",
+                   "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and override.split("=")[0][len("train."):] in err
+
+    def test_infer_alpha(self, trained, capsys):
+        assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+                   "--out-file", "d.jsonl", "--set", "train.alpha=5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha" in err
+        assert not (trained / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("override", [
+        "world.box_size_ranges=20-56,300-400", "world.pyramid_layers=0x8x16,4x4x32",
+    ], ids=["box-larger-than-image", "empty-layer"])
+    def test_gen(self, workdir, capsys, override):
+        assert run("gen", "--out", "out", "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[world]" in err
+        assert not (workdir / "out").exists()
 
 
 class TestThresholdGate:

@@ -13,10 +13,10 @@ from openworld_kit.detection import (
     DetectionRecord,
     Detections,
     apply_ood_gate,
+    box_iou,
     classify_locations,
     decode_detections,
     format_detection_lines,
-    iou,
     label_texts,
     nms,
     read_detections_jsonl,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_decode,
     oracle_format_detection_line,
     oracle_gate,
+    oracle_iou,
     oracle_nms,
 )
 
@@ -224,15 +225,21 @@ class TestApplyOodGate:
         assert repr(list(got)) == repr(oracle_gate(rows, ood, theta, mode))
 
 
+def one_iou(a, b):
+    """`box_iou` of two boxes as one-row arrays."""
+    (value,) = box_iou(np.array([a], dtype=np.float64), np.array([b], dtype=np.float64))
+    return value
+
+
 class TestIou:
     def test_identical(self):
-        assert iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
+        assert one_iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
 
     def test_disjoint(self):
-        assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
+        assert one_iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_hand_arithmetic(self):
-        assert iou((0, 0, 2, 2), (1, 0, 3, 2)) == pytest.approx(2 / 6, abs=1e-15)
+        assert one_iou((0, 0, 2, 2), (1, 0, 3, 2)) == pytest.approx(2 / 6, abs=1e-15)
 
     @given(st.lists(st.floats(0, 100), min_size=8, max_size=8))
     @settings(max_examples=50)
@@ -241,8 +248,27 @@ class TestIou:
              max(vals[0], vals[1]) + 1, max(vals[2], vals[3]) + 1)
         b = (min(vals[4], vals[5]), min(vals[6], vals[7]),
              max(vals[4], vals[5]) + 1, max(vals[6], vals[7]) + 1)
-        assert iou(a, b) == iou(b, a)
-        assert iou(a, a) == 1.0
+        assert one_iou(a, b) == one_iou(b, a)
+        assert one_iou(a, a) == 1.0
+
+    @given(st.integers(0, 60), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.1]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_bit_for_bit(self, n, seed, step):
+        # a coarse grid makes identical, touching, nested and zero-area boxes
+        # common; a fine step adds boxes whose IoU is not a short fraction
+        rng = np.random.default_rng(seed)
+        corners = rng.integers(0, 8, size=(n, 2)) * step
+        boxes = np.hstack((corners, corners + rng.integers(0, 4, size=(n, 2)) * step))
+        others = boxes[rng.permutation(n)]
+        rows = [tuple(b) for b in boxes.tolist()]
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+        assert bits(box_iou(boxes, others)) == bits(
+            [oracle_iou(a, b) for a, b in zip(rows, others.tolist())])
+        assert bits(box_iou(boxes[:, None], boxes[None, :])) == bits(
+            [[oracle_iou(a, b) for b in rows] for a in rows])
 
 
 def run_nms(rows, iou_threshold, class_wise=True):
@@ -290,7 +316,7 @@ class TestNms:
         assert confs == sorted(confs, reverse=True)
         for a, b in itertools.combinations(out, 2):
             if a.label == b.label:
-                assert iou(a.box, b.box) < 0.5
+                assert oracle_iou(a.box, b.box) < 0.5
 
     @given(st.sampled_from([0, 1, 2, 5, 30, 400]), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.booleans())
