@@ -37,6 +37,7 @@ from .synthetic_world import (
     make_world,
 )
 from .training import (
+    CONFIG_FILE,
     TrainConfig,
     finalize_task,
     load_checkpoint,
@@ -285,6 +286,12 @@ class _TaskData:
         self.cal_scenes = cal_scenes
 
 
+# [train] keys every task of a run shares: they set how each module scales
+# its anchor similarities, and theta is calibrated over old and new modules
+# together
+_CARRIED_TRAIN_KEYS = ("tau", "normalize_projection", "share_anchor")
+
+
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
     new_names = world.task_split().current_classes(task_id)
@@ -299,6 +306,15 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
         prev_dir = _checkpoint_dir(cfg, task_id - 1)
         if not prev_dir.exists():
             raise MissingCheckpoint(f"train task {task_id - 1} first: {prev_dir} missing")
+        previous = read_json(prev_dir / CONFIG_FILE, "checkpoint file",
+                             lambda payload: {k: payload[k] for k in _CARRIED_TRAIN_KEYS},
+                             missing=MissingCheckpoint)
+        for key, value in previous.items():
+            if getattr(train_cfg, key) != value:
+                raise ConfigError(
+                    f"train.{key}={getattr(train_cfg, key)!r}, but task {task_id - 1} "
+                    f"was trained with train.{key}={value!r}; every task of a run "
+                    f"must use the same value")
         registry, modules, _ = load_checkpoint(prev_dir)
         unchanged = {m.class_id for m in modules if m.frozen}
         registry = replace(registry, alpha=train_cfg.alpha)

@@ -2,6 +2,8 @@
 maps a missing or malformed file onto it, and the JSON file writer."""
 
 import json
+import os
+from pathlib import Path
 
 
 class OpenWorldKitError(Exception):
@@ -112,7 +114,19 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
 
 def write_json(path, payload) -> None:
     """Write `payload` as every JSON file of the toolkit is written: one-space
-    indent, sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    indent, sorted keys and a final newline.
+
+    The text goes to a temporary file beside `path`, which then replaces
+    `path` in one rename, so a write that fails partway leaves the old file
+    (or none) and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -230,43 +230,37 @@ def project(
 
 @dataclass
 class SampleAssignment:
-    """Per-layer boolean masks of positive and negative locations.
+    """Per-layer sampled locations as flat indices into the layer's
+    projected grid, its leading axes ((H, W) for one scene, (B, H, W) for a
+    batch) flattened row-major.
 
-    Masks share the leading shape of the projected grids ((H, W) for one
-    scene, (B, H, W) for a batch) and are always disjoint.
+    `index[j]` lists layer j's positives in ascending order, then its
+    negatives in ascending order, with no index twice; its first `n_pos[j]`
+    entries are the positives.
     """
 
-    positive: list[np.ndarray]
-    negative: list[np.ndarray]
+    index: list[np.ndarray]
+    n_pos: list[int]
 
     @property
     def num_positive(self) -> int:
-        return int(sum(m.sum() for m in self.positive))
+        return int(sum(self.n_pos))
 
 
 # ---------------------------------------------------------------------------
 # contrastive loss and gradients
 
 
-def _sample_index(assignment: SampleAssignment, layer: int) -> tuple[np.ndarray, int]:
-    """Flat indices of a layer's samples, positives first, and the positive
-    count."""
-    pos_idx = np.flatnonzero(assignment.positive[layer].ravel())
-    neg_idx = np.flatnonzero(assignment.negative[layer].ravel())
-    return np.concatenate([pos_idx, neg_idx]), pos_idx.size
-
-
 def sampled_rows(grids: list[np.ndarray], assignment: SampleAssignment
                  ) -> tuple[list[np.ndarray], SampleAssignment]:
     """Each layer's sampled rows of `grids` as one (n, D) block, in the
     order `_gather_samples` reads them, plus the assignment that marks the
-    same samples in those blocks: the first `n_pos` rows are positives."""
-    rows, positive = [], []
-    for j, grid in enumerate(grids):
-        idx, n_pos = _sample_index(assignment, j)
-        rows.append(grid.reshape(-1, grid.shape[-1])[idx])
-        positive.append(np.arange(idx.size) < n_pos)
-    return rows, SampleAssignment(positive=positive, negative=[~m for m in positive])
+    same samples in those blocks."""
+    rows = [grid.reshape(-1, grid.shape[-1])[idx]
+            for grid, idx in zip(grids, assignment.index)]
+    compact = SampleAssignment(index=[np.arange(idx.size) for idx in assignment.index],
+                               n_pos=list(assignment.n_pos))
+    return rows, compact
 
 
 def _gather_samples(module: MscalModule, projected: list[np.ndarray],
@@ -279,9 +273,8 @@ def _gather_samples(module: MscalModule, projected: list[np.ndarray],
     pos_logits = []
     all_logits = []
     for j, grid in enumerate(projected):
-        z2d = grid.reshape(-1, grid.shape[-1])
-        idx, n_pos = _sample_index(assignment, j)
-        z = z2d[idx]
+        idx, n_pos = assignment.index[j], assignment.n_pos[j]
+        z = grid.reshape(-1, grid.shape[-1])[idx]
         logits = (z @ module.effective_anchor(j)) / module.tau if idx.size else np.zeros(0)
         records.append({"layer": j, "idx": idx, "n_pos": n_pos, "z": z})
         pos_logits.append(logits[:n_pos])

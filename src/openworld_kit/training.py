@@ -164,7 +164,8 @@ def detection_loss(
     for a in assignments:
         blocks, compact = sampled_rows(feat_hat, a)
         rows = np.concatenate(blocks)
-        per_class_rows.append((rows, np.concatenate(compact.positive).astype(np.float64)))
+        targets = np.concatenate([idx < n for idx, n in zip(compact.index, compact.n_pos)])
+        per_class_rows.append((rows, targets.astype(np.float64)))
         total_pairs += rows.shape[0]
     if total_pairs == 0:
         raise NoSamples("detection loss has no assigned locations")
@@ -213,35 +214,33 @@ def _owned_pairs(scenes, geometry: PyramidGeometry,
 @dataclass(frozen=True)
 class OwnerIndex:
     """Box ownership over a batch of scenes, in one flat layout: layer, then
-    scene, then row-major cell. `foreground` marks the locations some
-    registered class owns; `cells` and `classes` list each (location, class)
-    pair."""
+    scene, then row-major cell. `starts` holds each layer's first flat
+    index; `foreground` lists the locations some registered class owns and
+    `background` the rest, both ascending; `cells` and `classes` list each
+    (location, class) pair."""
 
-    shapes: tuple[tuple[int, int, int], ...]  # (scenes, H, W) per layer
+    starts: np.ndarray
     foreground: np.ndarray
+    background: np.ndarray
     cells: np.ndarray
     classes: np.ndarray
-
-    def layer_masks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """A flat boolean vector cut into per-layer (scenes, H, W) masks."""
-        ends = np.cumsum([np.prod(shape) for shape in self.shapes])[:-1]
-        return [m.reshape(shape) for m, shape in zip(np.split(flat, ends), self.shapes)]
 
 
 def _owner_index(batch_pairs, geometry: PyramidGeometry) -> OwnerIndex:
     """The `OwnerIndex` of a batch, from each scene's `_owned_pairs`."""
-    cells, classes, shapes = [], [], []
+    cells, classes, starts = [], [], []
     offset = 0
     for j, g in enumerate(geometry.layers):
-        shapes.append((len(batch_pairs), g.height, g.width))
+        starts.append(offset)
         for pairs in batch_pairs:
             classes.append(pairs[j][0])
             cells.append(offset + pairs[j][1])
             offset += g.height * g.width
     cells = np.concatenate(cells)
-    foreground = np.zeros(offset, dtype=bool)
-    foreground[cells] = True
-    return OwnerIndex(tuple(shapes), foreground, cells, np.concatenate(classes))
+    owned = np.zeros(offset, dtype=bool)
+    owned[cells] = True
+    return OwnerIndex(np.array(starts), np.flatnonzero(owned), np.flatnonzero(~owned),
+                      cells, np.concatenate(classes))
 
 
 def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
@@ -252,22 +251,25 @@ def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
     other class are negatives; background fills the remaining negative
     quota of `neg_cap * max(1, positives)` by uniform subsampling.
     """
-    positive = np.zeros(owners.foreground.size, dtype=bool)
-    positive[owners.cells[owners.classes == class_id]] = True
-    cap = int(neg_cap) * max(1, int(positive.sum()))
-    keep = np.zeros(positive.size, dtype=bool)
-    other_idx = np.flatnonzero(owners.foreground & ~positive)
+    # ascending and unique: `_owned_pairs` sorts each scene's layer pairs by
+    # (class, cell), and `_owner_index` lays the blocks out at rising offsets
+    positive = owners.cells[owners.classes == class_id]
+    cap = int(neg_cap) * max(1, positive.size)
+    other_idx = np.setdiff1d(owners.foreground, positive, assume_unique=True)
     if other_idx.size > cap:
         other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
-    keep[other_idx] = True
     quota = cap - other_idx.size
-    bg_idx = np.flatnonzero(~owners.foreground)
-    if quota > 0 and bg_idx.size > 0:
-        if bg_idx.size > quota:
-            bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
-        keep[bg_idx] = True
-    return SampleAssignment(positive=owners.layer_masks(positive),
-                            negative=owners.layer_masks(keep))
+    bg_idx = owners.background if quota > 0 else owners.background[:0]
+    if bg_idx.size > quota:
+        bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
+    negative = np.sort(np.concatenate([other_idx, bg_idx]))
+    cuts = owners.starts[1:]
+    pos_layers = np.split(positive, np.searchsorted(positive, cuts))
+    neg_layers = np.split(negative, np.searchsorted(negative, cuts))
+    return SampleAssignment(
+        index=[np.concatenate([pos, neg]) - start
+               for pos, neg, start in zip(pos_layers, neg_layers, owners.starts)],
+        n_pos=[pos.size for pos in pos_layers])
 
 
 # ---------------------------------------------------------------------------

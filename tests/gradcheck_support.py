@@ -3,12 +3,13 @@
 import numpy as np
 
 from openworld_kit.mscal import (
-    SampleAssignment,
     init_module,
     mscal_loss,
     mscal_loss_gradients,
     project,
 )
+
+from oracles import assignment_from_masks
 
 H = 1e-5
 REL_TOL = 1e-4
@@ -36,7 +37,7 @@ def build_instance(seed, dim=8, n_classes=3, grids_hw=((4, 4), (4, 4))):
                     pos[j][k // hw[1], k % hw[1]] = True
                 for k in flat[2:5]:
                     neg[j][k // hw[1], k % hw[1]] = True
-            assignments.append(SampleAssignment(positive=pos, negative=neg))
+            assignments.append(assignment_from_masks(pos, neg))
         ok = True
         for module in modules:
             _, traces = project(module, grids, mode="train", with_trace=True)

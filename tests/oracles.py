@@ -1,9 +1,10 @@
 """Brute-force metric oracles, independent of the library implementations,
 the scalar inference path (one object per candidate detection: decode, OOD
 gate, greedy NMS and the json-encoder line) that the columnar path must
-match, the per-scene ownership masks and assignment loop that the batched
-owner index must match, plus single-scene MSCAL references built on the
-library's assignment code.
+match, the per-scene ownership masks and mask-built assignment loop whose
+flat indices the batched owner index must give, the conversions between
+boolean sample masks and `SampleAssignment` indices, plus single-scene
+MSCAL references built on the library's assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
@@ -338,9 +339,8 @@ def assign_samples(geometry, gt_boxes, class_id, neg_cap, rng_seed):
         else np.random.default_rng(rng_seed)
     scene = SimpleNamespace(gt=[SceneBox(box, str(cls)) for box, cls in gt_boxes])
     pairs = _owned_pairs([scene], geometry, {str(cls): cls for _, cls in gt_boxes})
-    batched = _assignment_for_class(_owner_index(pairs, geometry), class_id, neg_cap, rng)
-    return SampleAssignment(positive=[m[0] for m in batched.positive],
-                            negative=[m[0] for m in batched.negative])
+    # one scene: indices into its (1, H, W) batch grids are indices into (H, W)
+    return _assignment_for_class(_owner_index(pairs, geometry), class_id, neg_cap, rng)
 
 
 def mscal_total_loss(modules, pyramid, gt_boxes, neg_cap=10, rng_seed=0, mode="train"):
@@ -384,9 +384,36 @@ def ood_score(modules, zs, layer):
 
 
 # ---------------------------------------------------------------------------
-# per-scene ownership masks and the assignment built from them, the loops
-# that `training._owned_pairs`, `_owner_index` and `_assignment_for_class`
-# must match mask for mask
+# sample masks: the boolean form of a `SampleAssignment`
+
+
+def assignment_from_masks(positive, negative):
+    """The `SampleAssignment` of per-layer disjoint boolean masks: each
+    layer's positive flat indices, then its negative ones, both ascending."""
+    return SampleAssignment(
+        index=[np.concatenate([np.flatnonzero(p), np.flatnonzero(n)])
+               for p, n in zip(positive, negative)],
+        n_pos=[int(np.count_nonzero(p)) for p in positive])
+
+
+def masks_of(assignment, shapes):
+    """Per-layer (positive, negative) boolean masks of an assignment, each
+    layer shaped like the leading axes in `shapes`."""
+    positive, negative = [], []
+    for idx, n_pos, shape in zip(assignment.index, assignment.n_pos, shapes, strict=True):
+        pos = np.zeros(shape, dtype=bool)
+        neg = np.zeros(shape, dtype=bool)
+        pos.flat[idx[:n_pos]] = True
+        neg.flat[idx[n_pos:]] = True
+        positive.append(pos)
+        negative.append(neg)
+    return positive, negative
+
+
+# ---------------------------------------------------------------------------
+# per-scene ownership masks and the assignment masks built from them, the
+# loops whose flat indices `training._owned_pairs`, `_owner_index` and
+# `_assignment_for_class` must give
 
 
 def oracle_ownership_masks(geometry, gt_boxes):
@@ -407,9 +434,10 @@ def oracle_ownership_masks(geometry, gt_boxes):
 
 
 def oracle_assignment_for_class(owners_per_scene, layer_shapes, class_id, neg_cap, rng):
-    """Batched assignment for one class from per-scene `oracle_ownership_masks`:
-    positives are `class_id`'s locations, negatives every other owned
-    location plus background, subsampled to `neg_cap * max(1, positives)`."""
+    """Batched (positive, negative) assignment masks for one class from
+    per-scene `oracle_ownership_masks`: positives are `class_id`'s
+    locations, negatives every other owned location plus background,
+    subsampled to `neg_cap * max(1, positives)`."""
     batch = len(owners_per_scene)
     pos, other, bg = [], [], []
     for h, w in layer_shapes:
@@ -449,7 +477,7 @@ def oracle_assignment_for_class(owners_per_scene, layer_shapes, class_id, neg_ca
     for m in other:
         negatives.append(keep[offset:offset + m.size].reshape(m.shape))
         offset += m.size
-    return SampleAssignment(positive=pos, negative=negatives)
+    return pos, negatives
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +496,7 @@ def out_dim(module):
 
 
 def num_negative(assignment):
-    return int(sum(m.sum() for m in assignment.negative))
+    return int(sum(idx.size - n for idx, n in zip(assignment.index, assignment.n_pos)))
 
 
 def location_count(pyramid):

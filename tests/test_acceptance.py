@@ -21,7 +21,6 @@ from openworld_kit.embedding_space import (
     pseudo_unknown_embedding,
 )
 from openworld_kit.mscal import (
-    SampleAssignment,
     anchor_similarity_maps,
     init_module,
     mscal_loss,
@@ -49,6 +48,7 @@ from gradcheck_support import run_full_gradcheck
 from oracles import (
     KNOWN,
     assign_samples,
+    assignment_from_masks,
     cell_box,
     det,
     gt,
@@ -128,7 +128,7 @@ def test_criterion_1_gradient_correctness():
         for _ in range(3):
             pos = [rng.random((4, 4)) < 0.15 for _ in range(2)]
             neg = [(rng.random((4, 4)) < 0.25) & ~m for m in pos]
-            assignments.append(SampleAssignment(positive=pos, negative=neg))
+            assignments.append(assignment_from_masks(pos, neg))
         _, grads = detection_loss(grids, emb, np.array([True] * 3), assignments, 10.0)
         h = 1e-5
         for i in range(3):
@@ -165,11 +165,11 @@ def test_criterion_2_closed_forms():
     pos = [np.zeros((4, 4), dtype=bool), np.zeros((2, 2), dtype=bool)]
     neg = [np.zeros((4, 4), dtype=bool), np.zeros((2, 2), dtype=bool)]
     pos[0][0, 0] = True
-    single = mscal_loss(module, projected, SampleAssignment(positive=pos, negative=neg))
+    single = mscal_loss(module, projected, assignment_from_masks(pos, neg))
 
     neg[0][0, 1] = True
     projected[0][0, 1] = projected[0][0, 0]
-    pair = mscal_loss(module, projected, SampleAssignment(positive=pos, negative=neg))
+    pair = mscal_loss(module, projected, assignment_from_masks(pos, neg))
 
     # the all-classes loss equals the componentwise mean of per-class losses
     from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry

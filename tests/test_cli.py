@@ -507,6 +507,41 @@ class TestOutOfRangeValues:
         assert not (workdir / "out").exists()
 
 
+class TestTaskConfigReadBack:
+    """A later task trains only with the `tau`, `normalize_projection` and
+    `share_anchor` of the checkpoint it extends; other keys may change."""
+
+    ARGS = ("--config", "tiny.ini", "--out", "out")
+
+    @pytest.fixture()
+    def task1(self, workdir):
+        assert run("gen", *self.ARGS) == 0
+        assert run("train", *self.ARGS, "--task", "1") == 0
+        return workdir
+
+    @pytest.mark.parametrize("key, value, before, after", [
+        ("tau", "0.5", "0.1", "0.5"),
+        ("normalize_projection", "false", "True", "False"),
+        ("share_anchor", "true", "False", "True"),
+    ])
+    def test_mismatch_is_a_config_error(self, task1, capsys, key, value, before, after):
+        assert run("train", *self.ARGS, "--task", "2", "--set", f"train.{key}={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"train.{key}={after}" in err and f"train.{key}={before}" in err
+        assert not (task1 / "out/checkpoints/task_2").exists()
+
+    def test_other_keys_may_change(self, task1):
+        assert run("train", *self.ARGS, "--task", "2", "--set", "train.learning_rate=0.001",
+                   "--set", "train.alpha=0.2") == 0
+
+    def test_missing_config_file(self, task1, capsys):
+        (task1 / "out/checkpoints/task_1/config.json").unlink()
+        assert run("train", *self.ARGS, "--task", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out/checkpoints/task_1/config.json" in err
+
+
 class TestThresholdGate:
     def test_unmet_threshold_fails(self, trained):
         run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from openworld_kit.mscal import (
-    SampleAssignment,
     init_module,
     mscal_loss_gradients,
     project,
@@ -12,7 +11,7 @@ from openworld_kit.mscal import (
 from openworld_kit.training import detection_loss
 
 from gradcheck_support import H, build_instance, check_gradient, sweep_module
-from oracles import out_dim
+from oracles import assignment_from_masks, out_dim
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -32,7 +31,7 @@ def test_single_positive_has_zero_anchor_gradient():
     grids = [rng.normal(size=(3, 3, 8))]
     pos = [np.zeros((3, 3), dtype=bool)]
     pos[0][1, 1] = True
-    assignment = SampleAssignment(positive=pos, negative=[np.zeros((3, 3), dtype=bool)])
+    assignment = assignment_from_masks(pos, [np.zeros((3, 3), dtype=bool)])
     _, traces = project(module, grids, mode="train", with_trace=True)
     loss, grads = mscal_loss_gradients(module, traces, assignment)
     assert abs(loss) < 1e-12
@@ -47,7 +46,7 @@ def test_doubling_tau_halves_logit_gap_and_keeps_anchor_direction():
     grids = [np.random.default_rng(2).normal(size=(2, 2, 6))]
     pos = [np.array([[True, False], [False, False]])]
     neg = [np.array([[False, True], [False, False]])]
-    assignment = SampleAssignment(positive=pos, negative=neg)
+    assignment = assignment_from_masks(pos, neg)
 
     gaps = {}
     directions = {}
@@ -82,7 +81,7 @@ def test_frozen_embedding_rows_receive_zero_gradient():
     emb = rng.normal(size=(2, 6))
     pos = [rng.random((2, 3, 3)) < 0.3]
     neg = [(rng.random((2, 3, 3)) < 0.3) & ~pos[0]]
-    assignments = [SampleAssignment(positive=pos, negative=neg) for _ in range(2)]
+    assignments = [assignment_from_masks(pos, neg) for _ in range(2)]
     _, grads = detection_loss(grids, emb, np.array([True, False]), assignments, 10.0)
     assert np.abs(grads[1]).max() == 0.0
     assert np.abs(grads[0]).max() > 0.0
@@ -99,7 +98,7 @@ def test_detection_loss_gradients_match_central_differences(seed):
     for _ in range(n_classes):
         pos = [rng.random((2, 4, 4)) < 0.15, rng.random((2, 2, 2)) < 0.15]
         neg = [(rng.random(m.shape) < 0.25) & ~m for m in pos]
-        assignments.append(SampleAssignment(positive=pos, negative=neg))
+        assignments.append(assignment_from_masks(pos, neg))
 
     _, grads = detection_loss(grids, emb, trainable, assignments, 10.0)
     for i in range(n_classes):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openworld_kit.errors import (
     DegenerateProjection,
@@ -22,13 +24,16 @@ from openworld_kit.mscal import (
     mscal_loss,
     ood_score_map,
     project,
+    sampled_rows,
 )
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 
 from oracles import (
     assign_samples,
+    assignment_from_masks,
     cell_box,
     location_count,
+    masks_of,
     mscal_total_loss,
     num_negative,
     ood_score,
@@ -74,15 +79,16 @@ def reference_eq3_loss(module, projected, assignment):
     """Brute-force double sum over layers and samples, term by term."""
     anchors = [module.effective_anchor(j) for j in range(module.num_layers)]
     denom = 0.0
+    positive, negative = masks_of(assignment, [g.shape[:-1] for g in projected])
     for m, grid in enumerate(projected):
         flat = grid.reshape(-1, grid.shape[-1])
-        for idx in np.flatnonzero(assignment.positive[m].ravel() | assignment.negative[m].ravel()):
+        for idx in np.flatnonzero(positive[m].ravel() | negative[m].ravel()):
             denom += math.exp(float(anchors[m] @ flat[idx]) / module.tau)
     total = 0.0
     count = 0
     for j, grid in enumerate(projected):
         flat = grid.reshape(-1, grid.shape[-1])
-        for idx in np.flatnonzero(assignment.positive[j].ravel()):
+        for idx in np.flatnonzero(positive[j].ravel()):
             numer = math.exp(float(anchors[j] @ flat[idx]) / module.tau)
             total += math.log(numer / denom)
             count += 1
@@ -156,6 +162,8 @@ class TestProject:
 
 
 class TestAssignSamples:
+    SHAPES = ((4, 4), (2, 2))
+
     def geometry(self):
         return PyramidGeometry(
             layers=(LayerGeometry(4, 4, 8.0), LayerGeometry(2, 2, 16.0)),
@@ -166,9 +174,10 @@ class TestAssignSamples:
         geo = self.geometry()
         a = assign_samples(geo, [((0.0, 0.0, 32.0, 31.0), 0)], class_id=0,
                            neg_cap=10, rng_seed=0)
-        assert a.positive[0].all()
-        assert not a.positive[1].any()
-        assert not a.negative[0].any()
+        positive, negative = masks_of(a, self.SHAPES)
+        assert positive[0].all()
+        assert not positive[1].any()
+        assert not negative[0].any()
 
     def test_no_boxes_of_class_means_empty_positives(self):
         geo = self.geometry()
@@ -185,7 +194,7 @@ class TestAssignSamples:
         # 4 other-class positives are negatives, background fills up to the cap
         neg = num_negative(a)
         assert neg <= 10 * 4
-        other = a.negative[0][2:, 2:]
+        other = masks_of(a, self.SHAPES)[1][0][2:, 2:]
         assert other.all()
         assert num_negative(a) == 4 + (16 - 4 - 4) + 4  # class negs + level-1 bg + level-2 bg
 
@@ -193,7 +202,7 @@ class TestAssignSamples:
         geo = self.geometry()
         boxes = [((0.0, 0.0, 16.0, 16.0), 0), ((8.0, 8.0, 24.0, 24.0), 1)]
         a = assign_samples(geo, boxes, class_id=0, neg_cap=10, rng_seed=1)
-        for pos, neg in zip(a.positive, a.negative):
+        for pos, neg in zip(*masks_of(a, self.SHAPES)):
             assert not (pos & neg).any()
 
     def test_negative_cap_respected(self):
@@ -219,7 +228,7 @@ class TestMscalLoss:
             pos[j][r, c] = True
         for j, r, c in flat_order[n_pos:n_pos + n_neg]:
             neg[j][r, c] = True
-        return module, projected, SampleAssignment(positive=pos, negative=neg)
+        return module, projected, assignment_from_masks(pos, neg)
 
     def test_single_positive_gives_zero(self):
         module, projected, assignment = self.build(1, 0)
@@ -253,7 +262,8 @@ class TestMscalLoss:
         base = mscal_loss(module, projected, assignment)
         rng = np.random.default_rng(0)
         shuffled = []
-        for grid, pos, neg in zip(projected, assignment.positive, assignment.negative):
+        masks = masks_of(assignment, [g.shape[:-1] for g in projected])
+        for grid, pos, neg in zip(projected, *masks):
             flat = grid.reshape(-1, grid.shape[-1]).copy()
             p, n = pos.ravel().copy(), neg.ravel().copy()
             perm = rng.permutation(flat.shape[0])
@@ -261,14 +271,13 @@ class TestMscalLoss:
                              n[perm].reshape(neg.shape)))
         loss = mscal_loss(
             module, [s[0] for s in shuffled],
-            SampleAssignment(positive=[s[1] for s in shuffled],
-                             negative=[s[2] for s in shuffled]))
+            assignment_from_masks([s[1] for s in shuffled], [s[2] for s in shuffled]))
         assert loss == pytest.approx(base, abs=1e-12)
 
     def test_relabeling_layers_consistently(self):
         module, projected, assignment = self.build(3, 5, seed=9, num_layers=2)
         base = mscal_loss(module, projected, assignment)
-        # swap the two layers everywhere: grids, masks, and anchors; grids keep
+        # swap the two layers everywhere: grids, samples, and anchors; grids keep
         # their own shapes so the swap is a pure relabeling of layer indices
         swapped_module = MscalModule(
             class_id=module.class_id, task_id=module.task_id,
@@ -276,9 +285,57 @@ class TestMscalLoss:
             tau=module.tau, normalize=module.normalize)
         loss = mscal_loss(
             swapped_module, [projected[1], projected[0]],
-            SampleAssignment(positive=[assignment.positive[1], assignment.positive[0]],
-                             negative=[assignment.negative[1], assignment.negative[0]]))
+            SampleAssignment(index=assignment.index[::-1], n_pos=assignment.n_pos[::-1]))
         assert loss == pytest.approx(base, abs=1e-12)
+
+
+@st.composite
+def projected_case(draw):
+    """(module, projected batch grids, assignment): 1-3 layers, each with 0,
+    1 or many samples, of which any number are positives."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    num_layers = draw(st.integers(1, 3))
+    module = init_module(0, 1, dim=draw(st.sampled_from((8, 16, 32))),
+                         num_layers=num_layers, rng=rng, normalize=draw(st.booleans()),
+                         share_anchor=draw(st.booleans()))
+    grids, index, n_pos = [], [], []
+    for _ in range(num_layers):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        grids.append(rng.normal(size=shape + (module.in_dim,)))
+        size = int(np.prod(shape))
+        count = min(size, draw(st.one_of(st.sampled_from((0, 1)),
+                                         st.integers(2, max(2, size)))))
+        chosen = rng.permutation(size)[:count]
+        k = draw(st.integers(0, count))
+        index.append(np.concatenate([np.sort(chosen[:k]), np.sort(chosen[k:])]))
+        n_pos.append(k)
+    projected = project(module, grids, mode="infer")
+    return module, projected, SampleAssignment(index=index, n_pos=n_pos)
+
+
+class TestSampledRows:
+    """The loss on `sampled_rows`' blocks under its compact assignment is the
+    loss on the full projected grids, bit for bit: both read the same rows
+    in the same order, so no BLAS identity is involved."""
+
+    @given(case=projected_case())
+    @settings(max_examples=200, deadline=None)
+    def test_loss_on_blocks_equals_loss_on_grids(self, case):
+        module, projected, assignment = case
+        rows, compact = sampled_rows(projected, assignment)
+        assert [r.shape for r in rows] == [(idx.size, out_dim(module))
+                                           for idx in assignment.index]
+        assert compact.n_pos == assignment.n_pos
+        for idx, c in zip(assignment.index, compact.index):
+            assert np.array_equal(c, np.arange(idx.size))
+        if assignment.num_positive == 0:
+            with pytest.raises(NoSamples):
+                mscal_loss(module, projected, assignment)
+            with pytest.raises(NoSamples):
+                mscal_loss(module, rows, compact)
+            return
+        assert mscal_loss(module, rows, compact) == mscal_loss(module, projected, assignment)
 
 
 class TestProjectionFlags:

@@ -12,7 +12,6 @@ from openworld_kit import training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
-    SampleAssignment,
     anchor_similarity_maps,
     init_module,
     mscal_loss_gradients,
@@ -36,6 +35,7 @@ from openworld_kit.training import (
 )
 
 from oracles import (
+    assignment_from_masks,
     frozen_loss_full_grid,
     oracle_assignment_for_class,
     oracle_ownership_masks,
@@ -123,11 +123,6 @@ class TestAdamW:
 
 
 class TestDetectionLoss:
-    def build_masks(self, shape, rng, p=0.2):
-        pos = [rng.random(s) < p for s in shape]
-        neg = [(rng.random(s) < p) & ~m for s, m in zip(shape, pos)]
-        return SampleAssignment(positive=pos, negative=neg)
-
     def test_saturated_logits_drive_loss_to_zero(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         grid = np.zeros((2, 2, 2))
@@ -136,10 +131,10 @@ class TestDetectionLoss:
         grid[1, 0] = [0.0, 1.0]
         grid[1, 1] = [0.0, -1.0]
         assignments = [
-            SampleAssignment(positive=[np.array([[True, False], [False, False]])],
-                             negative=[np.array([[False, True], [False, False]])]),
-            SampleAssignment(positive=[np.array([[False, False], [True, False]])],
-                             negative=[np.array([[False, False], [False, True]])]),
+            assignment_from_masks([np.array([[True, False], [False, False]])],
+                                  [np.array([[False, True], [False, False]])]),
+            assignment_from_masks([np.array([[False, False], [True, False]])],
+                                  [np.array([[False, False], [False, True]])]),
         ]
         loss, _ = detection_loss([grid], w, np.array([True, True]), assignments,
                                  logit_scale=200.0)
@@ -149,8 +144,8 @@ class TestDetectionLoss:
         w = np.array([[1.0, 0.0, 0.0]])
         grid = np.zeros((1, 2, 3))
         grid[0, :, 2] = 1.0  # orthogonal to the class embedding
-        assignment = SampleAssignment(positive=[np.array([[True, False]])],
-                                      negative=[np.array([[False, True]])])
+        assignment = assignment_from_masks([np.array([[True, False]])],
+                                           [np.array([[False, True]])])
         loss, _ = detection_loss([grid], w, np.array([True]), [assignment], 10.0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
@@ -347,7 +342,7 @@ def frozen_case(draw):
         neg[chosen[n_pos:]] = True
         positive.append(pos.reshape(shape))
         negative.append(neg.reshape(shape))
-    return module, grids, SampleAssignment(positive=positive, negative=negative)
+    return module, grids, assignment_from_masks(positive, negative)
 
 
 class TestFrozenLoss:
@@ -390,8 +385,7 @@ class TestFrozenLoss:
             seen.append([int(g.size // g.shape[-1]) for g in grids])
             return project(module, grids, mode=mode)
         monkeypatch.setattr(training, "project", spy)
-        training._frozen_mscal_loss(module, grids,
-                                    SampleAssignment(positive=positive, negative=negative))
+        training._frozen_mscal_loss(module, grids, assignment_from_masks(positive, negative))
         monkeypatch.undo()
         return seen
 
@@ -468,8 +462,9 @@ def ownership_case(draw):
 
 
 class TestAssignment:
-    """The batched owner index gives the per-scene mask oracle's masks and
-    draws, mask for mask."""
+    """The batched owner index gives, layer by layer, the flat indices of the
+    per-scene mask oracle's masks and draws: positives, then negatives, each
+    strictly increasing, disjoint and inside the layer's batch grid."""
 
     @given(case=ownership_case(), seed=st.integers(0, 2 ** 32 - 1))
     @example(case=(pyramid_geometry([(4, 4), (2, 2)]), [
@@ -492,12 +487,17 @@ class TestAssignment:
         for class_id in range(len(REGISTERED) + 1):
             got = training._assignment_for_class(owners, class_id, neg_cap,
                                                  np.random.default_rng(seed))
-            want = oracle_assignment_for_class(oracle_owners, shapes, class_id, neg_cap,
-                                               np.random.default_rng(seed))
-            assert len(got.positive) == len(got.negative) == len(shapes)
-            for a, b in zip(got.positive + got.negative, want.positive + want.negative):
-                assert a.dtype == b.dtype == bool and a.shape == b.shape
-                assert np.array_equal(a, b)
+            want_pos, want_neg = oracle_assignment_for_class(
+                oracle_owners, shapes, class_id, neg_cap, np.random.default_rng(seed))
+            assert len(got.index) == len(got.n_pos) == len(shapes)
+            for idx, n_pos, mpos, mneg in zip(got.index, got.n_pos, want_pos, want_neg):
+                assert idx.dtype.kind == "i"
+                pos, neg = idx[:n_pos], idx[n_pos:]
+                assert np.array_equal(pos, np.flatnonzero(mpos))
+                assert np.array_equal(neg, np.flatnonzero(mneg))
+                assert np.all(np.diff(pos) > 0) and np.all(np.diff(neg) > 0)
+                assert np.intersect1d(pos, neg).size == 0
+                assert np.all((idx >= 0) & (idx < mpos.size))
 
 
 class TestCheckpointFiles:
