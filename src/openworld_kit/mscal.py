@@ -7,9 +7,11 @@ other-class and sampled background locations away. At inference the negated
 best anchor similarity at a location is its out-of-distribution score:
 locations outside every known-class cluster score high.
 
-All gradients are computed analytically, including the coupling through the
-batchnorm batch statistics in train mode and through the final
-normalization; tests verify them against central finite differences.
+A training step projects only a module's sampled locations: train-mode
+batchnorm statistics follow from per-layer batch moments that every class
+shares. All gradients are computed analytically, including the coupling
+through those batch statistics and through the final normalization; tests
+verify them against central finite differences.
 """
 
 from __future__ import annotations
@@ -157,70 +159,45 @@ def _check_grids(module: MscalModule, grids: list[np.ndarray]) -> None:
                 f"module expects dim {module.in_dim}, grid has {g.shape[-1]}")
 
 
-def project(
-    module: MscalModule,
-    grids: list[np.ndarray] | FeaturePyramid,
-    mode: str = "infer",
-    update_stats: bool = False,
-    with_trace: bool = False,
-):
-    """Map every pyramid location into the module's class space.
+def _head(module: MscalModule, layer: int, x_hat: np.ndarray):
+    """Batchnorm scale and shift, ReLU, second affine map and optional
+    normalization of the batchnorm-normalized rows `x_hat` of one layer.
+    Returns (ReLU mask, ReLU output, output norms or None, projected rows)."""
+    p = module.layers[layer]
+    y = p.gamma * x_hat + p.beta
+    relu_mask = y > 0.0
+    r = np.where(relu_mask, y, 0.0)
+    u = r @ p.w2 + p.b2
+    if not module.normalize:
+        return relu_mask, r, None, u
+    norms = np.linalg.norm(u, axis=1)
+    bad = norms < _NORM_EPS
+    if np.any(bad):
+        raise DegenerateProjection(
+            f"{int(bad.sum())} locations collapsed to zero norm at layer {layer}")
+    return relu_mask, r, norms, u / norms[:, None]
+
+
+def project(module: MscalModule, grids: list[np.ndarray] | FeaturePyramid) -> list[np.ndarray]:
+    """Map every pyramid location into the module's class space, with the
+    batchnorm on its running statistics.
 
     `grids` is a FeaturePyramid or a list of (..., D) arrays; leading axes
-    (batch, rows, cols) are arbitrary. In train mode the batchnorm uses
-    statistics over all locations in the mini-batch; in infer mode it uses
-    the running statistics. Returns grids shaped like the input with the
-    embedding axis replaced by the projection dim, plus a trace when
-    requested (needed for gradients).
+    (batch, rows, cols) are arbitrary. Returns grids shaped like the input
+    with the embedding axis replaced by the projection dim. Training reads
+    batch statistics instead, through `mscal_loss_gradients`.
     """
     if isinstance(grids, FeaturePyramid):
         grids = list(grids.layers)
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     _check_grids(module, grids)
-
     outputs = []
-    traces = []
     for idx, grid in enumerate(grids):
         p = module.layers[idx]
-        lead = grid.shape[:-1]
         x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
-        h = x2d @ p.w1 + p.b1
-        if mode == "train":
-            mean = h.mean(axis=0)
-            var = h.var(axis=0)
-            if update_stats and not module.frozen:
-                m = module.bn_momentum
-                p.running_mean = (1.0 - m) * p.running_mean + m * mean
-                p.running_var = (1.0 - m) * p.running_var + m * var
-        else:
-            mean = p.running_mean
-            var = p.running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (h - mean) * inv_std
-        y = p.gamma * x_hat + p.beta
-        relu_mask = y > 0.0
-        r = np.where(relu_mask, y, 0.0)
-        u = r @ p.w2 + p.b2
-        if module.normalize:
-            norms = np.linalg.norm(u, axis=1)
-            bad = norms < _NORM_EPS
-            if np.any(bad):
-                raise DegenerateProjection(
-                    f"{int(bad.sum())} locations collapsed to zero norm at layer {idx}")
-            z = u / norms[:, None]
-        else:
-            norms = None
-            z = u
-        outputs.append(z.reshape(*lead, z.shape[-1]))
-        if with_trace:
-            traces.append({
-                "lead": lead, "x2d": x2d, "h": h, "mode": mode,
-                "inv_std": inv_std, "x_hat": x_hat, "relu_mask": relu_mask,
-                "r": r, "u": u, "norms": norms, "z": z,
-            })
-    if with_trace:
-        return outputs, traces
+        inv_std = 1.0 / np.sqrt(p.running_var + BN_EPS)
+        x_hat = (x2d @ p.w1 + p.b1 - p.running_mean) * inv_std
+        z = _head(module, idx, x_hat)[-1]
+        outputs.append(z.reshape(*grid.shape[:-1], z.shape[-1]))
     return outputs
 
 
@@ -301,19 +278,57 @@ def mscal_loss(module: MscalModule, projected: list[np.ndarray],
     return _logsumexp(all_logits) - float(pos_logits.mean())
 
 
+def batch_moments(grids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the mean and population covariance of a batch's rows.
+
+    Train-mode batchnorm ties a row to the rest of its batch only through
+    the batch mean and variance of the first affine map's output, and those
+    follow from these input moments for any module, so one step computes
+    them once for every class.
+    """
+    moments = []
+    for grid in grids:
+        x = grid.reshape(-1, grid.shape[-1])
+        mean = x.mean(axis=0)
+        centered = x - mean
+        moments.append((mean, centered.T @ centered / x.shape[0]))
+    return moments
+
+
 def mscal_loss_gradients(
     module: MscalModule,
-    traces: list[dict],
+    grids: list[np.ndarray],
     assignment: SampleAssignment,
-) -> tuple[float, list[dict[str, np.ndarray]]]:
-    """Loss value plus analytic gradients for every parameter.
+    moments: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[float, list[dict[str, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+    """One train-mode step of a module on its sampled rows of the batch
+    `grids`, whose `batch_moments` are `moments`.
 
-    `traces` must come from a train-mode `project(..., with_trace=True)`
-    call; the backward pass routes through the batch statistics and the
-    final normalization exactly as the forward computed them.
+    Returns the loss, the analytic gradient of every trained field and, per
+    layer, the batch (mean, variance) of the first affine map's output that
+    the running statistics move towards. The loss is that of a full-batch
+    train-mode projection: with `mu` and `cov` the batch moments, the
+    batchnorm mean is `mu @ w1 + b1` and its variance `diag(w1' cov w1)`,
+    so only the sampled rows are projected. Back-propagated through those
+    statistics, the batch contributes to `d_w1` only through the moments,
+    and `d_b1` is exactly zero: a shift of every row by `b1` leaves the
+    normalized rows unchanged.
     """
-    projected = [t["z"].reshape(*t["lead"], -1) for t in traces]
-    records, pos_logits, all_logits = _gather_samples(module, projected, assignment)
+    _check_grids(module, grids)
+    rows, compact = sampled_rows(grids, assignment)
+    forward, projected, stats = [], [], []
+    for j, (x, (mean, cov)) in enumerate(zip(rows, moments, strict=True)):
+        p = module.layers[j]
+        cov_w1 = cov @ p.w1
+        var = np.sum(cov_w1 * p.w1, axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        centered = x - mean
+        x_hat = (centered @ p.w1) * inv_std
+        relu_mask, r, norms, z = _head(module, j, x_hat)
+        forward.append((centered, cov_w1, inv_std, x_hat, relu_mask, r, norms))
+        projected.append(z)
+        stats.append((mean @ p.w1 + p.b1, var))
+    records, pos_logits, all_logits = _gather_samples(module, projected, compact)
     if pos_logits.size == 0:
         raise NoSamples(f"class {module.class_id}: no positive samples in batch")
     n_pos_total = pos_logits.size
@@ -325,7 +340,9 @@ def mscal_loss_gradients(
 
     grads: list[dict[str, np.ndarray]] = []
     offset = 0
-    for rec, trace, params in zip(records, traces, module.layers):
+    for rec, fwd, params in zip(records, forward, module.layers):
+        centered, cov_w1, inv_std, x_hat, relu_mask, r, norms = fwd
+        z = rec["z"]
         n = rec["idx"].size
         d_logit = soft[offset:offset + n].copy()
         d_logit[:rec["n_pos"]] -= 1.0 / n_pos_total
@@ -334,44 +351,32 @@ def mscal_loss_gradients(
         mu_raw = module.layers[0].anchor if module.share_anchor else params.anchor
         mu_eff = module.effective_anchor(rec["layer"])
         # logits = (z . mu_eff) / tau
-        d_mu_eff = (d_logit @ rec["z"]) / module.tau if n else np.zeros_like(mu_raw)
+        d_mu_eff = (d_logit @ z) / module.tau
         if module.normalize:
             mu_norm = float(np.linalg.norm(mu_raw))
             d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
         else:
             d_anchor = d_mu_eff
 
-        # spread sample gradients back over the full grid
-        dz_rows = np.outer(d_logit, mu_eff) / module.tau if n else np.zeros((0, mu_eff.size))
-        dz = np.zeros_like(trace["z"])
-        if n:
-            dz[rec["idx"]] = dz_rows
-
+        dz = np.outer(d_logit, mu_eff) / module.tau
         if module.normalize:
-            z = trace["z"]
-            du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / trace["norms"][:, None]
+            du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / norms[:, None]
         else:
             du = dz
 
-        d_w2 = trace["r"].T @ du
+        d_w2 = r.T @ du
         d_b2 = du.sum(axis=0)
-        dr = du @ params.w2.T
-        dy = np.where(trace["relu_mask"], dr, 0.0)
-        d_gamma = np.sum(dy * trace["x_hat"], axis=0)
+        dy = np.where(relu_mask, du @ params.w2.T, 0.0)
+        d_gamma = np.sum(dy * x_hat, axis=0)
         d_beta = dy.sum(axis=0)
-        dx_hat = dy * params.gamma
-        if trace["mode"] == "train":
-            mean_dx_hat = dx_hat.mean(axis=0)
-            mean_dx_hat_xhat = np.mean(dx_hat * trace["x_hat"], axis=0)
-            dh = trace["inv_std"] * (dx_hat - mean_dx_hat
-                                     - trace["x_hat"] * mean_dx_hat_xhat)
-        else:
-            dh = dx_hat * trace["inv_std"]
-        d_w1 = trace["x2d"].T @ dh
-        d_b1 = dh.sum(axis=0)
+        # through the batch statistics: d_h = inv_std * (g - mean(g) - x_hat *
+        # mean(g * x_hat)) over all batch rows, zero outside the samples, and
+        # the batch sums of x and of x * x_hat are the moments
+        g = dy * params.gamma
+        d_w1 = (centered.T @ g - cov_w1 * (inv_std * np.sum(g * x_hat, axis=0))) * inv_std
 
         grads.append({
-            "w1": d_w1, "b1": d_b1, "gamma": d_gamma, "beta": d_beta,
+            "w1": d_w1, "b1": np.zeros_like(params.b1), "gamma": d_gamma, "beta": d_beta,
             "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
         })
     if module.share_anchor:
@@ -379,7 +384,7 @@ def mscal_loss_gradients(
         for g in grads[1:]:
             grads[0]["anchor"] = grads[0]["anchor"] + g["anchor"]
             g["anchor"] = np.zeros_like(g["anchor"])
-    return loss, grads
+    return loss, grads, stats
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +392,16 @@ def mscal_loss_gradients(
 
 
 def anchor_similarity_maps(module: MscalModule,
-                           pyramid: FeaturePyramid) -> list[np.ndarray]:
+                           pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
     """Infer-mode per-layer grids of anchor similarity for one class."""
-    projected = project(module, pyramid, mode="infer")
+    projected = project(module, pyramid)
     return [grid @ module.effective_anchor(j) for j, grid in enumerate(projected)]
 
 
-def ood_score_map(modules: list[MscalModule], pyramid: FeaturePyramid) -> list[np.ndarray]:
-    """Infer-mode per-layer (H, W) grids of OOD scores; higher means more OOD."""
+def ood_score_map(modules: list[MscalModule],
+                  pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
+    """Infer-mode per-layer grids of OOD scores, shaped like the pyramid's
+    layers without the embedding axis; higher means more OOD."""
     if not modules:
         raise NoModules("ood_score_map needs at least one class module")
     best: list[np.ndarray] | None = None

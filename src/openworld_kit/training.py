@@ -17,11 +17,12 @@ import numpy as np
 
 from .detection import _sigmoid
 from .embedding_space import ClassEmbeddingRegistry, ClassEntry
-from .errors import MissingCheckpoint, NoSamples, ShapeMismatch, read_json, write_json
+from .errors import MissingCheckpoint, NoSamples, ParseError, ShapeMismatch, read_json, write_json
 from .mscal import (
     MscalModule,
     TRAINED_FIELDS,
     SampleAssignment,
+    batch_moments,
     calibrate_threshold,
     freeze_class_modules,
     init_module,
@@ -331,7 +332,7 @@ def _init_modules_for_task(
                 params.running_mean = h.mean(axis=0)
                 params.running_var = h.var(axis=0)
         emb_grid = [entry.embedding[None, None, :] for _ in range(geometry.num_layers)]
-        projected = project(module, emb_grid, mode="infer")
+        projected = project(module, emb_grid)
         for j, params in enumerate(module.layers):
             params.anchor = projected[j][0, 0].copy()
         out.append(module)
@@ -358,8 +359,8 @@ def _frozen_mscal_loss(module: MscalModule, grids: list[np.ndarray],
     """
     rows, compact = sampled_rows(grids, assignment)
     if any(len(r) == 1 for r in rows):
-        return mscal_loss(module, project(module, grids, mode="infer"), assignment)
-    return mscal_loss(module, project(module, rows, mode="infer"), compact)
+        return mscal_loss(module, project(module, grids), assignment)
+    return mscal_loss(module, project(module, rows), compact)
 
 
 def train_task(
@@ -412,6 +413,7 @@ def train_task(
         batch_scenes = [train_scenes[i] for i in idx]
         grids = [np.stack([s.pyramid.layers[j] for s in batch_scenes])
                  for j in range(geometry.num_layers)]
+        moments = batch_moments(grids)
         owners = _owner_index([train_pairs[i] for i in idx], geometry)
         assignments = [
             _assignment_for_class(owners, class_id, config.neg_cap,
@@ -434,9 +436,12 @@ def train_task(
             if module.frozen:
                 con_value += _frozen_mscal_loss(module, grids, assignment)
                 continue
-            _, traces = project(module, grids, mode="train", update_stats=True,
-                                with_trace=True)
-            value, layer_grads = mscal_loss_gradients(module, traces, assignment)
+            value, layer_grads, stats = mscal_loss_gradients(module, grids, assignment,
+                                                             moments)
+            m = module.bn_momentum
+            for layer, (mean, var) in zip(module.layers, stats):
+                layer.running_mean = (1.0 - m) * layer.running_mean + m * mean
+                layer.running_var = (1.0 - m) * layer.running_var + m * var
             con_value += value
             grads += [scale * g[name] for g in layer_grads for name in TRAINED_FIELDS]
         con_value /= n_classes
@@ -460,17 +465,21 @@ def train_task(
 
 def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[float]:
     """OOD scores at every (location, class) pair of `_owned_pairs` over
-    `scenes`: the known-positive scores threshold calibration reads."""
-    scores: list[float] = []
-    if not modules:
-        return scores
-    for scene, pairs in zip(scenes, scene_pairs):
-        if not any(cells.size for _, cells in pairs):
-            continue
-        smap = ood_score_map(modules, scene.pyramid)
-        for grid, (_, cells) in zip(smap, pairs):
-            scores.extend(grid.ravel()[cells].tolist())
-    return scores
+    `scenes`: the known-positive scores threshold calibration reads, layer
+    by layer, each layer's scenes in order.
+
+    Each layer's owned rows of all scenes form one block, and one
+    `ood_score_map` call scores the blocks. A score can differ from that of
+    a whole-grid map in its last bits: the anchor similarity is a gemv,
+    whose result for a row depends on where the row falls in the matrix.
+    """
+    if not modules or not scenes:
+        return []
+    blocks = [np.concatenate([layer.reshape(-1, layer.shape[-1])[cells]
+                              for layer, (_, cells) in zip(layers, pairs)])
+              for layers, pairs in zip(zip(*(scene.pyramid.layers for scene in scenes)),
+                                       zip(*scene_pairs))]
+    return np.concatenate(ood_score_map(modules, blocks)).tolist()
 
 
 def finalize_task(registry: ClassEmbeddingRegistry, modules: list[MscalModule],
@@ -526,14 +535,19 @@ def registry_from_payload(payload: dict) -> ClassEmbeddingRegistry:
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
                     previous=None, unchanged=frozenset()) -> None:
-    """Write a checkpoint. `unchanged` names the classes whose modules were
-    loaded frozen from the checkpoint at `previous` and never trained since;
-    their files are copied byte for byte instead of re-encoded."""
+    """Write a checkpoint, removing the module file of any class not in
+    `modules`. `unchanged` names the classes whose modules were loaded
+    frozen from the checkpoint at `previous` and never trained since; their
+    files are copied byte for byte instead of re-encoded."""
     base = Path(directory)
     (base / MODULE_DIR).mkdir(parents=True, exist_ok=True)
     write_json(base / REGISTRY_FILE, registry_to_payload(registry))
     write_json(base / THETA_FILE, {"theta": theta})
     write_json(base / CONFIG_FILE, vars(config) | {"format": 1})
+    names = {f"class_{module.class_id:03d}.json" for module in modules}
+    for path in (base / MODULE_DIR).glob("class_*.json"):
+        if path.name not in names:
+            path.unlink()
     for module in modules:
         name = f"class_{module.class_id:03d}.json"
         if module.class_id in unchanged:
@@ -545,6 +559,8 @@ def save_checkpoint(directory, registry, modules, theta: float,
 
 
 def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule], float]:
+    """The registry, one module per registry entry in class order, and the
+    OOD threshold of the checkpoint at `directory`."""
     base = Path(directory)
     if not (base / REGISTRY_FILE).exists():
         raise MissingCheckpoint(f"no checkpoint at {base}")
@@ -553,6 +569,12 @@ def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule
     registry = read_json(base / REGISTRY_FILE, "checkpoint file", registry_from_payload)
     theta = read_json(base / THETA_FILE, "checkpoint file",
                       lambda payload: float(payload["theta"]))
-    modules = [read_json(path, "checkpoint file", module_from_payload)
-               for path in sorted((base / MODULE_DIR).glob("class_*.json"))]
+    modules = []
+    for class_id in range(registry.num_known):
+        path = base / MODULE_DIR / f"class_{class_id:03d}.json"
+        module = read_json(path, "checkpoint file", module_from_payload, missing=MissingCheckpoint)
+        if module.class_id != class_id:
+            raise ParseError(f"bad checkpoint file: holds class {module.class_id}, "
+                             f"not {class_id}", path=str(path))
+        modules.append(module)
     return registry, modules, theta

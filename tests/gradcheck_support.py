@@ -3,13 +3,13 @@
 import numpy as np
 
 from openworld_kit.mscal import (
+    batch_moments,
     init_module,
     mscal_loss,
     mscal_loss_gradients,
-    project,
 )
 
-from oracles import assignment_from_masks
+from oracles import assignment_from_masks, train_project
 
 H = 1e-5
 REL_TOL = 1e-4
@@ -40,7 +40,7 @@ def build_instance(seed, dim=8, n_classes=3, grids_hw=((4, 4), (4, 4))):
             assignments.append(assignment_from_masks(pos, neg))
         ok = True
         for module in modules:
-            _, traces = project(module, grids, mode="train", with_trace=True)
+            _, traces = train_project(module, grids, with_trace=True)
             for params, trace in zip(module.layers, traces):
                 y = params.gamma * trace["x_hat"] + params.beta
                 if np.abs(y).min() < 1e-3:
@@ -56,14 +56,16 @@ def check_gradient(analytic, numeric):
 
 
 def sweep_module(module, grids, assignment):
-    """Check every parameter of one module; returns (failures, count)."""
+    """Check every parameter of one module; returns (failures, count).
+
+    The analytic gradients come from the moment step on the sampled rows;
+    the loss it differentiates is the full-grid train-mode loss, batchnorm
+    statistics over every row."""
 
     def loss_value():
-        projected = project(module, grids, mode="train")
-        return mscal_loss(module, projected, assignment)
+        return mscal_loss(module, train_project(module, grids), assignment)
 
-    _, traces = project(module, grids, mode="train", with_trace=True)
-    _, grads = mscal_loss_gradients(module, traces, assignment)
+    _, grads, _ = mscal_loss_gradients(module, grids, assignment, batch_moments(grids))
     failures = []
     checked = 0
     for layer_idx, params in enumerate(module.layers):

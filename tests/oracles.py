@@ -3,8 +3,10 @@ the scalar inference path (one object per candidate detection: decode, OOD
 gate, greedy NMS and the json-encoder line) that the columnar path must
 match, the per-scene ownership masks and mask-built assignment loop whose
 flat indices the batched owner index must give, the conversions between
-boolean sample masks and `SampleAssignment` indices, plus single-scene
-MSCAL references built on the library's assignment code.
+boolean sample masks and `SampleAssignment` indices, the full-grid
+train-mode projection and backward pass that the moment step must match,
+the per-scene calibration scores, plus single-scene MSCAL references built
+on the library's assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
@@ -22,12 +24,24 @@ from openworld_kit.detection import (
     DetectionTable,
 )
 from openworld_kit.errors import (
+    DegenerateProjection,
     NoModules,
+    NoSamples,
     ShapeMismatch,
     SourceOutOfRange,
     UndefinedOperatingPoint,
 )
-from openworld_kit.mscal import SampleAssignment, mscal_loss, project
+from openworld_kit.mscal import (
+    BN_EPS,
+    SampleAssignment,
+    _check_grids,
+    _gather_samples,
+    _logsumexp,
+    mscal_loss,
+    ood_score_map,
+    project,
+)
+from openworld_kit.pyramid import FeaturePyramid
 from openworld_kit.owod_eval import GtRecord, find_overlaps
 from openworld_kit.seeding import derive_rng
 from openworld_kit.synthetic_world import SceneBox
@@ -358,7 +372,8 @@ def mscal_total_loss(modules, pyramid, gt_boxes, neg_cap=10, rng_seed=0, mode="t
                                     neg_cap, rng)
         if assignment.num_positive == 0:
             continue
-        projected = project(module, pyramid, mode=mode, update_stats=False)
+        projected = train_project(module, pyramid) if mode == "train" \
+            else project(module, pyramid)
         total += mscal_loss(module, projected, assignment)
     return total / len(modules)
 
@@ -367,7 +382,127 @@ def frozen_loss_full_grid(module, grids, assignment):
     """A frozen module's logged anchor loss from infer-mode projections of
     the whole batch grids, which `training._frozen_mscal_loss` must equal
     bit for bit."""
-    return mscal_loss(module, project(module, grids, mode="infer"), assignment)
+    return mscal_loss(module, project(module, grids), assignment)
+
+
+def known_positive_scores_full_grid(modules, scenes, scene_pairs):
+    """Calibration scores scene by scene from whole-grid OOD score maps,
+    whose multiset `training.known_positive_scores_for_registry` must
+    give."""
+    scores = []
+    if not modules:
+        return scores
+    for scene, pairs in zip(scenes, scene_pairs):
+        if not any(cells.size for _, cells in pairs):
+            continue
+        smap = ood_score_map(modules, scene.pyramid)
+        for grid, (_, cells) in zip(smap, pairs):
+            scores.extend(grid.ravel()[cells].tolist())
+    return scores
+
+
+# ---------------------------------------------------------------------------
+# the full-grid train path: batchnorm statistics over every row of the
+# batch, and the backward pass over the whole grids, which
+# `mscal.mscal_loss_gradients` must match from the batch moments
+
+
+def train_project(module, grids, update_stats=False, with_trace=False):
+    """Train-mode projection of every location: the batchnorm uses the
+    statistics of all rows of `grids`. With `update_stats` an unfrozen
+    module's running statistics move towards them; with `with_trace` the
+    per-layer intermediates `full_grid_loss_gradients` reads come back too."""
+    if isinstance(grids, FeaturePyramid):
+        grids = list(grids.layers)
+    _check_grids(module, grids)
+    outputs, traces = [], []
+    for idx, grid in enumerate(grids):
+        p = module.layers[idx]
+        lead = grid.shape[:-1]
+        x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
+        h = x2d @ p.w1 + p.b1
+        mean = h.mean(axis=0)
+        var = h.var(axis=0)
+        if update_stats and not module.frozen:
+            m = module.bn_momentum
+            p.running_mean = (1.0 - m) * p.running_mean + m * mean
+            p.running_var = (1.0 - m) * p.running_var + m * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        x_hat = (h - mean) * inv_std
+        y = p.gamma * x_hat + p.beta
+        relu_mask = y > 0.0
+        r = np.where(relu_mask, y, 0.0)
+        u = r @ p.w2 + p.b2
+        if module.normalize:
+            norms = np.linalg.norm(u, axis=1)
+            if np.any(norms < 1e-12):
+                raise DegenerateProjection(f"a location collapsed at layer {idx}")
+            z = u / norms[:, None]
+        else:
+            norms = None
+            z = u
+        outputs.append(z.reshape(*lead, z.shape[-1]))
+        traces.append({"lead": lead, "x2d": x2d, "inv_std": inv_std, "x_hat": x_hat,
+                       "relu_mask": relu_mask, "r": r, "norms": norms, "z": z,
+                       "mean": mean, "var": var})
+    return (outputs, traces) if with_trace else outputs
+
+
+def full_grid_loss_gradients(module, traces, assignment):
+    """Loss and analytic gradients of every parameter from a
+    `train_project(..., with_trace=True)` trace: the sample gradients
+    spread over the whole grids, then back through the batch statistics."""
+    projected = [t["z"].reshape(*t["lead"], -1) for t in traces]
+    records, pos_logits, all_logits = _gather_samples(module, projected, assignment)
+    if pos_logits.size == 0:
+        raise NoSamples(f"class {module.class_id}: no positive samples in batch")
+    loss = _logsumexp(all_logits) - float(pos_logits.mean())
+    soft = np.exp(all_logits - np.max(all_logits))
+    soft /= soft.sum()
+
+    grads = []
+    offset = 0
+    for rec, trace, params in zip(records, traces, module.layers):
+        n = rec["idx"].size
+        d_logit = soft[offset:offset + n].copy()
+        d_logit[:rec["n_pos"]] -= 1.0 / pos_logits.size
+        offset += n
+
+        mu_raw = module.layers[0].anchor if module.share_anchor else params.anchor
+        mu_eff = module.effective_anchor(rec["layer"])
+        d_mu_eff = (d_logit @ rec["z"]) / module.tau if n else np.zeros_like(mu_raw)
+        if module.normalize:
+            mu_norm = float(np.linalg.norm(mu_raw))
+            d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
+        else:
+            d_anchor = d_mu_eff
+
+        dz = np.zeros_like(trace["z"])
+        if n:
+            dz[rec["idx"]] = np.outer(d_logit, mu_eff) / module.tau
+        if module.normalize:
+            z = trace["z"]
+            du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / trace["norms"][:, None]
+        else:
+            du = dz
+
+        d_w2 = trace["r"].T @ du
+        d_b2 = du.sum(axis=0)
+        dy = np.where(trace["relu_mask"], du @ params.w2.T, 0.0)
+        d_gamma = np.sum(dy * trace["x_hat"], axis=0)
+        d_beta = dy.sum(axis=0)
+        dx_hat = dy * params.gamma
+        dh = trace["inv_std"] * (dx_hat - dx_hat.mean(axis=0)
+                                 - trace["x_hat"] * np.mean(dx_hat * trace["x_hat"], axis=0))
+        grads.append({
+            "w1": trace["x2d"].T @ dh, "b1": dh.sum(axis=0), "gamma": d_gamma,
+            "beta": d_beta, "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
+        })
+    if module.share_anchor:
+        for g in grads[1:]:
+            grads[0]["anchor"] = grads[0]["anchor"] + g["anchor"]
+            g["anchor"] = np.zeros_like(g["anchor"])
+    return loss, grads
 
 
 def ood_score(modules, zs, layer):

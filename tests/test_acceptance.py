@@ -24,7 +24,6 @@ from openworld_kit.mscal import (
     anchor_similarity_maps,
     init_module,
     mscal_loss,
-    project,
 )
 from openworld_kit.owod_eval import (
     a_ose,
@@ -60,6 +59,7 @@ from oracles import (
     out_dim,
     overlaps_of,
     random_instance,
+    train_project,
 )
 
 
@@ -190,7 +190,7 @@ def test_criterion_2_closed_forms():
         assignment = assign_samples(geo, gt_boxes, m.class_id, 10,
                                     np.random.default_rng(
                                         derive_seed(7, "assign-scene", m.class_id)))
-        proj = project(m, pyramid, mode="train")
+        proj = train_project(m, pyramid)
         parts.append(mscal_loss(m, proj, assignment))
     mean_matches = abs(total - sum(parts) / 3) < 1e-12
 

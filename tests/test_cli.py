@@ -189,6 +189,26 @@ class TestPipeline:
         assert (workdir / "out/checkpoints/task_2/modules/class_000.json").read_bytes() == \
             written
 
+    def test_rerun_with_fewer_classes_drops_their_modules(self, workdir):
+        # a 3+3-class run, then a 2+2-class world trained into the same --out:
+        # task 2's checkpoint holds and loads exactly the 4 registered classes
+        args = ("--config", "tiny.ini", "--seed", "0", "--out", "out")
+        wide = ("--set", "world.known_per_task=3,3")
+        assert run("gen", *args, *wide) == 0
+        for task in ("1", "2"):
+            assert run("train", *args, *wide, "--task", task) == 0
+        ckpt = workdir / "out" / "checkpoints" / "task_2"
+        assert len(list((ckpt / "modules").glob("class_*.json"))) == 6
+        assert run("gen", *args) == 0
+        for task in ("1", "2"):
+            assert run("train", *args, "--task", task) == 0
+        assert sorted(p.name for p in (ckpt / "modules").glob("class_*.json")) == [
+            f"class_{i:03d}.json" for i in range(4)]
+        from openworld_kit.training import load_checkpoint
+        registry, modules, _ = load_checkpoint(ckpt)
+        assert [m.class_id for m in modules] == list(range(registry.num_known)) == [0, 1, 2, 3]
+        assert run("infer", *args, "--task", "2", "--split", "test") == 0
+
     def test_infer_and_eval(self, trained, capsys):
         assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
                    "--split", "test") == 0
@@ -421,6 +441,22 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "out/checkpoints/task_2/modules/class_000.json" in err
+
+    def test_module_file_missing(self, trained, capsys):
+        (trained / "out" / "checkpoints" / "task_2" / "modules" / "class_001.json").unlink()
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/checkpoints/task_2/modules/class_001.json" in err
+
+    def test_module_file_of_another_class(self, trained, capsys):
+        modules = trained / "out" / "checkpoints" / "task_2" / "modules"
+        (modules / "class_001.json").write_bytes((modules / "class_000.json").read_bytes())
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "out/checkpoints/task_2/modules/class_001.json" in err
+        assert "holds class 0, not 1" in err
 
     @pytest.mark.parametrize("name", ["registry.json", "theta.json",
                                       "modules/class_000.json"])

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from openworld_kit.mscal import (
+    batch_moments,
     init_module,
     mscal_loss_gradients,
-    project,
 )
 from openworld_kit.training import detection_loss
 
 from gradcheck_support import H, build_instance, check_gradient, sweep_module
-from oracles import assignment_from_masks, out_dim
+from oracles import assignment_from_masks, full_grid_loss_gradients, out_dim, train_project
+
+
+def loss_and_gradients(module, grids, assignment):
+    """(loss, gradients) from the moment step, then from the full-grid
+    oracle."""
+    loss, grads, _ = mscal_loss_gradients(module, grids, assignment, batch_moments(grids))
+    yield loss, grads
+    _, traces = train_project(module, grids, with_trace=True)
+    yield full_grid_loss_gradients(module, traces, assignment)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -32,10 +41,9 @@ def test_single_positive_has_zero_anchor_gradient():
     pos = [np.zeros((3, 3), dtype=bool)]
     pos[0][1, 1] = True
     assignment = assignment_from_masks(pos, [np.zeros((3, 3), dtype=bool)])
-    _, traces = project(module, grids, mode="train", with_trace=True)
-    loss, grads = mscal_loss_gradients(module, traces, assignment)
-    assert abs(loss) < 1e-12
-    assert np.abs(grads[0]["anchor"]).max() < 1e-12
+    for loss, grads in loss_and_gradients(module, grids, assignment):
+        assert abs(loss) < 1e-12
+        assert np.abs(grads[0]["anchor"]).max() < 1e-12
 
 
 def test_doubling_tau_halves_logit_gap_and_keeps_anchor_direction():
@@ -52,16 +60,16 @@ def test_doubling_tau_halves_logit_gap_and_keeps_anchor_direction():
     directions = {}
     for tau in (0.2, 0.4):
         module = build(tau)
-        projected, traces = project(module, grids, mode="train", with_trace=True)
+        projected = train_project(module, grids)
         mu = module.effective_anchor(0)
         flat = projected[0].reshape(-1, out_dim(module))
         logits = flat[:2] @ mu / tau
         gaps[tau] = logits[0] - logits[1]
-        _, grads = mscal_loss_gradients(module, traces, assignment)
-        g = grads[0]["anchor"]
-        directions[tau] = g / np.linalg.norm(g)
+        directions[tau] = [g[0]["anchor"] / np.linalg.norm(g[0]["anchor"])
+                           for _, g in loss_and_gradients(module, grids, assignment)]
     assert gaps[0.4] == pytest.approx(gaps[0.2] / 2, rel=1e-12)
-    np.testing.assert_allclose(directions[0.2], directions[0.4], atol=1e-9)
+    for a, b in zip(directions[0.2], directions[0.4]):
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 @pytest.mark.parametrize("normalize,share", [(False, False), (True, True)])

@@ -16,12 +16,15 @@ from openworld_kit.mscal import (
     BN_EPS,
     MscalModule,
     SampleAssignment,
+    TRAINED_FIELDS,
+    batch_moments,
     calibrate_threshold,
     freeze_class_modules,
     init_module,
     module_from_payload,
     module_to_payload,
     mscal_loss,
+    mscal_loss_gradients,
     ood_score_map,
     project,
     sampled_rows,
@@ -32,12 +35,14 @@ from oracles import (
     assign_samples,
     assignment_from_masks,
     cell_box,
+    full_grid_loss_gradients,
     location_count,
     masks_of,
     mscal_total_loss,
     num_negative,
     ood_score,
     out_dim,
+    train_project,
 )
 
 
@@ -104,7 +109,7 @@ class TestProject:
                 setattr(params, name, np.zeros_like(getattr(params, name)))
         pyr = make_pyramid(np.random.default_rng(1))
         with pytest.raises(DegenerateProjection):
-            project(module, pyr, mode="infer")
+            project(module, pyr)
 
     def test_bypassed_batchnorm_identity_affine(self):
         # scale 1 / shift 0 / running stats (0, 1) reduce batchnorm to a
@@ -115,7 +120,7 @@ class TestProject:
         params.b1 = np.zeros(6)
         params.beta = np.zeros(6)
         grid = rng.normal(size=(3, 3, 6))
-        out = project(module, [grid], mode="infer")[0]
+        out = project(module, [grid])[0]
         scale = 1.0 / np.sqrt(1.0 + BN_EPS)
         expected = np.zeros_like(out)
         for r in range(3):
@@ -129,7 +134,7 @@ class TestProject:
         rng = np.random.default_rng(0)
         module = init_module(0, 1, dim=8, num_layers=2, rng=rng)
         pyr = make_pyramid(np.random.default_rng(10))
-        got = project(module, pyr, mode="infer")
+        got = project(module, pyr)
         want = reference_project_infer(module, pyr.layers)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12)
@@ -139,17 +144,16 @@ class TestProject:
         rng = np.random.default_rng(3)
         module = init_module(0, 1, dim=8, num_layers=2, rng=rng)
         with pytest.raises(ShapeMismatch):
-            project(module, [rng.normal(size=(4, 4, 8))], mode="infer")
+            project(module, [rng.normal(size=(4, 4, 8))])
         with pytest.raises(ShapeMismatch):
-            project(module, [rng.normal(size=(4, 4, 5)), rng.normal(size=(2, 2, 5))],
-                    mode="infer")
+            project(module, [rng.normal(size=(4, 4, 5)), rng.normal(size=(2, 2, 5))])
 
     def test_train_mode_uses_batch_statistics(self):
         rng = np.random.default_rng(4)
         module = init_module(0, 1, dim=6, num_layers=1, rng=rng)
         grid = rng.normal(size=(5, 5, 6))
-        train_out = project(module, [grid], mode="train")[0]
-        infer_out = project(module, [grid], mode="infer")[0]
+        train_out = train_project(module, [grid])[0]
+        infer_out = project(module, [grid])[0]
         assert not np.allclose(train_out, infer_out)
 
     def test_frozen_module_keeps_running_stats(self):
@@ -157,7 +161,7 @@ class TestProject:
         module = init_module(0, 1, dim=6, num_layers=1, rng=rng)
         module.frozen = True
         before = module.layers[0].running_mean.copy()
-        project(module, [rng.normal(size=(4, 4, 6))], mode="train", update_stats=True)
+        train_project(module, [rng.normal(size=(4, 4, 6))], update_stats=True)
         np.testing.assert_array_equal(module.layers[0].running_mean, before)
 
 
@@ -290,9 +294,13 @@ class TestMscalLoss:
 
 
 @st.composite
-def projected_case(draw):
-    """(module, projected batch grids, assignment): 1-3 layers, each with 0,
-    1 or many samples, of which any number are positives."""
+def batch_case(draw, trained=False, full_rank=False):
+    """(module, batch grids, assignment): dims 8, 16 or 32, 1-3 layers, each
+    with 0, 1 or many samples, of which any number are positives. With
+    `trained` the module's affine maps and batchnorm parameters move away
+    from their initial values, as training moves them; with `full_rank`
+    every layer of the batch has more rows than the dim, as every training
+    batch has."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     num_layers = draw(st.integers(1, 3))
@@ -301,7 +309,11 @@ def projected_case(draw):
                          share_anchor=draw(st.booleans()))
     grids, index, n_pos = [], [], []
     for _ in range(num_layers):
-        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        scenes, height, width = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                                 draw(st.integers(1, 6)))
+        if full_rank:
+            scenes = max(scenes, module.in_dim // (height * width) + 1)
+        shape = (scenes, height, width)
         grids.append(rng.normal(size=shape + (module.in_dim,)))
         size = int(np.prod(shape))
         count = min(size, draw(st.one_of(st.sampled_from((0, 1)),
@@ -310,8 +322,20 @@ def projected_case(draw):
         k = draw(st.integers(0, count))
         index.append(np.concatenate([np.sort(chosen[:k]), np.sort(chosen[k:])]))
         n_pos.append(k)
-    projected = project(module, grids, mode="infer")
-    return module, projected, SampleAssignment(index=index, n_pos=n_pos)
+    if trained:
+        for params in module.layers:
+            params.w1 = params.w1 + 0.2 * rng.normal(size=params.w1.shape)
+            params.b1 = rng.normal(size=params.b1.shape)
+            params.gamma = params.gamma + 0.3 * rng.normal(size=params.gamma.shape)
+            params.beta = params.beta + 0.3 * rng.normal(size=params.beta.shape)
+    return module, grids, SampleAssignment(index=index, n_pos=n_pos)
+
+
+@st.composite
+def projected_case(draw):
+    """(module, projected batch grids, assignment) of a `batch_case`."""
+    module, grids, assignment = draw(batch_case())
+    return module, project(module, grids), assignment
 
 
 class TestSampledRows:
@@ -338,16 +362,91 @@ class TestSampledRows:
         assert mscal_loss(module, rows, compact) == mscal_loss(module, projected, assignment)
 
 
+class TestMomentStep:
+    """`mscal_loss_gradients`, which projects only the sampled rows and
+    reads the batch through its moments, against the full-grid train-mode
+    oracle: the loss, every gradient and the batch statistics the running
+    statistics move towards.
+
+    On batches with more rows than the dim, as in training, they agree to
+    RTOL relative. Gradients that are analytically zero (`b1` always, `b2`
+    with normalization off) hold only rounding noise on the oracle's side,
+    so each comparison also allows RTOL of the largest value of its kind in
+    the module. A batch with no more rows than the dim has a singular
+    covariance: some batchnorm variances come close to zero, and dividing
+    by their square roots magnifies rounding in both paths, to about 1e-11
+    in a 3,000-case probe, so those batches are held to RANK_DEFICIENT_RTOL.
+    """
+
+    RTOL = 1e-12
+    RANK_DEFICIENT_RTOL = 1e-9
+
+    @given(case=batch_case(trained=True, full_rank=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_grid_oracle(self, case):
+        self.check(*case, self.RTOL)
+
+    @given(case=batch_case(trained=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_grid_oracle_on_any_batch(self, case):
+        self.check(*case, self.RANK_DEFICIENT_RTOL)
+
+    @staticmethod
+    def check(module, grids, assignment, rtol):
+        def close(got, want, scale):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+        moments = batch_moments(grids)
+        _, traces = train_project(module, grids, with_trace=True)
+        if assignment.num_positive == 0:
+            with pytest.raises(NoSamples):
+                mscal_loss_gradients(module, grids, assignment, moments)
+            return
+        loss, grads, stats = mscal_loss_gradients(module, grids, assignment, moments)
+        want_loss, want_grads = full_grid_loss_gradients(module, traces, assignment)
+        assert loss == pytest.approx(want_loss, rel=rtol, abs=rtol)
+        largest = max(float(np.abs(g).max()) for layer in want_grads for g in layer.values())
+        for got, want in zip(grads, want_grads, strict=True):
+            assert not got["b1"].any()
+            for name in TRAINED_FIELDS:
+                close(got[name], want[name], largest)
+        for (mean, var), trace in zip(stats, traces, strict=True):
+            close(mean, trace["mean"], np.abs(trace["mean"]).max())
+            close(var, trace["var"], trace["var"].max())
+
+    def test_checks_only_sampled_rows_for_degenerate_projections(self):
+        # a location whose projection collapses to zero fails a full-grid
+        # projection, but the train step projects only the sampled rows
+        rng = np.random.default_rng(0)
+        module = init_module(0, 1, dim=8, num_layers=1, rng=rng)
+        params = module.layers[0]
+        params.w2 = np.zeros_like(params.w2)
+        params.w2[0, 0] = 1.0
+        params.b2 = np.zeros_like(params.b2)
+        grid = rng.normal(size=(2, 4, 4, 8))
+        h = grid.reshape(-1, 8) @ params.w1 + params.b1
+        x_hat = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + BN_EPS)
+        dead = np.flatnonzero(params.gamma[0] * x_hat[:, 0] + params.beta[0] <= 0.0)
+        alive = np.setdiff1d(np.arange(32), dead)
+        assert dead.size and alive.size >= 2
+        with pytest.raises(DegenerateProjection):
+            mscal_loss_gradients(module, [grid], SampleAssignment([dead[:1]], [1]),
+                                 batch_moments([grid]))
+        loss, _, _ = mscal_loss_gradients(module, [grid], SampleAssignment([alive[:2]], [1]),
+                                          batch_moments([grid]))
+        assert math.isfinite(loss)
+
+
 class TestProjectionFlags:
     def test_normalization_off_returns_raw_affine_outputs(self):
         rng = np.random.default_rng(0)
         module = init_module(0, 1, dim=6, num_layers=1, rng=rng, normalize=False)
         grid = rng.normal(size=(3, 3, 6))
-        out = project(module, [grid], mode="infer")[0]
+        out = project(module, [grid])[0]
         norms = np.linalg.norm(out, axis=-1)
         assert not np.allclose(norms, 1.0)
         module.normalize = True
-        unit = project(module, [grid], mode="infer")[0]
+        unit = project(module, [grid])[0]
         np.testing.assert_allclose(unit, out / norms[..., None], atol=1e-12)
 
     def test_normalization_off_uses_raw_anchor_in_logits(self):
@@ -364,7 +463,7 @@ class TestProjectionFlags:
                                       module.effective_anchor(1))
         pyr = make_pyramid(np.random.default_rng(3))
         smap = ood_score_map([module], pyr)
-        projected = project(module, pyr, mode="infer")
+        projected = project(module, pyr)
         mu = module.effective_anchor(0)
         for got, z in zip(smap, projected):
             np.testing.assert_allclose(got, -(z @ mu), atol=1e-12)
@@ -379,7 +478,7 @@ class TestTotalLoss:
         total = mscal_total_loss([module], pyr, gt, neg_cap=10, rng_seed=0)
         assignment = assign_samples(pyr.geometry, gt, 0, 10,
                                     np.random.default_rng(_assign_seed(0, 0)))
-        projected = project(module, pyr, mode="train")
+        projected = train_project(module, pyr)
         assert total == pytest.approx(mscal_loss(module, projected, assignment), abs=1e-12)
 
     def test_mean_over_three_random_classes(self):
@@ -393,7 +492,7 @@ class TestTotalLoss:
         for module in modules:
             assignment = assign_samples(pyr.geometry, gt, module.class_id, 10,
                                         np.random.default_rng(_assign_seed(5, module.class_id)))
-            projected = project(module, pyr, mode="train")
+            projected = train_project(module, pyr)
             parts.append(mscal_loss(module, projected, assignment))
         assert total == pytest.approx(sum(parts) / 3, abs=1e-12)
 
@@ -405,7 +504,7 @@ class TestTotalLoss:
         total = mscal_total_loss(modules, pyr, gt, neg_cap=10, rng_seed=0)
         assignment = assign_samples(pyr.geometry, gt, 0, 10,
                                     np.random.default_rng(_assign_seed(0, 0)))
-        projected = project(modules[0], pyr, mode="train")
+        projected = train_project(modules[0], pyr)
         assert total == pytest.approx(mscal_loss(modules[0], projected, assignment) / 2,
                                       abs=1e-12)
 
@@ -461,7 +560,7 @@ class TestOodScoreMap:
                              box_field=(np.array([[[0, 0, 8, 8.0]]]),))
         modules = [init_module(i, 1, dim=8, num_layers=1, rng=rng) for i in range(3)]
         smap = ood_score_map(modules, pyr)
-        zs = [project(m, pyr, mode="infer")[0][0, 0] for m in modules]
+        zs = [project(m, pyr)[0][0, 0] for m in modules]
         assert smap[0][0, 0] == pytest.approx(ood_score(modules, zs, 0), abs=1e-12)
 
     def test_entry_count_matches_pyramid(self):
@@ -517,12 +616,12 @@ class TestCheckpoint:
         module = init_module(3, 2, dim=8, num_layers=2, rng=rng)
         module.frozen = True
         pyr = make_pyramid(np.random.default_rng(1))
-        before = project(module, pyr, mode="infer")
+        before = project(module, pyr)
         payload = module_to_payload(module)
         path = tmp_path / "module.json"
         path.write_text(json.dumps(payload))
         restored = module_from_payload(json.loads(path.read_text()))
-        after = project(restored, pyr, mode="infer")
+        after = project(restored, pyr)
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
         assert restored.frozen and restored.task_id == 2 and restored.class_id == 3

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -13,6 +14,8 @@ from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
     anchor_similarity_maps,
+    batch_moments,
+    calibrate_threshold,
     init_module,
     mscal_loss_gradients,
     ood_score_map,
@@ -37,6 +40,7 @@ from openworld_kit.training import (
 from oracles import (
     assignment_from_masks,
     frozen_loss_full_grid,
+    known_positive_scores_full_grid,
     oracle_assignment_for_class,
     oracle_ownership_masks,
 )
@@ -254,8 +258,7 @@ class TestTrainTask:
                 owners, m.class_id, 10, np.random.default_rng(0))
             if assignment.num_positive == 0:
                 continue
-            _, traces = project(m, grids, mode="train", with_trace=True)
-            _, grads = mscal_loss_gradients(m, traces, assignment)
+            _, grads, _ = mscal_loss_gradients(m, grids, assignment, batch_moments(grids))
             grads_seen.append(max(np.abs(g["anchor"]).max() for g in grads))
         assert grads_seen and max(grads_seen) > 0.0
 
@@ -381,9 +384,9 @@ class TestFrozenLoss:
             negative.append(neg.reshape(2, 4, 4))
         seen = []
 
-        def spy(module, grids, mode):
+        def spy(module, grids):
             seen.append([int(g.size // g.shape[-1]) for g in grids])
-            return project(module, grids, mode=mode)
+            return project(module, grids)
         monkeypatch.setattr(training, "project", spy)
         training._frozen_mscal_loss(module, grids, assignment_from_masks(positive, negative))
         monkeypatch.undo()
@@ -425,6 +428,50 @@ class TestFrozenLoss:
         assert files.keys() == oracle_files.keys()
         for name in files:
             assert files[name] == oracle_files[name], name
+
+
+class TestCalibrationScores:
+    """Calibration scores each layer's owned rows of all cal scenes as one
+    block, in one `ood_score_map` call. The projections of those rows are
+    the bits of whole-grid ones, but the final anchor similarity is a gemv,
+    and OpenBLAS computes a row that falls in the tail of its block's rows
+    in another order than inside a whole grid (at dims 16 and 32; none at
+    dim 8). So each score, and theta, may differ from the whole-grid
+    oracle's by a few units in the last place."""
+
+    MAX_ULP = 4
+
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_theta_equals_full_grid_oracle(self, dim, monkeypatch):
+        world = make_world(dataclasses.replace(TINY_SPEC, dim=dim), seed=0)
+        data = TaskData(world, n_cal=4)
+        config = TrainConfig(steps_per_task=3, batch_size=2, seed=0)
+        calls = []
+
+        def spy(modules, grids):
+            calls.append(type(grids))
+            return ood_score_map(modules, grids)
+        monkeypatch.setattr(training, "ood_score_map", spy)
+        registry, modules, log = train_task(data, fresh_registry(world), [], config, 1)
+        assert calls == [list], "calibration should score one block per layer in one call"
+        pairs = training._owned_pairs(data.cal_scenes, data.geometry,
+                                      {e.name: i for i, e in enumerate(registry.entries)})
+        want = known_positive_scores_full_grid(modules, data.cal_scenes, pairs)
+        got = training.known_positive_scores_for_registry(modules, data.cal_scenes, pairs)
+        assert len(got) == len(want) > 1
+        np.testing.assert_array_max_ulp(np.sort(got), np.sort(want), maxulp=self.MAX_ULP)
+        np.testing.assert_array_max_ulp(log.theta, calibrate_threshold(want, config.quantile),
+                                        maxulp=self.MAX_ULP)
+
+    def test_scenes_without_owned_rows_give_no_scores(self, tiny_world):
+        data = TaskData(tiny_world, n_cal=2)
+        _, modules, _ = train_task(data, fresh_registry(tiny_world), [],
+                                   TrainConfig(steps_per_task=1, batch_size=2), 1)
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        pairs = [[empty, empty], [empty, empty]]
+        assert training.known_positive_scores_for_registry(modules, data.cal_scenes,
+                                                           pairs) == []
+        assert training.known_positive_scores_for_registry(modules, [], []) == []
 
 
 REGISTERED = {"c0": 0, "c1": 1, "c2": 2}  # c3 and c4 stay unregistered
