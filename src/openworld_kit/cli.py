@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, read_json
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
+    World,
     WorldSpec,
     export_split,
     export_world,
@@ -46,6 +49,13 @@ from .training import (
 )
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -61,173 +71,130 @@ def _parse_gate_mode(text: str) -> str:
     return text
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+_SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
+
+# the text between the parts of one item of a tuple-of-tuples field:
+# 16x16x16 (height x width x stride), 20-56 (lo-hi), train:60 (split:count)
+_ITEM_SEPARATORS = {tuple[int, int, float]: "x", tuple[float, float]: "-",
+                    tuple[str, int]: ":"}
 
 
-def _parse_float_pair(text: str) -> tuple[float, float]:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated numbers: {text!r}")
-    return parts[0], parts[1]
+def _parser_for(hint, sep: str = ","):
+    """The parser of a value of type `hint` from its INI text: a `tuple[X, ...]`
+    is its items split on `sep`, skipping blank scalar items (`5,5,` is (5, 5)),
+    and a fixed-length tuple exactly one item per member type."""
+    if get_origin(hint) is not tuple:
+        return _SCALAR_PARSERS[hint]
+    args = get_args(hint)
+    if args[-1] is Ellipsis:
+        item = args[0]
+        parse_item = _parser_for(item, _ITEM_SEPARATORS.get(item))
+        keep_blank = get_origin(item) is tuple
+        return lambda text: tuple(parse_item(tok) for tok in text.split(sep)
+                                  if keep_blank or tok.strip())
+    parsers = [_parser_for(arg) for arg in args]
+
+    def parse(text: str) -> tuple:
+        toks = text.strip().split(sep)
+        if len(toks) != len(parsers):
+            raise ValueError(f"expected {len(parsers)} items separated by {sep!r}")
+        return tuple(parse_tok(tok) for parse_tok, tok in zip(parsers, toks))
+    return parse
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _fields_schema(spec) -> dict[str, tuple]:
+    """A key per field of dataclass `spec` but `seed` (a [run] key): the
+    parser of the field's type and the field's default."""
+    hints = get_type_hints(spec)
+    return {f.name: (_parser_for(hints[f.name]), f.default)
+            for f in fields(spec) if f.name != "seed"}
 
 
-def _parse_pyramid(text: str) -> tuple[tuple[int, int, float], ...]:
-    layers = []
-    for tok in text.split(","):
-        h, w, s = tok.strip().split("x")
-        layers.append((int(h), int(w), float(s)))
-    return tuple(layers)
-
-
-def _parse_size_ranges(text: str) -> tuple[tuple[float, float], ...]:
-    ranges = []
-    for tok in text.split(","):
-        lo, hi = tok.strip().split("-")
-        ranges.append((float(lo), float(hi)))
-    return tuple(ranges)
-
-
-def _parse_splits(text: str) -> tuple[tuple[str, int], ...]:
-    out = []
-    for tok in text.split(","):
-        name, count = tok.strip().split(":")
-        out.append((name, int(count)))
-    return tuple(out)
-
-
-# section -> key -> (parser, default-as-string)
+# section -> key -> (parser of the INI text, typed default); a None default
+# marks an optional key, which an empty value leaves unset
 SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "seed": (int, "0"),
+        "seed": (int, 0),
         "out_dir": (str, "out"),
     },
-    "world": {
-        "dim": (int, "16"),
-        "known_per_task": (_parse_int_tuple, "5,5,5"),
-        "n_nood": (int, "4"),
-        "n_food": (int, "4"),
-        "nood_angle": (float, "0.25"),
-        "food_min_angle": (float, "1.2"),
-        "noise_sigma": (float, "0.1"),
-        "text_noise_sigma": (float, "0.05"),
-        "pyramid_layers": (_parse_pyramid, "16x16x16,8x8x32"),
-        "level_thresholds": (_parse_float_tuple, "0,64"),
-        "box_size_ranges": (_parse_size_ranges, "20-56,72-150"),
-        "boxes_per_scene": (_parse_int_tuple, "3,6"),
-        "scenes_per_split": (_parse_splits, "train:60,cal:20,test:40"),
-        "unknown_box_ratio": (float, "0.3"),
-        "box_jitter": (float, "0.0"),
-        "background_max_cos": (float, "0.3"),
-        "known_angle_range": (_parse_float_pair, "1.05,1.3"),
-        "food_axis_angle": (float, "1.55"),
-        "food_spread": (float, "0.2"),
-        "foodward_cap": (float, "0.15"),
-        "clearance_slack": (float, "0.1"),
-        "food_alignment_alpha": (float, "0.4"),
-        "min_unknown_margin": (float, "0.05"),
-        "max_draws": (int, "1000000"),
-    },
-    "train": {
-        "learning_rate": (float, "1e-4"),
-        "weight_decay": (float, "0.0125"),
-        "batch_size": (int, "16"),
-        "steps_per_task": (int, "500"),
-        "tau": (float, "0.1"),
-        "alpha": (float, "0.4"),
-        "neg_cap": (int, "10"),
-        "logit_scale": (float, "10"),
-        "quantile": (float, "0.95"),
-        "det_weight": (float, "1.0"),
-        "mscal_weight": (float, "1.0"),
-        "bn_momentum": (float, "0.1"),
-        "normalize_projection": (_parse_bool, "true"),
-        "share_anchor": (_parse_bool, "false"),
-    },
+    "world": _fields_schema(WorldSpec),
+    "train": _fields_schema(TrainConfig),
     "detect": {
-        "conf_threshold": (float, "0.25"),
-        "nms_iou": (float, "0.7"),
-        "class_wise_nms": (_parse_bool, "true"),
+        "conf_threshold": (_parse_float, 0.25),
+        "nms_iou": (_parse_float, 0.7),
+        "class_wise_nms": (_parse_bool, True),
         "ood_gate_mode": (_parse_gate_mode, "relabel"),
     },
     "eval": {
-        "iou_threshold": (float, "0.5"),
-        "recall_level": (float, "0.8"),
+        "iou_threshold": (_parse_float, 0.5),
+        "recall_level": (_parse_float, 0.8),
     },
     "thresholds": {
-        "min_map_both": (float, ""),
-        "min_u_recall": (float, ""),
-        "max_a_ose": (int, ""),
-        "max_wi": (float, ""),
+        "min_map_both": (_parse_float, None),
+        "min_u_recall": (_parse_float, None),
+        "max_a_ose": (int, None),
+        "max_wi": (_parse_float, None),
     },
 }
 
 
 class RunConfig:
-    """Resolved configuration: raw strings plus typed accessors."""
+    """Resolved configuration: one typed value per SCHEMA key, each parsed
+    once from the text that set it."""
 
-    def __init__(self, raw: dict[str, dict[str, str]]):
-        self.raw = raw
+    def __init__(self, values: dict[str, dict]):
+        self.values = values
 
     @classmethod
     def load(cls, config_path: str | None, overrides: list[str] | None = None,
              seed: int | None = None, out_dir: str | None = None) -> "RunConfig":
-        raw = {section: {k: default for k, (_, default) in keys.items()}
-               for section, keys in SCHEMA.items()}
+        cfg = cls({section: {key: default for key, (_, default) in keys.items()}
+                   for section, keys in SCHEMA.items()})
         if config_path:
             parser = configparser.ConfigParser()
             parser.optionxform = str
             try:
-                read = parser.read(config_path)
-                if not read:
+                if not parser.read(config_path):
                     raise ConfigError(f"config file not found: {config_path}")
                 for section in parser.sections():
                     if section not in SCHEMA:
                         raise ConfigError(f"unknown config section [{section}]")
                     for key, value in parser.items(section):
-                        if key not in SCHEMA[section]:
-                            raise ConfigError(f"unknown config key {section}.{key}")
-                        raw[section][key] = value
+                        cfg._set(section, key, value)
             except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"unreadable config file {config_path}: {exc}") from exc
-        for item in overrides or []:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
-                raise ConfigError(f"override must look like section.key=value: {item!r}")
-            dotted, value = item.split("=", 1)
-            section, key = dotted.split(".", 1)
-            if section not in SCHEMA or key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            raw[section][key] = value
+        cfg = cfg.with_overrides(overrides or [])
         if seed is not None:
-            raw["run"]["seed"] = str(seed)
+            cfg._set("run", "seed", str(seed))
         if out_dir is not None:
-            raw["run"]["out_dir"] = out_dir
-        cfg = cls(raw)
-        cfg.validate()
+            cfg._set("run", "out_dir", out_dir)
         return cfg
 
-    def validate(self) -> None:
-        for section, keys in self.raw.items():
-            for key, value in keys.items():
-                parser_fn, default = SCHEMA[section][key]
-                if value == "":
-                    if default == "":
-                        continue  # an optional key left unset
-                    raise ConfigError(f"{section}.{key} needs a value")
-                try:
-                    parser_fn(value)
-                except Exception as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {value!r} ({exc})")
+    def _set(self, section: str, key: str, text: str) -> None:
+        """Parse `text` as the value of `section.key`."""
+        if key not in SCHEMA.get(section, {}):
+            raise ConfigError(f"unknown config key {section}.{key}")
+        parse, default = SCHEMA[section][key]
+        if text == "" and default is not None:
+            raise ConfigError(f"{section}.{key} needs a value")
+        try:  # an empty text leaves an optional key unset
+            self.values[section][key] = parse(text) if text else None
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from exc
+
+    def with_overrides(self, overrides: list[str]) -> "RunConfig":
+        """A copy with each `section.key=value` of `overrides` set in turn."""
+        cfg = RunConfig({section: dict(keys) for section, keys in self.values.items()})
+        for item in overrides:
+            dotted, eq, text = item.partition("=")
+            section, dot, key = dotted.partition(".")
+            if not (eq and dot):
+                raise ConfigError(f"override must look like section.key=value: {item!r}")
+            cfg._set(section, key, text)
+        return cfg
 
     def get(self, section: str, key: str):
-        value = self.raw[section][key]
-        if value == "":
-            return None
-        return SCHEMA[section][key][0](value)
+        return self.values[section][key]
 
     @property
     def seed(self) -> int:
@@ -239,20 +206,19 @@ class RunConfig:
 
     def world_spec(self) -> WorldSpec:
         try:
-            return WorldSpec(**{key: self.get("world", key) for key in self.raw["world"]})
+            return WorldSpec(**self.values["world"])
         except ValueError as exc:
             raise ConfigError(f"bad [world] config: {exc}") from exc
 
     def train_config(self) -> TrainConfig:
         try:
-            return TrainConfig(seed=self.seed,
-                               **{key: self.get("train", key) for key in self.raw["train"]})
+            return TrainConfig(seed=self.seed, **self.values["train"])
         except ValueError as exc:
             raise ConfigError(f"bad [train] config: {exc}") from exc
 
     def echo(self) -> dict:
-        """The exact resolved configuration, as strings."""
-        return {section: dict(keys) for section, keys in self.raw.items()}
+        """The resolved configuration, as typed values."""
+        return {section: dict(keys) for section, keys in self.values.items()}
 
 
 def _world_dir(cfg: RunConfig) -> Path:
@@ -261,6 +227,16 @@ def _world_dir(cfg: RunConfig) -> Path:
 
 def _checkpoint_dir(cfg: RunConfig, task_id: int) -> Path:
     return cfg.out_dir / "checkpoints" / f"task_{task_id}"
+
+
+def _load_checkpoint(ckpt: Path, world: World):
+    """`load_checkpoint(ckpt)`, whose embeddings must have the world's dim."""
+    registry, modules, theta = load_checkpoint(ckpt)
+    dim = registry.generic_object.size
+    if dim != world.spec.dim:
+        raise ConfigError(f"checkpoint {ckpt} holds dim-{dim} embeddings, but the world "
+                          f"has world.dim={world.spec.dim}")
+    return registry, modules, theta
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +291,7 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
                     f"train.{key}={getattr(train_cfg, key)!r}, but task {task_id - 1} "
                     f"was trained with train.{key}={value!r}; every task of a run "
                     f"must use the same value")
-        registry, modules, _ = load_checkpoint(prev_dir)
+        registry, modules, _ = _load_checkpoint(prev_dir, world)
         unchanged = {m.class_id for m in modules if m.frozen}
         registry = replace(registry, alpha=train_cfg.alpha)
         freeze_class_modules(modules, task_id - 1)
@@ -340,10 +316,9 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
 def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               no_mscal: bool, prompt_key: str | None = None,
               out_file: str | None = None) -> int:
-    ckpt = _checkpoint_dir(cfg, task_id)
-    registry, modules, theta = load_checkpoint(ckpt)
-    registry = replace(registry, alpha=cfg.train_config().alpha)
     world = load_world(_world_dir(cfg))
+    registry, modules, theta = _load_checkpoint(_checkpoint_dir(cfg, task_id), world)
+    registry = replace(registry, alpha=cfg.train_config().alpha)
     if prompt_key is not None:
         embeddings = world.text_embeddings | {GENERIC_OBJECT_KEY: world.generic_object}
         if prompt_key not in embeddings:
@@ -448,29 +423,23 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
         det_path = cfg.out_dir / "detections" / f"ablate_{parameter}_{tag}.jsonl"
         det_path.parent.mkdir(parents=True, exist_ok=True)
         if parameter == "alpha":
-            sub = RunConfig({s: dict(k) for s, k in cfg.raw.items()})
-            sub.raw["train"]["alpha"] = value
-            sub.validate()
-            cmd_infer(sub, task_id, split, no_owel=False, no_mscal=False,
+            eval_cfg = cfg.with_overrides([f"train.alpha={value}"])
+            cmd_infer(eval_cfg, task_id, split, no_owel=False, no_mscal=False,
                       out_file=str(det_path))
-            eval_cfg = sub
         elif parameter == "prompt":
             cmd_infer(cfg, task_id, split, no_owel=False, no_mscal=False,
                       prompt_key=value, out_file=str(det_path))
             eval_cfg = cfg
         else:  # tau, retrain into a sandboxed output tree
-            sub = RunConfig({s: dict(k) for s, k in cfg.raw.items()})
-            sub.raw["train"]["tau"] = value
-            sub.raw["run"]["out_dir"] = str(cfg.out_dir / f"ablate_tau_{tag}")
-            sub.validate()
-            Path(sub.raw["run"]["out_dir"]).mkdir(parents=True, exist_ok=True)
-            if not (_world_dir(sub)).exists():
-                cmd_gen(sub)
+            eval_cfg = cfg.with_overrides(
+                [f"train.tau={value}", f"run.out_dir={cfg.out_dir / f'ablate_tau_{tag}'}"])
+            eval_cfg.out_dir.mkdir(parents=True, exist_ok=True)
+            if not _world_dir(eval_cfg).exists():
+                cmd_gen(eval_cfg)
             for t in range(1, task_id + 1):
-                cmd_train(sub, t)
-            cmd_infer(sub, task_id, split, no_owel=False, no_mscal=False,
+                cmd_train(eval_cfg, t)
+            cmd_infer(eval_cfg, task_id, split, no_owel=False, no_mscal=False,
                       out_file=str(det_path))
-            eval_cfg = sub
         report_path = base / f"{tag}_report.json"
         code = cmd_eval(eval_cfg, task_id, str(det_path), split,
                         report_path=str(report_path))

@@ -53,7 +53,7 @@ class WorldSpec:
     pyramid_layers: tuple[tuple[int, int, float], ...] = ((16, 16, 16.0), (8, 8, 32.0))
     level_thresholds: tuple[float, ...] = (0.0, 64.0)
     box_size_ranges: tuple[tuple[float, float], ...] = ((20.0, 56.0), (72.0, 150.0))
-    boxes_per_scene: tuple[int, int] = (3, 6)
+    boxes_per_scene: tuple[int, ...] = (3, 6)
     scenes_per_split: tuple[tuple[str, int], ...] = (("train", 60), ("cal", 20), ("test", 40))
     unknown_box_ratio: float = 0.3
     box_jitter: float = 0.0
@@ -75,10 +75,14 @@ class WorldSpec:
             raise ValueError("nood_angle must lie in (0, pi)")
         if not 0.0 < self.food_min_angle < np.pi:
             raise ValueError("food_min_angle must lie in (0, pi)")
-        if self.n_nood < 0 or self.n_food < 0 or any(c < 0 for c in self.known_per_task):
+        if self.n_nood < 0 or self.n_food < 0:
             raise ValueError("class counts must be nonnegative")
+        if not self.known_per_task or min(self.known_per_task) < 1:
+            raise ValueError("every task needs at least one known class")
         if any(c < 0 for _, c in self.scenes_per_split):
             raise ValueError("scene counts must be nonnegative")
+        if self.box_jitter < 0:
+            raise ValueError("box_jitter must be nonnegative")
         if self.n_nood > sum(self.known_per_task):
             raise ValueError("need at least one distinct known partner per near-OOD class")
         if len(self.box_size_ranges) != len(self.pyramid_layers):
@@ -456,7 +460,11 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
         for r, c in zip(rows, cols):
             if spec.box_jitter > 0.0:
                 jitter = rng.uniform(-spec.box_jitter, spec.box_jitter, size=4) * g.stride
-                box_fields[level][r, c] = emitted + jitter
+                box = box_fields[level][r, c] = emitted + jitter
+                if box[2] <= box[0] or box[3] <= box[1]:
+                    raise InfeasibleSpec(
+                        f"box_jitter={spec.box_jitter} turns a {sb.box[2] - sb.box[0]:.1f}"
+                        f"x{sb.box[3] - sb.box[1]:.1f} box at stride {g.stride} inside out")
             else:
                 box_fields[level][r, c] = emitted
 
@@ -469,15 +477,9 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
 # export / import
 
 
-def _spec_from_json(raw: dict) -> WorldSpec:
-    def tup(x):
-        return tuple(tuple(v) if isinstance(v, list) else v for v in x)
-    raw = dict(raw)
-    for key in ("known_per_task", "pyramid_layers", "level_thresholds",
-                "box_size_ranges", "boxes_per_scene", "scenes_per_split",
-                "known_angle_range"):
-        raw[key] = tup(raw[key])
-    return WorldSpec(**raw)
+def _tuples(value):
+    """`value` with every JSON list, nested ones too, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def export_world(world: World, out_dir) -> None:
@@ -511,7 +513,8 @@ def _manifest_fields(manifest) -> tuple[WorldSpec, int, tuple[WorldClass, ...]]:
                    partner=c.get("partner"))
         for c in manifest["classes"]
     )
-    return _spec_from_json(manifest["spec"]), int(manifest["seed"]), classes
+    spec = WorldSpec(**{key: _tuples(v) for key, v in manifest["spec"].items()})
+    return spec, int(manifest["seed"]), classes
 
 
 def load_world(out_dir) -> World:

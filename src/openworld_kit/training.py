@@ -385,6 +385,9 @@ def train_task(
     cal_scenes = list(world_data.cal_scenes)
     if registry.current_task != task_id:
         raise ValueError(f"registry is at task {registry.current_task}, expected {task_id}")
+    if config.steps_per_task and not train_scenes:
+        raise NoSamples(f"{config.steps_per_task} training steps need a train scene; "
+                        f"the split has none")
 
     modules = _init_modules_for_task(registry, modules, train_scenes, geometry,
                                      config, task_id)

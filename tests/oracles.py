@@ -636,3 +636,112 @@ def num_negative(assignment):
 
 def location_count(pyramid):
     return sum(g.height * g.width for g in pyramid.geometry.layers)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written [world] and [train] INI schema that `cli.SCHEMA` now
+# derives from the `WorldSpec` and `TrainConfig` fields: one parser and one
+# default text per key, applied the way the old `RunConfig` did
+
+
+def _parse_bool(text):
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_int_tuple(text):
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_float_pair(text):
+    parts = [float(tok) for tok in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"expected two comma-separated numbers: {text!r}")
+    return parts[0], parts[1]
+
+
+def _parse_float_tuple(text):
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_pyramid(text):
+    layers = []
+    for tok in text.split(","):
+        h, w, s = tok.strip().split("x")
+        layers.append((int(h), int(w), float(s)))
+    return tuple(layers)
+
+
+def _parse_size_ranges(text):
+    ranges = []
+    for tok in text.split(","):
+        lo, hi = tok.strip().split("-")
+        ranges.append((float(lo), float(hi)))
+    return tuple(ranges)
+
+
+def _parse_splits(text):
+    out = []
+    for tok in text.split(","):
+        name, count = tok.strip().split(":")
+        out.append((name, int(count)))
+    return tuple(out)
+
+
+ORACLE_SCHEMA = {
+    "world": {
+        "dim": (int, "16"),
+        "known_per_task": (_parse_int_tuple, "5,5,5"),
+        "n_nood": (int, "4"),
+        "n_food": (int, "4"),
+        "nood_angle": (float, "0.25"),
+        "food_min_angle": (float, "1.2"),
+        "noise_sigma": (float, "0.1"),
+        "text_noise_sigma": (float, "0.05"),
+        "pyramid_layers": (_parse_pyramid, "16x16x16,8x8x32"),
+        "level_thresholds": (_parse_float_tuple, "0,64"),
+        "box_size_ranges": (_parse_size_ranges, "20-56,72-150"),
+        "boxes_per_scene": (_parse_int_tuple, "3,6"),
+        "scenes_per_split": (_parse_splits, "train:60,cal:20,test:40"),
+        "unknown_box_ratio": (float, "0.3"),
+        "box_jitter": (float, "0.0"),
+        "background_max_cos": (float, "0.3"),
+        "known_angle_range": (_parse_float_pair, "1.05,1.3"),
+        "food_axis_angle": (float, "1.55"),
+        "food_spread": (float, "0.2"),
+        "foodward_cap": (float, "0.15"),
+        "clearance_slack": (float, "0.1"),
+        "food_alignment_alpha": (float, "0.4"),
+        "min_unknown_margin": (float, "0.05"),
+        "max_draws": (int, "1000000"),
+    },
+    "train": {
+        "learning_rate": (float, "1e-4"),
+        "weight_decay": (float, "0.0125"),
+        "batch_size": (int, "16"),
+        "steps_per_task": (int, "500"),
+        "tau": (float, "0.1"),
+        "alpha": (float, "0.4"),
+        "neg_cap": (int, "10"),
+        "logit_scale": (float, "10"),
+        "quantile": (float, "0.95"),
+        "det_weight": (float, "1.0"),
+        "mscal_weight": (float, "1.0"),
+        "bn_momentum": (float, "0.1"),
+        "normalize_projection": (_parse_bool, "true"),
+        "share_anchor": (_parse_bool, "false"),
+    },
+}
+
+
+def oracle_config_value(section, key, text):
+    """The value the hand-written schema gives `section.key` set to `text`,
+    or `ValueError` where it rejected the text."""
+    parse, _ = ORACLE_SCHEMA[section][key]
+    if text == "":
+        raise ValueError(f"{section}.{key} needs a value")
+    return parse(text)

@@ -110,8 +110,10 @@ class TestRunConfig:
     def test_echo_reflects_resolved_strings(self, workdir):
         cfg = cli.RunConfig.load("tiny.ini", seed=7)
         echo = cfg.echo()
-        assert echo["run"]["seed"] == "7"
-        assert echo["world"]["dim"] == "8"
+        assert echo["run"]["seed"] == 7
+        assert echo["world"]["dim"] == 8
+        assert echo["world"]["pyramid_layers"] == ((8, 8, 16.0), (4, 4, 32.0))
+        assert echo["thresholds"]["max_a_ose"] is None
 
 
 class TestPipeline:
@@ -222,7 +224,7 @@ class TestPipeline:
         report = json.loads(
             (trained / "out/reports/task2_test_report.json").read_text())
         assert report["task_id"] == 2
-        assert report["config"]["run"]["seed"] == "0"
+        assert report["config"]["run"]["seed"] == 0
 
     def test_infer_rerun_is_byte_identical(self, trained):
         run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
@@ -541,6 +543,68 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "[world]" in err
         assert not (workdir / "out").exists()
+
+
+    @pytest.mark.parametrize("override", [
+        "train.learning_rate=nan", "train.weight_decay=inf", "train.weight_decay=1e999",
+    ])
+    def test_non_finite_train_value(self, workdir, capsys, override):
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1",
+                   "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert override.split("=")[0] in err and "not a finite number" in err
+        assert not (workdir / "out/checkpoints").exists()
+
+    def test_non_finite_world_value(self, workdir, capsys):
+        assert run("gen", "--config", "tiny.ini", "--out", "out",
+                   "--set", "world.noise_sigma=nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "world.noise_sigma" in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("jitter, message", [
+        ("2", "box_jitter=2.0 turns a"), ("-0.1", "box_jitter must be nonnegative")])
+    def test_box_jitter(self, workdir, capsys, jitter, message):
+        assert run("gen", "--config", "tiny.ini", "--out", "out",
+                   "--set", f"world.box_jitter={jitter}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_training_steps_without_train_scenes(self, workdir, capsys):
+        args = ("--config", "tiny.ini", "--out", "out",
+                "--set", "world.scenes_per_split=train:0,cal:3,test:4")
+        assert run("gen", *args) == 0
+        assert run("train", *args, "--task", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3 training steps need a train scene" in err
+        assert run("train", *args, "--task", "1", "--set", "train.steps_per_task=0") == 0
+
+
+class TestCheckpointDim:
+    """A checkpoint runs only on a world of its embedding dim."""
+
+    ARGS = ("--config", "tiny.ini", "--out", "out")
+
+    @pytest.fixture()
+    def regenerated(self, workdir):
+        assert run("gen", *self.ARGS) == 0
+        assert run("train", *self.ARGS, "--task", "1") == 0
+        assert run("gen", *self.ARGS, "--set", "world.dim=12") == 0
+        return workdir
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--task", "2"),
+        ("infer", "--task", "1"),
+        ("infer", "--task", "1", "--prompt-key", "object"),
+    ], ids=["train", "infer", "infer-prompt-key"])
+    def test_dim_mismatch_is_a_config_error(self, regenerated, capsys, argv):
+        assert run(*argv[:1], *self.ARGS, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dim-8" in err and "world.dim=12" in err
+        assert "out/checkpoints/task_1" in err
 
 
 class TestTaskConfigReadBack:

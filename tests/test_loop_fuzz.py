@@ -1,0 +1,104 @@
+"""The whole loop over the config space: gen -> train -> infer (gated and
+base arms) -> eval through `cli.main` on tiny worlds drawn from INI values,
+edge values of every kind included. Each call returns 0, or prints one
+`error: ...` line and returns nonzero; no traceback escapes. Every metric
+of a report that eval writes lies in its range.
+
+Budget: about 10 s of tier-1 time (150 examples of a few tiny-world calls
+each), set by `max_examples`; there is no per-example deadline.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from openworld_kit import cli
+
+# (key, values): each draw sets every key to one of its values; the first
+# value of a key is a plain one, the others are edges
+VALUES = {
+    "world.dim": ("4", "5", "8"),
+    "world.known_per_task": ("1", "1,1", "2,1", "0,1"),
+    "world.n_nood": ("0", "1", "2"),
+    "world.n_food": ("0", "1", "2"),
+    "world.boxes_per_scene": ("1,3", "0,0", "0,2", "4,4"),
+    "world.scenes_per_split": ("train:2,cal:2,test:2", "train:0,cal:2,test:2",
+                               "train:3,cal:0,test:4", "train:2,cal:2,test:0"),
+    "world.unknown_box_ratio": ("0.3", "0", "1"),
+    "world.box_jitter": ("0", "0.2", "0.6", "2"),
+    "world.noise_sigma": ("0.1", "0", "3"),
+    "world.background_max_cos": ("0.3", "0.05", "0.9"),
+    "world.known_angle_range": ("0.7,1.1", "1.0,1.0"),
+    "train.steps_per_task": ("1", "0", "2"),
+    "train.batch_size": ("2", "1", "3"),
+    "train.alpha": ("0.4", "0", "2"),
+    "train.tau": ("0.1", "1e-6", "100"),
+    "train.neg_cap": ("10", "0", "1"),
+    "train.quantile": ("0.95", "1e-9", "0.999999"),
+    "train.learning_rate": ("1e-4", "10"),
+    "train.weight_decay": ("0.0125", "0", "100"),
+    "train.logit_scale": ("10", "1e-6", "1000"),
+    "train.normalize_projection": ("true", "false"),
+    "train.share_anchor": ("false", "true"),
+    "detect.conf_threshold": ("0.25", "0", "1"),
+    "detect.nms_iou": ("0.7", "0", "1"),
+    "detect.class_wise_nms": ("true", "false"),
+    "detect.ood_gate_mode": ("relabel", "suppress"),
+    "eval.iou_threshold": ("0.5", "0", "1"),
+    "eval.recall_level": ("0.8", "0", "1"),
+}
+
+
+# (pyramid_layers, level_thresholds, box_size_ranges) of 64-pixel images
+GEOMETRIES = (("4x4x16", "0", "20-40"), ("4x4x16,2x2x32", "0,40", "20-40,40-60"),
+              ("2x2x32,1x1x64", "0,48", "34-40,50-64"), ("8x8x8,4x4x16", "0,16", "9-16,16-64"))
+
+
+@st.composite
+def tiny_world_ini(draw):
+    values = {dotted: draw(st.sampled_from(choices)) for dotted, choices in VALUES.items()}
+    values |= zip(("world.pyramid_layers", "world.level_thresholds", "world.box_size_ranges"),
+                  draw(st.sampled_from(GEOMETRIES)))
+    lines = []
+    for section in ("world", "train", "detect", "eval"):
+        lines.append(f"[{section}]")
+        lines += [f"{dotted.split('.', 1)[1]} = {value}" for dotted, value in values.items()
+                  if dotted.startswith(section + ".")]
+    return "\n".join(lines) + "\n"
+
+
+def call(capsys, *argv):
+    """`cli.main(argv)`'s code; a failure must be one `error:` line."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return code
+
+
+@given(text=tiny_world_ini(), seed=st.integers(0, 3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, seed):
+    root = tmp_path_factory.mktemp("loop")
+    (root / "run.ini").write_text(text)
+    common = ["--config", str(root / "run.ini"), "--seed", str(seed), "--out", str(root)]
+    if call(capsys, "gen", *common) != 0:
+        return
+    tasks = len(cli.RunConfig.load(str(root / "run.ini")).world_spec().known_per_task)
+    for task in range(1, tasks + 1):
+        if call(capsys, "train", *common, "--task", str(task)) != 0:
+            return
+    for arm in ([], ["--no-owel", "--no-mscal"]):
+        dets = root / f"dets{len(arm)}.jsonl"
+        report = root / f"report{len(arm)}.json"
+        if call(capsys, "infer", *common, "--task", str(tasks),
+                "--out-file", str(dets), *arm) != 0:
+            continue
+        if call(capsys, "eval", *common, "--task", str(tasks), "--detections", str(dets),
+                "--report", str(report)) == 0:
+            metrics = json.loads(report.read_text())
+            for key in ("map_prev", "map_curr", "map_both", "u_recall"):
+                assert metrics[key] is None or 0.0 <= metrics[key] <= 1.0, (key, metrics)
+            assert metrics["wi"] is None or metrics["wi"] >= 0.0  # unknown FPs over known hits
+            assert metrics["a_ose"] >= 0
