@@ -27,7 +27,7 @@ from .embedding_space import (
     prompt_matrix,
     register_task,
 )
-from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, read_json
+from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory, read_json
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
@@ -247,9 +247,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     spec = cfg.world_spec()
     world = make_world(spec, cfg.seed)
     out = _world_dir(cfg)
-    export_world(world, out)
-    for split, _ in spec.scenes_per_split:
-        export_split(world, split, out)
+    with atomic_directory(out) as tmp:
+        export_world(world, tmp)
+        for split, _ in spec.scenes_per_split:
+            export_split(world, split, tmp)
     print(f"world written to {out}: {len(spec.known_per_task)} tasks, "
           f"{spec.num_known} known classes, {spec.num_unknown} unknown classes")
     return 0

@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the toolkit, the JSON file reader that
-maps a missing or malformed file onto it, and the JSON file writer."""
+maps a missing or malformed file onto it, the JSON file writer and the
+whole-directory writer."""
 
 import json
 import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -129,4 +132,26 @@ def write_json(path, payload) -> None:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def atomic_directory(path):
+    """Yield an empty directory beside `path` to fill; when the block ends,
+    it replaces `path` and all of its old contents in one rename.
+
+    `path` is therefore the old directory, the whole new one or absent,
+    never a mix. A block that raises leaves `path` as it was and no
+    temporary directory behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        tmp.mkdir(parents=True)
+        yield tmp
+        shutil.rmtree(path, ignore_errors=True)
+        os.replace(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
         raise

@@ -16,6 +16,8 @@ verify them against central finite differences.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -444,13 +446,56 @@ def freeze_class_modules(modules: list[MscalModule], up_to_task: int) -> list[Ms
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 _ARRAY_FIELDS = TRAINED_FIELDS + ("running_mean", "running_var")
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """`a` as its shape and its exact little-endian float64 bytes in base64."""
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(record: dict, where: str) -> np.ndarray:
+    """The writable native float64 array `_encode_array` wrote as `record`."""
+    shape = record["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ParseError(f"{where}: bad shape {shape!r}")
+    try:
+        data = base64.b64decode(record["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: bad base64 data ({exc})") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ParseError(f"{where}: {len(data)} bytes of data, but shape {shape} "
+                         f"holds {8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _layers_from_payload(records: list) -> list[MscalLayerParams]:
+    """Every layer's arrays, whose shapes must all follow from the first
+    layer's w1 (D, Dh) and w2 (Dh, Dz)."""
+    layers = [{name: _decode_array(rec[name], f"layer {i} field {name}")
+               for name in _ARRAY_FIELDS} for i, rec in enumerate(records)]
+    if not layers:
+        raise ParseError("module has no layers")
+    w1, w2 = layers[0]["w1"], layers[0]["w2"]
+    if w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != w2.shape[0]:
+        raise ParseError(f"layer 0 fields w1 {list(w1.shape)} and w2 {list(w2.shape)} "
+                         f"are not (D, Dh) and (Dh, Dz)")
+    (d, dh), dz = w1.shape, w2.shape[1]
+    expected = {"w1": (d, dh), "w2": (dh, dz), "b2": (dz,), "anchor": (dz,)}
+    for i, fields in enumerate(layers):
+        for name, a in fields.items():
+            want = expected.get(name, (dh,))
+            if a.shape != want:
+                raise ParseError(f"layer {i} field {name} has shape {list(a.shape)}, "
+                                 f"not {list(want)}")
+    return [MscalLayerParams(**fields) for fields in layers]
+
+
 def module_to_payload(module: MscalModule) -> dict:
-    """JSON-safe dict; float64 values survive a JSON round trip exactly."""
+    """JSON-safe dict; every array is stored as its exact float64 bytes."""
     return {
         "format": CHECKPOINT_FORMAT,
         "class_id": module.class_id,
@@ -461,7 +506,7 @@ def module_to_payload(module: MscalModule) -> dict:
         "share_anchor": module.share_anchor,
         "bn_momentum": module.bn_momentum,
         "layers": [
-            {name: getattr(p, name).tolist() for name in _ARRAY_FIELDS}
+            {name: _encode_array(getattr(p, name)) for name in _ARRAY_FIELDS}
             for p in module.layers
         ],
     }
@@ -470,11 +515,7 @@ def module_to_payload(module: MscalModule) -> dict:
 def module_from_payload(payload: dict) -> MscalModule:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"unsupported module checkpoint format {payload.get('format')!r}")
-    layers = [
-        MscalLayerParams(**{name: np.asarray(rec[name], dtype=np.float64)
-                            for name in _ARRAY_FIELDS})
-        for rec in payload["layers"]
-    ]
+    layers = _layers_from_payload(payload["layers"])
     return MscalModule(
         class_id=int(payload["class_id"]),
         task_id=int(payload["task_id"]),

@@ -17,7 +17,16 @@ import numpy as np
 
 from .detection import _sigmoid
 from .embedding_space import ClassEmbeddingRegistry, ClassEntry
-from .errors import MissingCheckpoint, NoSamples, ParseError, ShapeMismatch, read_json, write_json
+from .errors import (
+    EmptyScores,
+    MissingCheckpoint,
+    NoSamples,
+    ParseError,
+    ShapeMismatch,
+    atomic_directory,
+    read_json,
+    write_json,
+)
 from .mscal import (
     MscalModule,
     TRAINED_FIELDS,
@@ -378,7 +387,8 @@ def train_task(
     never-introduced classes) is ignored, leaving their locations as
     background. Only unfrozen embeddings and modules receive
     updates; the loss is `det_weight * detection + mscal_weight * anchor
-    loss`, logged per step.
+    loss`, logged per step. A cal split in which no known class owns a
+    location gives no score to calibrate on and raises `EmptyScores`.
     """
     geometry = world_data.geometry
     train_scenes = list(world_data.train_scenes)
@@ -395,6 +405,10 @@ def train_task(
     name_to_id = {e.name: i for i, e in enumerate(registry.entries)}
 
     train_pairs = _owned_pairs(train_scenes, geometry, name_to_id)
+    cal_pairs = _owned_pairs(cal_scenes, geometry, name_to_id)
+    if not any(cells.size for layers in cal_pairs for _, cells in layers):
+        raise EmptyScores(f"task {task_id}: no location of the cal split is owned by a "
+                          f"known class, so theta cannot be calibrated")
 
     n_classes = registry.num_known
     trainable_rows = np.array([not e.frozen for e in registry.entries])
@@ -460,9 +474,8 @@ def train_task(
     _normalize_anchors(trained)
     registry = registry.with_embeddings(
         {registry.entries[i].name: embeddings[i] for i in trainable_idx})
-    scores = known_positive_scores_for_registry(
-        modules, cal_scenes, _owned_pairs(cal_scenes, geometry, name_to_id))
-    log.theta = calibrate_threshold(scores, config.quantile) if scores else float("inf")
+    scores = known_positive_scores_for_registry(modules, cal_scenes, cal_pairs)
+    log.theta = calibrate_threshold(scores, config.quantile)
     return registry, modules, log
 
 
@@ -538,27 +551,24 @@ def registry_from_payload(payload: dict) -> ClassEmbeddingRegistry:
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
                     previous=None, unchanged=frozenset()) -> None:
-    """Write a checkpoint, removing the module file of any class not in
-    `modules`. `unchanged` names the classes whose modules were loaded
-    frozen from the checkpoint at `previous` and never trained since; their
-    files are copied byte for byte instead of re-encoded."""
-    base = Path(directory)
-    (base / MODULE_DIR).mkdir(parents=True, exist_ok=True)
-    write_json(base / REGISTRY_FILE, registry_to_payload(registry))
-    write_json(base / THETA_FILE, {"theta": theta})
-    write_json(base / CONFIG_FILE, vars(config) | {"format": 1})
-    names = {f"class_{module.class_id:03d}.json" for module in modules}
-    for path in (base / MODULE_DIR).glob("class_*.json"):
-        if path.name not in names:
-            path.unlink()
-    for module in modules:
-        name = f"class_{module.class_id:03d}.json"
-        if module.class_id in unchanged:
-            shutil.copyfile(Path(previous) / MODULE_DIR / name, base / MODULE_DIR / name)
-        else:
-            write_json(base / MODULE_DIR / name, module_to_payload(module))
-    if log is not None:
-        write_train_log_csv(base / LOG_FILE, log)
+    """Write a checkpoint holding exactly `modules`, whole or not at all: the
+    files go into a fresh directory that then replaces `directory`.
+    `unchanged` names the classes whose modules were loaded frozen from the
+    checkpoint at `previous` and never trained since; their files are
+    copied byte for byte instead of re-encoded."""
+    with atomic_directory(directory) as base:
+        (base / MODULE_DIR).mkdir()
+        write_json(base / REGISTRY_FILE, registry_to_payload(registry))
+        write_json(base / THETA_FILE, {"theta": theta})
+        write_json(base / CONFIG_FILE, vars(config) | {"format": 1})
+        for module in modules:
+            name = f"class_{module.class_id:03d}.json"
+            if module.class_id in unchanged:
+                shutil.copyfile(Path(previous) / MODULE_DIR / name, base / MODULE_DIR / name)
+            else:
+                write_json(base / MODULE_DIR / name, module_to_payload(module))
+        if log is not None:
+            write_train_log_csv(base / LOG_FILE, log)
 
 
 def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule], float]:

@@ -572,6 +572,42 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_failed_gen_leaves_no_partial_world(self, workdir, capsys):
+        # the default world fails in scene generation, after its manifest,
+        # embeddings and task split are made
+        assert run("gen", "--out", "out", "--set", "world.box_jitter=2") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list((workdir / "out").iterdir()) == []
+
+    def test_failed_gen_keeps_the_old_world(self, workdir, capsys):
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        world = workdir / "out" / "world"
+        old = {p: p.read_bytes() for p in world.rglob("*") if p.is_file()}
+        assert run("gen", "--config", "tiny.ini", "--out", "out", "--seed", "1",
+                   "--set", "world.box_jitter=2") == 1
+        assert {p: p.read_bytes() for p in world.rglob("*") if p.is_file()} == old
+        assert [p.name for p in (workdir / "out").iterdir()] == ["world"]
+
+    def test_regenerated_world_keeps_no_old_scene(self, workdir):
+        args = ("--config", "tiny.ini", "--out", "out")
+        assert run("gen", *args) == 0
+        assert run("gen", *args, "--set", "world.scenes_per_split=train:6,cal:3,test:2") == 0
+        assert sorted(p.name for p in (workdir / "out/world/scenes/test").iterdir()) == [
+            "gt.jsonl", "test-0000.pyr", "test-0001.pyr"]
+
+    def test_cal_split_without_known_location(self, workdir, capsys):
+        # no cal box of seed 3 belongs to a task-1 class: there is no score
+        # to calibrate theta on, and no checkpoint is written
+        args = ("--config", "tiny.ini", "--seed", "3", "--out", "out",
+                "--set", "world.boxes_per_scene=1,2", "--set", "world.unknown_box_ratio=0.5")
+        assert run("gen", *args) == 0
+        capsys.readouterr()
+        assert run("train", *args, "--task", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "task 1: no location of the cal split is owned by a known class" in err
+        assert not (workdir / "out" / "checkpoints").exists()
+
     def test_training_steps_without_train_scenes(self, workdir, capsys):
         args = ("--config", "tiny.ini", "--out", "out",
                 "--set", "world.scenes_per_split=train:0,cal:3,test:4")

@@ -43,3 +43,32 @@ class TestWriteJson:
         with pytest.raises(OSError):
             write_json(tmp_path / "x.json", PAYLOAD)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicDirectory:
+    def test_replaces_the_old_directory(self, tmp_path):
+        with errors.atomic_directory(tmp_path / "d") as d:
+            (d / "old.txt").write_text("old")
+        with errors.atomic_directory(tmp_path / "d") as d:
+            (d / "new.txt").write_text("new")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["new.txt"]
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_failed_block_leaves_the_old_directory_or_none(self, tmp_path, previous):
+        if previous:
+            with errors.atomic_directory(tmp_path / "d") as d:
+                (d / "old.txt").write_text("old")
+        with pytest.raises(OSError):
+            with errors.atomic_directory(tmp_path / "d") as d:
+                (d / "half.txt").write_text("ha")
+                raise OSError("no space left on device")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == (
+            ["d", "d/old.txt"] if previous else [])
+
+    def test_stale_temporary_directory_is_cleared(self, tmp_path):
+        (tmp_path / "d.tmp").mkdir()
+        (tmp_path / "d.tmp" / "stale.txt").write_text("stale")
+        with errors.atomic_directory(tmp_path / "d") as d:
+            assert list(d.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]

@@ -1,4 +1,7 @@
+import base64
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ from openworld_kit.errors import (
     EmptyScores,
     NoModules,
     NoSamples,
+    ParseError,
     ShapeMismatch,
+    read_json,
+    write_json,
 )
 from openworld_kit.mscal import (
     BN_EPS,
@@ -625,3 +631,70 @@ class TestCheckpoint:
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
         assert restored.frozen and restored.task_id == 2 and restored.class_id == 3
+
+    # float64 bit patterns a text encoding could lose: -0.0, the smallest
+    # and largest subnormals, both infinities, a quiet NaN with a payload and
+    # a negative NaN
+    EDGES = [-0.0, 5e-324, 2.225073858507201e-308, math.inf, -math.inf] + [
+        struct.unpack("<d", struct.pack("<Q", bits))[0]
+        for bits in (0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001)]
+
+    @staticmethod
+    def round_trip(tmp_path, module):
+        path = tmp_path / "class_000.json"
+        write_json(path, module_to_payload(module))
+        return read_json(path, "checkpoint file", module_from_payload)
+
+    @given(seed=st.integers(0, 2**32 - 1), num_layers=st.integers(1, 3),
+           dim=st.sampled_from([2, 5, 8]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, seed, num_layers, dim, data):
+        module = init_module(0, 1, dim=dim, num_layers=num_layers,
+                             rng=np.random.default_rng(seed))
+        values = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True), st.sampled_from(self.EDGES))
+        for layer in module.layers:
+            for name in TRAINED_FIELDS + ("running_mean", "running_var"):
+                a = getattr(layer, name)
+                drawn = data.draw(st.lists(values, min_size=a.size, max_size=a.size))
+                setattr(layer, name, np.array(drawn, dtype=np.float64).reshape(a.shape))
+        restored = self.round_trip(tmp_path_factory.mktemp("module"), module)
+        for before, after in zip(module.layers, restored.layers):
+            for name, a in vars(before).items():
+                b = getattr(after, name)
+                assert b.shape == a.shape and b.tobytes() == a.tobytes(), name
+                assert b.dtype == np.float64 and b.dtype.isnative and b.flags.writeable
+
+    def test_format_1_is_rejected(self, tmp_path):
+        module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))
+        payload = module_to_payload(module)
+        payload["format"] = 1
+        payload["layers"] = [{name: getattr(layer, name).tolist() for name in rec}
+                             for layer, rec in zip(module.layers, payload["layers"])]
+        with pytest.raises(ParseError, match="unsupported module checkpoint format 1"):
+            module_from_payload(payload)
+
+    @pytest.mark.parametrize("layer, name, edit, message", [
+        (0, "w1", lambda r: r | {"shape": [2, 8]}, "layer 0 fields w1 [2, 8] and w2 [4, 2]"),
+        (1, "b1", lambda r: r | {"shape": [2, 2]}, "layer 1 field b1 has shape [2, 2], not [4]"),
+        (1, "w2", lambda r: r | {"shape": [2, 4]}, "layer 1 field w2 has shape [2, 4], not [4, 2]"),
+        (0, "anchor", lambda r: r | {"shape": [-2]}, "layer 0 field anchor: bad shape [-2]"),
+        (0, "gamma", lambda r: r | {"data": base64.b64encode(bytes(24)).decode()},
+         "layer 0 field gamma: 24 bytes of data, but shape [4] holds 32"),
+        (1, "running_var", lambda r: r | {"data": "!" + r["data"][1:]},
+         "layer 1 field running_var: bad base64 data"),
+        (0, "beta", lambda r: r | {"data": r["data"][:-1]}, "layer 0 field beta: bad base64 data"),
+        (0, "b2", lambda r: r | {"data": 7}, "layer 0 field b2: bad base64 data"),
+    ], ids=["w1-shape", "vector-shape", "later-layer-shape", "negative-shape", "short-data",
+            "bad-character", "bad-padding", "data-not-text"])
+    def test_bad_array_is_a_parse_error(self, tmp_path, layer, name, edit, message):
+        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0))
+        path = tmp_path / "class_000.json"
+        write_json(path, module_to_payload(module))
+        payload = json.loads(path.read_text())
+        payload["layers"][layer][name] = edit(payload["layers"][layer][name])
+        write_json(path, payload)
+        with pytest.raises(ParseError) as err:
+            read_json(path, "checkpoint file", module_from_payload)
+        assert message in str(err.value)
+        assert err.value.path == str(path)

@@ -586,3 +586,62 @@ class TestCheckpointFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,det_loss,mscal_loss,total"
         assert lines[1] == "0,1.5,2.25,3.75"
+
+
+def read_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestCheckpointIsWholeOrAbsent:
+    """A save that fails partway leaves the old checkpoint, or none, and no
+    temporary directory or file."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_world):
+        config = TrainConfig(steps_per_task=1, batch_size=2, seed=0)
+        registry, modules, log = train_task(TaskData(tiny_world), fresh_registry(tiny_world),
+                                            [], config, 1)
+        return registry, modules, log, config
+
+    @staticmethod
+    def torn_writes(monkeypatch, fail_at):
+        """Make the `fail_at`-th file write of a save put a torn text straight
+        into the file and then fail, as a crash or a full disk would."""
+        calls = []
+
+        def tear(write):
+            def torn(path, content):
+                calls.append(path)
+                if len(calls) == fail_at:
+                    path.write_text(repr(content)[:40])
+                    raise OSError("no space left on device")
+                write(path, content)
+            return torn
+
+        monkeypatch.setattr(training, "write_json", tear(training.write_json))
+        monkeypatch.setattr(training, "write_train_log_csv",
+                            tear(training.write_train_log_csv))
+
+    # writes 1-3 are the registry, theta and config, 4-5 the two module
+    # files and 6 the train log
+    @pytest.mark.parametrize("fail_at", range(1, 7))
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_failed_save(self, tmp_path, monkeypatch, trained, fail_at, previous):
+        registry, modules, log, config = trained
+        ckpt = tmp_path / "checkpoints" / "task_1"
+        if previous:
+            save_checkpoint(ckpt, registry, modules[:1], 0.25, config)
+            old = read_tree(ckpt)
+        self.torn_writes(monkeypatch, fail_at)
+        with pytest.raises(OSError):
+            save_checkpoint(ckpt, registry, modules, log.theta, config, log)
+        if previous:
+            assert read_tree(ckpt) == old
+        assert [p.name for p in (tmp_path / "checkpoints").iterdir()] == (
+            ["task_1"] if previous else [])
+        monkeypatch.undo()
+        save_checkpoint(ckpt, registry, modules, log.theta, config, log)
+        assert sorted(read_tree(ckpt)) == [
+            "config.json", "modules/class_000.json", "modules/class_001.json",
+            "registry.json", "theta.json", "train_log.csv"]
+        assert list(tmp_path.rglob("*.tmp")) == []
