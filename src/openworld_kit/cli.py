@@ -27,7 +27,8 @@ from .embedding_space import (
     prompt_matrix,
     register_task,
 )
-from .errors import ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory, read_json
+from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory,
+                     atomic_text_file, read_json)
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
@@ -53,6 +54,13 @@ def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
+    return value
+
+
+def _parse_unit(text: str) -> float:
+    value = _parse_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("not in [0, 1]")
     return value
 
 
@@ -120,14 +128,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "world": _fields_schema(WorldSpec),
     "train": _fields_schema(TrainConfig),
     "detect": {
-        "conf_threshold": (_parse_float, 0.25),
-        "nms_iou": (_parse_float, 0.7),
+        "conf_threshold": (_parse_unit, 0.25),
+        "nms_iou": (_parse_unit, 0.7),
         "class_wise_nms": (_parse_bool, True),
         "ood_gate_mode": (_parse_gate_mode, "relabel"),
     },
     "eval": {
-        "iou_threshold": (_parse_float, 0.5),
-        "recall_level": (_parse_float, 0.8),
+        "iou_threshold": (_parse_unit, 0.5),
+        "recall_level": (_parse_unit, 0.8),
     },
     "thresholds": {
         "min_map_both": (_parse_float, None),
@@ -450,7 +458,7 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
             reports.append((value, json.load(fh)))
 
     summary = base / "sweep.csv"
-    with open(summary, "w", encoding="utf-8") as fh:
+    with atomic_text_file(summary) as fh:
         fh.write("value,map_both,u_recall,wi,a_ose\n")
         for value, rep in reports:
             cells = [str(value)] + [ev.csv_cell(rep[k])

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector
+from .errors import (MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector,
+                     atomic_text_file)
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
@@ -215,18 +216,6 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tmp
 
 
-def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Keep mask of greedy NMS over boxes already in visiting order: each
-    survivor clears the later boxes it suppresses."""
-    # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
-    spared = ~(box_iou(boxes[:, None], boxes[None, :]) >= iou_threshold)
-    alive = np.ones(len(boxes), dtype=bool)
-    for i in range(len(boxes) - 1):
-        if alive[i]:
-            alive[i + 1:] &= spared[i, i + 1:]
-    return alive
-
-
 def nms(dets: Detections, iou_threshold: float = 0.7,
         class_wise: bool = True) -> Detections:
     """Greedy suppression by descending confidence. `dets` may also be a
@@ -236,8 +225,10 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
     label when `class_wise`; unknown counts as its own class) stays below
     the threshold. Confidence ties keep the earlier index. The survivors
     come back in visiting order. The result equals the scalar greedy loop
-    over pairwise IoU; each label group is decided from one `box_iou`
-    matrix.
+    over pairwise IoU, with `box_iou` run only on the same-group pairs
+    whose x-ranges overlap: any other pair of finite boxes has IoU exactly
+    0, which suppresses only at a threshold <= 0. At such a threshold, or
+    with a non-finite box, every same-group pair is scored.
     """
     if not isinstance(dets, Detections):
         dets = Detections.from_rows(dets)
@@ -246,16 +237,37 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
         return dets
     order = np.argsort(-dets.confidence, kind="stable")   # (-confidence, index)
     boxes = dets.boxes[order]
-    if class_wise:
-        labels = dets.labels[order]
-        groups = [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
+    groups = dets.labels[order] if class_wise else np.zeros(n, dtype=np.int64)
+    # positions sorted by (group, x1); each pair is found from its first
+    # position, as the later positions of the group up to `end`
+    by_x = np.lexsort((boxes[:, 0], groups))
+    gid = np.unique(groups, return_inverse=True)[1][by_x]   # ascending
+    if iou_threshold > 0 and np.isfinite(boxes).all():
+        # only those with x1_b < x2_a, since otherwise the pair has no
+        # width. With rank(v) the count of x1 values below v, the keys
+        # gid * (n + 1) + rank(x1) below gid_a * (n + 1) + rank(x2_a) are
+        # those of the earlier groups and of a's candidates
+        x1 = np.sort(boxes[:, 0])
+        key = gid * (n + 1) + np.searchsorted(x1, boxes[by_x, 0])
+        end = np.searchsorted(key, gid * (n + 1) + np.searchsorted(x1, boxes[by_x, 2]))
     else:
-        groups = [np.arange(n)]
-    keep = np.ones(n, dtype=bool)
-    for group in groups:
-        if len(group) > 1:
-            keep[group] = _greedy_keep(boxes[group], iou_threshold)
-    return dets.take(order[keep])
+        end = np.searchsorted(gid, gid, side="right")
+    count = np.maximum(end - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    # each pair as (earlier, later) in visiting order, the matrix's [i, j], i < j
+    earlier = np.minimum(by_x[first], by_x[second])
+    later = np.maximum(by_x[first], by_x[second])
+    # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
+    hit = box_iou(boxes[earlier], boxes[later]) >= iou_threshold
+    earlier, later = earlier[hit], later[hit]
+    walk = np.argsort(earlier, kind="stable")
+    # every edge into a box leaves an earlier box, so it is decided by then
+    alive = [True] * n
+    for e, l in zip(earlier[walk].tolist(), later[walk].tolist()):
+        if alive[e]:
+            alive[l] = False
+    return dets.take(order[np.array(alive)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +294,13 @@ def format_detection_lines(scene_id: str, dets: Detections,
                            labels: dict[int, str]) -> str:
     """The scene's JSONL lines; coordinates are `round(v, 4)`."""
     scene = encode_basestring_ascii(scene_id)
-    x1, y1, x2, y2 = ([_json_float(round(v, 4)) for v in column]
-                      for column in dets.boxes.T.tolist())
+    # each distinct coordinate formatted once: distinct by bit pattern, so
+    # -0.0 and 0.0 stay apart (every NaN writes NaN)
+    bits, inverse = np.unique(np.asarray(dets.boxes, dtype=np.float64).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array([_json_float(round(v, 4)) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    x1, y1, x2, y2 = texts[inverse.reshape(-1, 4)].T.tolist()
     rows = zip(map(_json_float, dets.confidence.tolist()),
                map(labels.__getitem__, dets.labels.tolist()),
                map(_json_float, dets.ood.tolist()), [scene] * len(dets), x1, x2, y1, y2)
@@ -292,8 +309,9 @@ def format_detection_lines(scene_id: str, dets: Detections,
 
 def write_detections_jsonl(path, per_scene: list[tuple[str, Detections]],
                            label_names: list[str]) -> None:
+    """Write the scenes' detections to `path`, whole or not at all."""
     labels = label_texts(label_names)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_file(path) as fh:
         for scene_id, dets in per_scene:
             fh.write(format_detection_lines(scene_id, dets, labels))
 

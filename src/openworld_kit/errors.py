@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the toolkit, the JSON file reader that
-maps a missing or malformed file onto it, the JSON file writer and the
-whole-directory writer."""
+maps a missing or malformed file onto it, and the writers of a whole file
+and of a whole directory."""
 
 import json
 import os
@@ -115,24 +115,33 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
                          path=str(path)) from exc
 
 
-def write_json(path, payload) -> None:
-    """Write `payload` as every JSON file of the toolkit is written: one-space
-    indent, sorted keys and a final newline.
+@contextmanager
+def atomic_text_file(path):
+    """Yield a text handle on `<path>.tmp` to write; when the block ends,
+    the file replaces `path` in one rename.
 
-    The text goes to a temporary file beside `path`, which then replaces
-    `path` in one rename, so a write that fails partway leaves the old file
-    (or none) and no temporary file behind.
+    `path` is therefore the old file, the whole new one or absent, never a
+    torn file. A block that raises leaves `path` as it was and no temporary
+    file behind.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as every JSON file of the toolkit is written: one-space
+    indent, sorted keys and a final newline, whole or not at all
+    (`atomic_text_file`)."""
+    with atomic_text_file(path) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @contextmanager

@@ -22,7 +22,7 @@ import numpy as np
 
 from .detection import DetectionTable, box_iou, read_box_columns
 from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
-                     UndefinedOperatingPoint, read_json, write_json)
+                     UndefinedOperatingPoint, atomic_text_file, read_json, write_json)
 
 UNKNOWN_NAME = "unknown"
 
@@ -404,7 +404,7 @@ def report_csv_row(report: EvalReport) -> str:
 
 
 def write_report_csv(path, reports: list[EvalReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_file(path) as fh:
         fh.write(REPORT_CSV_HEADER + "\n")
         for report in reports:
             fh.write(report_csv_row(report) + "\n")

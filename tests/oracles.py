@@ -72,12 +72,24 @@ def overlaps_of(dets, gts, iou_thr=0.5):
     return find_overlaps(table_of(dets), gts, iou_thr)
 
 
+def _nan_min(x, y):
+    return x if x != x or x < y else y      # NaN wins, as in np.minimum
+
+
+def _nan_max(x, y):
+    return x if x != x or x > y else y      # NaN wins, as in np.maximum
+
+
 def oracle_iou(a, b):
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    if w <= 0 or h <= 0:
+    """IoU of one box pair by the rules of `box_iou`: a NaN coordinate makes
+    its min/max NaN, a width or height that is not positive (NaN included)
+    counts as 0, and the IoU is 0 wherever the intersection is not positive.
+    On finite boxes these are the plain rules."""
+    w = _nan_min(a[2], b[2]) - _nan_max(a[0], b[0])
+    h = _nan_min(a[3], b[3]) - _nan_max(a[1], b[1])
+    inter = (w if w > 0 else 0.0) * (h if h > 0 else 0.0)
+    if inter <= 0:
         return 0.0
-    inter = w * h
     union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union
 

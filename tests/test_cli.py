@@ -545,6 +545,21 @@ class TestOutOfRangeValues:
         assert not (workdir / "out").exists()
 
 
+    @pytest.mark.parametrize("value", ["-0.5", "1.5"])
+    @pytest.mark.parametrize("command, key", [
+        (("infer", "--task", "1"), "detect.conf_threshold"),
+        (("infer", "--task", "1"), "detect.nms_iou"),
+        (("eval", "--task", "1", "--detections", "d.jsonl"), "eval.iou_threshold"),
+        (("eval", "--task", "1", "--detections", "d.jsonl"), "eval.recall_level"),
+    ])
+    def test_threshold_outside_unit_interval(self, workdir, capsys, command, key, value):
+        assert run(*command, "--config", "tiny.ini", "--out", "out",
+                   "--set", f"{key}={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and "not in [0, 1]" in err
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("override", [
         "train.learning_rate=nan", "train.weight_decay=inf", "train.weight_decay=1e999",
     ])
@@ -718,6 +733,24 @@ class TestAblate:
             for key in ("map_both", "u_recall", "wi", "a_ose"):
                 if report[key] is not None:
                     assert np.isfinite(report[key])
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_torn_sweep_write_leaves_the_old_file_or_none(self, trained, tear_writes,
+                                                            previous):
+        sweep = trained / "out/reports/ablate_alpha/sweep.csv"
+        args = ("ablate", "--config", "tiny.ini", "--out", "out", "--task", "2",
+                "--parameter", "alpha", "--values", "0.2,0.4")
+        if previous:
+            assert run(*args) == 0
+            old = sweep.read_bytes()
+        tear_writes("sweep.csv")
+        with pytest.raises(OSError):
+            run(*args)
+        if previous:
+            assert sweep.read_bytes() == old
+        else:
+            assert not sweep.exists()
+        assert list(trained.rglob("*.tmp")) == []
 
     def test_alpha_zero_equals_raw_generic_prompt_arm(self, trained):
         run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",

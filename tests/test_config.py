@@ -92,7 +92,7 @@ def test_old_default_texts_parse_to_the_defaults():
 
 @pytest.mark.parametrize("section, key", [
     (section, key) for section, keys in cli.SCHEMA.items()
-    for key, (parse, _) in keys.items() if parse is cli._parse_float])
+    for key, (parse, _) in keys.items() if parse in (cli._parse_float, cli._parse_unit)])
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
 def test_every_float_key_rejects_non_finite_values(section, key, text):
     with pytest.raises(ConfigError, match=f"{section}.{key}.*not a finite number"):

@@ -335,6 +335,35 @@ class TestNms:
                 for i, ((x, y), (w, h)) in enumerate(zip(corners, sizes))]
         assert run_nms(dets, threshold, class_wise) == oracle_nms(dets, threshold, class_wise)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 5, 12, 18]), st.integers(0, 6),
+           st.integers(0, 4), st.sampled_from([0.0, 1e-9, 0.3, 0.7, 1.0]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_oracle_on_flood_shaped_scenes(self, seed, side, cliques, odd,
+                                                  threshold, class_wise):
+        # shaped like a gated scene: a grid of disjoint cells (side x side,
+        # up to 324), cliques of identical boxes over it, and a few boxes
+        # with a NaN or infinite coordinate, most of one label
+        rng = np.random.default_rng(seed)
+        row, col = (v * 8.0 for v in np.divmod(np.arange(side * side), max(side, 1)))
+        boxes = [np.column_stack((col, row, col + 8.0, row + 8.0))]
+        for _ in range(cliques):
+            corner = rng.integers(0, 16, size=2) * 4.0
+            box = np.hstack((corner, corner + rng.integers(1, 5, size=2) * 4.0))
+            boxes.append(np.tile(box, (int(rng.integers(2, 9)), 1)))
+        boxes = np.vstack(boxes)
+        idx = rng.integers(0, len(boxes), size=odd if len(boxes) else 0)
+        boxes[idx, rng.integers(0, 4, size=len(idx))] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=len(idx))
+        boxes = boxes[rng.permutation(len(boxes))]
+        labels = rng.choice([UNKNOWN_CLASS_ID, UNKNOWN_CLASS_ID, 0, 1], size=len(boxes))
+        confs = rng.choice([0.25, 0.5, 0.75, 1.0], size=len(boxes))
+        dets = [Detection(box=tuple(box), label=int(labels[i]), confidence=float(confs[i]),
+                          source=(0, 0, i), ood=float(i))
+                for i, box in enumerate(boxes.tolist())]
+        with np.errstate(invalid="ignore"):
+            got = [d.source for d in run_nms(dets, threshold, class_wise)]
+        assert got == [d.source for d in oracle_nms(dets, threshold, class_wise)]
+
     def test_equals_oracle_on_a_gated_scene(self, tmp_path):
         # a zero-step checkpoint gates almost every detection of a seed-0
         # test scene into one unknown group of about 300 boxes
@@ -414,6 +443,35 @@ class TestDetectionsFile:
         scene_id, rows, names = scene
         want = "".join(oracle_format_detection_line(scene_id, d, names) + "\n" for d in rows)
         assert format_detection_lines(scene_id, Detections.from_rows(rows), label_texts(names)) == want
+
+    def test_coordinates_distinct_by_bits(self):
+        # the writer formats each distinct coordinate bit pattern once: 0.0
+        # and -0.0 stay apart, and NaNs of two payloads both write NaN
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64)
+        x1 = [0.0, -0.0, *nans.view(np.float64).tolist(), 0.0, -0.0]
+        rows = [Detection(box=(v, 1.0, 2.0, -0.0), label=0, confidence=0.5,
+                          source=(0, 0, i)) for i, v in enumerate(x1)]
+        got = format_detection_lines("s", Detections.from_rows(rows), label_texts(["dog"]))
+        assert got == "".join(oracle_format_detection_line("s", d, ["dog"]) + "\n"
+                              for d in rows)
+        assert [line.split('"x1": ')[1][:4] for line in got.splitlines()] == [
+            "0.0,", "-0.0", "NaN,", "NaN,", "0.0,", "-0.0"]
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_torn_write_leaves_the_old_file_or_none(self, tmp_path, tear_writes, previous):
+        path = tmp_path / "dets.jsonl"
+        scenes = [(f"s{i}", Detections.from_rows([
+            Detection(box=(0.0, 0.0, 1.0, 1.0), label=0, confidence=0.5, source=(0, 0, i))]))
+            for i in range(2)]
+        if previous:
+            write_detections_jsonl(path, scenes[:1], ["dog"])
+            old = path.read_bytes()
+        tear_writes("dets.jsonl")
+        with pytest.raises(OSError):
+            write_detections_jsonl(path, scenes, ["dog"])
+        assert [p.name for p in tmp_path.iterdir()] == (["dets.jsonl"] if previous else [])
+        if previous:
+            assert path.read_bytes() == old
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

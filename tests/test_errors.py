@@ -3,7 +3,7 @@ import json
 import pytest
 
 from openworld_kit import errors
-from openworld_kit.errors import write_json
+from openworld_kit.errors import atomic_text_file, write_json
 
 PAYLOAD = {"b": [1.5, 0.1], "a": {"nested": True}}
 
@@ -43,6 +43,29 @@ class TestWriteJson:
         with pytest.raises(OSError):
             write_json(tmp_path / "x.json", PAYLOAD)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicTextFile:
+    def test_writes_the_text(self, tmp_path):
+        with atomic_text_file(tmp_path / "x.txt") as fh:
+            fh.write("a\n")
+            fh.write("b\n")
+        assert (tmp_path / "x.txt").read_bytes() == b"a\nb\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_torn_write_leaves_the_old_file_or_none(self, tmp_path, tear_writes, previous):
+        path = tmp_path / "x.txt"
+        if previous:
+            path.write_bytes(b"old\n")
+        tear_writes("x.txt")
+        with pytest.raises(OSError):
+            with atomic_text_file(path) as fh:
+                fh.write("a\n")
+                fh.write("b\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["x.txt"] if previous else [])
+        if previous:
+            assert path.read_bytes() == b"old\n"
 
 
 class TestAtomicDirectory:

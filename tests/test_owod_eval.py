@@ -25,6 +25,7 @@ from openworld_kit.owod_eval import (
     u_recall,
     wilderness_impact,
     write_gt_jsonl,
+    write_report_csv,
     write_report_json,
 )
 
@@ -367,6 +368,23 @@ class TestEvaluateTask:
         assert row.endswith(",0")  # a_ose
         text = render_report(report)
         assert "U-Recall" in text and "-" in text
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_torn_csv_write_leaves_the_old_file_or_none(self, tmp_path, tear_writes,
+                                                          previous):
+        gts = [gt("s", (0, 0, 4, 4), "car")]
+        report = evaluate_task(table_of([det("s", (0, 0, 4, 4), "car", 0.9)]), gts,
+                               self.split(), task_id=1)
+        path = tmp_path / "report.csv"
+        if previous:
+            write_report_csv(path, [report])
+            old = path.read_bytes()
+        tear_writes("report.csv")
+        with pytest.raises(OSError):
+            write_report_csv(path, [report, report])
+        assert [p.name for p in tmp_path.iterdir()] == (["report.csv"] if previous else [])
+        if previous:
+            assert path.read_bytes() == old
 
     def test_undefined_serializes_as_null_not_zero(self, tmp_path):
         import json
