@@ -28,7 +28,7 @@ from .embedding_space import (
     register_task,
 )
 from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory,
-                     atomic_text_file, read_json)
+                     atomic_text_file, atomic_text_files, read_json)
 from .mscal import freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
@@ -392,8 +392,10 @@ def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
     else:
         report_path = Path(report_path)
         report_path.parent.mkdir(parents=True, exist_ok=True)
-    ev.write_report_json(report_path, report)
-    ev.write_report_csv(Path(report_path).with_suffix(".csv"), [report])
+    # the JSON and its CSV replace the old pair together or not at all
+    with atomic_text_files(report_path, report_path.with_suffix(".csv")) as (js, csv):
+        ev.write_report_json(js, report)
+        ev.write_report_csv(csv, [report])
     print(ev.render_report(report))
     print(f"report -> {report_path}")
 

@@ -5,7 +5,7 @@ and of a whole directory."""
 import json
 import os
 import shutil
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 
@@ -116,32 +116,45 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
 
 
 @contextmanager
-def atomic_text_file(path):
-    """Yield a text handle on `<path>.tmp` to write; when the block ends,
-    the file replaces `path` in one rename.
+def atomic_text_files(*paths):
+    """Yield a text handle on `<path>.tmp` for each of `paths` to write;
+    when the block ends and every file is whole, each replaces its path in
+    one rename.
 
-    `path` is therefore the old file, the whole new one or absent, never a
-    torn file. A block that raises leaves `path` as it was and no temporary
-    file behind.
+    Each path is therefore its old file, the whole new one or absent, never
+    a torn file. A block that raises leaves every path as it was and no
+    temporary file behind.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmps = [Path(f"{path}.tmp") for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def write_json(path, payload) -> None:
+@contextmanager
+def atomic_text_file(path):
+    """`atomic_text_files` of the one file at `path`."""
+    with atomic_text_files(path) as (fh,):
+        yield fh
+
+
+def dump_json(payload, fh) -> None:
     """Write `payload` as every JSON file of the toolkit is written: one-space
-    indent, sorted keys and a final newline, whole or not at all
-    (`atomic_text_file`)."""
+    indent, sorted keys and a final newline."""
+    json.dump(payload, fh, indent=1, sort_keys=True)
+    fh.write("\n")
+
+
+def write_json(path, payload) -> None:
+    """`dump_json` into the file at `path`, whole or not at all."""
     with atomic_text_file(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        dump_json(payload, fh)
 
 
 @contextmanager

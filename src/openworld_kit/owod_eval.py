@@ -22,7 +22,7 @@ import numpy as np
 
 from .detection import DetectionTable, box_iou, read_box_columns
 from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
-                     UndefinedOperatingPoint, atomic_text_file, read_json, write_json)
+                     UndefinedOperatingPoint, dump_json, read_json, write_json)
 
 UNKNOWN_NAME = "unknown"
 
@@ -383,8 +383,8 @@ def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSpl
     )
 
 
-def write_report_json(path, report: EvalReport) -> None:
-    write_json(path, report.to_dict())
+def write_report_json(fh, report: EvalReport) -> None:
+    dump_json(report.to_dict(), fh)
 
 
 REPORT_CSV_HEADER = "task_id,map_prev,map_curr,map_both,u_recall,wi,a_ose"
@@ -403,11 +403,10 @@ def report_csv_row(report: EvalReport) -> str:
     ])
 
 
-def write_report_csv(path, reports: list[EvalReport]) -> None:
-    with atomic_text_file(path) as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for report in reports:
-            fh.write(report_csv_row(report) + "\n")
+def write_report_csv(fh, reports: list[EvalReport]) -> None:
+    fh.write(REPORT_CSV_HEADER + "\n")
+    for report in reports:
+        fh.write(report_csv_row(report) + "\n")
 
 
 def render_report(report: EvalReport) -> str:

@@ -37,7 +37,6 @@ from .mscal import (
     init_module,
     module_from_payload,
     module_to_payload,
-    mscal_loss,
     mscal_loss_gradients,
     ood_score_map,
     project,
@@ -142,7 +141,7 @@ def adamw_step(
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x + np.log1p(np.exp(-x)), np.log1p(np.exp(x)))
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def detection_loss(
@@ -355,23 +354,6 @@ def _normalize_anchors(modules: list[MscalModule]) -> None:
                 layer.anchor /= np.linalg.norm(layer.anchor)
 
 
-def _frozen_mscal_loss(module: MscalModule, grids: list[np.ndarray],
-                       assignment: SampleAssignment) -> float:
-    """Anchor loss of a frozen module, which only the log reads.
-
-    Infer-mode projection works row by row apart from its two gemms, so
-    only the sampled rows are projected. With OpenBLAS at the widths the
-    workloads use, a gemm over some rows gives those rows of the full gemm
-    bit for bit, so the value equals that of a full-grid projection. A
-    one-row gemm takes the gemv path instead, so a module with a one-row
-    layer projects the full grids.
-    """
-    rows, compact = sampled_rows(grids, assignment)
-    if any(len(r) == 1 for r in rows):
-        return mscal_loss(module, project(module, grids), assignment)
-    return mscal_loss(module, project(module, rows), compact)
-
-
 def train_task(
     world_data,
     registry: ClassEmbeddingRegistry,
@@ -387,8 +369,10 @@ def train_task(
     never-introduced classes) is ignored, leaving their locations as
     background. Only unfrozen embeddings and modules receive
     updates; the loss is `det_weight * detection + mscal_weight * anchor
-    loss`, logged per step. A cal split in which no known class owns a
-    location gives no score to calibrate on and raises `EmptyScores`.
+    loss`, logged per step, where the anchor loss sums the trained modules'
+    losses over the number of known classes (a frozen module's loss is a
+    constant, so it is not computed). A cal split in which no known class
+    owns a location gives no score to calibrate on and raises `EmptyScores`.
     """
     geometry = world_data.geometry
     train_scenes = list(world_data.train_scenes)
@@ -443,15 +427,11 @@ def train_task(
         # gradients line up with `params`: rows first, then modules in class order
         grads = [config.det_weight * det_grads[i] for i in trainable_idx]
         con_value = 0.0
-        for module in modules:
+        for module in trained:
             assignment = assignments[module.class_id]
             if assignment.num_positive == 0:
-                if not module.frozen:
-                    grads += [np.zeros_like(getattr(layer, name))
-                              for layer in module.layers for name in TRAINED_FIELDS]
-                continue
-            if module.frozen:
-                con_value += _frozen_mscal_loss(module, grids, assignment)
+                grads += [np.zeros_like(getattr(layer, name))
+                          for layer in module.layers for name in TRAINED_FIELDS]
                 continue
             value, layer_grads, stats = mscal_loss_gradients(module, grids, assignment,
                                                              moments)

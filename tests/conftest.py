@@ -38,7 +38,7 @@ class _TornFile:
 
 @pytest.fixture()
 def tear_writes(monkeypatch):
-    """`tear_writes(name)` makes `errors.atomic_text_file` tear its temporary
+    """`tear_writes(name)` makes `errors.atomic_text_files` tear its temporary
     file at the second write whenever the target file is called `name`."""
     def tear(name):
         def torn_open(path, *args, **kwargs):

@@ -390,13 +390,6 @@ def mscal_total_loss(modules, pyramid, gt_boxes, neg_cap=10, rng_seed=0, mode="t
     return total / len(modules)
 
 
-def frozen_loss_full_grid(module, grids, assignment):
-    """A frozen module's logged anchor loss from infer-mode projections of
-    the whole batch grids, which `training._frozen_mscal_loss` must equal
-    bit for bit."""
-    return mscal_loss(module, project(module, grids), assignment)
-
-
 def known_positive_scores_full_grid(modules, scenes, scene_pairs):
     """Calibration scores scene by scene from whole-grid OOD score maps,
     whose multiset `training.known_positive_scores_for_registry` must

@@ -373,8 +373,10 @@ def oracle_report_files(root, common, task_id, det_path, split="test"):
         u_recall=oracle_u_recall(dets, gts, prev + curr, 0.5), wi=wi,
         a_ose=oracle_a_ose(dets, gts, prev + curr, 0.5), per_class_ap=per_class,
         config_echo=cfg.echo() | {"detections": str(det_path), "split": split})
-    write_report_json(root / "oracle.json", report)
-    write_report_csv(root / "oracle.csv", [report])
+    with open(root / "oracle.json", "w", encoding="utf-8") as fh:
+        write_report_json(fh, report)
+    with open(root / "oracle.csv", "w", encoding="utf-8") as fh:
+        write_report_csv(fh, [report])
     return (root / "oracle.json").read_bytes(), (root / "oracle.csv").read_bytes()
 
 
@@ -780,6 +782,47 @@ class TestAblate:
                    "--parameter", "tau", "--values", "0.2", "--retrain")
         assert code == 0
         assert (trained / "out/reports/ablate_tau/0.2_report.json").exists()
+
+
+class TestReportIsWholePair:
+    """`eval` writes the report JSON and its CSV both or neither: a failed
+    write of a task-2 report over a task-3 one leaves the task-3 pair."""
+
+    ARGS = ("--config", "tiny.ini", "--seed", "0", "--out", "out",
+            "--set", "world.known_per_task=2,2,2")
+
+    @pytest.fixture()
+    def task3_report(self, workdir):
+        assert run("gen", *self.ARGS) == 0
+        for task in ("1", "2"):
+            assert run("train", *self.ARGS, "--task", task) == 0
+        assert run("infer", *self.ARGS, "--task", "2", "--out-file", "d.jsonl") == 0
+        assert self.eval(3) == 0
+        files = [workdir / "r.json", workdir / "r.csv"]
+        assert json.loads(files[0].read_text())["task_id"] == 3
+        return files, [path.read_bytes() for path in files]
+
+    def eval(self, task):
+        return run("eval", *self.ARGS, "--task", str(task), "--detections", "d.jsonl",
+                   "--split", "test", "--report", "r.json")
+
+    def assert_old_pair(self, workdir, files, old):
+        assert [path.read_bytes() for path in files] == old
+        assert list(workdir.rglob("*.tmp")) == []
+
+    def test_failing_csv_row_leaves_the_old_pair(self, workdir, task3_report, monkeypatch):
+        def fail(report):
+            raise RuntimeError("csv row")
+        monkeypatch.setattr(cli.ev, "report_csv_row", fail)
+        with pytest.raises(RuntimeError, match="csv row"):
+            self.eval(2)
+        self.assert_old_pair(workdir, *task3_report)
+
+    def test_torn_csv_write_leaves_the_old_pair(self, workdir, task3_report, tear_writes):
+        tear_writes("r.csv")
+        with pytest.raises(OSError):
+            self.eval(2)
+        self.assert_old_pair(workdir, *task3_report)
 
 
 class TestReportCommand:

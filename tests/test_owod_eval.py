@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openworld_kit.errors import MissingWorld, ParseError, UndefinedOperatingPoint
+from openworld_kit.errors import (MissingWorld, ParseError, UndefinedOperatingPoint,
+                                  atomic_text_file)
 from openworld_kit.owod_eval import (
     TaskSplitSpec,
     _claim_walk,
@@ -334,6 +335,16 @@ class TestColumnarEqualsOracles:
             wilderness_impact(overlaps_of(dets, gts), KNOWN, level)
 
 
+def save_json(path, report):
+    with atomic_text_file(path) as fh:
+        write_report_json(fh, report)
+
+
+def save_csv(path, reports):
+    with atomic_text_file(path) as fh:
+        write_report_csv(fh, reports)
+
+
 class TestEvaluateTask:
     def split(self):
         return TaskSplitSpec(tasks=((1, ("car", "bus")), (2, ("dog",))))
@@ -359,9 +370,9 @@ class TestEvaluateTask:
         report = evaluate_task(table_of(dets), gts, self.split(), task_id=1,
                                config_echo={"seed": "0"})
         path = tmp_path / "report.json"
-        write_report_json(path, report)
+        save_json(path, report)
         first = path.read_bytes()
-        write_report_json(path, report)
+        save_json(path, report)
         assert path.read_bytes() == first
         row = report_csv_row(report)
         assert row.startswith("1,")
@@ -377,11 +388,11 @@ class TestEvaluateTask:
                                self.split(), task_id=1)
         path = tmp_path / "report.csv"
         if previous:
-            write_report_csv(path, [report])
+            save_csv(path, [report])
             old = path.read_bytes()
         tear_writes("report.csv")
         with pytest.raises(OSError):
-            write_report_csv(path, [report, report])
+            save_csv(path, [report, report])
         assert [p.name for p in tmp_path.iterdir()] == (["report.csv"] if previous else [])
         if previous:
             assert path.read_bytes() == old
@@ -391,7 +402,7 @@ class TestEvaluateTask:
         gts = [gt("s", (0, 0, 4, 4), "car")]
         report = evaluate_task(table_of([]), gts, self.split(), task_id=1)
         path = tmp_path / "r.json"
-        write_report_json(path, report)
+        save_json(path, report)
         raw = json.loads(path.read_text())
         assert raw["u_recall"] is None
         assert raw["map_prev"] is None

@@ -9,17 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openworld_kit import training
+from openworld_kit import mscal, training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
-from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
     anchor_similarity_maps,
     batch_moments,
     calibrate_threshold,
-    init_module,
     mscal_loss_gradients,
     ood_score_map,
-    project,
 )
 from openworld_kit.pyramid import LayerGeometry, PyramidGeometry
 from openworld_kit.synthetic_world import SceneBox, WorldSpec, generate_scene, make_world
@@ -39,7 +36,6 @@ from openworld_kit.training import (
 
 from oracles import (
     assignment_from_masks,
-    frozen_loss_full_grid,
     known_positive_scores_full_grid,
     oracle_assignment_for_class,
     oracle_ownership_masks,
@@ -179,12 +175,63 @@ class TestTrainTask:
         assert [e.embedding.tobytes() for e in registry.entries] == before
         assert [e.embedding.tobytes() for e in out_reg.entries] != before
 
+    def task2_inputs(self, tiny_world, data):
+        """A trained and finalized task 1, with task 2's classes registered."""
+        config = self.config()
+        reg1, modules1, _ = train_task(data, fresh_registry(tiny_world), [], config, 1)
+        reg1, modules1 = finalize_task(reg1, modules1, 1)
+        reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
+                                    for n in tiny_world.task_split().current_classes(2)])
+        return reg2, modules1
+
     def test_loss_sum_decomposition(self, tiny_world):
         data = TaskData(tiny_world)
         registry = fresh_registry(tiny_world)
-        _, _, log = train_task(data, registry, [], self.config(), 1)
-        for _, det, con, total in log.rows:
+        _, _, log1 = train_task(data, registry, [], self.config(), 1)
+        _, _, log2 = train_task(data, *self.task2_inputs(tiny_world, data), self.config(), 2)
+        for _, det, con, total in log1.rows + log2.rows:
             assert total == det + con
+
+    def test_frozen_modules_are_not_projected_or_scored(self, tiny_world, monkeypatch):
+        # a frozen module's anchor loss is a constant of every step, so no
+        # training code projects or scores it; calibration, which scores
+        # every module, goes through `ood_score_map` and is not spied on
+        data = TaskData(tiny_world)
+        registry, modules = self.task2_inputs(tiny_world, data)
+        seen = []
+
+        def spy(fn):
+            def wrapper(module, *args):
+                seen.append((fn.__name__, module.class_id, module.frozen))
+                return fn(module, *args)
+            return wrapper
+        monkeypatch.setattr(training, "project", spy(training.project))
+        monkeypatch.setattr(mscal, "mscal_loss", spy(mscal.mscal_loss))
+        train_task(data, registry, modules, self.config(), 2)
+        assert seen, "no module was projected"
+        assert [call for call in seen if call[2]] == []
+
+    def test_logged_anchor_loss_sums_the_trained_modules(self, tiny_world, monkeypatch):
+        data = TaskData(tiny_world)
+        registry, modules = self.task2_inputs(tiny_world, data)
+        steps = []
+
+        def step_start(*args):
+            steps.append([])
+            return detection_loss(*args)
+
+        def gradients(module, *args):
+            result = mscal_loss_gradients(module, *args)
+            assert not module.frozen
+            steps[-1].append(result[0])
+            return result
+        monkeypatch.setattr(training, "detection_loss", step_start)
+        monkeypatch.setattr(training, "mscal_loss_gradients", gradients)
+        _, _, log = train_task(data, registry, modules, self.config(), 2)
+        assert len(steps) == len(log.rows) == self.config().steps_per_task
+        assert any(steps), "no trained module had a positive"
+        for (_, _, con, _), values in zip(log.rows, steps):
+            assert con == sum(values) / registry.num_known
 
     def test_determinism(self, tiny_world, tmp_path):
         data = TaskData(tiny_world)
@@ -300,134 +347,6 @@ class TestTrainTask:
         for m in modules:
             for layer in m.layers:
                 assert abs(np.linalg.norm(layer.anchor) - 1.0) < 1e-9
-
-
-def blas_name():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
-
-
-def frozen_module(seed, dim, num_layers, normalize=True, share_anchor=False):
-    """A frozen module with random weights and running statistics."""
-    rng = np.random.default_rng(seed)
-    module = init_module(0, 1, dim, num_layers, rng, normalize=normalize,
-                         share_anchor=share_anchor)
-    for layer in module.layers:
-        layer.running_mean = rng.normal(size=layer.running_mean.shape)
-        layer.running_var = rng.uniform(0.5, 2.0, size=layer.running_var.shape)
-    module.frozen = True
-    return module
-
-
-@st.composite
-def frozen_case(draw):
-    """(module, batch grids, assignment) with each layer's sample count drawn
-    from 0, 1, 2 or many; a layer's positives are some of its samples."""
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    dim = draw(st.sampled_from((8, 16, 32)))
-    num_layers = draw(st.integers(1, 3))
-    module = frozen_module(seed, dim, num_layers, normalize=draw(st.booleans()),
-                           share_anchor=draw(st.booleans()))
-    batch = draw(st.integers(1, 3))
-    grids, positive, negative = [], [], []
-    for _ in range(num_layers):
-        shape = (batch, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-        grids.append(rng.normal(size=shape + (dim,)))
-        size = int(np.prod(shape))
-        count = min(size, draw(st.one_of(st.sampled_from((0, 1, 2)),
-                                         st.integers(3, max(3, size)))))
-        n_pos = draw(st.integers(0, count))
-        chosen = rng.permutation(size)[:count]
-        pos = np.zeros(size, dtype=bool)
-        neg = np.zeros(size, dtype=bool)
-        pos[chosen[:n_pos]] = True
-        neg[chosen[n_pos:]] = True
-        positive.append(pos.reshape(shape))
-        negative.append(neg.reshape(shape))
-    return module, grids, assignment_from_masks(positive, negative)
-
-
-class TestFrozenLoss:
-    """A frozen module's logged loss projects only the sampled rows and
-    equals the full-grid oracle bit for bit. That rests on the BLAS giving
-    a gemm over some rows the bits of the same rows of the full gemm."""
-
-    @given(case=frozen_case())
-    @settings(max_examples=200, deadline=None)
-    def test_equals_full_grid_oracle(self, case):
-        module, grids, assignment = case
-        try:
-            expected = frozen_loss_full_grid(module, grids, assignment)
-        except NoSamples:
-            with pytest.raises(NoSamples):
-                training._frozen_mscal_loss(module, grids, assignment)
-            return
-        got = training._frozen_mscal_loss(module, grids, assignment)
-        assert got == expected, (
-            f"sampled-row loss {got!r} != full-grid loss {expected!r} under "
-            f"{blas_name()}: this BLAS does not give a row subset of a gemm "
-            f"the bits of the full gemm's rows")
-
-    def projected_rows(self, monkeypatch, samples_per_layer):
-        """Rows per layer that `project` receives for a module whose layers
-        have the given sample counts, one positive each."""
-        module = frozen_module(0, 8, len(samples_per_layer))
-        grids = [np.ones((2, 4, 4, 8)) for _ in samples_per_layer]
-        positive, negative = [], []
-        for count in samples_per_layer:
-            pos = np.zeros(32, dtype=bool)
-            neg = np.zeros(32, dtype=bool)
-            pos[:min(count, 1)] = True
-            neg[1:count] = True
-            positive.append(pos.reshape(2, 4, 4))
-            negative.append(neg.reshape(2, 4, 4))
-        seen = []
-
-        def spy(module, grids):
-            seen.append([int(g.size // g.shape[-1]) for g in grids])
-            return project(module, grids)
-        monkeypatch.setattr(training, "project", spy)
-        training._frozen_mscal_loss(module, grids, assignment_from_masks(positive, negative))
-        monkeypatch.undo()
-        return seen
-
-    def test_projects_only_sampled_rows(self, monkeypatch):
-        assert self.projected_rows(monkeypatch, [5, 0, 2]) == [[5, 0, 2]]
-
-    def test_one_row_layer_projects_full_grids(self, monkeypatch):
-        # a one-row gemm takes the gemv path, whose bits differ
-        assert self.projected_rows(monkeypatch, [5, 1]) == [[32, 32]]
-
-    def test_train_task_matches_full_grid_oracle(self, tiny_world, tmp_path, monkeypatch):
-        data = TaskData(tiny_world)
-        config = TrainConfig(steps_per_task=6, batch_size=2, seed=0)
-        reg1, modules1, log1 = train_task(data, fresh_registry(tiny_world), [], config, 1)
-        reg1, modules1 = finalize_task(reg1, modules1, 1)
-        reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
-                                    for n in tiny_world.task_split().current_classes(2)])
-
-        def task2(label):
-            reg, modules, log = train_task(data, reg2, copy.deepcopy(modules1), config, 2)
-            reg, modules = finalize_task(reg, modules, 2)
-            save_checkpoint(tmp_path / label, reg, modules, log.theta, config, log)
-            files = {p.relative_to(tmp_path / label): p.read_bytes()
-                     for p in (tmp_path / label).rglob("*") if p.is_file()}
-            return log.rows, files
-
-        rows, files = task2("sampled")
-        calls = []
-
-        def oracle(*args):
-            calls.append(1)
-            return frozen_loss_full_grid(*args)
-        monkeypatch.setattr(training, "_frozen_mscal_loss", oracle)
-        oracle_rows, oracle_files = task2("full")
-        assert calls, "no frozen module was scored"
-        assert rows == oracle_rows, f"train log differs from the oracle's under {blas_name()}"
-        assert files.keys() == oracle_files.keys()
-        for name in files:
-            assert files[name] == oracle_files[name], name
 
 
 class TestCalibrationScores:
