@@ -238,12 +238,20 @@ def _checkpoint_dir(cfg: RunConfig, task_id: int) -> Path:
 
 
 def _load_checkpoint(ckpt: Path, world: World):
-    """`load_checkpoint(ckpt)`, whose embeddings must have the world's dim."""
+    """`load_checkpoint(ckpt)`, whose embeddings must have the world's dim
+    and whose modules the world's pyramid layer count and dim."""
     registry, modules, theta = load_checkpoint(ckpt)
     dim = registry.generic_object.size
     if dim != world.spec.dim:
         raise ConfigError(f"checkpoint {ckpt} holds dim-{dim} embeddings, but the world "
                           f"has world.dim={world.spec.dim}")
+    layers = world.geometry.num_layers
+    for m in modules:
+        if (m.num_layers, m.in_dim) != (layers, world.spec.dim):
+            raise ConfigError(
+                f"checkpoint {ckpt} holds a module of class {m.class_id} with "
+                f"{m.num_layers} layers of dim {m.in_dim}, but the world's pyramid "
+                f"has {layers} layers of dim {world.spec.dim}")
     return registry, modules, theta
 
 

@@ -5,7 +5,11 @@ ReLU -> affine -> optional L2 normalization) and a per-layer unit anchor.
 Training pulls projected positives onto the class anchor and pushes
 other-class and sampled background locations away. At inference the negated
 best anchor similarity at a location is its out-of-distribution score:
-locations outside every known-class cluster score high.
+locations outside every known-class cluster score high. That scoring, which
+both threshold calibration and the inference gate read, folds the
+running-statistics batchnorm into the first affine map
+(`anchor_similarity_maps`); `project` keeps the unfolded form, which
+anchor initialization uses.
 
 A training step projects only a module's sampled locations: train-mode
 batchnorm statistics follow from per-layer batch moments that every class
@@ -395,28 +399,57 @@ def mscal_loss_gradients(
 
 def anchor_similarity_maps(module: MscalModule,
                            pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
-    """Infer-mode per-layer grids of anchor similarity for one class."""
-    projected = project(module, pyramid)
-    return [grid @ module.effective_anchor(j) for j, grid in enumerate(projected)]
+    """Infer-mode per-layer grids of anchor similarity for one class,
+    shaped like `pyramid`'s grids without the embedding axis.
+
+    The running-statistics batchnorm is a fixed affine map, so it is folded
+    into the first affine map, recomputed from the module's current arrays
+    on every call: with `s = gamma / sqrt(running_var + eps)`, the first
+    layer is `x @ (w1 * s) + ((b1 - running_mean) * s + beta)`. The
+    similarity to the anchor is `(u @ anchor) / |u|` (or `u @ anchor` with
+    `normalize` off) for the second affine map's output `u`. This is the
+    similarity of `project`'s rows to `effective_anchor` up to the last
+    bits of the arithmetic.
+    """
+    grids = pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid
+    _check_grids(module, grids)
+    sims = []
+    for j, grid in enumerate(grids):
+        p = module.layers[j]
+        scale = p.gamma / np.sqrt(p.running_var + BN_EPS)
+        x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
+        h = x2d @ (p.w1 * scale)
+        h += (p.b1 - p.running_mean) * scale + p.beta
+        np.maximum(h, 0.0, out=h)
+        u = h @ p.w2
+        u += p.b2
+        sim = u @ module.effective_anchor(j)
+        if module.normalize:
+            # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
+            norms = np.sqrt(np.add.reduce(u * u, axis=1))
+            bad = norms < _NORM_EPS
+            if bad.any():
+                raise DegenerateProjection(
+                    f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
+            sim /= norms
+        sims.append(sim.reshape(grid.shape[:-1]))
+    return sims
 
 
 def ood_score_map(modules: list[MscalModule],
                   pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
     """Infer-mode per-layer grids of OOD scores, shaped like the pyramid's
-    layers without the embedding axis; higher means more OOD."""
+    layers without the embedding axis; higher means more OOD. Threshold
+    calibration and the inference gate both score through here."""
     if not modules:
         raise NoModules("ood_score_map needs at least one class module")
-    best: list[np.ndarray] | None = None
-    for module in modules:
-        sims = anchor_similarity_maps(module, pyramid)
-        if best is None:
-            best = sims
-        else:
-            if any(s.shape != b.shape for s, b in zip(sims, best)):
-                raise ShapeMismatch("modules disagree on pyramid geometry")
-            best = [np.maximum(b, s) for b, s in zip(best, sims)]
-    assert best is not None
-    return [-b for b in best]
+    best = anchor_similarity_maps(modules[0], pyramid)
+    for module in modules[1:]:
+        for b, s in zip(best, anchor_similarity_maps(module, pyramid), strict=True):
+            np.maximum(b, s, out=b)
+    for b in best:
+        np.negative(b, out=b)
+    return best
 
 
 def calibrate_threshold(known_scores, quantile: float = 0.95) -> float:
@@ -474,7 +507,8 @@ def _decode_array(record: dict, where: str) -> np.ndarray:
 
 def _layers_from_payload(records: list) -> list[MscalLayerParams]:
     """Every layer's arrays, whose shapes must all follow from the first
-    layer's w1 (D, Dh) and w2 (Dh, Dz)."""
+    layer's w1 (D, Dh) and w2 (Dh, Dz), whose values must be finite, and
+    whose running variances must not be negative."""
     layers = [{name: _decode_array(rec[name], f"layer {i} field {name}")
                for name in _ARRAY_FIELDS} for i, rec in enumerate(records)]
     if not layers:
@@ -491,6 +525,10 @@ def _layers_from_payload(records: list) -> list[MscalLayerParams]:
             if a.shape != want:
                 raise ParseError(f"layer {i} field {name} has shape {list(a.shape)}, "
                                  f"not {list(want)}")
+            if not np.isfinite(a).all():
+                raise ParseError(f"layer {i} field {name} holds a non-finite value")
+        if np.any(fields["running_var"] < 0.0):
+            raise ParseError(f"layer {i} field running_var holds a negative variance")
     return [MscalLayerParams(**fields) for fields in layers]
 
 

@@ -465,8 +465,9 @@ def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[flo
     by layer, each layer's scenes in order.
 
     Each layer's owned rows of all scenes form one block, and one
-    `ood_score_map` call scores the blocks. A score can differ from that of
-    a whole-grid map in its last bits: the anchor similarity is a gemv,
+    `ood_score_map` call scores the blocks, with the folded-batchnorm
+    scorer that the inference gate reads too. A score can differ from that
+    of a whole-grid map in its last bits: the anchor similarity is a gemv,
     whose result for a row depends on where the row falls in the matrix.
     """
     if not modules or not scenes:

@@ -5,8 +5,9 @@ match, the per-scene ownership masks and mask-built assignment loop whose
 flat indices the batched owner index must give, the conversions between
 boolean sample masks and `SampleAssignment` indices, the full-grid
 train-mode projection and backward pass that the moment step must match,
-the per-scene calibration scores, plus single-scene MSCAL references built
-on the library's assignment code.
+the per-scene calibration scores, the unfolded OOD score maps that the
+folded scorer must match, plus single-scene MSCAL references built on the
+library's assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
@@ -508,6 +509,20 @@ def full_grid_loss_gradients(module, traces, assignment):
             grads[0]["anchor"] = grads[0]["anchor"] + g["anchor"]
             g["anchor"] = np.zeros_like(g["anchor"])
     return loss, grads
+
+
+def unfolded_ood_score_map(modules, grids):
+    """OOD score grids from the unfolded infer-mode projection: each
+    module's `project` rows against its `effective_anchor`, the best over
+    the modules, negated. `mscal.ood_score_map` folds the batchnorm into
+    the first affine map, so it matches this up to rounding."""
+    if not modules:
+        raise NoModules("unfolded_ood_score_map needs at least one class module")
+    best = None
+    for module in modules:
+        sims = [z @ module.effective_anchor(j) for j, z in enumerate(project(module, grids))]
+        best = sims if best is None else [np.maximum(b, s) for b, s in zip(best, sims)]
+    return [-b for b in best]
 
 
 def ood_score(modules, zs, layer):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from openworld_kit import cli
-from openworld_kit.errors import ConfigError
+from openworld_kit.errors import ConfigError, write_json
+from openworld_kit.mscal import init_module, module_from_payload, module_to_payload
 from openworld_kit.synthetic_world import WorldSpec
 from openworld_kit.training import TrainConfig
 
@@ -446,6 +447,17 @@ class TestLoaderErrors:
         assert err.startswith("error: ")
         assert "out/checkpoints/task_2/modules/class_000.json" in err
 
+    def test_module_with_a_nan(self, trained, capsys):
+        path = trained / "out" / "checkpoints" / "task_2" / "modules" / "class_000.json"
+        module = module_from_payload(json.loads(path.read_text()))
+        module.layers[0].w1[0, 0] = np.nan
+        write_json(path, module_to_payload(module))
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out/checkpoints/task_2/modules/class_000.json" in err
+        assert "layer 0 field w1 holds a non-finite value" in err
+
     def test_module_file_missing(self, trained, capsys):
         (trained / "out" / "checkpoints" / "task_2" / "modules" / "class_001.json").unlink()
         assert self.infer() == 1
@@ -658,6 +670,48 @@ class TestCheckpointDim:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dim-8" in err and "world.dim=12" in err
         assert "out/checkpoints/task_1" in err
+
+
+class TestCheckpointGeometry:
+    """A checkpoint runs only on a world whose pyramid has its modules'
+    layer count and dim; `train` and `infer` check that when they load it."""
+
+    ARGS = ("--config", "tiny.ini", "--out", "out")
+
+    @pytest.fixture()
+    def task1(self, workdir):
+        assert run("gen", *self.ARGS) == 0
+        assert run("train", *self.ARGS, "--task", "1") == 0
+        return workdir
+
+    @staticmethod
+    def drop_last_layer(path):
+        payload = json.loads(path.read_text())
+        del payload["layers"][-1]
+        return payload
+
+    @staticmethod
+    def module_of_dim_6(path):
+        payload = json.loads(path.read_text())
+        module = init_module(payload["class_id"], payload["task_id"], dim=6, num_layers=2,
+                             rng=np.random.default_rng(0))
+        return module_to_payload(module)
+
+    @pytest.mark.parametrize("argv", [("train", "--task", "2"), ("infer", "--task", "1")],
+                             ids=["train", "infer"])
+    @pytest.mark.parametrize("edit, geometry", [
+        (drop_last_layer, "1 layers of dim 8"),
+        (module_of_dim_6, "2 layers of dim 6"),
+    ], ids=["layers", "dim"])
+    def test_mismatch_is_a_config_error(self, task1, capsys, argv, edit, geometry):
+        path = task1 / "out/checkpoints/task_1/modules/class_001.json"
+        write_json(path, edit(path))
+        assert run(*argv[:1], *self.ARGS, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out/checkpoints/task_1" in err and "class 1" in err
+        assert geometry in err and "2 layers of dim 8" in err
+        assert not (task1 / "out/checkpoints/task_2").exists()
 
 
 class TestTaskConfigReadBack:

@@ -49,6 +49,7 @@ from oracles import (
     ood_score,
     out_dim,
     train_project,
+    unfolded_ood_score_map,
 )
 
 
@@ -584,6 +585,78 @@ class TestOodScoreMap:
         assert all(np.isfinite(layer).all() for layer in smap)
 
 
+@st.composite
+def scoring_case(draw):
+    """(modules, grids): 1-3 modules of one dim (8, 16 or 32), layer count,
+    `normalize` and `share_anchor`, every array moved away from its initial
+    value as training and running statistics move it, over a two-layer
+    `FeaturePyramid` or a list of (n, D) blocks as calibration scores."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from((8, 16, 32)))
+    normalize, share_anchor = draw(st.booleans()), draw(st.booleans())
+    modules = [init_module(i, 1, dim=dim, num_layers=2, rng=rng, normalize=normalize,
+                           share_anchor=share_anchor)
+               for i in range(draw(st.integers(1, 3)))]
+    for module in modules:
+        for p in module.layers:
+            p.w1 = p.w1 + 0.2 * rng.normal(size=p.w1.shape)
+            p.b1 = rng.normal(size=p.b1.shape)
+            p.gamma = p.gamma + 0.3 * rng.normal(size=p.gamma.shape)
+            p.beta = p.beta + 0.3 * rng.normal(size=p.beta.shape)
+            p.running_mean = rng.normal(size=p.running_mean.shape)
+            p.running_var = rng.uniform(0.05, 3.0, size=p.running_var.shape)
+            p.w2 = p.w2 + 0.2 * rng.normal(size=p.w2.shape)
+            p.b2 = 0.3 * rng.normal(size=p.b2.shape)
+            p.anchor = rng.normal(size=p.anchor.shape)
+    if draw(st.booleans()):
+        grids = make_pyramid(rng, dim=dim)
+    else:
+        grids = [rng.normal(size=(draw(st.integers(0, 40)), dim)) for _ in range(2)]
+    return modules, grids
+
+
+def array_bytes(modules, grids):
+    layers = grids.layers if isinstance(grids, FeaturePyramid) else grids
+    return ([g.tobytes() for g in layers]
+            + [getattr(p, name).tobytes() for m in modules for p in m.layers
+               for name in TRAINED_FIELDS + ("running_mean", "running_var")])
+
+
+class TestFoldedScorer:
+    """`ood_score_map` folds the running-statistics batchnorm into the first
+    affine map; it must give the unfolded projection's scores up to
+    rounding, and write to none of its caller's arrays."""
+
+    @given(case=scoring_case())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unfolded_reference(self, case):
+        modules, grids = case
+        got = ood_score_map(modules, grids)
+        want = unfolded_ood_score_map(modules, grids)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @given(case=scoring_case())
+    @settings(max_examples=50, deadline=None)
+    def test_leaves_grids_and_modules_unchanged(self, case):
+        modules, grids = case
+        before = array_bytes(modules, grids)
+        ood_score_map(modules, grids)
+        assert array_bytes(modules, grids) == before
+
+    @pytest.mark.parametrize("collapsed_first", [True, False])
+    def test_collapsed_module_is_degenerate(self, collapsed_first):
+        rng = np.random.default_rng(0)
+        modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng) for i in range(2)]
+        collapsed = modules[0 if collapsed_first else 1]
+        for p in collapsed.layers:
+            p.w2 = np.zeros_like(p.w2)
+            p.b2 = np.zeros_like(p.b2)
+        with pytest.raises(DegenerateProjection, match="collapsed to zero norm at layer 0"):
+            ood_score_map(modules, make_pyramid(rng))
+
+
 class TestCalibrateThreshold:
     def test_median(self):
         assert calibrate_threshold([1, 2, 3, 4, 5], 0.5) == 3.0
@@ -632,12 +705,12 @@ class TestCheckpoint:
             assert a.tobytes() == b.tobytes()
         assert restored.frozen and restored.task_id == 2 and restored.class_id == 3
 
-    # float64 bit patterns a text encoding could lose: -0.0, the smallest
-    # and largest subnormals, both infinities, a quiet NaN with a payload and
-    # a negative NaN
-    EDGES = [-0.0, 5e-324, 2.225073858507201e-308, math.inf, -math.inf] + [
-        struct.unpack("<d", struct.pack("<Q", bits))[0]
-        for bits in (0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001)]
+    # finite float64 bit patterns a text encoding could lose: -0.0, the
+    # smallest and largest subnormals and the largest finite magnitude (a
+    # module file holding a non-finite value is rejected; see
+    # `test_non_finite_value_is_a_parse_error`)
+    EDGES = [-0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308]
 
     @staticmethod
     def round_trip(tmp_path, module):
@@ -651,12 +724,14 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path_factory, seed, num_layers, dim, data):
         module = init_module(0, 1, dim=dim, num_layers=num_layers,
                              rng=np.random.default_rng(seed))
-        values = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False,
                                      allow_subnormal=True), st.sampled_from(self.EDGES))
         for layer in module.layers:
             for name in TRAINED_FIELDS + ("running_mean", "running_var"):
                 a = getattr(layer, name)
-                drawn = data.draw(st.lists(values, min_size=a.size, max_size=a.size))
+                drawn = data.draw(st.lists(
+                    values.filter(lambda v: not v < 0.0) if name == "running_var" else values,
+                    min_size=a.size, max_size=a.size))
                 setattr(layer, name, np.array(drawn, dtype=np.float64).reshape(a.shape))
         restored = self.round_trip(tmp_path_factory.mktemp("module"), module)
         for before, after in zip(module.layers, restored.layers):
@@ -664,6 +739,38 @@ class TestCheckpoint:
                 b = getattr(after, name)
                 assert b.shape == a.shape and b.tobytes() == a.tobytes(), name
                 assert b.dtype == np.float64 and b.dtype.isnative and b.flags.writeable
+
+    NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
+
+    @pytest.mark.parametrize("name", TRAINED_FIELDS + ("running_mean", "running_var"))
+    @pytest.mark.parametrize("value", [math.nan, NAN_WITH_PAYLOAD, math.inf, -math.inf],
+                             ids=["nan", "nan-payload", "inf", "-inf"])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, name, value):
+        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0))
+        getattr(module.layers[1], name).flat[-1] = value
+        path = tmp_path / "class_000.json"
+        write_json(path, module_to_payload(module))
+        with pytest.raises(ParseError) as err:
+            read_json(path, "checkpoint file", module_from_payload)
+        assert f"layer 1 field {name} holds a non-finite value" in str(err.value)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("value", [-5e-324, -1e-12, -1.0])
+    def test_negative_running_variance_is_a_parse_error(self, tmp_path, value):
+        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0))
+        module.layers[0].running_var[2] = value
+        path = tmp_path / "class_000.json"
+        write_json(path, module_to_payload(module))
+        with pytest.raises(ParseError) as err:
+            read_json(path, "checkpoint file", module_from_payload)
+        assert "layer 0 field running_var holds a negative variance" in str(err.value)
+        assert err.value.path == str(path)
+
+    def test_zero_running_variance_loads(self, tmp_path):
+        module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))
+        module.layers[0].running_var[:2] = (0.0, -0.0)
+        restored = self.round_trip(tmp_path, module)
+        assert restored.layers[0].running_var.tobytes() == module.layers[0].running_var.tobytes()
 
     def test_format_1_is_rejected(self, tmp_path):
         module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))

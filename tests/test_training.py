@@ -351,12 +351,13 @@ class TestTrainTask:
 
 class TestCalibrationScores:
     """Calibration scores each layer's owned rows of all cal scenes as one
-    block, in one `ood_score_map` call. The projections of those rows are
-    the bits of whole-grid ones, but the final anchor similarity is a gemv,
-    and OpenBLAS computes a row that falls in the tail of its block's rows
-    in another order than inside a whole grid (at dims 16 and 32; none at
-    dim 8). So each score, and theta, may differ from the whole-grid
-    oracle's by a few units in the last place."""
+    block, in one `ood_score_map` call, the folded-batchnorm scorer that the
+    whole-grid oracle and the inference gate read too. The folded affine
+    maps give those rows the bits of whole-grid ones, but the anchor
+    similarity is a gemv, and OpenBLAS computes a row that falls in the
+    tail of its block's rows in another order than inside a whole grid (at
+    dims 16 and 32; none at dim 8). So each score, and theta, may differ
+    from the whole-grid oracle's by a few units in the last place."""
 
     MAX_ULP = 4
 
