@@ -29,7 +29,7 @@ from .embedding_space import (
 )
 from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory,
                      atomic_text_file, atomic_text_files, read_json)
-from .mscal import freeze_class_modules, ood_score_map
+from .mscal import fold_modules, freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
     World,
@@ -352,6 +352,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         theta = float("inf")
     gate_mode = cfg.get("detect", "ood_gate_mode")
 
+    folds = fold_modules(modules)
     results = []
     for scene in load_split(world, split, _world_dir(cfg)):
         scores = det.classify_locations(scene.pyramid, prompts,
@@ -359,7 +360,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         dets = det.decode_detections(scene.pyramid, scores,
                                      cfg.get("detect", "conf_threshold"),
                                      registry.num_known)
-        dets = det.apply_ood_gate(dets, ood_score_map(modules, scene.pyramid), theta,
+        dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta,
                                   mode=gate_mode)
         dets = det.nms(dets, cfg.get("detect", "nms_iou"),
                        cfg.get("detect", "class_wise_nms"))

@@ -6,10 +6,10 @@ Training pulls projected positives onto the class anchor and pushes
 other-class and sampled background locations away. At inference the negated
 best anchor similarity at a location is its out-of-distribution score:
 locations outside every known-class cluster score high. That scoring, which
-both threshold calibration and the inference gate read, folds the
-running-statistics batchnorm into the first affine map
-(`anchor_similarity_maps`); `project` keeps the unfolded form, which
-anchor initialization uses.
+both threshold calibration and the inference gate read, scores against
+folds that `fold_modules` builds once per call (the running-statistics
+batchnorm folded into the first affine map, and the unit anchors);
+`project` keeps the unfolded form, which anchor initialization uses.
 
 A training step projects only a module's sampled locations: train-mode
 batchnorm statistics follow from per-layer batch moments that every class
@@ -397,59 +397,60 @@ def mscal_loss_gradients(
 # OOD scoring
 
 
-def anchor_similarity_maps(module: MscalModule,
-                           pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
-    """Infer-mode per-layer grids of anchor similarity for one class,
-    shaped like `pyramid`'s grids without the embedding axis.
-
-    The running-statistics batchnorm is a fixed affine map, so it is folded
-    into the first affine map, recomputed from the module's current arrays
-    on every call: with `s = gamma / sqrt(running_var + eps)`, the first
-    layer is `x @ (w1 * s) + ((b1 - running_mean) * s + beta)`. The
-    similarity to the anchor is `(u @ anchor) / |u|` (or `u @ anchor` with
-    `normalize` off) for the second affine map's output `u`. This is the
-    similarity of `project`'s rows to `effective_anchor` up to the last
-    bits of the arithmetic.
-    """
-    grids = pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid
-    _check_grids(module, grids)
-    sims = []
-    for j, grid in enumerate(grids):
-        p = module.layers[j]
-        scale = p.gamma / np.sqrt(p.running_var + BN_EPS)
-        x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
-        h = x2d @ (p.w1 * scale)
-        h += (p.b1 - p.running_mean) * scale + p.beta
-        np.maximum(h, 0.0, out=h)
-        u = h @ p.w2
-        u += p.b2
-        sim = u @ module.effective_anchor(j)
-        if module.normalize:
-            # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
-            norms = np.sqrt(np.add.reduce(u * u, axis=1))
-            bad = norms < _NORM_EPS
-            if bad.any():
-                raise DegenerateProjection(
-                    f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
-            sim /= norms
-        sims.append(sim.reshape(grid.shape[:-1]))
-    return sims
+def fold_modules(modules: list[MscalModule]) -> list[tuple[MscalModule, list[tuple]]]:
+    """Each module with its infer-mode fold, in the order of `modules`: per
+    layer `(w1 * s, (b1 - running_mean) * s + beta, w2, b2, anchor)`, the
+    running-statistics batchnorm folded into the first affine map with
+    `s = gamma / sqrt(running_var + eps)`, and the `effective_anchor`. A fold
+    holds while its module does not change."""
+    folds = []
+    for module in modules:
+        layers = []
+        for j, p in enumerate(module.layers):
+            scale = p.gamma / np.sqrt(p.running_var + BN_EPS)
+            layers.append((p.w1 * scale, (p.b1 - p.running_mean) * scale + p.beta,
+                           p.w2, p.b2, module.effective_anchor(j)))
+        folds.append((module, layers))
+    return folds
 
 
-def ood_score_map(modules: list[MscalModule],
+def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
                   pyramid: FeaturePyramid | list[np.ndarray]) -> list[np.ndarray]:
-    """Infer-mode per-layer grids of OOD scores, shaped like the pyramid's
-    layers without the embedding axis; higher means more OOD. Threshold
+    """Per-layer grids of OOD scores from `fold_modules`'s `folds`, shaped
+    like the pyramid's layers without the embedding axis: the best anchor
+    similarity over the folds, in order, negated. A module's similarity is
+    `(u @ anchor) / |u|`, or `u @ anchor` with `normalize` off, for the
+    second affine map's output `u`: that of `project`'s rows to
+    `effective_anchor` up to the last bits of the arithmetic. Threshold
     calibration and the inference gate both score through here."""
-    if not modules:
+    if not folds:
         raise NoModules("ood_score_map needs at least one class module")
-    best = anchor_similarity_maps(modules[0], pyramid)
-    for module in modules[1:]:
-        for b, s in zip(best, anchor_similarity_maps(module, pyramid), strict=True):
-            np.maximum(b, s, out=b)
-    for b in best:
-        np.negative(b, out=b)
-    return best
+    grids = pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid
+    for module, _ in folds:
+        _check_grids(module, grids)
+    scores = []
+    for j, grid in enumerate(grids):
+        x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
+        best = None
+        for module, layers in folds:
+            a1, c1, w2, b2, anchor = layers[j]
+            h = x2d @ a1
+            h += c1
+            np.maximum(h, 0.0, out=h)
+            u = h @ w2
+            u += b2
+            sim = u @ anchor
+            if module.normalize:
+                # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
+                norms = np.sqrt(np.add.reduce(u * u, axis=1))
+                bad = norms < _NORM_EPS
+                if bad.any():
+                    raise DegenerateProjection(
+                        f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
+                sim /= norms
+            best = sim if best is None else np.maximum(best, sim, out=best)
+        scores.append(np.negative(best, out=best).reshape(grid.shape[:-1]))
+    return scores
 
 
 def calibrate_threshold(known_scores, quantile: float = 0.95) -> float:
@@ -554,7 +555,7 @@ def module_from_payload(payload: dict) -> MscalModule:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"unsupported module checkpoint format {payload.get('format')!r}")
     layers = _layers_from_payload(payload["layers"])
-    return MscalModule(
+    module = MscalModule(
         class_id=int(payload["class_id"]),
         task_id=int(payload["task_id"]),
         layers=layers,
@@ -564,3 +565,10 @@ def module_from_payload(payload: dict) -> MscalModule:
         share_anchor=bool(payload.get("share_anchor", False)),
         bn_momentum=float(payload["bn_momentum"]),
     )
+    try:  # scoring needs every anchor it reads as a unit; an overflowing norm is inf
+        with np.errstate(over="ignore"):
+            for j in range(module.num_layers):
+                module.effective_anchor(j)
+    except ZeroVector as exc:
+        raise ParseError(str(exc)) from exc
+    return module

@@ -33,6 +33,7 @@ from .mscal import (
     SampleAssignment,
     batch_moments,
     calibrate_threshold,
+    fold_modules,
     freeze_class_modules,
     init_module,
     module_from_payload,
@@ -465,8 +466,8 @@ def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[flo
     by layer, each layer's scenes in order.
 
     Each layer's owned rows of all scenes form one block, and one
-    `ood_score_map` call scores the blocks, with the folded-batchnorm
-    scorer that the inference gate reads too. A score can differ from that
+    `ood_score_map` call scores the blocks against folds built once per
+    call, as the inference gate does. A score can differ from that
     of a whole-grid map in its last bits: the anchor similarity is a gemv,
     whose result for a row depends on where the row falls in the matrix.
     """
@@ -476,7 +477,7 @@ def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[flo
                               for layer, (_, cells) in zip(layers, pairs)])
               for layers, pairs in zip(zip(*(scene.pyramid.layers for scene in scenes)),
                                        zip(*scene_pairs))]
-    return np.concatenate(ood_score_map(modules, blocks)).tolist()
+    return np.concatenate(ood_score_map(fold_modules(modules), blocks)).tolist()
 
 
 def finalize_task(registry: ClassEmbeddingRegistry, modules: list[MscalModule],

@@ -38,6 +38,7 @@ from openworld_kit.mscal import (
     _check_grids,
     _gather_samples,
     _logsumexp,
+    fold_modules,
     mscal_loss,
     ood_score_map,
     project,
@@ -401,7 +402,7 @@ def known_positive_scores_full_grid(modules, scenes, scene_pairs):
     for scene, pairs in zip(scenes, scene_pairs):
         if not any(cells.size for _, cells in pairs):
             continue
-        smap = ood_score_map(modules, scene.pyramid)
+        smap = ood_score_map(fold_modules(modules), scene.pyramid)
         for grid, (_, cells) in zip(smap, pairs):
             scores.extend(grid.ravel()[cells].tolist())
     return scores
@@ -514,8 +515,9 @@ def full_grid_loss_gradients(module, traces, assignment):
 def unfolded_ood_score_map(modules, grids):
     """OOD score grids from the unfolded infer-mode projection: each
     module's `project` rows against its `effective_anchor`, the best over
-    the modules, negated. `mscal.ood_score_map` folds the batchnorm into
-    the first affine map, so it matches this up to rounding."""
+    the modules, negated. `mscal.ood_score_map` scores against
+    `fold_modules`'s folds, whose first affine map takes in the batchnorm,
+    so it matches this up to rounding."""
     if not modules:
         raise NoModules("unfolded_ood_score_map needs at least one class module")
     best = None

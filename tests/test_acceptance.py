@@ -21,9 +21,10 @@ from openworld_kit.embedding_space import (
     pseudo_unknown_embedding,
 )
 from openworld_kit.mscal import (
-    anchor_similarity_maps,
+    fold_modules,
     init_module,
     mscal_loss,
+    ood_score_map,
 )
 from openworld_kit.owod_eval import (
     a_ose,
@@ -409,8 +410,8 @@ def test_criterion_7_incremental_invariance(full_run):
     _, modules3, _ = load_checkpoint(full_run.checkpoint(3))
     for m1 in modules1:
         m3 = next(m for m in modules3 if m.class_id == m1.class_id)
-        for a, b in zip(anchor_similarity_maps(m1, scene.pyramid),
-                        anchor_similarity_maps(m3, scene.pyramid)):
+        for a, b in zip(ood_score_map(fold_modules([m1]), scene.pyramid),
+                        ood_score_map(fold_modules([m3]), scene.pyramid)):
             if a.tobytes() != b.tobytes():
                 ok = False
     report_line("7", ok, "task-1 embeddings, module files, and frozen score maps "

@@ -239,7 +239,7 @@ class TestPipeline:
         # confidences, same sources; only labels and ood fields may differ
         from openworld_kit.detection import apply_ood_gate, classify_locations, decode_detections
         from openworld_kit.embedding_space import prompt_matrix
-        from openworld_kit.mscal import ood_score_map
+        from openworld_kit.mscal import fold_modules, ood_score_map
         from openworld_kit.synthetic_world import load_split, load_world
         from openworld_kit.training import load_checkpoint
 
@@ -249,7 +249,7 @@ class TestPipeline:
         prompts = prompt_matrix(registry, include_unknown=True)
         scores = classify_locations(scene.pyramid, prompts, 10.0)
         dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
-        smap = ood_score_map(modules, scene.pyramid)
+        smap = ood_score_map(fold_modules(modules), scene.pyramid)
         gated = apply_ood_gate(dets, smap, theta)
         ungated = apply_ood_gate(dets, smap, float("inf"))
         assert len(gated) == len(ungated)
@@ -289,7 +289,7 @@ def oracle_detections_file(out, task_id, split, no_owel=False, no_mscal=False,
     candidate, NMS as the greedy loop, each line from the json encoder."""
     from openworld_kit.detection import classify_locations
     from openworld_kit.embedding_space import prompt_matrix
-    from openworld_kit.mscal import ood_score_map
+    from openworld_kit.mscal import fold_modules, ood_score_map
     from openworld_kit.synthetic_world import load_split, load_world
     from openworld_kit.training import load_checkpoint
     from oracles import oracle_decode, oracle_format_detection_line, oracle_gate, oracle_nms
@@ -306,7 +306,8 @@ def oracle_detections_file(out, task_id, split, no_owel=False, no_mscal=False,
     for scene in load_split(load_world(out / "world"), split, out / "world"):
         scores = classify_locations(scene.pyramid, prompts, 10.0)
         rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)
-        rows = oracle_gate(rows, ood_score_map(modules, scene.pyramid), theta, gate_mode)
+        rows = oracle_gate(rows, ood_score_map(fold_modules(modules), scene.pyramid), theta,
+                           gate_mode)
         rows = oracle_nms(rows, nms_iou, class_wise)
         lines += [oracle_format_detection_line(scene.scene_id, d, registry.names) + "\n"
                   for d in rows]
@@ -334,6 +335,35 @@ class TestInferEqualsScalarPath:
         if oracle["split"] == "test":
             labels = {json.loads(line)["label"] for line in want.splitlines()}
             assert "unknown" in labels and len(labels) > 1
+
+    def test_folds_are_built_once_per_call(self, trained_world, monkeypatch):
+        # one infer folds the modules once and scores every scene against
+        # those folds, with the bytes of a fresh fold for each scene
+        from openworld_kit import mscal
+        from openworld_kit.synthetic_world import load_split, load_world
+        root, common = trained_world
+        world_dir = root / "out" / "world"
+        scenes = len(load_split(load_world(world_dir), "test", world_dir))
+        built, scored = [], []
+
+        def fold_spy(modules):
+            built.append(len(modules))
+            return mscal.fold_modules(modules)
+
+        def score_spy(folds, pyramid):
+            scored.append(len(folds))
+            return mscal.ood_score_map(folds, pyramid)
+        monkeypatch.setattr(cli, "fold_modules", fold_spy)
+        monkeypatch.setattr(cli, "ood_score_map", score_spy)
+        assert run("infer", *common, "--task", "2", "--out-file", str(root / "once.jsonl")) == 0
+        assert scenes >= 2 and built == [4] and scored == [4] * scenes
+
+        def fresh_fold_spy(modules, pyramid):
+            return mscal.ood_score_map(mscal.fold_modules(modules), pyramid)
+        monkeypatch.setattr(cli, "fold_modules", lambda modules: modules)
+        monkeypatch.setattr(cli, "ood_score_map", fresh_fold_spy)
+        assert run("infer", *common, "--task", "2", "--out-file", str(root / "fresh.jsonl")) == 0
+        assert (root / "once.jsonl").read_bytes() == (root / "fresh.jsonl").read_bytes()
 
 
 def oracle_report_files(root, common, task_id, det_path, split="test"):
@@ -457,6 +487,24 @@ class TestLoaderErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "out/checkpoints/task_2/modules/class_000.json" in err
         assert "layer 0 field w1 holds a non-finite value" in err
+
+    def test_module_with_a_zero_anchor_on_an_empty_split(self, trained, capsys):
+        # refused as the checkpoint loads, before any scene could be scored
+        from openworld_kit.owod_eval import write_gt_jsonl
+        path = trained / "out" / "checkpoints" / "task_2" / "modules" / "class_000.json"
+        module = module_from_payload(json.loads(path.read_text()))
+        for layer in module.layers:
+            layer.anchor[:] = 0.0
+        write_json(path, module_to_payload(module))
+        (trained / "out" / "world" / "scenes" / "empty").mkdir()
+        write_gt_jsonl(trained / "out/world/scenes/empty/gt.jsonl", [])
+        assert run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+                   "--split", "empty", "--out-file", "d.jsonl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out/checkpoints/task_2/modules/class_000.json" in err
+        assert "anchor of layer 0 has zero norm" in err
+        assert not (trained / "d.jsonl").exists()
 
     def test_module_file_missing(self, trained, capsys):
         (trained / "out" / "checkpoints" / "task_2" / "modules" / "class_001.json").unlink()

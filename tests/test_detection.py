@@ -24,7 +24,7 @@ from openworld_kit.detection import (
 )
 from openworld_kit.embedding_space import prompt_matrix
 from openworld_kit.errors import ParseError, SourceOutOfRange, ZeroVector
-from openworld_kit.mscal import ood_score_map
+from openworld_kit.mscal import fold_modules, ood_score_map
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 from openworld_kit.synthetic_world import load_split, load_world
 from openworld_kit.training import load_checkpoint
@@ -375,7 +375,7 @@ class TestNms:
         world = load_world(out / "world")
         scene = load_split(world, "test", out / "world")[0]
         scores = classify_locations(scene.pyramid, prompt_matrix(registry, True))
-        ood = ood_score_map(modules, scene.pyramid)
+        ood = ood_score_map(fold_modules(modules), scene.pyramid)
         dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
         rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)
         assert list(dets) == rows

@@ -1,8 +1,10 @@
 """The whole loop over the config space: gen -> train -> infer (gated and
 base arms) -> eval through `cli.main` on tiny worlds drawn from INI values,
 edge values of every kind included. Each call returns 0, or prints one
-`error: ...` line and returns nonzero; no traceback escapes. Every metric
-of a report that eval writes lies in its range.
+`error: ...` line and returns nonzero; no traceback escapes. An infer that
+returns 0 writes the same bytes again on a rerun, and its file reads back
+one record a line. Every metric of a report that eval writes lies in its
+range.
 
 Budget: about 10 s of tier-1 time (150 examples of a few tiny-world calls
 each), set by `max_examples`; there is no per-example deadline.
@@ -13,6 +15,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openworld_kit import cli
+from openworld_kit.detection import read_detections_jsonl
 
 # (key, values): each draw sets every key to one of its values; the first
 # value of a key is a plain one, the others are edges
@@ -95,6 +98,12 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
         if call(capsys, "infer", *common, "--task", str(tasks),
                 "--out-file", str(dets), *arm) != 0:
             continue
+        # a rerun writes the same bytes, which read back one record a line
+        again = root / f"again{len(arm)}.jsonl"
+        assert call(capsys, "infer", *common, "--task", str(tasks),
+                    "--out-file", str(again), *arm) == 0
+        assert again.read_bytes() == dets.read_bytes()
+        assert len(read_detections_jsonl(dets)) == dets.read_bytes().count(b"\n")
         if call(capsys, "eval", *common, "--task", str(tasks), "--detections", str(dets),
                 "--report", str(report)) == 0:
             metrics = json.loads(report.read_text())

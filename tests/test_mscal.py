@@ -15,6 +15,7 @@ from openworld_kit.errors import (
     NoSamples,
     ParseError,
     ShapeMismatch,
+    ZeroVector,
     read_json,
     write_json,
 )
@@ -25,6 +26,7 @@ from openworld_kit.mscal import (
     TRAINED_FIELDS,
     batch_moments,
     calibrate_threshold,
+    fold_modules,
     freeze_class_modules,
     init_module,
     module_from_payload,
@@ -469,7 +471,7 @@ class TestProjectionFlags:
         np.testing.assert_array_equal(module.effective_anchor(0),
                                       module.effective_anchor(1))
         pyr = make_pyramid(np.random.default_rng(3))
-        smap = ood_score_map([module], pyr)
+        smap = ood_score_map(fold_modules([module]), pyr)
         projected = project(module, pyr)
         mu = module.effective_anchor(0)
         for got, z in zip(smap, projected):
@@ -566,7 +568,7 @@ class TestOodScoreMap:
         pyr = FeaturePyramid(geometry=geo, layers=(feat,),
                              box_field=(np.array([[[0, 0, 8, 8.0]]]),))
         modules = [init_module(i, 1, dim=8, num_layers=1, rng=rng) for i in range(3)]
-        smap = ood_score_map(modules, pyr)
+        smap = ood_score_map(fold_modules(modules), pyr)
         zs = [project(m, pyr)[0][0, 0] for m in modules]
         assert smap[0][0, 0] == pytest.approx(ood_score(modules, zs, 0), abs=1e-12)
 
@@ -574,14 +576,14 @@ class TestOodScoreMap:
         rng = np.random.default_rng(1)
         pyr = make_pyramid(rng)
         modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng) for i in range(2)]
-        smap = ood_score_map(modules, pyr)
+        smap = ood_score_map(fold_modules(modules), pyr)
         assert sum(layer.size for layer in smap) == location_count(pyr)
 
     def test_scores_finite(self):
         rng = np.random.default_rng(2)
         pyr = make_pyramid(rng)
         modules = [init_module(0, 1, dim=8, num_layers=2, rng=rng)]
-        smap = ood_score_map(modules, pyr)
+        smap = ood_score_map(fold_modules(modules), pyr)
         assert all(np.isfinite(layer).all() for layer in smap)
 
 
@@ -615,23 +617,26 @@ def scoring_case(draw):
     return modules, grids
 
 
-def array_bytes(modules, grids):
+def array_bytes(modules, grids, folds=()):
     layers = grids.layers if isinstance(grids, FeaturePyramid) else grids
     return ([g.tobytes() for g in layers]
             + [getattr(p, name).tobytes() for m in modules for p in m.layers
-               for name in TRAINED_FIELDS + ("running_mean", "running_var")])
+               for name in TRAINED_FIELDS + ("running_mean", "running_var")]
+            + [a.tobytes() for _, layers in folds for arrays in layers for a in arrays])
 
 
 class TestFoldedScorer:
-    """`ood_score_map` folds the running-statistics batchnorm into the first
-    affine map; it must give the unfolded projection's scores up to
-    rounding, and write to none of its caller's arrays."""
+    """`ood_score_map` scores against `fold_modules`'s folds, which take the
+    running-statistics batchnorm into the first affine map; it must give
+    the unfolded projection's scores up to rounding, and write to none of
+    its caller's arrays, so that one set of folds scores every scene of an
+    infer call alike."""
 
     @given(case=scoring_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_unfolded_reference(self, case):
         modules, grids = case
-        got = ood_score_map(modules, grids)
+        got = ood_score_map(fold_modules(modules), grids)
         want = unfolded_ood_score_map(modules, grids)
         assert [g.shape for g in got] == [w.shape for w in want]
         for g, w in zip(got, want):
@@ -642,19 +647,66 @@ class TestFoldedScorer:
     def test_leaves_grids_and_modules_unchanged(self, case):
         modules, grids = case
         before = array_bytes(modules, grids)
-        ood_score_map(modules, grids)
+        folds = fold_modules(modules)
         assert array_bytes(modules, grids) == before
+        before = array_bytes(modules, grids, folds)
+        first = ood_score_map(folds, grids)
+        assert array_bytes(modules, grids, folds) == before
+        again = ood_score_map(folds, grids)
+        assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
+
+    @staticmethod
+    def collapsed_case(collapsed_first, normalize, share_anchor):
+        """Two modules, one of whose second affine maps is zero, so it
+        projects every row to the zero vector, and a pyramid."""
+        rng = np.random.default_rng(0)
+        modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng, normalize=normalize,
+                               share_anchor=share_anchor) for i in range(2)]
+        for p in modules[0 if collapsed_first else 1].layers:
+            p.w2 = np.zeros_like(p.w2)
+            p.b2 = np.zeros_like(p.b2)
+        return modules, make_pyramid(rng)
 
     @pytest.mark.parametrize("collapsed_first", [True, False])
     def test_collapsed_module_is_degenerate(self, collapsed_first):
-        rng = np.random.default_rng(0)
-        modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng) for i in range(2)]
-        collapsed = modules[0 if collapsed_first else 1]
-        for p in collapsed.layers:
-            p.w2 = np.zeros_like(p.w2)
-            p.b2 = np.zeros_like(p.b2)
-        with pytest.raises(DegenerateProjection, match="collapsed to zero norm at layer 0"):
-            ood_score_map(modules, make_pyramid(rng))
+        for share_anchor in (False, True):
+            modules, pyr = self.collapsed_case(collapsed_first, True, share_anchor)
+            with pytest.raises(DegenerateProjection,
+                               match="collapsed to zero norm at layer 0"):
+                ood_score_map(fold_modules(modules), pyr)
+
+    @pytest.mark.parametrize("collapsed_first", [True, False])
+    @pytest.mark.parametrize("share_anchor", [False, True])
+    def test_collapsed_module_without_normalization_scores_zero(self, collapsed_first,
+                                                                 share_anchor):
+        modules, pyr = self.collapsed_case(collapsed_first, False, share_anchor)
+        got = ood_score_map(fold_modules(modules), pyr)
+        for g, w in zip(got, unfolded_ood_score_map(modules, pyr)):
+            assert np.all(g <= 0.0)
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_no_folds(self):
+        with pytest.raises(NoModules):
+            ood_score_map(fold_modules([]), make_pyramid(np.random.default_rng(0)))
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(3)
+        folds = fold_modules([init_module(0, 1, dim=8, num_layers=2, rng=rng)])
+        with pytest.raises(ShapeMismatch, match="expects 2 layers"):
+            ood_score_map(folds, [rng.normal(size=(4, 4, 8))])
+        with pytest.raises(ShapeMismatch, match="expects dim 8"):
+            ood_score_map(folds, [rng.normal(size=(4, 4, 8)), rng.normal(size=(3, 5))])
+
+    @pytest.mark.parametrize("share_anchor", [False, True])
+    def test_zero_anchor_of_a_normalizing_module_cannot_fold(self, share_anchor):
+        rng = np.random.default_rng(4)
+        module = init_module(0, 1, dim=8, num_layers=2, rng=rng, share_anchor=share_anchor)
+        module.layers[0].anchor = np.zeros_like(module.layers[0].anchor)
+        with pytest.raises(ZeroVector, match="anchor of layer 0 has zero norm"):
+            fold_modules([module])
+        module.normalize = False
+        smap = ood_score_map(fold_modules([module]), make_pyramid(rng))
+        assert np.all(smap[0] == 0.0)
 
 
 class TestCalibrateThreshold:
@@ -733,6 +785,14 @@ class TestCheckpoint:
                     values.filter(lambda v: not v < 0.0) if name == "running_var" else values,
                     min_size=a.size, max_size=a.size))
                 setattr(layer, name, np.array(drawn, dtype=np.float64).reshape(a.shape))
+        module.normalize = data.draw(st.booleans())
+        with np.errstate(over="ignore"):
+            zero_anchor = min(np.linalg.norm(p.anchor) for p in module.layers) < 1e-12
+        if module.normalize and zero_anchor:
+            # a normalizing module has no unit anchor to score against
+            with pytest.raises(ParseError, match="anchor of layer [0-9] has zero norm"):
+                self.round_trip(tmp_path_factory.mktemp("module"), module)
+            return
         restored = self.round_trip(tmp_path_factory.mktemp("module"), module)
         for before, after in zip(module.layers, restored.layers):
             for name, a in vars(before).items():
@@ -771,6 +831,35 @@ class TestCheckpoint:
         module.layers[0].running_var[:2] = (0.0, -0.0)
         restored = self.round_trip(tmp_path, module)
         assert restored.layers[0].running_var.tobytes() == module.layers[0].running_var.tobytes()
+
+    @pytest.mark.parametrize("share_anchor, layer, refused",
+                             [(False, 0, True), (False, 1, True), (True, 0, True),
+                              (True, 1, False)])
+    def test_zero_anchor_of_a_normalizing_module(self, tmp_path, share_anchor, layer,
+                                                  refused):
+        # a shared-anchor module reads only layer 0's anchor
+        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0),
+                             share_anchor=share_anchor)
+        module.layers[layer].anchor[:] = (5e-324, -0.0)
+        if not refused:
+            restored = self.round_trip(tmp_path, module)
+            assert restored.layers[layer].anchor.tobytes() == module.layers[layer].anchor.tobytes()
+            return
+        path = tmp_path / "class_000.json"
+        write_json(path, module_to_payload(module))
+        with pytest.raises(ParseError) as err:
+            read_json(path, "checkpoint file", module_from_payload)
+        assert f"anchor of layer {layer} has zero norm" in str(err.value)
+        assert err.value.path == str(path)
+
+    def test_zero_anchor_without_normalization_loads(self, tmp_path):
+        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0),
+                             normalize=False)
+        for layer in module.layers:
+            layer.anchor[:] = 0.0
+        restored = self.round_trip(tmp_path, module)
+        assert not restored.normalize
+        assert all(not layer.anchor.any() for layer in restored.layers)
 
     def test_format_1_is_rejected(self, tmp_path):
         module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from openworld_kit import mscal, training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.mscal import (
-    anchor_similarity_maps,
     batch_moments,
     calibrate_threshold,
+    fold_modules,
     mscal_loss_gradients,
     ood_score_map,
 )
@@ -256,7 +256,7 @@ class TestTrainTask:
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
                                     for n in tiny_world.task_split().current_classes(2)])
         fixed_scene = data.cal_scenes[0]
-        maps_before = [anchor_similarity_maps(m, fixed_scene.pyramid) for m in modules1]
+        maps_before = [ood_score_map(fold_modules([m]), fixed_scene.pyramid) for m in modules1]
         reg2, modules2, log2 = train_task(data, reg2, modules1, config, 2)
         reg2, modules2 = finalize_task(reg2, modules2, 2)
         save_checkpoint(tmp_path / "task2", reg2, modules2, log2.theta, config, log2)
@@ -271,7 +271,7 @@ class TestTrainTask:
             assert e1["embedding"] == e2["embedding"]
             assert e1["name"] == e2["name"]
         # infer-mode similarity maps of frozen modules are bit-identical
-        maps_after = [anchor_similarity_maps(m, fixed_scene.pyramid)
+        maps_after = [ood_score_map(fold_modules([m]), fixed_scene.pyramid)
                       for m in modules2[:2]]
         for before, after in zip(maps_before, maps_after):
             for x, y in zip(before, after):
@@ -324,7 +324,7 @@ class TestTrainTask:
                             if sb.class_name in name_to_id])
 
         def mean_positive_score(mods):
-            smap = ood_score_map(mods, scene.pyramid)
+            smap = ood_score_map(fold_modules(mods), scene.pyramid)
             values = []
             for j, by_class in enumerate(owners):
                 for mask in by_class.values():
@@ -366,14 +366,20 @@ class TestCalibrationScores:
         world = make_world(dataclasses.replace(TINY_SPEC, dim=dim), seed=0)
         data = TaskData(world, n_cal=4)
         config = TrainConfig(steps_per_task=3, batch_size=2, seed=0)
-        calls = []
+        calls, folds_built = [], []
 
-        def spy(modules, grids):
+        def spy(folds, grids):
             calls.append(type(grids))
-            return ood_score_map(modules, grids)
+            return ood_score_map(folds, grids)
+
+        def fold_spy(modules):
+            folds_built.append(len(modules))
+            return fold_modules(modules)
         monkeypatch.setattr(training, "ood_score_map", spy)
+        monkeypatch.setattr(training, "fold_modules", fold_spy)
         registry, modules, log = train_task(data, fresh_registry(world), [], config, 1)
         assert calls == [list], "calibration should score one block per layer in one call"
+        assert folds_built == [len(modules)], "calibration should fold every module once"
         pairs = training._owned_pairs(data.cal_scenes, data.geometry,
                                       {e.name: i for i, e in enumerate(registry.entries)})
         want = known_positive_scores_full_grid(modules, data.cal_scenes, pairs)
@@ -494,8 +500,8 @@ class TestCheckpointFiles:
         assert len(modules2) == len(modules)
         scene = data.cal_scenes[0]
         for a, b in zip(modules, modules2):
-            for x, y in zip(anchor_similarity_maps(a, scene.pyramid),
-                            anchor_similarity_maps(b, scene.pyramid)):
+            for x, y in zip(ood_score_map(fold_modules([a]), scene.pyramid),
+                            ood_score_map(fold_modules([b]), scene.pyramid)):
                 assert x.tobytes() == y.tobytes()
 
     def test_train_log_format(self, tmp_path):
