@@ -73,12 +73,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_gate_mode(text: str) -> str:
-    if text not in det.GATE_MODES:
-        raise ValueError(f"not a gate mode {det.GATE_MODES}: {text!r}")
-    return text
-
-
 _SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
 
 # the text between the parts of one item of a tuple-of-tuples field:
@@ -131,7 +125,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "conf_threshold": (_parse_unit, 0.25),
         "nms_iou": (_parse_unit, 0.7),
         "class_wise_nms": (_parse_bool, True),
-        "ood_gate_mode": (_parse_gate_mode, "relabel"),
     },
     "eval": {
         "iou_threshold": (_parse_unit, 0.5),
@@ -282,7 +275,7 @@ class _TaskData:
 # [train] keys every task of a run shares: they set how each module scales
 # its anchor similarities, and theta is calibrated over old and new modules
 # together
-_CARRIED_TRAIN_KEYS = ("tau", "normalize_projection", "share_anchor")
+_CARRIED_TRAIN_KEYS = ("tau", "share_anchor")
 
 
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
@@ -350,7 +343,6 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         prompts = prompt_matrix(registry, include_unknown=True)
     if no_mscal:
         theta = float("inf")
-    gate_mode = cfg.get("detect", "ood_gate_mode")
 
     folds = fold_modules(modules)
     results = []
@@ -360,8 +352,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         dets = det.decode_detections(scene.pyramid, scores,
                                      cfg.get("detect", "conf_threshold"),
                                      registry.num_known)
-        dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta,
-                                  mode=gate_mode)
+        dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta)
         dets = det.nms(dets, cfg.get("detect", "nms_iou"),
                        cfg.get("detect", "class_wise_nms"))
         results.append((scene.scene_id, dets))

@@ -26,7 +26,6 @@ from .errors import (MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, 
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
-GATE_MODES = ("relabel", "suppress")
 
 Box = tuple[float, float, float, float]
 
@@ -156,18 +155,14 @@ def apply_ood_gate(
     dets: Detections,
     ood_layers: list[np.ndarray],
     theta: float,
-    mode: str = "relabel",
 ) -> Detections:
     """Fill each detection's OOD score from its source location in the
     per-layer (H, W) score grids and convert known detections scoring above
     `theta` into unknowns.
 
     Boxes and confidences are never touched; unknown-labeled detections
-    pass through unchanged. `mode="suppress"` drops gated detections
-    instead of relabeling them.
+    pass through unchanged.
     """
-    if mode not in GATE_MODES:
-        raise ValueError(f"gate mode must be one of {GATE_MODES}, got {mode!r}")
     if not len(dets):
         return dets
     layer, row, col = dets.source.T
@@ -184,8 +179,6 @@ def apply_ood_gate(
     flat = np.concatenate([grid.ravel() for grid in ood_layers])
     score = flat[starts[layer] + row * width + col]
     gated = (dets.labels != UNKNOWN_CLASS_ID) & (score > theta)
-    if mode == "suppress":
-        return replace(dets, ood=score).take(~gated)
     return replace(dets, labels=np.where(gated, UNKNOWN_CLASS_ID, dets.labels), ood=score)
 
 

@@ -1,7 +1,7 @@
 """Per-class contrastive anchor modules over feature pyramids.
 
 Each known class owns a small per-layer projector (affine -> batchnorm ->
-ReLU -> affine -> optional L2 normalization) and a per-layer unit anchor.
+ReLU -> affine -> L2 normalization) and a per-layer unit anchor.
 Training pulls projected positives onto the class anchor and pushes
 other-class and sampled background locations away. At inference the negated
 best anchor similarity at a location is its out-of-distribution score:
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding_space import normalize
 from .errors import (
     DegenerateProjection,
     EmptyScores,
@@ -67,8 +68,8 @@ class MscalModule:
 
     `frozen` modules are skipped by the optimizer and keep their running
     batchnorm statistics locked, so identical inputs give bit-identical
-    outputs forever after. When `normalize` is on, projected vectors and
-    anchors are unit-normalized before every inner product and anchors are
+    outputs forever after. Projected vectors and anchors are
+    unit-normalized before every inner product, and anchors are
     re-normalized after each optimizer step. With `share_anchor` every
     layer scores against the first layer's anchor.
     """
@@ -78,7 +79,6 @@ class MscalModule:
     layers: list[MscalLayerParams]
     tau: float = 0.1
     frozen: bool = False
-    normalize: bool = True
     share_anchor: bool = False
     bn_momentum: float = 0.1
 
@@ -92,8 +92,6 @@ class MscalModule:
 
     def effective_anchor(self, layer: int) -> np.ndarray:
         mu = self.layers[0 if self.share_anchor else layer].anchor
-        if not self.normalize:
-            return mu
         n = float(np.linalg.norm(mu))
         if n < _NORM_EPS:
             raise ZeroVector(f"anchor of layer {layer} has zero norm")
@@ -114,7 +112,6 @@ def init_module(
     num_layers: int,
     rng: np.random.Generator,
     tau: float = 0.1,
-    normalize: bool = True,
     share_anchor: bool = False,
     bn_momentum: float = 0.1,
 ) -> MscalModule:
@@ -137,18 +134,10 @@ def init_module(
             running_var=np.ones(dim),
             w2=_orthonormal(rng, dim, dz),
             b2=np.full(dz, 0.01),
-            anchor=_unit(rng.normal(size=dz)),
+            anchor=normalize(rng.normal(size=dz)),
         ))
     return MscalModule(class_id=class_id, task_id=task_id, layers=layers, tau=tau,
-                       normalize=normalize, share_anchor=share_anchor,
-                       bn_momentum=bn_momentum)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n < _NORM_EPS:
-        raise ZeroVector("zero vector cannot be normalized")
-    return v / n
+                       share_anchor=share_anchor, bn_momentum=bn_momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +155,14 @@ def _check_grids(module: MscalModule, grids: list[np.ndarray]) -> None:
 
 
 def _head(module: MscalModule, layer: int, x_hat: np.ndarray):
-    """Batchnorm scale and shift, ReLU, second affine map and optional
-    normalization of the batchnorm-normalized rows `x_hat` of one layer.
-    Returns (ReLU mask, ReLU output, output norms or None, projected rows)."""
+    """Batchnorm scale and shift, ReLU, second affine map and normalization
+    of the batchnorm-normalized rows `x_hat` of one layer. Returns (ReLU
+    mask, ReLU output, output norms, projected rows)."""
     p = module.layers[layer]
     y = p.gamma * x_hat + p.beta
     relu_mask = y > 0.0
     r = np.where(relu_mask, y, 0.0)
     u = r @ p.w2 + p.b2
-    if not module.normalize:
-        return relu_mask, r, None, u
     norms = np.linalg.norm(u, axis=1)
     bad = norms < _NORM_EPS
     if np.any(bad):
@@ -358,17 +345,11 @@ def mscal_loss_gradients(
         mu_eff = module.effective_anchor(rec["layer"])
         # logits = (z . mu_eff) / tau
         d_mu_eff = (d_logit @ z) / module.tau
-        if module.normalize:
-            mu_norm = float(np.linalg.norm(mu_raw))
-            d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
-        else:
-            d_anchor = d_mu_eff
+        mu_norm = float(np.linalg.norm(mu_raw))
+        d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
 
         dz = np.outer(d_logit, mu_eff) / module.tau
-        if module.normalize:
-            du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / norms[:, None]
-        else:
-            du = dz
+        du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / norms[:, None]
 
         d_w2 = r.T @ du
         d_b2 = du.sum(axis=0)
@@ -419,10 +400,10 @@ def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
     """Per-layer grids of OOD scores from `fold_modules`'s `folds`, shaped
     like the pyramid's layers without the embedding axis: the best anchor
     similarity over the folds, in order, negated. A module's similarity is
-    `(u @ anchor) / |u|`, or `u @ anchor` with `normalize` off, for the
-    second affine map's output `u`: that of `project`'s rows to
-    `effective_anchor` up to the last bits of the arithmetic. Threshold
-    calibration and the inference gate both score through here."""
+    `(u @ anchor) / |u|` for the second affine map's output `u`: that of
+    `project`'s rows to `effective_anchor` up to the last bits of the
+    arithmetic. Threshold calibration and the inference gate both score
+    through here."""
     if not folds:
         raise NoModules("ood_score_map needs at least one class module")
     grids = pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid
@@ -432,7 +413,7 @@ def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
     for j, grid in enumerate(grids):
         x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
         best = None
-        for module, layers in folds:
+        for _, layers in folds:
             a1, c1, w2, b2, anchor = layers[j]
             h = x2d @ a1
             h += c1
@@ -440,14 +421,13 @@ def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
             u = h @ w2
             u += b2
             sim = u @ anchor
-            if module.normalize:
-                # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
-                norms = np.sqrt(np.add.reduce(u * u, axis=1))
-                bad = norms < _NORM_EPS
-                if bad.any():
-                    raise DegenerateProjection(
-                        f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
-                sim /= norms
+            # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
+            norms = np.sqrt(np.add.reduce(u * u, axis=1))
+            bad = norms < _NORM_EPS
+            if bad.any():
+                raise DegenerateProjection(
+                    f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
+            sim /= norms
             best = sim if best is None else np.maximum(best, sim, out=best)
         scores.append(np.negative(best, out=best).reshape(grid.shape[:-1]))
     return scores
@@ -480,7 +460,7 @@ def freeze_class_modules(modules: list[MscalModule], up_to_task: int) -> list[Ms
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 _ARRAY_FIELDS = TRAINED_FIELDS + ("running_mean", "running_var")
 
@@ -541,7 +521,6 @@ def module_to_payload(module: MscalModule) -> dict:
         "task_id": module.task_id,
         "tau": module.tau,
         "frozen": module.frozen,
-        "normalize": module.normalize,
         "share_anchor": module.share_anchor,
         "bn_momentum": module.bn_momentum,
         "layers": [
@@ -561,7 +540,6 @@ def module_from_payload(payload: dict) -> MscalModule:
         layers=layers,
         tau=float(payload["tau"]),
         frozen=bool(payload["frozen"]),
-        normalize=bool(payload["normalize"]),
         share_anchor=bool(payload.get("share_anchor", False)),
         bn_momentum=float(payload["bn_momentum"]),
     )

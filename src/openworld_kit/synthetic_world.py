@@ -497,7 +497,6 @@ def export_world(world: World, out_dir) -> None:
             }
             for c in world.classes
         ],
-        "tasks": {str(t): list(names) for t, names in world.task_split().tasks},
     }
     write_json(out / MANIFEST_NAME, manifest)
     embeddings = dict(world.text_embeddings)

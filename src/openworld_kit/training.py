@@ -62,7 +62,6 @@ class TrainConfig:
     det_weight: float = 1.0
     mscal_weight: float = 1.0
     bn_momentum: float = 0.1
-    normalize_projection: bool = True
     share_anchor: bool = False
 
     def __post_init__(self):
@@ -332,8 +331,8 @@ def _init_modules_for_task(
         module = init_module(
             class_id=class_id, task_id=task_id, dim=registry.dim,
             num_layers=geometry.num_layers, rng=rng,
-            tau=config.tau, normalize=config.normalize_projection,
-            share_anchor=config.share_anchor, bn_momentum=config.bn_momentum,
+            tau=config.tau, share_anchor=config.share_anchor,
+            bn_momentum=config.bn_momentum,
         )
         if stacked is not None:
             for j, params in enumerate(module.layers):
@@ -350,9 +349,8 @@ def _init_modules_for_task(
 
 def _normalize_anchors(modules: list[MscalModule]) -> None:
     for module in modules:
-        if module.normalize:
-            for layer in module.layers:
-                layer.anchor /= np.linalg.norm(layer.anchor)
+        for layer in module.layers:
+            layer.anchor /= np.linalg.norm(layer.anchor)
 
 
 def train_task(

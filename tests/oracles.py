@@ -118,9 +118,9 @@ def oracle_decode(pyramid, class_scores, conf_threshold, num_known):
     return dets
 
 
-def oracle_gate(dets, ood_layers, theta, mode="relabel"):
-    """Per detection: read the score at its source, relabel (or drop) a
-    known detection scoring above `theta`."""
+def oracle_gate(dets, ood_layers, theta):
+    """Per detection: read the score at its source, relabel a known
+    detection scoring above `theta`."""
     out = []
     for d in dets:
         layer, row, col = d.source
@@ -129,8 +129,6 @@ def oracle_gate(dets, ood_layers, theta, mode="relabel"):
             raise SourceOutOfRange(f"detection source {d.source} outside map")
         score = float(ood_layers[layer][row, col])
         gated = not d.is_unknown and score > theta
-        if gated and mode == "suppress":
-            continue
         out.append(Detection(box=d.box, label=UNKNOWN_CLASS_ID if gated else d.label,
                              confidence=d.confidence, source=d.source, ood=score))
     return out
@@ -440,14 +438,10 @@ def train_project(module, grids, update_stats=False, with_trace=False):
         relu_mask = y > 0.0
         r = np.where(relu_mask, y, 0.0)
         u = r @ p.w2 + p.b2
-        if module.normalize:
-            norms = np.linalg.norm(u, axis=1)
-            if np.any(norms < 1e-12):
-                raise DegenerateProjection(f"a location collapsed at layer {idx}")
-            z = u / norms[:, None]
-        else:
-            norms = None
-            z = u
+        norms = np.linalg.norm(u, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateProjection(f"a location collapsed at layer {idx}")
+        z = u / norms[:, None]
         outputs.append(z.reshape(*lead, z.shape[-1]))
         traces.append({"lead": lead, "x2d": x2d, "inv_std": inv_std, "x_hat": x_hat,
                        "relu_mask": relu_mask, "r": r, "norms": norms, "z": z,
@@ -478,20 +472,14 @@ def full_grid_loss_gradients(module, traces, assignment):
         mu_raw = module.layers[0].anchor if module.share_anchor else params.anchor
         mu_eff = module.effective_anchor(rec["layer"])
         d_mu_eff = (d_logit @ rec["z"]) / module.tau if n else np.zeros_like(mu_raw)
-        if module.normalize:
-            mu_norm = float(np.linalg.norm(mu_raw))
-            d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
-        else:
-            d_anchor = d_mu_eff
+        mu_norm = float(np.linalg.norm(mu_raw))
+        d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
 
         dz = np.zeros_like(trace["z"])
         if n:
             dz[rec["idx"]] = np.outer(d_logit, mu_eff) / module.tau
-        if module.normalize:
-            z = trace["z"]
-            du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / trace["norms"][:, None]
-        else:
-            du = dz
+        z = trace["z"]
+        du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / trace["norms"][:, None]
 
         d_w2 = trace["r"].T @ du
         d_b2 = du.sum(axis=0)
@@ -754,7 +742,6 @@ ORACLE_SCHEMA = {
         "det_weight": (float, "1.0"),
         "mscal_weight": (float, "1.0"),
         "bn_momentum": (float, "0.1"),
-        "normalize_projection": (_parse_bool, "true"),
         "share_anchor": (_parse_bool, "false"),
     },
 }

@@ -92,13 +92,22 @@ class TestRunConfig:
     @pytest.mark.parametrize("override", [
         "world.dim=2", "world.pyramid_layers=16x16x32,8x8x16", "world.level_thresholds=64,0",
         "world.boxes_per_scene=3", "world.boxes_per_scene=6,3", "train.batch_size=0",
-        "detect.ood_gate_mode=foo",
     ])
     def test_value_that_breaks_a_spec_is_a_config_error(self, override):
         with pytest.raises(ConfigError):
             cfg = cli.RunConfig.load(None, overrides=[override])
             cfg.world_spec()
             cfg.train_config()
+
+    @pytest.mark.parametrize("override", [
+        "train.normalize_projection=false", "train.normalize_projection=true",
+        "detect.ood_gate_mode=relabel", "detect.ood_gate_mode=foo",
+    ])
+    def test_retired_key_is_an_unknown_key(self, override):
+        # projections are always normalized and the gate always relabels
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            cli.RunConfig.load(None, overrides=[override])
 
     @pytest.mark.parametrize("data", [b"seed = 1\n", b"[run]\nseed = %(x\n",
                                       b"[run]\nseed = \xff\xfe\n"],
@@ -124,6 +133,8 @@ class TestPipeline:
         assert "2 tasks, 4 known classes, 1 unknown classes" in out
         manifest = json.loads((workdir / "out" / "world" / "manifest.json").read_text())
         assert len(manifest["classes"]) == 5
+        # the task schedule lives in the class table and task_split.json only
+        assert sorted(manifest) == ["classes", "format", "seed", "spec"]
 
     def test_default_spec_echo(self):
         from openworld_kit.synthetic_world import WorldSpec
@@ -154,8 +165,8 @@ class TestPipeline:
         assert (ckpt / "theta.json").exists()
         assert sorted(json.loads((ckpt / "config.json").read_text())) == [
             "alpha", "batch_size", "bn_momentum", "det_weight", "format", "learning_rate",
-            "logit_scale", "mscal_weight", "neg_cap", "normalize_projection", "quantile",
-            "seed", "share_anchor", "steps_per_task", "tau", "weight_decay"]
+            "logit_scale", "mscal_weight", "neg_cap", "quantile", "seed", "share_anchor",
+            "steps_per_task", "tau", "weight_decay"]
         assert (ckpt / "train_log.csv").exists()
         assert len(list((ckpt / "modules").glob("class_*.json"))) == 2
         ckpt2 = trained / "out" / "checkpoints" / "task_2"
@@ -283,7 +294,7 @@ def trained_world(tmp_path_factory):
 
 
 def oracle_detections_file(out, task_id, split, no_owel=False, no_mscal=False,
-                           gate_mode="relabel", nms_iou=0.7, class_wise=True):
+                           nms_iou=0.7, class_wise=True):
     """The detections file of `infer` at the default logit scale and
     confidence threshold, built by the scalar path: one object per
     candidate, NMS as the greedy loop, each line from the json encoder."""
@@ -306,8 +317,7 @@ def oracle_detections_file(out, task_id, split, no_owel=False, no_mscal=False,
     for scene in load_split(load_world(out / "world"), split, out / "world"):
         scores = classify_locations(scene.pyramid, prompts, 10.0)
         rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)
-        rows = oracle_gate(rows, ood_score_map(fold_modules(modules), scene.pyramid), theta,
-                           gate_mode)
+        rows = oracle_gate(rows, ood_score_map(fold_modules(modules), scene.pyramid), theta)
         rows = oracle_nms(rows, nms_iou, class_wise)
         lines += [oracle_format_detection_line(scene.scene_id, d, registry.names) + "\n"
                   for d in rows]
@@ -319,11 +329,10 @@ class TestInferEqualsScalarPath:
         ([], {}),
         (["--no-mscal"], {"no_mscal": True}),
         (["--no-owel", "--no-mscal"], {"no_owel": True, "no_mscal": True}),
-        (["--set", "detect.ood_gate_mode=suppress"], {"gate_mode": "suppress"}),
         (["--set", "detect.class_wise_nms=false"], {"class_wise": False}),
         (["--set", "detect.nms_iou=0.3"], {"nms_iou": 0.3}),
         (["--split", "empty"], {"split": "empty"}),
-    ], ids=["gated", "no-mscal", "base", "suppress", "not-class-wise", "nms-iou-0.3",
+    ], ids=["gated", "no-mscal", "base", "not-class-wise", "nms-iou-0.3",
             "empty-split"])
     def test_file_is_byte_identical(self, trained_world, args, oracle):
         root, common = trained_world
@@ -763,8 +772,8 @@ class TestCheckpointGeometry:
 
 
 class TestTaskConfigReadBack:
-    """A later task trains only with the `tau`, `normalize_projection` and
-    `share_anchor` of the checkpoint it extends; other keys may change."""
+    """A later task trains only with the `tau` and `share_anchor` of the
+    checkpoint it extends; other keys may change."""
 
     ARGS = ("--config", "tiny.ini", "--out", "out")
 
@@ -776,7 +785,6 @@ class TestTaskConfigReadBack:
 
     @pytest.mark.parametrize("key, value, before, after", [
         ("tau", "0.5", "0.1", "0.5"),
-        ("normalize_projection", "false", "True", "False"),
         ("share_anchor", "true", "False", "True"),
     ])
     def test_mismatch_is_a_config_error(self, task1, capsys, key, value, before, after):

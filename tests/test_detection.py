@@ -199,10 +199,6 @@ class TestApplyOodGate:
         assert [d.box for d in out] == [d.box for d in dets]
         assert [d.confidence for d in out] == [d.confidence for d in dets]
 
-    def test_suppress_mode_drops_gated(self):
-        out = list(apply_ood_gate(self.dets(), self.smap(), 0.1, mode="suppress"))
-        assert [d.source for d in out] == [(0, 0, 1), (0, 1, 0)]
-
     def test_source_out_of_range(self):
         for source in [(0, 9, 9), (0, 2, 0), (0, 0, -1), (1, 0, 0), (-1, 0, 0)]:
             dets = Detections.from_rows([Detection(box=(0, 0, 1, 1), label=0, confidence=0.5,
@@ -211,18 +207,17 @@ class TestApplyOodGate:
                 apply_ood_gate(dets, self.smap(), 0.0)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 0.5, 2.0]),
-           st.sampled_from([float("-inf"), -0.5, 0.0, 0.3, float("inf")]),
-           st.sampled_from(["relabel", "suppress"]))
+           st.sampled_from([float("-inf"), -0.5, 0.0, 0.3, float("inf")]))
     @settings(max_examples=100, deadline=None)
-    def test_equals_oracle_on_random_grids(self, seed, threshold, theta, mode):
+    def test_equals_oracle_on_random_grids(self, seed, threshold, theta):
         pyr, scores, num_known = random_scene(seed)
         rows = oracle_decode(pyr, scores, threshold, num_known)
         rng = np.random.default_rng(seed + 1)
         ood = [rng.choice([-0.5, 0.0, 0.3, 0.7, np.nan], size=g.shape[:2]) for g in scores]
         got = apply_ood_gate(decode_detections(pyr, scores, threshold, num_known),
-                             ood, theta, mode)
+                             ood, theta)
         # repr compares float bits, and NaN scores equal themselves
-        assert repr(list(got)) == repr(oracle_gate(rows, ood, theta, mode))
+        assert repr(list(got)) == repr(oracle_gate(rows, ood, theta))
 
 
 def one_iou(a, b):

@@ -4,7 +4,8 @@ edge values of every kind included. Each call returns 0, or prints one
 `error: ...` line and returns nonzero; no traceback escapes. An infer that
 returns 0 writes the same bytes again on a rerun, and its file reads back
 one record a line. Every metric of a report that eval writes lies in its
-range.
+range, and an eval rerun into another report writes the same JSON and CSV
+bytes.
 
 Budget: about 10 s of tier-1 time (150 examples of a few tiny-world calls
 each), set by `max_examples`; there is no per-example deadline.
@@ -41,12 +42,10 @@ VALUES = {
     "train.learning_rate": ("1e-4", "10"),
     "train.weight_decay": ("0.0125", "0", "100"),
     "train.logit_scale": ("10", "1e-6", "1000"),
-    "train.normalize_projection": ("true", "false"),
     "train.share_anchor": ("false", "true"),
     "detect.conf_threshold": ("0.25", "0", "1"),
     "detect.nms_iou": ("0.7", "0", "1"),
     "detect.class_wise_nms": ("true", "false"),
-    "detect.ood_gate_mode": ("relabel", "suppress"),
     "eval.iou_threshold": ("0.5", "0", "1"),
     "eval.recall_level": ("0.8", "0", "1"),
 }
@@ -106,6 +105,12 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
         assert len(read_detections_jsonl(dets)) == dets.read_bytes().count(b"\n")
         if call(capsys, "eval", *common, "--task", str(tasks), "--detections", str(dets),
                 "--report", str(report)) == 0:
+            rerun = root / f"rerun{len(arm)}.json"
+            assert call(capsys, "eval", *common, "--task", str(tasks),
+                        "--detections", str(dets), "--report", str(rerun)) == 0
+            for suffix in (".json", ".csv"):
+                assert (report.with_suffix(suffix).read_bytes()
+                        == rerun.with_suffix(suffix).read_bytes()), suffix
             metrics = json.loads(report.read_text())
             for key in ("map_prev", "map_curr", "map_both", "u_recall"):
                 assert metrics[key] is None or 0.0 <= metrics[key] <= 1.0, (key, metrics)

@@ -295,7 +295,7 @@ class TestMscalLoss:
         swapped_module = MscalModule(
             class_id=module.class_id, task_id=module.task_id,
             layers=[module.layers[1], module.layers[0]],
-            tau=module.tau, normalize=module.normalize)
+            tau=module.tau)
         loss = mscal_loss(
             swapped_module, [projected[1], projected[0]],
             SampleAssignment(index=assignment.index[::-1], n_pos=assignment.n_pos[::-1]))
@@ -314,8 +314,7 @@ def batch_case(draw, trained=False, full_rank=False):
     rng = np.random.default_rng(seed)
     num_layers = draw(st.integers(1, 3))
     module = init_module(0, 1, dim=draw(st.sampled_from((8, 16, 32))),
-                         num_layers=num_layers, rng=rng, normalize=draw(st.booleans()),
-                         share_anchor=draw(st.booleans()))
+                         num_layers=num_layers, rng=rng, share_anchor=draw(st.booleans()))
     grids, index, n_pos = [], [], []
     for _ in range(num_layers):
         scenes, height, width = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
@@ -447,24 +446,6 @@ class TestMomentStep:
 
 
 class TestProjectionFlags:
-    def test_normalization_off_returns_raw_affine_outputs(self):
-        rng = np.random.default_rng(0)
-        module = init_module(0, 1, dim=6, num_layers=1, rng=rng, normalize=False)
-        grid = rng.normal(size=(3, 3, 6))
-        out = project(module, [grid])[0]
-        norms = np.linalg.norm(out, axis=-1)
-        assert not np.allclose(norms, 1.0)
-        module.normalize = True
-        unit = project(module, [grid])[0]
-        np.testing.assert_allclose(unit, out / norms[..., None], atol=1e-12)
-
-    def test_normalization_off_uses_raw_anchor_in_logits(self):
-        rng = np.random.default_rng(1)
-        module = init_module(0, 1, dim=6, num_layers=1, rng=rng, normalize=False)
-        module.layers[0].anchor = module.layers[0].anchor * 3.0
-        np.testing.assert_array_equal(module.effective_anchor(0),
-                                      module.layers[0].anchor)
-
     def test_shared_anchor_scores_every_layer_with_layer_zero(self):
         rng = np.random.default_rng(2)
         module = init_module(0, 1, dim=8, num_layers=2, rng=rng, share_anchor=True)
@@ -589,15 +570,14 @@ class TestOodScoreMap:
 
 @st.composite
 def scoring_case(draw):
-    """(modules, grids): 1-3 modules of one dim (8, 16 or 32), layer count,
-    `normalize` and `share_anchor`, every array moved away from its initial
-    value as training and running statistics move it, over a two-layer
+    """(modules, grids): 1-3 modules of one dim (8, 16 or 32), layer count
+    and `share_anchor`, every array moved away from its initial value as
+    training and running statistics move it, over a two-layer
     `FeaturePyramid` or a list of (n, D) blocks as calibration scores."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = draw(st.sampled_from((8, 16, 32)))
-    normalize, share_anchor = draw(st.booleans()), draw(st.booleans())
-    modules = [init_module(i, 1, dim=dim, num_layers=2, rng=rng, normalize=normalize,
-                           share_anchor=share_anchor)
+    share_anchor = draw(st.booleans())
+    modules = [init_module(i, 1, dim=dim, num_layers=2, rng=rng, share_anchor=share_anchor)
                for i in range(draw(st.integers(1, 3)))]
     for module in modules:
         for p in module.layers:
@@ -656,12 +636,12 @@ class TestFoldedScorer:
         assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
 
     @staticmethod
-    def collapsed_case(collapsed_first, normalize, share_anchor):
+    def collapsed_case(collapsed_first, share_anchor):
         """Two modules, one of whose second affine maps is zero, so it
         projects every row to the zero vector, and a pyramid."""
         rng = np.random.default_rng(0)
-        modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng, normalize=normalize,
-                               share_anchor=share_anchor) for i in range(2)]
+        modules = [init_module(i, 1, dim=8, num_layers=2, rng=rng, share_anchor=share_anchor)
+                   for i in range(2)]
         for p in modules[0 if collapsed_first else 1].layers:
             p.w2 = np.zeros_like(p.w2)
             p.b2 = np.zeros_like(p.b2)
@@ -670,20 +650,10 @@ class TestFoldedScorer:
     @pytest.mark.parametrize("collapsed_first", [True, False])
     def test_collapsed_module_is_degenerate(self, collapsed_first):
         for share_anchor in (False, True):
-            modules, pyr = self.collapsed_case(collapsed_first, True, share_anchor)
+            modules, pyr = self.collapsed_case(collapsed_first, share_anchor)
             with pytest.raises(DegenerateProjection,
                                match="collapsed to zero norm at layer 0"):
                 ood_score_map(fold_modules(modules), pyr)
-
-    @pytest.mark.parametrize("collapsed_first", [True, False])
-    @pytest.mark.parametrize("share_anchor", [False, True])
-    def test_collapsed_module_without_normalization_scores_zero(self, collapsed_first,
-                                                                 share_anchor):
-        modules, pyr = self.collapsed_case(collapsed_first, False, share_anchor)
-        got = ood_score_map(fold_modules(modules), pyr)
-        for g, w in zip(got, unfolded_ood_score_map(modules, pyr)):
-            assert np.all(g <= 0.0)
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_no_folds(self):
         with pytest.raises(NoModules):
@@ -704,9 +674,6 @@ class TestFoldedScorer:
         module.layers[0].anchor = np.zeros_like(module.layers[0].anchor)
         with pytest.raises(ZeroVector, match="anchor of layer 0 has zero norm"):
             fold_modules([module])
-        module.normalize = False
-        smap = ood_score_map(fold_modules([module]), make_pyramid(rng))
-        assert np.all(smap[0] == 0.0)
 
 
 class TestCalibrateThreshold:
@@ -785,11 +752,10 @@ class TestCheckpoint:
                     values.filter(lambda v: not v < 0.0) if name == "running_var" else values,
                     min_size=a.size, max_size=a.size))
                 setattr(layer, name, np.array(drawn, dtype=np.float64).reshape(a.shape))
-        module.normalize = data.draw(st.booleans())
         with np.errstate(over="ignore"):
             zero_anchor = min(np.linalg.norm(p.anchor) for p in module.layers) < 1e-12
-        if module.normalize and zero_anchor:
-            # a normalizing module has no unit anchor to score against
+        if zero_anchor:
+            # a zero anchor has no unit direction to score against
             with pytest.raises(ParseError, match="anchor of layer [0-9] has zero norm"):
                 self.round_trip(tmp_path_factory.mktemp("module"), module)
             return
@@ -852,23 +818,17 @@ class TestCheckpoint:
         assert f"anchor of layer {layer} has zero norm" in str(err.value)
         assert err.value.path == str(path)
 
-    def test_zero_anchor_without_normalization_loads(self, tmp_path):
-        module = init_module(0, 1, dim=4, num_layers=2, rng=np.random.default_rng(0),
-                             normalize=False)
-        for layer in module.layers:
-            layer.anchor[:] = 0.0
-        restored = self.round_trip(tmp_path, module)
-        assert not restored.normalize
-        assert all(not layer.anchor.any() for layer in restored.layers)
-
     def test_format_1_is_rejected(self, tmp_path):
+        # format 1 stored arrays as JSON lists; format 2 stored them as format
+        # 3 does, beside a `normalize` flag that format 3 no longer has
         module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))
-        payload = module_to_payload(module)
-        payload["format"] = 1
-        payload["layers"] = [{name: getattr(layer, name).tolist() for name in rec}
-                             for layer, rec in zip(module.layers, payload["layers"])]
-        with pytest.raises(ParseError, match="unsupported module checkpoint format 1"):
-            module_from_payload(payload)
+        old = module_to_payload(module) | {"format": 1}
+        old["layers"] = [{name: getattr(layer, name).tolist() for name in rec}
+                         for layer, rec in zip(module.layers, old["layers"])]
+        for fmt, payload in ((1, old),
+                             (2, module_to_payload(module) | {"format": 2, "normalize": True})):
+            with pytest.raises(ParseError, match=f"unsupported module checkpoint format {fmt}"):
+                module_from_payload(payload)
 
     @pytest.mark.parametrize("layer, name, edit, message", [
         (0, "w1", lambda r: r | {"shape": [2, 8]}, "layer 0 fields w1 [2, 8] and w2 [4, 2]"),

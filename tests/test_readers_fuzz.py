@@ -173,7 +173,7 @@ def test_only_toolkit_errors_escape_blob_reader(tmp_path, blob):
 # values that parse as some key's type, values that break a spec, and junk
 INI_VALUES = st.one_of(
     st.sampled_from(("", "0", "1", "-1", "2", "3", "4", "0.5", "nan", "inf", "1e999", "true",
-                     "foo", "relabel", "suppress", "3,6", "6,3", "0,64", "64,0", "1,2,3",
+                     "foo", "3,6", "6,3", "0,64", "64,0", "1,2,3",
                      "16x16x16,8x8x32", "16x16x32,8x8x16", "8x8x16", "0x4x16",
                      "20-56,72-150", "20-56", "train:6,cal:3,test:4", "1.05,1.3")),
     st.text(alphabet="0123456789.,-x:e ", max_size=12))
@@ -196,7 +196,6 @@ def ini_texts(draw):
 @example(text="[world]\npyramid_layers = 16x16x32,8x8x16\n")
 @example(text="[world]\ndim =\n")
 @example(text="[train]\nbatch_size = 0\n")
-@example(text="[detect]\nood_gate_mode = foo\n")
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_only_config_errors_escape_run_config(tmp_path, text):
