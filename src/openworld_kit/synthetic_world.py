@@ -83,6 +83,9 @@ class WorldSpec:
             raise ValueError("scene counts must be nonnegative")
         if self.box_jitter < 0:
             raise ValueError("box_jitter must be nonnegative")
+        if not self.background_max_cos > -1.0:
+            raise ValueError("background_max_cos must exceed -1: no unit vector has a "
+                             "cosine below -1 to every prototype")
         if self.n_nood > sum(self.known_per_task):
             raise ValueError("need at least one distinct known partner per near-OOD class")
         if len(self.box_size_ranges) != len(self.pyramid_layers):
@@ -370,8 +373,11 @@ class Scene:
     gt: tuple[SceneBox, ...]
 
 
-def _intersects(a, b) -> bool:
-    return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
+# placement tries per box; a box with no free spot among them is dropped
+_PLACEMENT_TRIES = 200
+# rows of one background block draw, which bounds memory while a hard
+# `background_max_cos` runs a scene's draw budget down
+_BLOCK_ROWS = 1 << 14
 
 
 def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
@@ -383,6 +389,7 @@ def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
     known = [c.name for c in world.known_classes]
     unknown = [c.name for c in world.unknown_classes]
     boxes: list[SceneBox] = []
+    taken = np.empty((0, 4))
     for _ in range(n_boxes):
         if unknown and rng.random() < spec.unknown_box_ratio:
             name = unknown[int(rng.integers(len(unknown)))]
@@ -398,75 +405,158 @@ def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
             w, h = long_side, short_side
         else:
             w, h = short_side, long_side
-        placed = None
-        for _ in range(200):
-            x1 = float(rng.uniform(0.0, img_w - w))
-            y1 = float(rng.uniform(0.0, img_h - h))
-            cand = (x1, y1, x1 + w, y1 + h)
-            if not any(_intersects(cand, sb.box) for sb in boxes):
-                placed = cand
-                break
-        if placed is not None:
-            boxes.append(SceneBox(box=placed, class_name=name))
+        # every try's corner at once, tested against the placed boxes; each
+        # coordinate is `rng.uniform(0, extent)`, one double of the stream,
+        # which is rewound after the test to draw exactly the tries used
+        state = rng.bit_generator.state
+        corner = rng.random((_PLACEMENT_TRIES, 2)) * (img_w - w, img_h - h)
+        x1, y1 = corner[:, :1], corner[:, 1:]
+        overlaps = ((x1 + w > taken[:, 0]) & (taken[:, 2] > x1)
+                    & (y1 + h > taken[:, 1]) & (taken[:, 3] > y1)).any(axis=1)
+        free = np.flatnonzero(~overlaps)
+        if free.size:
+            t = int(free[0])
+            rng.bit_generator.state = state
+            rng.random(2 * (t + 1))
+            x, y = float(corner[t, 0]), float(corner[t, 1])
+            boxes.append(SceneBox(box=(x, y, x + w, y + h), class_name=name))
+            taken = np.array([sb.box for sb in boxes])
     return boxes
 
 
-def _background_features(world: World, count: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors kept dissimilar to every prototype."""
+def _replay_rounds(ok: np.ndarray, n: int) -> np.ndarray:
+    """The cell each accepted candidate fills when `n` cells are refilled
+    round by round from candidates whose accept flags are `ok`, in draw
+    order, up to the `n`-th accept.
+
+    The rounds form one FIFO queue: candidate j serves queue slot j, and a
+    rejected candidate re-queues its cell at slot n + (rejections before
+    it). Pointer jumping over that slot-to-rejector map finds the cell at
+    the root of every chain in O(log rounds) array passes."""
+    origin = np.arange(ok.size)
+    origin[n:] = np.flatnonzero(~ok)
+    while True:
+        up = origin[origin]
+        if np.array_equal(up, origin):
+            return origin[ok]
+        origin = up
+
+
+def _background_layers(world: World, counts: list[int], extra: int,
+                       rng: np.random.Generator, scene_id: str):
+    """Unit vectors kept dissimilar to every prototype for layers of
+    `counts` cells, plus the `extra` normal rows that follow the last
+    accepted candidate in the stream, and the number of rows the layers
+    used.
+
+    The rows are drawn in blocks that grow by the measured acceptance rate;
+    the stream, and so every layer, is the one that refilling each layer's
+    rejected cells round by round would draw. A scene may draw at most
+    `spec.max_draws` candidate rows."""
     spec = world.spec
-    protos = np.stack([c.prototype for c in world.classes])
-    out = np.empty((count, spec.dim))
-    pending = np.arange(count)
-    while pending.size:
-        draw = rng.normal(size=(pending.size, spec.dim))
-        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
-        ok = (draw @ protos.T).max(axis=1) < spec.background_max_cos
-        out[pending[ok]] = draw[ok]
-        pending = pending[~ok]
-    return out
+    protos_t = np.stack([c.prototype for c in world.classes]).T
+    need = sum(counts)
+    flags: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+    accepted = drawn = 0
+    size = need + extra
+    while True:
+        size = min(size, _BLOCK_ROWS, spec.max_draws - drawn)
+        if size <= 0:
+            raise InfeasibleSpec(
+                f"background_max_cos={spec.background_max_cos} let {accepted} of "
+                f"{drawn} background draws of scene {scene_id} pass, short of the "
+                f"{need} cells a scene needs (max_draws={spec.max_draws})")
+        block = rng.normal(size=(size, spec.dim))
+        unit = block / np.linalg.norm(block, axis=1, keepdims=True)
+        ok = (unit @ protos_t).max(axis=1) < spec.background_max_cos
+        hits = np.flatnonzero(ok)[:need - accepted]
+        flags.append(ok)
+        kept.append(unit[hits])
+        if accepted + hits.size == need:
+            break
+        accepted += hits.size
+        drawn += size
+        # rows left to reach the last accept at the rate seen so far, with
+        # a margin so that one more block usually suffices
+        size = (int((need - accepted) * 1.05 * drawn / accepted) + 16 + extra
+                if accepted else 2 * drawn)
+    end = int(hits[-1]) + 1
+    tail = block[end:end + extra]
+    if tail.shape[0] < extra:
+        tail = np.concatenate([tail, rng.normal(size=(extra - tail.shape[0], spec.dim))])
+    ok = np.concatenate(flags)[:drawn + end]
+    unit = np.concatenate(kept)
+    layers = []
+    start = first = 0
+    for n, stop in zip(counts, np.flatnonzero(ok)[np.cumsum(counts) - 1] + 1):
+        feats = np.empty((n, spec.dim))
+        feats[_replay_rounds(ok[start:stop], n)] = unit[first:first + n]
+        layers.append(feats)
+        start, first = stop, first + n
+    return layers, tail, drawn + end
+
+
+def _cell_boxes(g: LayerGeometry) -> np.ndarray:
+    """The (H, W, 4) field of the box each cell emits, (col, row, col + 1,
+    row + 1) strides, which the tests compare bit for bit."""
+    field = np.empty((g.height, g.width, 4))
+    xs = np.arange(g.width + 1) * g.stride
+    ys = np.arange(g.height + 1)[:, None] * g.stride
+    field[..., 0], field[..., 1], field[..., 2], field[..., 3] = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    return field
 
 
 def generate_scene(world: World, split: str, index: int) -> Scene:
-    """Materialize one scene, seeded by (world seed, split, index)."""
+    """Materialize one scene, seeded by (world seed, split, index).
+
+    After the GT boxes are placed, the scene's stream holds only normals:
+    background candidates of layer 0, then of layer 1, then each GT box's
+    noise rows. With `box_jitter` > 0 each box's jitter uniforms follow its
+    noise rows, so the stream is rewound and redrawn up to the first noise
+    row, and the boxes draw from it one by one."""
     rng = derive_rng(world.seed, "scene", split, index)
     spec = world.spec
     geometry = world.geometry
     gt = _sample_boxes(world, rng)
+    owned = [geometry.owned_cells(sb.box) for sb in gt]
+    jitter = spec.box_jitter > 0.0
+    extra = 0 if jitter else sum(cells.size for _, cells in owned)
+    if jitter:
+        state = rng.bit_generator.state
+    feats, noise, used = _background_layers(
+        world, [g.height * g.width for g in geometry.layers], extra, rng,
+        f"{split}-{index:04d}")
+    if jitter:
+        rng.bit_generator.state = state
+        for start in range(0, used, _BLOCK_ROWS):
+            rng.normal(size=(min(_BLOCK_ROWS, used - start), spec.dim))
+    layers = [f.reshape(g.height, g.width, spec.dim) for f, g in zip(feats, geometry.layers)]
+    box_fields = [_cell_boxes(g) for g in geometry.layers]
 
-    layers: list[np.ndarray] = []
-    box_fields: list[np.ndarray] = []
-    for g in geometry.layers:
-        feats = _background_features(world, g.height * g.width, rng)
-        layers.append(feats.reshape(g.height, g.width, spec.dim))
-        # each background cell emits its own box, (col, row, col + 1, row + 1)
-        # strides, which the tests compare bit for bit
-        xs = np.arange(g.width + 1) * g.stride
-        ys = np.arange(g.height + 1) * g.stride
-        box_fields.append(np.stack(np.broadcast_arrays(
-            xs[None, :-1], ys[:-1, None], xs[None, 1:], ys[1:, None]), axis=-1))
-
-    for sb in gt:
-        level, cells = geometry.owned_cells(sb.box)
+    # noise_sigma scales the total perturbation norm, not each coordinate
+    scale = spec.noise_sigma / np.sqrt(spec.dim)
+    protos = {c.name: c.prototype for c in world.classes}
+    row = 0
+    for sb, (level, cells) in zip(gt, owned):
         g = geometry.layers[level]
         rows, cols = np.divmod(cells, g.width)
-        proto = world.class_named(sb.class_name).prototype
-        # noise_sigma scales the total perturbation norm, not each coordinate
-        scale = spec.noise_sigma / np.sqrt(spec.dim)
-        noisy = proto[None, :] + scale * rng.normal(size=(rows.size, spec.dim))
+        if jitter:
+            eps = rng.normal(size=(cells.size, spec.dim))
+        else:
+            eps, row = noise[row:row + cells.size], row + cells.size
+        noisy = protos[sb.class_name][None, :] + scale * eps
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         layers[level][rows, cols] = noisy
         emitted = np.array(sb.box, dtype=np.float64)
-        for r, c in zip(rows, cols):
-            if spec.box_jitter > 0.0:
-                jitter = rng.uniform(-spec.box_jitter, spec.box_jitter, size=4) * g.stride
-                box = box_fields[level][r, c] = emitted + jitter
-                if box[2] <= box[0] or box[3] <= box[1]:
-                    raise InfeasibleSpec(
-                        f"box_jitter={spec.box_jitter} turns a {sb.box[2] - sb.box[0]:.1f}"
-                        f"x{sb.box[3] - sb.box[1]:.1f} box at stride {g.stride} inside out")
-            else:
-                box_fields[level][r, c] = emitted
+        if jitter:
+            emitted = emitted + rng.uniform(
+                -spec.box_jitter, spec.box_jitter, size=(cells.size, 4)) * g.stride
+            if ((emitted[:, 2] <= emitted[:, 0]) | (emitted[:, 3] <= emitted[:, 1])).any():
+                raise InfeasibleSpec(
+                    f"box_jitter={spec.box_jitter} turns a {sb.box[2] - sb.box[0]:.1f}"
+                    f"x{sb.box[3] - sb.box[1]:.1f} box at stride {g.stride} inside out")
+        box_fields[level][rows, cols] = emitted
 
     pyramid = FeaturePyramid(geometry=geometry, layers=tuple(layers),
                              box_field=tuple(box_fields))

@@ -6,14 +6,16 @@ flat indices the batched owner index must give, the conversions between
 boolean sample masks and `SampleAssignment` indices, the full-grid
 train-mode projection and backward pass that the moment step must match,
 the per-scene calibration scores, the unfolded OOD score maps that the
-folded scorer must match, plus single-scene MSCAL references built on the
-library's assignment code.
+folded scorer must match, the round-by-round scene generator and FIFO
+refill queue that the block-drawn `generate_scene` must match, plus
+single-scene MSCAL references built on the library's assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
 """
 
 import json
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,7 @@ from openworld_kit.detection import (
 )
 from openworld_kit.errors import (
     DegenerateProjection,
+    InfeasibleSpec,
     NoModules,
     NoSamples,
     ShapeMismatch,
@@ -623,6 +626,122 @@ def oracle_assignment_for_class(owners_per_scene, layer_shapes, class_id, neg_ca
         negatives.append(keep[offset:offset + m.size].reshape(m.shape))
         offset += m.size
     return pos, negatives
+
+
+# ---------------------------------------------------------------------------
+# the round-by-round scene generator that the block-drawn `generate_scene`
+# must match byte for byte: scalar placement tries, one normal draw per
+# rejection round of each background layer, then each GT box's noise (and,
+# with `box_jitter`, its per-cell jitter)
+
+
+def _intersects(a, b):
+    return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
+
+
+def oracle_sample_boxes(world, rng):
+    spec = world.spec
+    geometry = world.geometry
+    img_w, img_h = spec.image_extent()
+    lo, hi = spec.boxes_per_scene
+    n_boxes = int(rng.integers(lo, hi + 1))
+    known = [c.name for c in world.known_classes]
+    unknown = [c.name for c in world.unknown_classes]
+    boxes = []
+    for _ in range(n_boxes):
+        if unknown and rng.random() < spec.unknown_box_ratio:
+            name = unknown[int(rng.integers(len(unknown)))]
+        else:
+            name = known[int(rng.integers(len(known)))]
+        level = int(rng.integers(geometry.num_layers))
+        size_lo, size_hi = spec.box_size_ranges[level]
+        long_side = float(rng.uniform(size_lo, size_hi))
+        stride = geometry.layers[level].stride
+        short_side = float(np.clip(long_side * rng.uniform(0.6, 1.0),
+                                   stride * 1.05, long_side))
+        if rng.random() < 0.5:
+            w, h = long_side, short_side
+        else:
+            w, h = short_side, long_side
+        placed = None
+        for _ in range(200):
+            x1 = float(rng.uniform(0.0, img_w - w))
+            y1 = float(rng.uniform(0.0, img_h - h))
+            cand = (x1, y1, x1 + w, y1 + h)
+            if not any(_intersects(cand, sb.box) for sb in boxes):
+                placed = cand
+                break
+        if placed is not None:
+            boxes.append(SceneBox(box=placed, class_name=name))
+    return boxes
+
+
+def oracle_background_features(world, count, rng):
+    """`count` unit vectors kept dissimilar to every prototype, redrawing
+    the rejected cells round by round."""
+    spec = world.spec
+    protos = np.stack([c.prototype for c in world.classes])
+    out = np.empty((count, spec.dim))
+    pending = np.arange(count)
+    while pending.size:
+        draw = rng.normal(size=(pending.size, spec.dim))
+        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
+        ok = (draw @ protos.T).max(axis=1) < spec.background_max_cos
+        out[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+    return out
+
+
+def oracle_generate_scene(world, split, index):
+    """The (layers, box fields, GT boxes) of scene `index` of `split`."""
+    rng = derive_rng(world.seed, "scene", split, index)
+    spec = world.spec
+    geometry = world.geometry
+    gt = oracle_sample_boxes(world, rng)
+    layers, box_fields = [], []
+    for g in geometry.layers:
+        feats = oracle_background_features(world, g.height * g.width, rng)
+        layers.append(feats.reshape(g.height, g.width, spec.dim))
+        xs = np.arange(g.width + 1) * g.stride
+        ys = np.arange(g.height + 1) * g.stride
+        box_fields.append(np.stack(np.broadcast_arrays(
+            xs[None, :-1], ys[:-1, None], xs[None, 1:], ys[1:, None]), axis=-1))
+    for sb in gt:
+        level, cells = geometry.owned_cells(sb.box)
+        g = geometry.layers[level]
+        rows, cols = np.divmod(cells, g.width)
+        proto = world.class_named(sb.class_name).prototype
+        scale = spec.noise_sigma / np.sqrt(spec.dim)
+        noisy = proto[None, :] + scale * rng.normal(size=(rows.size, spec.dim))
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        layers[level][rows, cols] = noisy
+        emitted = np.array(sb.box, dtype=np.float64)
+        for r, c in zip(rows, cols):
+            if spec.box_jitter > 0.0:
+                jitter = rng.uniform(-spec.box_jitter, spec.box_jitter, size=4) * g.stride
+                box = box_fields[level][r, c] = emitted + jitter
+                if box[2] <= box[0] or box[3] <= box[1]:
+                    raise InfeasibleSpec("box_jitter turns a box inside out")
+            else:
+                box_fields[level][r, c] = emitted
+    return layers, box_fields, tuple(gt)
+
+
+def oracle_fifo_cells(ok, n):
+    """The cell each accepted candidate fills when `n` cells queue for the
+    candidates in `ok` order: a rejected candidate sends its cell to the
+    back of the queue. Stops when the queue is empty."""
+    queue = deque(range(n))
+    cells = []
+    for accepted in ok:
+        if not queue:
+            break
+        cell = queue.popleft()
+        if accepted:
+            cells.append(cell)
+        else:
+            queue.append(cell)
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -658,6 +658,18 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("cos, message", [
+        ("-1", "background_max_cos must exceed -1"),
+        ("-0.9", "background_max_cos=-0.9 let 0 of 20000 background draws of scene train-0000")])
+    def test_background_no_vector_can_pass(self, workdir, capsys, cos, message):
+        # a bound of -1 is refused up front; a bound no draw passes runs the
+        # scene's draw budget out
+        assert run("gen", "--config", "tiny.ini", "--out", "out", "--set", "world.max_draws=20000",
+                   "--set", f"world.background_max_cos={cos}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (workdir / "out" / "world").exists()
+
     def test_failed_gen_leaves_no_partial_world(self, workdir, capsys):
         # the default world fails in scene generation, after its manifest,
         # embeddings and task split are made

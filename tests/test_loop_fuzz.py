@@ -1,9 +1,10 @@
 """The whole loop over the config space: gen -> train -> infer (gated and
 base arms) -> eval through `cli.main` on tiny worlds drawn from INI values,
 edge values of every kind included. Each call returns 0, or prints one
-`error: ...` line and returns nonzero; no traceback escapes. An infer that
-returns 0 writes the same bytes again on a rerun, and its file reads back
-one record a line. Every metric of a report that eval writes lies in its
+`error: ...` line and returns nonzero; no traceback escapes. A gen or train
+that returns 0 writes the same world or checkpoint bytes again on a rerun
+into another `--out`. An infer that returns 0 writes the same bytes again on
+a rerun, and its file reads back one record a line. Every metric of a report that eval writes lies in its
 range, and an eval rerun into another report writes the same JSON and CSV
 bytes.
 
@@ -12,6 +13,7 @@ each), set by `max_examples`; there is no per-example deadline.
 """
 
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -69,6 +71,11 @@ def tiny_world_ini(draw):
     return "\n".join(lines) + "\n"
 
 
+def tree(path):
+    """Every file under `path`, by relative name, with its bytes."""
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
 def call(capsys, *argv):
     """`cli.main(argv)`'s code; a failure must be one `error:` line."""
     code = cli.main(list(argv))
@@ -85,12 +92,19 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
     root = tmp_path_factory.mktemp("loop")
     (root / "run.ini").write_text(text)
     common = ["--config", str(root / "run.ini"), "--seed", str(seed), "--out", str(root)]
+    # the same calls into another run directory write the same bytes
+    again = common[:-1] + [str(root / "again")]
     if call(capsys, "gen", *common) != 0:
         return
+    assert call(capsys, "gen", *again) == 0
+    assert tree(root / "again" / "world") == tree(root / "world")
     tasks = len(cli.RunConfig.load(str(root / "run.ini")).world_spec().known_per_task)
     for task in range(1, tasks + 1):
         if call(capsys, "train", *common, "--task", str(task)) != 0:
             return
+        assert call(capsys, "train", *again, "--task", str(task)) == 0
+        checkpoint = Path("checkpoints") / f"task_{task}"
+        assert tree(root / "again" / checkpoint) == tree(root / checkpoint)
     for arm in ([], ["--no-owel", "--no-mscal"]):
         dets = root / f"dets{len(arm)}.jsonl"
         report = root / f"report{len(arm)}.json"

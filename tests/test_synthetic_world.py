@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from openworld_kit.errors import InfeasibleSpec
 from openworld_kit.owod_eval import read_gt_jsonl
@@ -11,6 +14,7 @@ from openworld_kit.synthetic_world import (
     KIND_KNOWN,
     KIND_NOOD,
     WorldSpec,
+    _replay_rounds,
     export_split,
     export_world,
     generate_scene,
@@ -19,7 +23,7 @@ from openworld_kit.synthetic_world import (
     make_world,
 )
 
-from oracles import cell_box
+from oracles import cell_box, oracle_fifo_cells, oracle_generate_scene
 
 SMALL_SPEC = WorldSpec(
     dim=12,
@@ -200,6 +204,85 @@ class TestGenerateScene:
                 for j in range(i + 1, len(boxes)):
                     a, b = boxes[i], boxes[j]
                     assert a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1]
+
+
+TINY_SPEC = WorldSpec(dim=8, known_per_task=(2,), n_nood=0, n_food=0,
+                      known_angle_range=(0.7, 1.1), boxes_per_scene=(0, 3),
+                      pyramid_layers=((4, 4, 16.0),), level_thresholds=(0.0,),
+                      box_size_ranges=((20.0, 56.0),),
+                      scenes_per_split=(("train", 4), ("cal", 3), ("test", 3)))
+# the default world, the bench's `train-wide` world, the jitter path, a
+# one-layer world with zero-box scenes, and every candidate accepted, where
+# the first block ends exactly at the last accept
+ORACLE_SPECS = {
+    "default": WorldSpec(),
+    "train-wide": WorldSpec(dim=32, known_per_task=(10, 10, 10), n_food=12,
+                            scenes_per_split=(("train", 60), ("cal", 20), ("test", 20))),
+    "jitter": WorldSpec(box_jitter=0.2),
+    "tiny": TINY_SPEC,
+    "all-accept": replace(TINY_SPEC, background_max_cos=1.5, boxes_per_scene=(0, 0)),
+    "all-accept-boxes": WorldSpec(background_max_cos=1.5),
+}
+
+
+class TestBlockDrawnScenes:
+    """`generate_scene` draws each scene's stream in blocks and replays the
+    refill rounds; it must write what the round-by-round generator writes."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_equals_round_by_round_oracle(self, name, seed):
+        spec = ORACLE_SPECS[name]
+        w = make_world(spec, seed)
+        for split, count in spec.scenes_per_split:
+            for index in range(min(count, 8)):
+                scene = generate_scene(w, split, index)
+                layers, box_fields, gt = oracle_generate_scene(w, split, index)
+                assert scene.gt == gt, (split, index)
+                for got, want in zip(scene.pyramid.layers + scene.pyramid.box_field,
+                                     layers + box_fields):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (split, index)
+
+    @given(n=st.integers(1, 12), flags=st.lists(st.booleans(), max_size=80))
+    def test_replay_equals_fifo_queue(self, n, flags):
+        # the candidates up to the n-th accept, padded with accepts
+        ok = []
+        for flag in flags + [True] * n:
+            ok.append(flag)
+            if sum(ok) == n:
+                break
+        cells = oracle_fifo_cells(ok, n)
+        assert sorted(cells) == list(range(n))
+        assert _replay_rounds(np.array(ok), n).tolist() == cells
+
+    def test_replay_of_all_accepts_is_the_identity(self):
+        assert _replay_rounds(np.ones(7, dtype=bool), 7).tolist() == list(range(7))
+
+    def test_replay_ending_at_the_last_accept(self):
+        # cells 0, 1, 2; candidates 0 and 2 reject, so cell 0 refills at
+        # slot 3 and cell 2 at slot 4; the last candidate is the 3rd accept
+        ok = np.array([False, True, False, True, True])
+        assert _replay_rounds(ok, 3).tolist() == [1, 0, 2]
+
+    def test_no_passing_background_is_infeasible(self):
+        spec = WorldSpec(background_max_cos=-0.5, max_draws=300_000)
+        w = make_world(spec, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleSpec, match=r"background_max_cos=-0\.5 let 0 of "
+                                                     r"300000 background draws"):
+                generate_scene(w, "train", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 300,000 kept rows of dim 16 would take 38 MB
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("cos", [-1.0, -2.0, float("nan")])
+    def test_background_max_cos_must_exceed_minus_one(self, cos):
+        with pytest.raises(ValueError, match="background_max_cos"):
+            WorldSpec(background_max_cos=cos)
 
 
 class TestExport:
