@@ -4,9 +4,9 @@ edge values of every kind included. Each call returns 0, or prints one
 `error: ...` line and returns nonzero; no traceback escapes. A gen or train
 that returns 0 writes the same world or checkpoint bytes again on a rerun
 into another `--out`. An infer that returns 0 writes the same bytes again on
-a rerun, and its file reads back one record a line. Every metric of a report that eval writes lies in its
-range, and an eval rerun into another report writes the same JSON and CSV
-bytes.
+a rerun, and its file reads back one record a line. Every metric of a report
+that eval writes lies in its range, and an eval rerun into another report
+writes the same JSON and CSV bytes.
 
 Budget: about 10 s of tier-1 time (150 examples of a few tiny-world calls
 each), set by `max_examples`; there is no per-example deadline.
@@ -72,8 +72,11 @@ def tiny_world_ini(draw):
 
 
 def tree(path):
-    """Every file under `path`, by relative name, with its bytes."""
-    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    """Every file under `path`, by relative name, with its bytes; `path`
+    must hold one."""
+    files = {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    assert files, path
+    return files
 
 
 def call(capsys, *argv):
