@@ -27,8 +27,8 @@ from .embedding_space import (
     prompt_matrix,
     register_task,
 )
-from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, atomic_directory,
-                     atomic_text_file, atomic_text_files, read_json)
+from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, ParseError,
+                     atomic_directory, atomic_text_file, atomic_text_files, read_json)
 from .mscal import fold_modules, freeze_class_modules, ood_score_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
@@ -373,12 +373,36 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     return 0
 
 
+def _stray(names: list[str], codes: np.ndarray, allowed: set, path) -> tuple[str, int] | None:
+    """The first of a `DetectionTable` column's `names` not in `allowed`, and
+    the file line of its first detection. The names are in first-seen order,
+    so that detection is the file's first stray one."""
+    for code, name in enumerate(names):
+        if name not in allowed:
+            return name, det._record_line(path, int(np.argmax(codes == code)))
+    return None
+
+
 def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
              report_path: str | None = None) -> int:
+    """Score a detections file against `split` at `task_id`. A detection of a
+    scene that `split` does not hold is a `ParseError`, and a label that is
+    neither known at `task_id` nor unknown a `ConfigError`, each naming the
+    line. An empty detections file is legal: it scores as no detections."""
     world_dir = _world_dir(cfg)
     dets = det.read_detections_jsonl(detections_path)
     gts = ev.read_gt_jsonl(world_dir / "scenes" / split / "gt.jsonl")
     task_split = ev.load_task_split(world_dir / TASK_SPLIT_NAME)
+    scenes = {blob.stem for blob in (world_dir / "scenes" / split).glob("*.pyr")}
+    stray = _stray(dets.scene_names, dets.scenes, scenes, detections_path)
+    if stray:
+        raise ParseError(f"detection of scene {stray[0]!r}, which split {split!r} does not "
+                         f"hold", path=str(detections_path), line=stray[1])
+    labels = {*task_split.known_classes(task_id), ev.UNKNOWN_NAME}
+    stray = _stray(dets.label_names, dets.labels, labels, detections_path)
+    if stray:
+        raise ConfigError(f"detection label {stray[0]!r} is neither a class known at task "
+                          f"{task_id} nor {ev.UNKNOWN_NAME!r} [{detections_path}:{stray[1]}]")
     report = ev.evaluate_task(
         dets, gts, task_split, task_id,
         iou_thr=cfg.get("eval", "iou_threshold"),

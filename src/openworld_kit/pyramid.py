@@ -23,13 +23,6 @@ class LayerGeometry:
     width: int
     stride: float
 
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cx, cy) arrays of shape (height, width), image-plane coordinates."""
-        cx = (np.arange(self.width, dtype=np.float64) + 0.5) * self.stride
-        cy = (np.arange(self.height, dtype=np.float64) + 0.5) * self.stride
-        return np.broadcast_to(cx[None, :], (self.height, self.width)), \
-            np.broadcast_to(cy[:, None], (self.height, self.width))
-
 
 @dataclass(frozen=True)
 class PyramidGeometry:
@@ -75,9 +68,13 @@ class PyramidGeometry:
         flat indices of that layer's cells whose centres lie in the half-open
         box [x1, x2) x [y1, y2). The one ownership rule of the toolkit."""
         level = self.level_for_box(box)
-        cx, cy = self.layers[level].centers()
+        g = self.layers[level]
         x1, y1, x2, y2 = box
-        return level, np.flatnonzero((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))
+        cx = (np.arange(g.width, dtype=np.float64) + 0.5) * g.stride
+        cy = (np.arange(g.height, dtype=np.float64) + 0.5) * g.stride
+        cols = np.flatnonzero((cx >= x1) & (cx < x2))
+        rows = np.flatnonzero((cy >= y1) & (cy < y2))
+        return level, (rows[:, None] * g.width + cols).ravel()
 
 
 @dataclass(frozen=True)

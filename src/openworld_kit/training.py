@@ -161,18 +161,15 @@ def detection_loss(
     n_classes = embeddings.shape[0]
     if len(assignments) != n_classes:
         raise ShapeMismatch("one sample assignment per class is required")
-    flat = [g.reshape(-1, g.shape[-1]) for g in layer_grids]
-    feat_hat = []
-    for f in flat:
-        norms = np.linalg.norm(f, axis=1, keepdims=True)
-        feat_hat.append(f / np.where(norms < 1e-12, 1.0, norms))
-
     total_pairs = 0
     raw_losses = []
     per_class_rows = []
     for a in assignments:
-        blocks, compact = sampled_rows(feat_hat, a)
+        # only the sampled rows are normalized: a row's norm is its own
+        blocks, compact = sampled_rows(layer_grids, a)
         rows = np.concatenate(blocks)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.where(norms < 1e-12, 1.0, norms)
         targets = np.concatenate([idx < n for idx, n in zip(compact.index, compact.n_pos)])
         per_class_rows.append((rows, targets.astype(np.float64)))
         total_pairs += rows.shape[0]
@@ -264,7 +261,9 @@ def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
     # (class, cell), and `_owner_index` lays the blocks out at rising offsets
     positive = owners.cells[owners.classes == class_id]
     cap = int(neg_cap) * max(1, positive.size)
-    other_idx = np.setdiff1d(owners.foreground, positive, assume_unique=True)
+    other = np.ones(owners.foreground.size, dtype=bool)
+    other[np.searchsorted(owners.foreground, positive)] = False
+    other_idx = owners.foreground[other]
     if other_idx.size > cap:
         other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
     quota = cap - other_idx.size
@@ -313,16 +312,17 @@ def _init_modules_for_task(
 ) -> list[MscalModule]:
     """Create modules for classes that lack one, with data-dependent init.
 
-    Running batchnorm statistics start at the statistics of an init batch
-    and each layer anchor starts at the projected class embedding, so a
-    fresh module is already roughly centered on its class before training.
+    Running batchnorm statistics start at the statistics of an init batch,
+    from its `batch_moments` as in a training step, and each layer anchor
+    starts at the projected class embedding, so a fresh module is already
+    roughly centered on its class before training.
     """
     have = {m.class_id for m in modules}
     init_scenes = scenes[: min(config.batch_size, len(scenes))]
-    stacked = None
+    moments = None
     if init_scenes:
-        stacked = [np.stack([s.pyramid.layers[j] for s in init_scenes])
-                   for j in range(geometry.num_layers)]
+        moments = batch_moments([np.stack([s.pyramid.layers[j] for s in init_scenes])
+                                 for j in range(geometry.num_layers)])
     out = list(modules)
     for class_id, entry in enumerate(registry.entries):
         if class_id in have:
@@ -334,11 +334,10 @@ def _init_modules_for_task(
             tau=config.tau, share_anchor=config.share_anchor,
             bn_momentum=config.bn_momentum,
         )
-        if stacked is not None:
-            for j, params in enumerate(module.layers):
-                h = stacked[j].reshape(-1, registry.dim) @ params.w1 + params.b1
-                params.running_mean = h.mean(axis=0)
-                params.running_var = h.var(axis=0)
+        if moments is not None:
+            for params, (mean, cov) in zip(module.layers, moments):
+                params.running_mean = mean @ params.w1 + params.b1
+                params.running_var = np.sum((cov @ params.w1) * params.w1, axis=0)
         emb_grid = [entry.embedding[None, None, :] for _ in range(geometry.num_layers)]
         projected = project(module, emb_grid)
         for j, params in enumerate(module.layers):
@@ -396,14 +395,25 @@ def train_task(
     n_classes = registry.num_known
     trainable_rows = np.array([not e.frozen for e in registry.entries])
     trainable_idx = np.flatnonzero(trainable_rows)
-    # one stacked copy per task keeps the caller's entries untouched; the
-    # optimizer updates the trainable rows in place through row views
+    # one stacked copy per task keeps the caller's entries untouched
     embeddings = np.stack([e.embedding for e in registry.entries])
     trained = [m for m in modules if not m.frozen]
-    params = [embeddings[i] for i in trainable_idx]
-    params += [getattr(layer, name) for m in trained for layer in m.layers
-               for name in TRAINED_FIELDS]
-    state = init_optimizer_state(params)
+    # the optimizer sees one flat buffer: the trainable rows, then each trained
+    # module's fields, which become views into it; frozen rows stay out of it,
+    # since weight decay would shrink them
+    fields = [(layer, name) for m in trained for layer in m.layers for name in TRAINED_FIELDS]
+    values = [embeddings[trainable_idx]] + [getattr(layer, name) for layer, name in fields]
+    sizes = [sum(getattr(layer, name).size for layer in m.layers for name in TRAINED_FIELDS)
+             for m in trained]
+    flat = np.concatenate([v.ravel() for v in values])
+    ends = np.cumsum([v.size for v in values])
+    rows, *views = [flat[end - v.size:end].reshape(v.shape) for v, end in zip(values, ends)]
+    for (layer, name), view in zip(fields, views):
+        setattr(layer, name, view)
+    flat_grad = np.zeros_like(flat)
+    row_grads = flat_grad[:rows.size].reshape(rows.shape)
+    module_grads = np.split(flat_grad[rows.size:], np.cumsum(sizes, dtype=int)[:-1])
+    state = init_optimizer_state([flat])
     scale = config.mscal_weight / n_classes
     log = TrainLog()
 
@@ -422,15 +432,12 @@ def train_task(
 
         det_value, det_grads = detection_loss(
             grids, embeddings, trainable_rows, assignments, config.logit_scale)
-
-        # gradients line up with `params`: rows first, then modules in class order
-        grads = [config.det_weight * det_grads[i] for i in trainable_idx]
+        np.multiply(det_grads[trainable_idx], config.det_weight, out=row_grads)
         con_value = 0.0
-        for module in trained:
+        for module, out in zip(trained, module_grads):
             assignment = assignments[module.class_id]
             if assignment.num_positive == 0:
-                grads += [np.zeros_like(getattr(layer, name))
-                          for layer in module.layers for name in TRAINED_FIELDS]
+                out[...] = 0.0
                 continue
             value, layer_grads, stats = mscal_loss_gradients(module, grids, assignment,
                                                              moments)
@@ -439,11 +446,14 @@ def train_task(
                 layer.running_mean = (1.0 - m) * layer.running_mean + m * mean
                 layer.running_var = (1.0 - m) * layer.running_var + m * var
             con_value += value
-            grads += [scale * g[name] for g in layer_grads for name in TRAINED_FIELDS]
+            np.concatenate([g[name].ravel() for g in layer_grads for name in TRAINED_FIELDS],
+                           out=out)
+            out *= scale
         con_value /= n_classes
 
-        adamw_step(params, grads, state, config.learning_rate, config.weight_decay)
+        adamw_step([flat], [flat_grad], state, config.learning_rate, config.weight_decay)
         _normalize_anchors(trained)
+        embeddings[trainable_idx] = rows
 
         total = config.det_weight * det_value + config.mscal_weight * con_value
         log.rows.append((step, det_value, con_value, total))

@@ -7,8 +7,11 @@ boolean sample masks and `SampleAssignment` indices, the full-grid
 train-mode projection and backward pass that the moment step must match,
 the per-scene calibration scores, the unfolded OOD score maps that the
 folded scorer must match, the round-by-round scene generator and FIFO
-refill queue that the block-drawn `generate_scene` must match, plus
-single-scene MSCAL references built on the library's assignment code.
+refill queue that the block-drawn `generate_scene` must match, the
+full-batch module init, whole-grid detection loss and `setdiff1d`
+assignment that the moment init, sampled-row loss and mask assignment must
+match, plus single-scene MSCAL references built on the library's
+assignment code.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
@@ -25,6 +28,7 @@ from openworld_kit.detection import (
     Detection,
     DetectionRecord,
     DetectionTable,
+    _sigmoid,
 )
 from openworld_kit.errors import (
     DegenerateProjection,
@@ -45,12 +49,18 @@ from openworld_kit.mscal import (
     mscal_loss,
     ood_score_map,
     project,
+    sampled_rows,
 )
 from openworld_kit.pyramid import FeaturePyramid
 from openworld_kit.owod_eval import GtRecord, find_overlaps
 from openworld_kit.seeding import derive_rng
 from openworld_kit.synthetic_world import SceneBox
-from openworld_kit.training import _assignment_for_class, _owned_pairs, _owner_index
+from openworld_kit.training import (
+    _assignment_for_class,
+    _owned_pairs,
+    _owner_index,
+    _softplus,
+)
 
 KNOWN = ("car", "bus", "dog")
 
@@ -503,6 +513,52 @@ def full_grid_loss_gradients(module, traces, assignment):
     return loss, grads
 
 
+def full_batch_running_stats(module, grids):
+    """Per layer, the mean and population variance of the first affine
+    map's output over every row of `grids`: a fresh module's running
+    statistics, which `training._init_modules_for_task` takes from the
+    batch moments instead."""
+    stats = []
+    for grid, p in zip(grids, module.layers):
+        h = grid.reshape(-1, grid.shape[-1]) @ p.w1 + p.b1
+        stats.append((h.mean(axis=0), h.var(axis=0)))
+    return stats
+
+
+def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
+                              logit_scale):
+    """`training.detection_loss` with every location of the batch
+    normalized before the sampled rows are gathered, which the sampled-row
+    normalization must match bit for bit."""
+    feat_hat = []
+    for g in layer_grids:
+        f = g.reshape(-1, g.shape[-1])
+        norms = np.linalg.norm(f, axis=1, keepdims=True)
+        feat_hat.append(f / np.where(norms < 1e-12, 1.0, norms))
+    per_class_rows = []
+    for a in assignments:
+        blocks, compact = sampled_rows(feat_hat, a)
+        targets = np.concatenate([idx < n for idx, n in zip(compact.index, compact.n_pos)])
+        per_class_rows.append((np.concatenate(blocks), targets.astype(np.float64)))
+    total_pairs = sum(rows.shape[0] for rows, _ in per_class_rows)
+    if total_pairs == 0:
+        raise NoSamples("detection loss has no assigned locations")
+    raw_losses = []
+    grads = np.zeros_like(embeddings)
+    for i, (rows, targets) in enumerate(per_class_rows):
+        if rows.shape[0] == 0:
+            continue
+        w_norm = float(np.linalg.norm(embeddings[i]))
+        w_hat = embeddings[i] / w_norm
+        logits = logit_scale * (rows @ w_hat)
+        raw_losses.append(float(np.sum(_softplus(logits) - targets * logits)))
+        if trainable[i]:
+            d_logit = (_sigmoid(logits) - targets) / total_pairs
+            d_w_hat = logit_scale * (d_logit @ rows)
+            grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
+    return sum(raw_losses) / total_pairs, grads
+
+
 def unfolded_ood_score_map(modules, grids):
     """OOD score grids from the unfolded infer-mode projection: each
     module's `project` rows against its `effective_anchor`, the best over
@@ -568,7 +624,7 @@ def oracle_ownership_masks(geometry, gt_boxes):
     """Per layer: class_id -> mask of centers inside that class's boxes at
     the layer the size rule assigns them to."""
     per_layer = [dict() for _ in geometry.layers]
-    centers = [g.centers() for g in geometry.layers]
+    centers = [layer_centers(g) for g in geometry.layers]
     for box, cls in gt_boxes:
         level = geometry.level_for_box(box)
         cx, cy = centers[level]
@@ -579,6 +635,29 @@ def oracle_ownership_masks(geometry, gt_boxes):
         else:
             per_layer[level][cls] = inside
     return per_layer
+
+
+def setdiff_assignment_for_class(owners, class_id, neg_cap, rng):
+    """`training._assignment_for_class` with the other classes' locations
+    taken by `np.setdiff1d`, which the boolean mask must match, draws
+    included."""
+    positive = owners.cells[owners.classes == class_id]
+    cap = int(neg_cap) * max(1, positive.size)
+    other_idx = np.setdiff1d(owners.foreground, positive, assume_unique=True)
+    if other_idx.size > cap:
+        other_idx = other_idx[rng.choice(other_idx.size, size=cap, replace=False)]
+    quota = cap - other_idx.size
+    bg_idx = owners.background if quota > 0 else owners.background[:0]
+    if bg_idx.size > quota:
+        bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
+    negative = np.sort(np.concatenate([other_idx, bg_idx]))
+    cuts = owners.starts[1:]
+    pos_layers = np.split(positive, np.searchsorted(positive, cuts))
+    neg_layers = np.split(negative, np.searchsorted(negative, cuts))
+    return SampleAssignment(
+        index=[np.concatenate([pos, neg]) - start
+               for pos, neg, start in zip(pos_layers, neg_layers, owners.starts)],
+        n_pos=[pos.size for pos in pos_layers])
 
 
 def oracle_assignment_for_class(owners_per_scene, layer_shapes, class_id, neg_cap, rng):
@@ -746,6 +825,15 @@ def oracle_fifo_cells(ok, n):
 
 # ---------------------------------------------------------------------------
 # sizes and cell boxes only the tests read
+
+
+def layer_centers(layer):
+    """(cx, cy) arrays of shape (height, width): the image-plane centres of
+    a layer's cells."""
+    cx = (np.arange(layer.width, dtype=np.float64) + 0.5) * layer.stride
+    cy = (np.arange(layer.height, dtype=np.float64) + 0.5) * layer.stride
+    return np.broadcast_to(cx[None, :], (layer.height, layer.width)), \
+        np.broadcast_to(cy[:, None], (layer.height, layer.width))
 
 
 def cell_box(layer, row, col):

@@ -436,6 +436,73 @@ class TestEvalEqualsScalarPath:
         assert json.loads(want_json)["u_recall"] is not None
 
 
+class TestEvalRefusesStrayDetections:
+    """`eval` scores a detections file only against a split that holds its
+    scenes, at a task that knows its labels; anything else is a one-line
+    error naming the detection's line, and no report is written."""
+
+    @staticmethod
+    def line(scene_id, label):
+        return json.dumps({"scene_id": scene_id, "label": label, "x1": 0.0, "y1": 0.0,
+                           "x2": 8.0, "y2": 8.0, "confidence": 0.5, "ood": 0.0})
+
+    def eval(self, trained_world, path, task, split):
+        root, common = trained_world
+        return run("eval", *common, "--task", str(task), "--split", split,
+                   "--detections", str(path), "--report", str(root / "stray_report.json"))
+
+    def assert_refused(self, trained_world, capsys, *needles):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for needle in needles:
+            assert needle in err, err
+        assert not (trained_world[0] / "stray_report.json").exists()
+
+    def test_detections_of_another_split(self, trained_world, capsys):
+        root, common = trained_world
+        path = root / "test_dets.jsonl"
+        assert run("infer", *common, "--task", "2", "--split", "test",
+                   "--out-file", str(path)) == 0
+        first = json.loads(path.read_text().splitlines()[0])["scene_id"]
+        capsys.readouterr()
+        assert self.eval(trained_world, path, 2, "cal") == 1
+        self.assert_refused(trained_world, capsys, f"detection of scene {first!r}",
+                            "split 'cal'", f"{path}:1]")
+
+    def test_first_stray_scene_is_named(self, trained_world, capsys):
+        path = trained_world[0] / "mixed.jsonl"
+        path.write_text("\n".join([self.line("cal-0000", "unknown"), "",
+                                   self.line("test-0003", "unknown"),
+                                   self.line("train-0000", "unknown")]) + "\n")
+        assert self.eval(trained_world, path, 2, "cal") == 1
+        self.assert_refused(trained_world, capsys, "scene 'test-0003'", f"{path}:3]")
+
+    @pytest.mark.parametrize("label", ["zebra", "task-2 class"])
+    def test_label_not_known_at_the_task(self, trained_world, capsys, label):
+        from openworld_kit.owod_eval import load_task_split
+        root, _ = trained_world
+        if label == "task-2 class":
+            label = load_task_split(root / "out/world/task_split.json").current_classes(2)[0]
+        path = root / "labels.jsonl"
+        path.write_text(self.line("test-0000", "unknown") + "\n"
+                        + self.line("test-0001", label) + "\n")
+        assert self.eval(trained_world, path, 1, "test") == 1
+        self.assert_refused(trained_world, capsys, f"label {label!r}", "known at task 1",
+                            f"{path}:2]")
+
+    @pytest.mark.parametrize("split", ["test", "cal"])
+    def test_empty_file_is_legal(self, trained_world, split):
+        # no detection names a scene or a label, so there is nothing to refuse
+        root, _ = trained_world
+        path = root / "none.jsonl"
+        path.write_text("")
+        assert self.eval(trained_world, path, 2, split) == 0
+        report = json.loads((root / "stray_report.json").read_text())
+        (root / "stray_report.json").unlink()
+        (root / "stray_report.csv").unlink()
+        assert (report["map_both"], report["a_ose"]) == (0.0, 0)
+
+
 class TestLoaderErrors:
     """Broken inputs end in a one-line error naming the path, not a traceback."""
 

@@ -14,7 +14,7 @@ from openworld_kit.pyramid import (
     write_pyramid_blob,
 )
 
-from oracles import cell_box, location_count
+from oracles import cell_box, layer_centers, location_count
 
 
 def small_geometry():
@@ -45,7 +45,7 @@ COORD = st.one_of(st.integers(-2, 12).map(lambda k: k * 4.0), st.floats(-8.0, 48
 class TestGeometry:
     def test_centers(self):
         g = LayerGeometry(2, 3, 10.0)
-        cx, cy = g.centers()
+        cx, cy = layer_centers(g)
         np.testing.assert_array_equal(cx[0], [5.0, 15.0, 25.0])
         np.testing.assert_array_equal(cy[:, 0], [5.0, 15.0])
 

@@ -23,7 +23,7 @@ from openworld_kit.synthetic_world import (
     make_world,
 )
 
-from oracles import cell_box, oracle_fifo_cells, oracle_generate_scene
+from oracles import cell_box, layer_centers, oracle_fifo_cells, oracle_generate_scene
 
 SMALL_SPEC = WorldSpec(
     dim=12,
@@ -175,7 +175,7 @@ class TestGenerateScene:
         for sb in scene.gt:
             level = geometry.level_for_box(sb.box)
             g = geometry.layers[level]
-            cx, cy = g.centers()
+            cx, cy = layer_centers(g)
             inside = (cx >= sb.box[0]) & (cx < sb.box[2]) & \
                      (cy >= sb.box[1]) & (cy < sb.box[3])
             fields = scene.pyramid.box_field[level][inside]
@@ -187,7 +187,7 @@ class TestGenerateScene:
         foreground = [np.zeros((g.height, g.width), dtype=bool) for g in geometry.layers]
         for sb in scene.gt:
             level = geometry.level_for_box(sb.box)
-            cx, cy = geometry.layers[level].centers()
+            cx, cy = layer_centers(geometry.layers[level])
             foreground[level] |= (cx >= sb.box[0]) & (cx < sb.box[2]) & \
                                  (cy >= sb.box[1]) & (cy < sb.box[3])
         for g, field, fg in zip(geometry.layers, scene.pyramid.box_field, foreground):

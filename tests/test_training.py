@@ -36,9 +36,12 @@ from openworld_kit.training import (
 
 from oracles import (
     assignment_from_masks,
+    full_batch_running_stats,
     known_positive_scores_full_grid,
     oracle_assignment_for_class,
     oracle_ownership_masks,
+    setdiff_assignment_for_class,
+    whole_grid_detection_loss,
 )
 
 TINY_SPEC = WorldSpec(
@@ -121,6 +124,29 @@ class TestAdamW:
                 snapshot[i] = snapshot[i] * (1.0 - 2e-3 * 0.5)
                 np.testing.assert_array_equal(params[i], snapshot[i])
 
+    @given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple),
+                           min_size=1, max_size=6),
+           scales=st.lists(st.sampled_from((0.0, 1e-9, 1.0, 1e3)), min_size=6, max_size=6),
+           steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_flat_buffer_gives_the_bits_of_the_array_list(self, shapes, scales,
+                                                              steps, seed):
+        # the update is element-wise, so one buffer holding every array end to
+        # end moves each element as the list does; a scale of 0 gives an
+        # array zero gradients
+        rng = np.random.default_rng(seed)
+        params = [rng.normal(size=shape) for shape in shapes]
+        flat = np.concatenate([p.ravel() for p in params])
+        state, flat_state = init_optimizer_state(params), init_optimizer_state([flat])
+        for _ in range(steps):
+            grads = [scale * rng.normal(size=shape) for shape, scale in zip(shapes, scales)]
+            adamw_step(params, grads, state, 1e-2, 0.0125)
+            adamw_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state,
+                       1e-2, 0.0125)
+            for got, want in ((flat, params), (flat_state.exp_avg[0], state.exp_avg),
+                              (flat_state.exp_avg_sq[0], state.exp_avg_sq)):
+                assert got.tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+
 
 class TestDetectionLoss:
     def test_saturated_logits_drive_loss_to_zero(self):
@@ -148,6 +174,34 @@ class TestDetectionLoss:
                                            [np.array([[False, True]])])
         loss, _ = detection_loss([grid], w, np.array([True]), [assignment], 10.0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((3, 8, 16, 32)),
+           batch=st.integers(1, 4), n_classes=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_whole_grid_normalization_oracle(self, seed, dim, batch, n_classes):
+        # a row's norm is its own, so normalizing only the sampled rows gives
+        # the bits of normalizing every location first; zero rows take the
+        # small-norm branch
+        rng = np.random.default_rng(seed)
+        grids = [rng.normal(size=(batch, h, h, dim)) for h in (6, 3)]
+        for g in grids:
+            g.reshape(-1, dim)[rng.random(g.size // dim) < 0.1] = 0.0
+        assignments = []
+        for i in range(n_classes):
+            index, n_pos = [], []
+            for g in grids:
+                picked = rng.permutation(g.size // dim)[:rng.integers(0 if i else 1, 40)]
+                cut = rng.integers(0, picked.size + 1)
+                index.append(np.concatenate([np.sort(picked[:cut]), np.sort(picked[cut:])]))
+                n_pos.append(int(cut))
+            assignments.append(mscal.SampleAssignment(index=index, n_pos=n_pos))
+        embeddings = rng.normal(size=(n_classes, dim))
+        trainable = rng.random(n_classes) < 0.7
+        loss, grads = detection_loss(grids, embeddings, trainable, assignments, 10.0)
+        want_loss, want_grads = whole_grid_detection_loss(grids, embeddings, trainable,
+                                                          assignments, 10.0)
+        assert loss == want_loss
+        assert grads.tobytes() == want_grads.tobytes()
 
 
 class TestTrainTask:
@@ -340,6 +394,21 @@ class TestTrainTask:
         violations = sum(1 for a, b in zip(scores, scores[1:]) if b > a + 1e-12)
         assert violations <= 1, scores
 
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_moment_init_equals_full_batch_oracle(self, dim):
+        world = make_world(dataclasses.replace(TINY_SPEC, dim=dim), seed=0)
+        data = TaskData(world)
+        config = self.config(batch_size=4)
+        modules = training._init_modules_for_task(fresh_registry(world), [],
+                                                  data.train_scenes, data.geometry, config, 1)
+        grids = [np.stack([s.pyramid.layers[j] for s in data.train_scenes[:4]])
+                 for j in range(data.geometry.num_layers)]
+        assert len(modules) == 2
+        for module in modules:
+            for p, (mean, var) in zip(module.layers, full_batch_running_stats(module, grids)):
+                np.testing.assert_allclose(p.running_mean, mean, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(p.running_var, var, rtol=1e-12, atol=0)
+
     def test_anchors_unit_norm_after_training(self, tiny_world):
         data = TaskData(tiny_world)
         registry = fresh_registry(tiny_world)
@@ -434,16 +503,21 @@ def ownership_case(draw):
     return geometry, scenes, draw(st.sampled_from((0, 1, 3, 10)))
 
 
+# boxes of c0 and c1 that own some cells together, a c0 box that overlaps
+# another c0 box, and an unregistered c3 box
+SHARED_CELL = (pyramid_geometry([(4, 4), (2, 2)]), [
+    scene_of(((0.0, 0.0, 12.0, 12.0), "c0"), ((4.0, 4.0, 16.0, 16.0), "c0"),
+             ((4.0, 0.0, 14.0, 10.0), "c1"), ((0.0, 0.0, 30.0, 30.0), "c3")),
+    scene_of()], 0)
+
+
 class TestAssignment:
     """The batched owner index gives, layer by layer, the flat indices of the
     per-scene mask oracle's masks and draws: positives, then negatives, each
     strictly increasing, disjoint and inside the layer's batch grid."""
 
     @given(case=ownership_case(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(case=(pyramid_geometry([(4, 4), (2, 2)]), [
-        scene_of(((0.0, 0.0, 12.0, 12.0), "c0"), ((4.0, 4.0, 16.0, 16.0), "c0"),
-                 ((4.0, 0.0, 14.0, 10.0), "c1"), ((0.0, 0.0, 30.0, 30.0), "c3")),
-        scene_of()], 0), seed=0)
+    @example(case=SHARED_CELL, seed=0)
     @settings(max_examples=200, deadline=None)
     def test_equals_per_scene_mask_oracle(self, case, seed):
         geometry, scenes, neg_cap = case
@@ -471,6 +545,36 @@ class TestAssignment:
                 assert np.all(np.diff(pos) > 0) and np.all(np.diff(neg) > 0)
                 assert np.intersect1d(pos, neg).size == 0
                 assert np.all((idx >= 0) & (idx < mpos.size))
+
+    @given(case=ownership_case(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=SHARED_CELL, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_other_class_mask_equals_setdiff(self, case, seed):
+        geometry, scenes, neg_cap = case
+        owners = training._owner_index(training._owned_pairs(scenes, geometry, REGISTERED),
+                                       geometry)
+        for class_id in range(len(REGISTERED) + 1):
+            got = training._assignment_for_class(owners, class_id, neg_cap,
+                                                 np.random.default_rng(seed))
+            want = setdiff_assignment_for_class(owners, class_id, neg_cap,
+                                                np.random.default_rng(seed))
+            assert got.n_pos == want.n_pos
+            assert all(np.array_equal(a, b) for a, b in zip(got.index, want.index, strict=True))
+
+    @pytest.mark.parametrize("neg_cap", [0, 1, 3, 10, 1000])
+    def test_cell_owned_by_two_classes(self, neg_cap):
+        # the c0 and c1 boxes share cells: each class's other-class negatives
+        # hold the shared cells of neither class
+        geometry, scenes, _ = SHARED_CELL
+        owners = training._owner_index(training._owned_pairs(scenes, geometry, REGISTERED),
+                                       geometry)
+        assert np.unique(owners.cells).size < owners.cells.size
+        for class_id in (0, 1):
+            got = training._assignment_for_class(owners, class_id, neg_cap,
+                                                 np.random.default_rng(1))
+            want = setdiff_assignment_for_class(owners, class_id, neg_cap,
+                                                np.random.default_rng(1))
+            assert all(np.array_equal(a, b) for a, b in zip(got.index, want.index, strict=True))
 
 
 class TestCheckpointFiles:
