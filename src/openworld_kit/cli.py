@@ -73,7 +73,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
+_SCALAR_PARSERS = {int: int, float: _parse_float, str: str}
 
 # the text between the parts of one item of a tuple-of-tuples field:
 # 16x16x16 (height x width x stride), 20-56 (lo-hi), train:60 (split:count)
@@ -272,10 +272,10 @@ class _TaskData:
         self.cal_scenes = cal_scenes
 
 
-# [train] keys every task of a run shares: they set how each module scales
+# [train] keys every task of a run shares: `tau` sets how each module scales
 # its anchor similarities, and theta is calibrated over old and new modules
 # together
-_CARRIED_TRAIN_KEYS = ("tau", "share_anchor")
+_CARRIED_TRAIN_KEYS = ("tau",)
 
 
 def cmd_train(cfg: RunConfig, task_id: int) -> int:

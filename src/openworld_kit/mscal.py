@@ -3,13 +3,14 @@
 Each known class owns a small per-layer projector (affine -> batchnorm ->
 ReLU -> affine -> L2 normalization) and a per-layer unit anchor.
 Training pulls projected positives onto the class anchor and pushes
-other-class and sampled background locations away. At inference the negated
-best anchor similarity at a location is its out-of-distribution score:
-locations outside every known-class cluster score high. That scoring, which
-both threshold calibration and the inference gate read, scores against
-folds that `fold_modules` builds once per call (the running-statistics
-batchnorm folded into the first affine map, and the unit anchors);
-`project` keeps the unfolded form, which anchor initialization uses.
+other-class and sampled background locations away, under one softmax over
+the samples of every layer. At inference the negated best anchor similarity
+at a location is its out-of-distribution score: locations outside every
+known-class cluster score high. Infer mode runs each layer's `_fold` (the
+running-statistics batchnorm taken into the first affine map) through
+`_folded_forward`: `project`, which anchor initialization calls, normalizes
+its output, and `ood_score_map`, which threshold calibration and the
+inference gate read, scores it against the unit anchors of `fold_modules`.
 
 A training step projects only a module's sampled locations: train-mode
 batchnorm statistics follow from per-layer batch moments that every class
@@ -70,8 +71,7 @@ class MscalModule:
     batchnorm statistics locked, so identical inputs give bit-identical
     outputs forever after. Projected vectors and anchors are
     unit-normalized before every inner product, and anchors are
-    re-normalized after each optimizer step. With `share_anchor` every
-    layer scores against the first layer's anchor.
+    re-normalized after each optimizer step.
     """
 
     class_id: int
@@ -79,7 +79,6 @@ class MscalModule:
     layers: list[MscalLayerParams]
     tau: float = 0.1
     frozen: bool = False
-    share_anchor: bool = False
     bn_momentum: float = 0.1
 
     @property
@@ -91,7 +90,7 @@ class MscalModule:
         return int(self.layers[0].w1.shape[0])
 
     def effective_anchor(self, layer: int) -> np.ndarray:
-        mu = self.layers[0 if self.share_anchor else layer].anchor
+        mu = self.layers[layer].anchor
         n = float(np.linalg.norm(mu))
         if n < _NORM_EPS:
             raise ZeroVector(f"anchor of layer {layer} has zero norm")
@@ -112,7 +111,6 @@ def init_module(
     num_layers: int,
     rng: np.random.Generator,
     tau: float = 0.1,
-    share_anchor: bool = False,
     bn_momentum: float = 0.1,
 ) -> MscalModule:
     """Fresh module with near-isometric projectors.
@@ -137,7 +135,7 @@ def init_module(
             anchor=normalize(rng.normal(size=dz)),
         ))
     return MscalModule(class_id=class_id, task_id=task_id, layers=layers, tau=tau,
-                       share_anchor=share_anchor, bn_momentum=bn_momentum)
+                       bn_momentum=bn_momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +152,41 @@ def _check_grids(module: MscalModule, grids: list[np.ndarray]) -> None:
                 f"module expects dim {module.in_dim}, grid has {g.shape[-1]}")
 
 
-def _head(module: MscalModule, layer: int, x_hat: np.ndarray):
-    """Batchnorm scale and shift, ReLU, second affine map and normalization
-    of the batchnorm-normalized rows `x_hat` of one layer. Returns (ReLU
-    mask, ReLU output, output norms, projected rows)."""
-    p = module.layers[layer]
-    y = p.gamma * x_hat + p.beta
-    relu_mask = y > 0.0
-    r = np.where(relu_mask, y, 0.0)
-    u = r @ p.w2 + p.b2
-    norms = np.linalg.norm(u, axis=1)
+def _fold(p: MscalLayerParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One layer's infer-mode maps `(w1 * s, (b1 - running_mean) * s + beta,
+    w2, b2)`: the running-statistics batchnorm folded into the first affine
+    map with `s = gamma / sqrt(running_var + eps)`."""
+    scale = p.gamma / np.sqrt(p.running_var + BN_EPS)
+    return p.w1 * scale, (p.b1 - p.running_mean) * scale + p.beta, p.w2, p.b2
+
+
+def _folded_forward(x2d: np.ndarray, fold) -> np.ndarray:
+    """The second affine map's output for the (n, D) rows `x2d` through one
+    layer's `_fold`."""
+    a1, c1, w2, b2 = fold
+    h = x2d @ a1
+    h += c1
+    np.maximum(h, 0.0, out=h)
+    u = h @ w2
+    u += b2
+    return u
+
+
+def _row_norms(u: np.ndarray, layer: int) -> np.ndarray:
+    """The row norms of the second affine map's output `u` at `layer`; a row
+    of zero norm has no direction to normalize."""
+    # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
+    norms = np.sqrt(np.add.reduce(u * u, axis=1))
     bad = norms < _NORM_EPS
-    if np.any(bad):
+    if bad.any():
         raise DegenerateProjection(
             f"{int(bad.sum())} locations collapsed to zero norm at layer {layer}")
-    return relu_mask, r, norms, u / norms[:, None]
+    return norms
 
 
 def project(module: MscalModule, grids: list[np.ndarray] | FeaturePyramid) -> list[np.ndarray]:
     """Map every pyramid location into the module's class space, with the
-    batchnorm on its running statistics.
+    batchnorm on its running statistics, through the layers' `_fold`s.
 
     `grids` is a FeaturePyramid or a list of (..., D) arrays; leading axes
     (batch, rows, cols) are arbitrary. Returns grids shaped like the input
@@ -184,13 +197,11 @@ def project(module: MscalModule, grids: list[np.ndarray] | FeaturePyramid) -> li
         grids = list(grids.layers)
     _check_grids(module, grids)
     outputs = []
-    for idx, grid in enumerate(grids):
-        p = module.layers[idx]
+    for j, (grid, p) in enumerate(zip(grids, module.layers)):
         x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
-        inv_std = 1.0 / np.sqrt(p.running_var + BN_EPS)
-        x_hat = (x2d @ p.w1 + p.b1 - p.running_mean) * inv_std
-        z = _head(module, idx, x_hat)[-1]
-        outputs.append(z.reshape(*grid.shape[:-1], z.shape[-1]))
+        u = _folded_forward(x2d, _fold(p))
+        u /= _row_norms(u, j)[:, None]
+        outputs.append(u.reshape(*grid.shape[:-1], u.shape[-1]))
     return outputs
 
 
@@ -221,35 +232,12 @@ class SampleAssignment:
 # contrastive loss and gradients
 
 
-def sampled_rows(grids: list[np.ndarray], assignment: SampleAssignment
-                 ) -> tuple[list[np.ndarray], SampleAssignment]:
+def sampled_rows(grids: list[np.ndarray], assignment: SampleAssignment) -> list[np.ndarray]:
     """Each layer's sampled rows of `grids` as one (n, D) block, in the
-    order `_gather_samples` reads them, plus the assignment that marks the
-    same samples in those blocks."""
-    rows = [grid.reshape(-1, grid.shape[-1])[idx]
+    order of `assignment.index`: block j's first `assignment.n_pos[j]` rows
+    are its positives."""
+    return [grid.reshape(-1, grid.shape[-1])[idx]
             for grid, idx in zip(grids, assignment.index)]
-    compact = SampleAssignment(index=[np.arange(idx.size) for idx in assignment.index],
-                               n_pos=list(assignment.n_pos))
-    return rows, compact
-
-
-def _gather_samples(module: MscalModule, projected: list[np.ndarray],
-                    assignment: SampleAssignment):
-    """Flattened per-layer sample rows and their logits against the layer
-    anchor. Returns (per-layer records, positive logits, all logits)."""
-    if len(projected) != module.num_layers:
-        raise ShapeMismatch("projected grids do not match module layers")
-    records = []
-    pos_logits = []
-    all_logits = []
-    for j, grid in enumerate(projected):
-        idx, n_pos = assignment.index[j], assignment.n_pos[j]
-        z = grid.reshape(-1, grid.shape[-1])[idx]
-        logits = (z @ module.effective_anchor(j)) / module.tau if idx.size else np.zeros(0)
-        records.append({"layer": j, "idx": idx, "n_pos": n_pos, "z": z})
-        pos_logits.append(logits[:n_pos])
-        all_logits.append(logits)
-    return records, np.concatenate(pos_logits), np.concatenate(all_logits)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -265,10 +253,14 @@ def mscal_loss(module: MscalModule, projected: list[np.ndarray],
     softmax denominator runs over all sampled locations of all layers, so
     each log argument lies in (0, 1] and the loss is nonnegative.
     """
-    _, pos_logits, all_logits = _gather_samples(module, projected, assignment)
+    if len(projected) != module.num_layers:
+        raise ShapeMismatch("projected grids do not match module layers")
+    logits = [(z @ module.effective_anchor(j)) / module.tau
+              for j, z in enumerate(sampled_rows(projected, assignment))]
+    pos_logits = np.concatenate([lg[:n] for lg, n in zip(logits, assignment.n_pos)])
     if pos_logits.size == 0:
         raise NoSamples(f"class {module.class_id}: no positive samples in batch")
-    return _logsumexp(all_logits) - float(pos_logits.mean())
+    return _logsumexp(np.concatenate(logits)) - float(pos_logits.mean())
 
 
 def batch_moments(grids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -308,23 +300,30 @@ def mscal_loss_gradients(
     normalized rows unchanged.
     """
     _check_grids(module, grids)
-    rows, compact = sampled_rows(grids, assignment)
-    forward, projected, stats = [], [], []
-    for j, (x, (mean, cov)) in enumerate(zip(rows, moments, strict=True)):
+    forward, logits, stats = [], [], []
+    for j, (x, (mean, cov)) in enumerate(zip(sampled_rows(grids, assignment), moments,
+                                             strict=True)):
         p = module.layers[j]
         cov_w1 = cov @ p.w1
         var = np.sum(cov_w1 * p.w1, axis=0)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         centered = x - mean
         x_hat = (centered @ p.w1) * inv_std
-        relu_mask, r, norms, z = _head(module, j, x_hat)
-        forward.append((centered, cov_w1, inv_std, x_hat, relu_mask, r, norms))
-        projected.append(z)
+        y = p.gamma * x_hat + p.beta
+        relu_mask = y > 0.0
+        r = np.where(relu_mask, y, 0.0)
+        u = r @ p.w2 + p.b2
+        norms = _row_norms(u, j)
+        z = u / norms[:, None]
+        mu_eff = module.effective_anchor(j)
+        logits.append((z @ mu_eff) / module.tau)
+        forward.append((centered, cov_w1, inv_std, x_hat, relu_mask, r, norms, z, mu_eff))
         stats.append((mean @ p.w1 + p.b1, var))
-    records, pos_logits, all_logits = _gather_samples(module, projected, compact)
+    pos_logits = np.concatenate([lg[:n] for lg, n in zip(logits, assignment.n_pos)])
     if pos_logits.size == 0:
         raise NoSamples(f"class {module.class_id}: no positive samples in batch")
     n_pos_total = pos_logits.size
+    all_logits = np.concatenate(logits)
     loss = _logsumexp(all_logits) - float(pos_logits.mean())
 
     shift = all_logits - np.max(all_logits)
@@ -333,19 +332,16 @@ def mscal_loss_gradients(
 
     grads: list[dict[str, np.ndarray]] = []
     offset = 0
-    for rec, fwd, params in zip(records, forward, module.layers):
-        centered, cov_w1, inv_std, x_hat, relu_mask, r, norms = fwd
-        z = rec["z"]
-        n = rec["idx"].size
+    for fwd, n_pos, params in zip(forward, assignment.n_pos, module.layers):
+        centered, cov_w1, inv_std, x_hat, relu_mask, r, norms, z, mu_eff = fwd
+        n = z.shape[0]
         d_logit = soft[offset:offset + n].copy()
-        d_logit[:rec["n_pos"]] -= 1.0 / n_pos_total
+        d_logit[:n_pos] -= 1.0 / n_pos_total
         offset += n
 
-        mu_raw = module.layers[0].anchor if module.share_anchor else params.anchor
-        mu_eff = module.effective_anchor(rec["layer"])
-        # logits = (z . mu_eff) / tau
+        # logits = (z . mu_eff) / tau, with mu_eff the unit `params.anchor`
         d_mu_eff = (d_logit @ z) / module.tau
-        mu_norm = float(np.linalg.norm(mu_raw))
+        mu_norm = float(np.linalg.norm(params.anchor))
         d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
 
         dz = np.outer(d_logit, mu_eff) / module.tau
@@ -366,11 +362,6 @@ def mscal_loss_gradients(
             "w1": d_w1, "b1": np.zeros_like(params.b1), "gamma": d_gamma, "beta": d_beta,
             "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
         })
-    if module.share_anchor:
-        # every layer scored against the first anchor; fold its gradient there
-        for g in grads[1:]:
-            grads[0]["anchor"] = grads[0]["anchor"] + g["anchor"]
-            g["anchor"] = np.zeros_like(g["anchor"])
     return loss, grads, stats
 
 
@@ -380,19 +371,11 @@ def mscal_loss_gradients(
 
 def fold_modules(modules: list[MscalModule]) -> list[tuple[MscalModule, list[tuple]]]:
     """Each module with its infer-mode fold, in the order of `modules`: per
-    layer `(w1 * s, (b1 - running_mean) * s + beta, w2, b2, anchor)`, the
-    running-statistics batchnorm folded into the first affine map with
-    `s = gamma / sqrt(running_var + eps)`, and the `effective_anchor`. A fold
-    holds while its module does not change."""
-    folds = []
-    for module in modules:
-        layers = []
-        for j, p in enumerate(module.layers):
-            scale = p.gamma / np.sqrt(p.running_var + BN_EPS)
-            layers.append((p.w1 * scale, (p.b1 - p.running_mean) * scale + p.beta,
-                           p.w2, p.b2, module.effective_anchor(j)))
-        folds.append((module, layers))
-    return folds
+    layer the four maps of `_fold` and the `effective_anchor`. A fold holds
+    while its module does not change."""
+    return [(module, [_fold(p) + (module.effective_anchor(j),)
+                      for j, p in enumerate(module.layers)])
+            for module in modules]
 
 
 def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
@@ -401,9 +384,8 @@ def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
     like the pyramid's layers without the embedding axis: the best anchor
     similarity over the folds, in order, negated. A module's similarity is
     `(u @ anchor) / |u|` for the second affine map's output `u`: that of
-    `project`'s rows to `effective_anchor` up to the last bits of the
-    arithmetic. Threshold calibration and the inference gate both score
-    through here."""
+    `project`'s rows (`u / |u|`) to `effective_anchor` up to rounding.
+    Threshold calibration and the inference gate both score through here."""
     if not folds:
         raise NoModules("ood_score_map needs at least one class module")
     grids = pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid
@@ -414,20 +396,10 @@ def ood_score_map(folds: list[tuple[MscalModule, list[tuple]]],
         x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
         best = None
         for _, layers in folds:
-            a1, c1, w2, b2, anchor = layers[j]
-            h = x2d @ a1
-            h += c1
-            np.maximum(h, 0.0, out=h)
-            u = h @ w2
-            u += b2
+            *fold, anchor = layers[j]
+            u = _folded_forward(x2d, fold)
             sim = u @ anchor
-            # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
-            norms = np.sqrt(np.add.reduce(u * u, axis=1))
-            bad = norms < _NORM_EPS
-            if bad.any():
-                raise DegenerateProjection(
-                    f"{int(bad.sum())} locations collapsed to zero norm at layer {j}")
-            sim /= norms
+            sim /= _row_norms(u, j)
             best = sim if best is None else np.maximum(best, sim, out=best)
         scores.append(np.negative(best, out=best).reshape(grid.shape[:-1]))
     return scores
@@ -460,7 +432,7 @@ def freeze_class_modules(modules: list[MscalModule], up_to_task: int) -> list[Ms
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 _ARRAY_FIELDS = TRAINED_FIELDS + ("running_mean", "running_var")
 
@@ -521,7 +493,6 @@ def module_to_payload(module: MscalModule) -> dict:
         "task_id": module.task_id,
         "tau": module.tau,
         "frozen": module.frozen,
-        "share_anchor": module.share_anchor,
         "bn_momentum": module.bn_momentum,
         "layers": [
             {name: _encode_array(getattr(p, name)) for name in _ARRAY_FIELDS}
@@ -540,7 +511,6 @@ def module_from_payload(payload: dict) -> MscalModule:
         layers=layers,
         tau=float(payload["tau"]),
         frozen=bool(payload["frozen"]),
-        share_anchor=bool(payload.get("share_anchor", False)),
         bn_momentum=float(payload["bn_momentum"]),
     )
     try:  # scoring needs every anchor it reads as a unit; an overflowing norm is inf

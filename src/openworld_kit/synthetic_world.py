@@ -19,7 +19,7 @@ import numpy as np
 
 from .embedding_space import GENERIC_OBJECT_KEY, load_embedding_file, save_embedding_file
 from .errors import InfeasibleSpec, MissingWorld, ParseError, read_json, write_json
-from .owod_eval import GtRecord, TaskSplitSpec, save_task_split, write_gt_jsonl
+from .owod_eval import GtRecord, TaskSplitSpec, read_gt_jsonl, save_task_split, write_gt_jsonl
 from .pyramid import (
     FeaturePyramid,
     LayerGeometry,
@@ -650,7 +650,6 @@ def export_split(world: World, split: str, out_dir) -> list[Scene]:
 def load_split(world: World, split: str, out_dir) -> list[Scene]:
     """Read a split back from disk in scene-id order."""
     base = Path(out_dir) / "scenes" / split
-    from .owod_eval import read_gt_jsonl
     gt_by_scene: dict[str, list[SceneBox]] = {}
     for rec in read_gt_jsonl(base / "gt.jsonl"):
         gt_by_scene.setdefault(rec.scene_id, []).append(

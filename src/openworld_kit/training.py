@@ -62,7 +62,6 @@ class TrainConfig:
     det_weight: float = 1.0
     mscal_weight: float = 1.0
     bn_momentum: float = 0.1
-    share_anchor: bool = False
 
     def __post_init__(self):
         for name in ("learning_rate", "batch_size", "tau", "logit_scale"):
@@ -72,6 +71,9 @@ class TrainConfig:
             raise ValueError(f"alpha must lie in [0, 2], got {self.alpha}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must lie in (0, 1), got {self.quantile}")
+        # only m in [0, 1] keeps (1 - m) * running_var + m * batch_var nonnegative
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
         if self.steps_per_task < 0 or self.neg_cap < 0:
@@ -166,11 +168,11 @@ def detection_loss(
     per_class_rows = []
     for a in assignments:
         # only the sampled rows are normalized: a row's norm is its own
-        blocks, compact = sampled_rows(layer_grids, a)
+        blocks = sampled_rows(layer_grids, a)
         rows = np.concatenate(blocks)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         rows /= np.where(norms < 1e-12, 1.0, norms)
-        targets = np.concatenate([idx < n for idx, n in zip(compact.index, compact.n_pos)])
+        targets = np.concatenate([np.arange(len(b)) < n for b, n in zip(blocks, a.n_pos)])
         per_class_rows.append((rows, targets.astype(np.float64)))
         total_pairs += rows.shape[0]
     if total_pairs == 0:
@@ -314,8 +316,8 @@ def _init_modules_for_task(
 
     Running batchnorm statistics start at the statistics of an init batch,
     from its `batch_moments` as in a training step, and each layer anchor
-    starts at the projected class embedding, so a fresh module is already
-    roughly centered on its class before training.
+    starts at the class embedding's infer-mode `project`ion, so a fresh
+    module is already roughly centered on its class before training.
     """
     have = {m.class_id for m in modules}
     init_scenes = scenes[: min(config.batch_size, len(scenes))]
@@ -331,8 +333,7 @@ def _init_modules_for_task(
         module = init_module(
             class_id=class_id, task_id=task_id, dim=registry.dim,
             num_layers=geometry.num_layers, rng=rng,
-            tau=config.tau, share_anchor=config.share_anchor,
-            bn_momentum=config.bn_momentum,
+            tau=config.tau, bn_momentum=config.bn_momentum,
         )
         if moments is not None:
             for params, (mean, cov) in zip(module.layers, moments):

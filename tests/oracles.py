@@ -43,7 +43,6 @@ from openworld_kit.mscal import (
     BN_EPS,
     SampleAssignment,
     _check_grids,
-    _gather_samples,
     _logsumexp,
     fold_modules,
     mscal_loss,
@@ -466,8 +465,14 @@ def full_grid_loss_gradients(module, traces, assignment):
     """Loss and analytic gradients of every parameter from a
     `train_project(..., with_trace=True)` trace: the sample gradients
     spread over the whole grids, then back through the batch statistics."""
-    projected = [t["z"].reshape(*t["lead"], -1) for t in traces]
-    records, pos_logits, all_logits = _gather_samples(module, projected, assignment)
+    records, pos_logits, all_logits = [], [], []
+    for j, (trace, idx, n_pos) in enumerate(zip(traces, assignment.index, assignment.n_pos)):
+        z = trace["z"][idx]
+        logits = (z @ module.effective_anchor(j)) / module.tau if idx.size else np.zeros(0)
+        records.append({"layer": j, "idx": idx, "n_pos": n_pos, "z": z})
+        pos_logits.append(logits[:n_pos])
+        all_logits.append(logits)
+    pos_logits, all_logits = np.concatenate(pos_logits), np.concatenate(all_logits)
     if pos_logits.size == 0:
         raise NoSamples(f"class {module.class_id}: no positive samples in batch")
     loss = _logsumexp(all_logits) - float(pos_logits.mean())
@@ -482,10 +487,9 @@ def full_grid_loss_gradients(module, traces, assignment):
         d_logit[:rec["n_pos"]] -= 1.0 / pos_logits.size
         offset += n
 
-        mu_raw = module.layers[0].anchor if module.share_anchor else params.anchor
         mu_eff = module.effective_anchor(rec["layer"])
-        d_mu_eff = (d_logit @ rec["z"]) / module.tau if n else np.zeros_like(mu_raw)
-        mu_norm = float(np.linalg.norm(mu_raw))
+        d_mu_eff = (d_logit @ rec["z"]) / module.tau if n else np.zeros_like(params.anchor)
+        mu_norm = float(np.linalg.norm(params.anchor))
         d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
 
         dz = np.zeros_like(trace["z"])
@@ -506,10 +510,6 @@ def full_grid_loss_gradients(module, traces, assignment):
             "w1": trace["x2d"].T @ dh, "b1": dh.sum(axis=0), "gamma": d_gamma,
             "beta": d_beta, "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
         })
-    if module.share_anchor:
-        for g in grads[1:]:
-            grads[0]["anchor"] = grads[0]["anchor"] + g["anchor"]
-            g["anchor"] = np.zeros_like(g["anchor"])
     return loss, grads
 
 
@@ -537,8 +537,8 @@ def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
         feat_hat.append(f / np.where(norms < 1e-12, 1.0, norms))
     per_class_rows = []
     for a in assignments:
-        blocks, compact = sampled_rows(feat_hat, a)
-        targets = np.concatenate([idx < n for idx, n in zip(compact.index, compact.n_pos)])
+        blocks = sampled_rows(feat_hat, a)
+        targets = np.concatenate([np.arange(len(b)) < n for b, n in zip(blocks, a.n_pos)])
         per_class_rows.append((np.concatenate(blocks), targets.astype(np.float64)))
     total_pairs = sum(rows.shape[0] for rows, _ in per_class_rows)
     if total_pairs == 0:
@@ -559,17 +559,40 @@ def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
     return sum(raw_losses) / total_pairs, grads
 
 
+def unfolded_project(module, grids):
+    """The infer-mode projection with the batchnorm unfolded: the first
+    affine map, the batchnorm on the running statistics, its scale and
+    shift, ReLU, the second affine map and the normalization, each as its
+    own step. `mscal.project` runs on the fold instead, whose first affine
+    map takes in the batchnorm, so it matches this up to rounding."""
+    if isinstance(grids, FeaturePyramid):
+        grids = list(grids.layers)
+    _check_grids(module, grids)
+    outputs = []
+    for j, (grid, p) in enumerate(zip(grids, module.layers)):
+        x2d = np.ascontiguousarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
+        x_hat = (x2d @ p.w1 + p.b1 - p.running_mean) / np.sqrt(p.running_var + BN_EPS)
+        y = p.gamma * x_hat + p.beta
+        u = np.where(y > 0.0, y, 0.0) @ p.w2 + p.b2
+        norms = np.linalg.norm(u, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateProjection(f"a location collapsed at layer {j}")
+        z = u / norms[:, None]
+        outputs.append(z.reshape(*grid.shape[:-1], z.shape[-1]))
+    return outputs
+
+
 def unfolded_ood_score_map(modules, grids):
     """OOD score grids from the unfolded infer-mode projection: each
-    module's `project` rows against its `effective_anchor`, the best over
-    the modules, negated. `mscal.ood_score_map` scores against
-    `fold_modules`'s folds, whose first affine map takes in the batchnorm,
-    so it matches this up to rounding."""
+    module's `unfolded_project` rows against its `effective_anchor`, the
+    best over the modules, negated. `mscal.ood_score_map` scores against
+    `fold_modules`'s folds, so it matches this up to rounding."""
     if not modules:
         raise NoModules("unfolded_ood_score_map needs at least one class module")
     best = None
     for module in modules:
-        sims = [z @ module.effective_anchor(j) for j, z in enumerate(project(module, grids))]
+        sims = [z @ module.effective_anchor(j)
+                for j, z in enumerate(unfolded_project(module, grids))]
         best = sims if best is None else [np.maximum(b, s) for b, s in zip(best, sims)]
     return [-b for b in best]
 
@@ -861,15 +884,6 @@ def location_count(pyramid):
 # default text per key, applied the way the old `RunConfig` did
 
 
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_int_tuple(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -949,7 +963,6 @@ ORACLE_SCHEMA = {
         "det_weight": (float, "1.0"),
         "mscal_weight": (float, "1.0"),
         "bn_momentum": (float, "0.1"),
-        "share_anchor": (_parse_bool, "false"),
     },
 }
 

@@ -102,9 +102,11 @@ class TestRunConfig:
     @pytest.mark.parametrize("override", [
         "train.normalize_projection=false", "train.normalize_projection=true",
         "detect.ood_gate_mode=relabel", "detect.ood_gate_mode=foo",
+        "train.share_anchor=true", "train.share_anchor=false",
     ])
     def test_retired_key_is_an_unknown_key(self, override):
-        # projections are always normalized and the gate always relabels
+        # projections are always normalized, the gate always relabels and
+        # every layer scores against its own anchor
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
             cli.RunConfig.load(None, overrides=[override])
@@ -165,7 +167,7 @@ class TestPipeline:
         assert (ckpt / "theta.json").exists()
         assert sorted(json.loads((ckpt / "config.json").read_text())) == [
             "alpha", "batch_size", "bn_momentum", "det_weight", "format", "learning_rate",
-            "logit_scale", "mscal_weight", "neg_cap", "quantile", "seed", "share_anchor",
+            "logit_scale", "mscal_weight", "neg_cap", "quantile", "seed",
             "steps_per_task", "tau", "weight_decay"]
         assert (ckpt / "train_log.csv").exists()
         assert len(list((ckpt / "modules").glob("class_*.json"))) == 2
@@ -710,6 +712,18 @@ class TestOutOfRangeValues:
         assert override.split("=")[0] in err and "not a finite number" in err
         assert not (workdir / "out/checkpoints").exists()
 
+    @pytest.mark.parametrize("value", ["2", "-1", "5", "1.0000001"])
+    def test_bn_momentum_outside_unit_interval(self, workdir, capsys, value):
+        # a running variance moves by (1 - m) * old + m * batch, which a
+        # momentum outside [0, 1] can take below zero
+        assert run("gen", "--config", "tiny.ini", "--out", "out") == 0
+        assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1",
+                   "--set", f"train.bn_momentum={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bn_momentum must lie in [0, 1]" in err
+        assert not (workdir / "out/checkpoints").exists()
+
     def test_non_finite_world_value(self, workdir, capsys):
         assert run("gen", "--config", "tiny.ini", "--out", "out",
                    "--set", "world.noise_sigma=nan") == 1
@@ -851,8 +865,8 @@ class TestCheckpointGeometry:
 
 
 class TestTaskConfigReadBack:
-    """A later task trains only with the `tau` and `share_anchor` of the
-    checkpoint it extends; other keys may change."""
+    """A later task trains only with the `tau` of the checkpoint it extends;
+    other keys may change."""
 
     ARGS = ("--config", "tiny.ini", "--out", "out")
 
@@ -864,7 +878,6 @@ class TestTaskConfigReadBack:
 
     @pytest.mark.parametrize("key, value, before, after", [
         ("tau", "0.5", "0.1", "0.5"),
-        ("share_anchor", "true", "False", "True"),
     ])
     def test_mismatch_is_a_config_error(self, task1, capsys, key, value, before, after):
         assert run("train", *self.ARGS, "--task", "2", "--set", f"train.{key}={value}") == 1

@@ -72,15 +72,6 @@ def test_doubling_tau_halves_logit_gap_and_keeps_anchor_direction():
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
-def test_gradients_hold_with_flag_variants():
-    modules, grids, assignments = build_instance(7)
-    module = modules[0]
-    module.share_anchor = True
-    failures, checked = sweep_module(module, grids, assignments[0])
-    assert checked == 256
-    assert not failures, failures[:5]
-
-
 def test_frozen_embedding_rows_receive_zero_gradient():
     rng = np.random.default_rng(3)
     grids = [rng.normal(size=(2, 3, 3, 6))]

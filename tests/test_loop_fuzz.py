@@ -44,7 +44,7 @@ VALUES = {
     "train.learning_rate": ("1e-4", "10"),
     "train.weight_decay": ("0.0125", "0", "100"),
     "train.logit_scale": ("10", "1e-6", "1000"),
-    "train.share_anchor": ("false", "true"),
+    "train.bn_momentum": ("0.1", "0", "1", "2"),
     "detect.conf_threshold": ("0.25", "0", "1"),
     "detect.nms_iou": ("0.7", "0", "1"),
     "detect.class_wise_nms": ("true", "false"),
