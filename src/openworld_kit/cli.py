@@ -30,6 +30,7 @@ from .embedding_space import (
 from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, ParseError,
                      atomic_directory, atomic_text_file, atomic_text_files, read_json)
 from .mscal import fold_modules, freeze_class_modules, ood_score_map
+from .parallel import ordered_map
 from .synthetic_world import (
     TASK_SPLIT_NAME,
     World,
@@ -39,6 +40,7 @@ from .synthetic_world import (
     load_split,
     load_world,
     make_world,
+    split_scene_blobs,
 )
 from .training import (
     CONFIG_FILE,
@@ -344,9 +346,13 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     if no_mscal:
         theta = float("inf")
 
+    # folded once, before `ordered_map` forks: every process scores against
+    # these folds
     folds = fold_modules(modules)
-    results = []
-    for scene in load_split(world, split, _world_dir(cfg)):
+    labels = det.label_texts(registry.names)
+
+    def detect(scene) -> tuple[int, str]:
+        """The scene's detection count and JSONL lines."""
         scores = det.classify_locations(scene.pyramid, prompts,
                                         cfg.get("train", "logit_scale"))
         dets = det.decode_detections(scene.pyramid, scores,
@@ -355,7 +361,9 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta)
         dets = det.nms(dets, cfg.get("detect", "nms_iou"),
                        cfg.get("detect", "class_wise_nms"))
-        results.append((scene.scene_id, dets))
+        return len(dets), det.format_detection_lines(scene.scene_id, dets, labels)
+
+    results = ordered_map(detect, load_split(world, split, _world_dir(cfg)))
 
     if out_file is None:
         suffix = ""
@@ -367,8 +375,8 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     else:
         out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    det.write_detections_jsonl(out_path, results, registry.names)
-    total = sum(len(d) for _, d in results)
+    det.write_detections_jsonl(out_path, [lines for _, lines in results])
+    total = sum(count for count, _ in results)
     print(f"{total} detections over {len(results)} scenes -> {out_path}")
     return 0
 
@@ -385,15 +393,17 @@ def _stray(names: list[str], codes: np.ndarray, allowed: set, path) -> tuple[str
 
 def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
              report_path: str | None = None) -> int:
-    """Score a detections file against `split` at `task_id`. A detection of a
-    scene that `split` does not hold is a `ParseError`, and a label that is
-    neither known at `task_id` nor unknown a `ConfigError`, each naming the
-    line. An empty detections file is legal: it scores as no detections."""
+    """Score a detections file against `split` at `task_id`. The split's
+    files must be whole (`split_scene_blobs`). A detection of a scene that
+    `split` does not hold is a `ParseError`, and a label that is neither
+    known at `task_id` nor unknown a `ConfigError`, each naming the line. An
+    empty detections file is legal: it scores as no detections."""
     world_dir = _world_dir(cfg)
     dets = det.read_detections_jsonl(detections_path)
     gts = ev.read_gt_jsonl(world_dir / "scenes" / split / "gt.jsonl")
     task_split = ev.load_task_split(world_dir / TASK_SPLIT_NAME)
-    scenes = {blob.stem for blob in (world_dir / "scenes" / split).glob("*.pyr")}
+    scenes = {blob.stem for blob in split_scene_blobs(load_world(world_dir), split,
+                                                      world_dir, gts)}
     stray = _stray(dets.scene_names, dets.scenes, scenes, detections_path)
     if stray:
         raise ParseError(f"detection of scene {stray[0]!r}, which split {split!r} does not "

@@ -300,13 +300,12 @@ def format_detection_lines(scene_id: str, dets: Detections,
     return "".join([_LINE % row for row in rows])
 
 
-def write_detections_jsonl(path, per_scene: list[tuple[str, Detections]],
-                           label_names: list[str]) -> None:
-    """Write the scenes' detections to `path`, whole or not at all."""
-    labels = label_texts(label_names)
+def write_detections_jsonl(path, scene_lines: list[str]) -> None:
+    """Write each scene's `format_detection_lines` text to `path`, in
+    order, whole or not at all."""
     with atomic_text_file(path) as fh:
-        for scene_id, dets in per_scene:
-            fh.write(format_detection_lines(scene_id, dets, labels))
+        for lines in scene_lines:
+            fh.write(lines)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .detection import _record_line
 from .embedding_space import GENERIC_OBJECT_KEY, load_embedding_file, save_embedding_file
-from .errors import InfeasibleSpec, MissingWorld, ParseError, read_json, write_json
+from .errors import (InfeasibleSpec, MissingInput, MissingWorld, ParseError, read_json,
+                     write_json)
 from .owod_eval import GtRecord, TaskSplitSpec, read_gt_jsonl, save_task_split, write_gt_jsonl
+from .parallel import ordered_map
 from .pyramid import (
     FeaturePyramid,
     LayerGeometry,
@@ -630,35 +633,66 @@ def _gt_visible_in_split(world: World, split: str, class_name: str) -> bool:
 
 
 def export_split(world: World, split: str, out_dir) -> list[Scene]:
-    """Write every scene blob of a split plus its ground-truth JSON lines."""
+    """Write every scene blob of a split plus its ground-truth JSON lines.
+
+    Scenes are generated and written through `ordered_map`, on every CPU
+    this process may use; a scene depends on its own seeded stream alone, so
+    the files are the same at any CPU count."""
     out = Path(out_dir) / "scenes" / split
     out.mkdir(parents=True, exist_ok=True)
-    records: list[GtRecord] = []
-    scenes: list[Scene] = []
-    for index in range(world.spec.scene_count(split)):
+
+    def export_scene(index: int) -> Scene:
         scene = generate_scene(world, split, index)
-        scenes.append(scene)
         write_pyramid_blob(out / f"{scene.scene_id}.pyr", scene.pyramid)
-        for sb in scene.gt:
-            if _gt_visible_in_split(world, split, sb.class_name):
-                records.append(GtRecord(scene_id=scene.scene_id, box=sb.box,
-                                        class_name=sb.class_name))
-    write_gt_jsonl(out / "gt.jsonl", records)
+        return scene
+
+    scenes = ordered_map(export_scene, range(world.spec.scene_count(split)))
+    write_gt_jsonl(out / "gt.jsonl", [
+        GtRecord(scene_id=scene.scene_id, box=sb.box, class_name=sb.class_name)
+        for scene in scenes for sb in scene.gt
+        if _gt_visible_in_split(world, split, sb.class_name)])
     return scenes
+
+
+def split_scene_blobs(world: World, split: str, out_dir,
+                      gt: list[GtRecord]) -> list[Path]:
+    """The blob of every scene of `split` under `out_dir`, `{split}-0000.pyr`
+    up to the manifest's scene count (none for a split it does not list), in
+    index order, with `gt` the split's ground truth.
+
+    A missing blob raises `MissingInput` naming it; a `.pyr` file of no
+    scene of the split, or a ground-truth record of a scene that has no
+    blob, raises `ParseError`."""
+    base = Path(out_dir) / "scenes" / split
+    count = dict(world.spec.scenes_per_split).get(split, 0)
+    ids = [f"{split}-{index:04d}" for index in range(count)]
+    on_disk = {blob.stem for blob in base.glob("*.pyr")}
+    for scene_id in ids:
+        if scene_id not in on_disk:
+            raise MissingInput(f"no scene blob at {base / scene_id}.pyr; run gen again")
+    extra = sorted(on_disk.difference(ids))
+    if extra:
+        raise ParseError(f"scene blob of no scene of split {split!r}, which holds "
+                         f"{count} scenes", path=f"{base / extra[0]}.pyr")
+    known = set(ids)
+    for index, record in enumerate(gt):
+        if record.scene_id not in known:
+            path = base / "gt.jsonl"
+            raise ParseError(f"ground truth of scene {record.scene_id!r}, which has "
+                             f"no blob", path=str(path), line=_record_line(path, index))
+    return [base / f"{scene_id}.pyr" for scene_id in ids]
 
 
 def load_split(world: World, split: str, out_dir) -> list[Scene]:
-    """Read a split back from disk in scene-id order."""
+    """Read a split back from disk in index order; its blobs must be the ones
+    `split_scene_blobs` names."""
     base = Path(out_dir) / "scenes" / split
+    gt = read_gt_jsonl(base / "gt.jsonl")
     gt_by_scene: dict[str, list[SceneBox]] = {}
-    for rec in read_gt_jsonl(base / "gt.jsonl"):
+    for rec in gt:
         gt_by_scene.setdefault(rec.scene_id, []).append(
             SceneBox(box=rec.box, class_name=rec.class_name))
     thresholds = world.geometry.level_thresholds
-    scenes = []
-    for blob in sorted(base.glob("*.pyr")):
-        scene_id = blob.stem
-        pyramid = read_pyramid_blob(blob, thresholds)
-        scenes.append(Scene(scene_id=scene_id, pyramid=pyramid,
-                            gt=tuple(gt_by_scene.get(scene_id, ()))))
-    return scenes
+    return [Scene(scene_id=blob.stem, pyramid=read_pyramid_blob(blob, thresholds),
+                  gt=tuple(gt_by_scene.get(blob.stem, ())))
+            for blob in split_scene_blobs(world, split, out_dir, gt)]

@@ -349,8 +349,10 @@ class TestInferEqualsScalarPath:
 
     def test_folds_are_built_once_per_call(self, trained_world, monkeypatch):
         # one infer folds the modules once and scores every scene against
-        # those folds, with the bytes of a fresh fold for each scene
-        from openworld_kit import mscal
+        # those folds, with the bytes of a fresh fold for each scene; the
+        # spies count in one process, since calls in forked children are
+        # lost to them (the folding itself happens before any fork)
+        from openworld_kit import mscal, parallel
         from openworld_kit.synthetic_world import load_split, load_world
         root, common = trained_world
         world_dir = root / "out" / "world"
@@ -364,9 +366,12 @@ class TestInferEqualsScalarPath:
         def score_spy(folds, pyramid):
             scored.append(len(folds))
             return mscal.ood_score_map(folds, pyramid)
-        monkeypatch.setattr(cli, "fold_modules", fold_spy)
-        monkeypatch.setattr(cli, "ood_score_map", score_spy)
-        assert run("infer", *common, "--task", "2", "--out-file", str(root / "once.jsonl")) == 0
+        with monkeypatch.context() as pinned:
+            pinned.setattr(parallel, "cpu_count", lambda: 1)
+            pinned.setattr(cli, "fold_modules", fold_spy)
+            pinned.setattr(cli, "ood_score_map", score_spy)
+            assert run("infer", *common, "--task", "2",
+                       "--out-file", str(root / "once.jsonl")) == 0
         assert scenes >= 2 and built == [4] and scored == [4] * scenes
 
         def fresh_fold_spy(modules, pyramid):
@@ -375,6 +380,45 @@ class TestInferEqualsScalarPath:
         monkeypatch.setattr(cli, "ood_score_map", fresh_fold_spy)
         assert run("infer", *common, "--task", "2", "--out-file", str(root / "fresh.jsonl")) == 0
         assert (root / "once.jsonl").read_bytes() == (root / "fresh.jsonl").read_bytes()
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# the benchmark's train-wide world: dim 32, 10/10/10 known classes
+TRAIN_WIDE = ("world.dim=32", "world.known_per_task=10,10,10", "world.n_food=12",
+              "world.scenes_per_split=train:60,cal:20,test:20")
+
+
+@pytest.mark.parametrize("settings", [(), TRAIN_WIDE], ids=["default", "train-wide"])
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, settings):
+    # gen and infer fan their scenes out over the CPUs; every file they
+    # write is the same at 1, 2 and 3 worker processes
+    from openworld_kit import parallel
+    common = ["--seed", "0", "--set", "train.steps_per_task=2"]
+    common += [arg for item in settings for arg in ("--set", item)]
+
+    def at(workers, *argv):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+        assert run(*argv, *common) == 0
+
+    for workers in (1, 2, 3):
+        at(workers, "gen", "--out", str(tmp_path / f"run{workers}"))
+    one = tree_bytes(tmp_path / "run1")
+    assert len(one) > 100
+    assert tree_bytes(tmp_path / "run2") == one and tree_bytes(tmp_path / "run3") == one
+
+    out = str(tmp_path / "run1")
+    for task in ("1", "2", "3"):
+        at(1, "train", "--out", out, "--task", task)
+    for workers in (1, 2, 3):
+        at(workers, "infer", "--out", out, "--task", "3",
+           "--out-file", str(tmp_path / f"dets{workers}.jsonl"))
+    dets = (tmp_path / "dets1.jsonl").read_bytes()
+    assert dets.count(b"\n") > 100
+    assert (tmp_path / "dets2.jsonl").read_bytes() == dets
+    assert (tmp_path / "dets3.jsonl").read_bytes() == dets
 
 
 def oracle_report_files(root, common, task_id, det_path, split="test"):
@@ -512,6 +556,12 @@ class TestLoaderErrors:
         return run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
                    "--out-file", "d.jsonl")
 
+    def run_task_2(self, command):
+        """`command` at task 2; infer writes `again.jsonl`, eval scores `d.jsonl`."""
+        extra = {"train": [], "infer": ["--out-file", "again.jsonl"],
+                 "eval": ["--detections", "d.jsonl"]}[command]
+        return run(command, "--config", "tiny.ini", "--out", "out", "--task", "2", *extra)
+
     def test_train_before_gen(self, workdir, capsys):
         assert run("train", "--config", "tiny.ini", "--out", "out", "--task", "1") == 1
         err = capsys.readouterr().err
@@ -631,6 +681,49 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"out/checkpoints/task_2/{name}" in err
+
+    @pytest.mark.parametrize("command, blob", [
+        ("train", "train/train-0002.pyr"),
+        ("train", "cal/cal-0000.pyr"),
+        ("infer", "test/test-0002.pyr"),
+        ("eval", "test/test-0002.pyr"),
+    ])
+    def test_missing_scene_blob(self, trained, capsys, command, blob):
+        # a split holds exactly the manifest's scenes: none is dropped silently
+        assert self.infer() == 0
+        (trained / "out/world/scenes" / blob).unlink()
+        capsys.readouterr()
+        assert self.run_task_2(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"no scene blob at out/world/scenes/{blob}" in err
+        assert not (trained / "again.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    def test_scene_blob_of_no_scene(self, trained, capsys, command):
+        split = "train" if command == "train" else "test"
+        scenes = trained / "out/world/scenes" / split
+        (scenes / f"{split}-0010.pyr").write_bytes((scenes / f"{split}-0000.pyr").read_bytes())
+        (trained / "d.jsonl").write_text("")
+        assert self.run_task_2(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"scene blob of no scene of split {split!r}" in err
+        assert f"[out/world/scenes/{split}/{split}-0010.pyr]" in err
+
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    def test_ground_truth_of_a_scene_without_blob(self, trained, capsys, command):
+        split = "cal" if command == "train" else "test"
+        gt = trained / "out/world/scenes" / split / "gt.jsonl"
+        lines = gt.read_text().splitlines(keepends=True)
+        lines.append(lines[0].replace(f"{split}-0000", f"{split}-0099"))
+        gt.write_text("".join(lines))
+        (trained / "d.jsonl").write_text("")
+        assert self.run_task_2(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"ground truth of scene '{split}-0099', which has no blob" in err
+        assert f"[out/world/scenes/{split}/gt.jsonl:{len(lines)}]" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_task_missing_from_split(self, trained, capsys, command):

@@ -417,7 +417,8 @@ class TestDetectionsFile:
                 Detection(box=(0.0, 0.0, 4.0, 4.0), label=UNKNOWN_CLASS_ID,
                           confidence=0.5, source=(0, 0, 1), ood=0.75)]
         path = tmp_path / "dets.jsonl"
-        write_detections_jsonl(path, [("scene-0", Detections.from_rows(dets))], ["cat"])
+        write_detections_jsonl(path, [format_detection_lines(
+            "scene-0", Detections.from_rows(dets), label_texts(["cat"]))])
         table = read_detections_jsonl(path)
         assert len(table) == 2
         records = list(table)
@@ -455,15 +456,15 @@ class TestDetectionsFile:
     @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
     def test_torn_write_leaves_the_old_file_or_none(self, tmp_path, tear_writes, previous):
         path = tmp_path / "dets.jsonl"
-        scenes = [(f"s{i}", Detections.from_rows([
-            Detection(box=(0.0, 0.0, 1.0, 1.0), label=0, confidence=0.5, source=(0, 0, i))]))
-            for i in range(2)]
+        scenes = [format_detection_lines(f"s{i}", Detections.from_rows([
+            Detection(box=(0.0, 0.0, 1.0, 1.0), label=0, confidence=0.5, source=(0, 0, i))]),
+            label_texts(["dog"])) for i in range(2)]
         if previous:
-            write_detections_jsonl(path, scenes[:1], ["dog"])
+            write_detections_jsonl(path, scenes[:1])
             old = path.read_bytes()
         tear_writes("dets.jsonl")
         with pytest.raises(OSError):
-            write_detections_jsonl(path, scenes, ["dog"])
+            write_detections_jsonl(path, scenes)
         assert [p.name for p in tmp_path.iterdir()] == (["dets.jsonl"] if previous else [])
         if previous:
             assert path.read_bytes() == old
