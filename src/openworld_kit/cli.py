@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -25,13 +26,15 @@ from .embedding_space import (
     ClassEmbeddingRegistry,
     GENERIC_OBJECT_KEY,
     prompt_matrix,
+    pseudo_unknown_embedding,
     register_task,
 )
 from .errors import (ConfigError, MissingCheckpoint, OpenWorldKitError, ParseError,
                      atomic_directory, atomic_text_file, atomic_text_files, read_json)
-from .mscal import fold_modules, freeze_class_modules, ood_score_map
+from .mscal import fold_modules, ood_score_map
 from .parallel import ordered_map
 from .synthetic_world import (
+    MANIFEST_NAME,
     TASK_SPLIT_NAME,
     World,
     WorldSpec,
@@ -44,8 +47,8 @@ from .synthetic_world import (
 )
 from .training import (
     CONFIG_FILE,
+    WORLD_DIGEST_KEY,
     TrainConfig,
-    finalize_task,
     load_checkpoint,
     save_checkpoint,
     train_task,
@@ -232,11 +235,23 @@ def _checkpoint_dir(cfg: RunConfig, task_id: int) -> Path:
     return cfg.out_dir / "checkpoints" / f"task_{task_id}"
 
 
-def _load_checkpoint(ckpt: Path, world: World):
-    """`load_checkpoint(ckpt)`, whose embeddings must have the world's dim
-    and whose modules the world's pyramid layer count and dim."""
+def _world_digest(cfg: RunConfig) -> str:
+    """The SHA-256 of the world's manifest, which holds its spec and seed."""
+    return hashlib.sha256((_world_dir(cfg) / MANIFEST_NAME).read_bytes()).hexdigest()
+
+
+# [train] keys every task of a run shares: `tau` sets how each module scales
+# its anchor similarities, and theta is calibrated over old and new modules
+# together
+_CARRIED_TRAIN_KEYS = ("tau",)
+
+
+def _load_checkpoint(ckpt: Path, world: World, digest: str):
+    """`load_checkpoint(ckpt)`, whose embeddings must have the world's dim,
+    whose modules the world's pyramid layer count and dim, and whose config
+    the world's `digest`; and the config's `_CARRIED_TRAIN_KEYS`."""
     registry, modules, theta = load_checkpoint(ckpt)
-    dim = registry.generic_object.size
+    dim = registry.dim
     if dim != world.spec.dim:
         raise ConfigError(f"checkpoint {ckpt} holds dim-{dim} embeddings, but the world "
                           f"has world.dim={world.spec.dim}")
@@ -247,7 +262,15 @@ def _load_checkpoint(ckpt: Path, world: World):
                 f"checkpoint {ckpt} holds a module of class {m.class_id} with "
                 f"{m.num_layers} layers of dim {m.in_dim}, but the world's pyramid "
                 f"has {layers} layers of dim {world.spec.dim}")
-    return registry, modules, theta
+    saved = read_json(ckpt / CONFIG_FILE, "checkpoint file",
+                      lambda payload: {k: payload[k]
+                                       for k in (WORLD_DIGEST_KEY, *_CARRIED_TRAIN_KEYS)},
+                      missing=MissingCheckpoint)
+    trained_on = saved.pop(WORLD_DIGEST_KEY)
+    if trained_on != digest:
+        raise ConfigError(f"checkpoint {ckpt} was trained on a world of manifest SHA-256 "
+                          f"{trained_on}, but this world's is {digest}; train again on this world")
+    return registry, modules, theta, saved
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +297,27 @@ class _TaskData:
         self.cal_scenes = cal_scenes
 
 
-# [train] keys every task of a run shares: `tau` sets how each module scales
-# its anchor similarities, and theta is calibrated over old and new modules
-# together
-_CARRIED_TRAIN_KEYS = ("tau",)
-
-
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
+    digest = _world_digest(cfg)
     new_names = world.task_split().current_classes(task_id)
     train_cfg = cfg.train_config()
 
     if task_id == 1:
-        registry = ClassEmbeddingRegistry(
-            entries=(), generic_object=world.generic_object, alpha=train_cfg.alpha)
-        modules = []
-        prev_dir, unchanged = None, set()
+        registry, modules, prev_dir = ClassEmbeddingRegistry(entries=()), [], None
     else:
         prev_dir = _checkpoint_dir(cfg, task_id - 1)
         if not prev_dir.exists():
             raise MissingCheckpoint(f"train task {task_id - 1} first: {prev_dir} missing")
-        previous = read_json(prev_dir / CONFIG_FILE, "checkpoint file",
-                             lambda payload: {k: payload[k] for k in _CARRIED_TRAIN_KEYS},
-                             missing=MissingCheckpoint)
+        registry, modules, _, previous = _load_checkpoint(prev_dir, world, digest)
         for key, value in previous.items():
             if getattr(train_cfg, key) != value:
                 raise ConfigError(
                     f"train.{key}={getattr(train_cfg, key)!r}, but task {task_id - 1} "
                     f"was trained with train.{key}={value!r}; every task of a run "
                     f"must use the same value")
-        registry, modules, _ = _load_checkpoint(prev_dir, world)
-        unchanged = {m.class_id for m in modules if m.frozen}
-        registry = replace(registry, alpha=train_cfg.alpha)
-        freeze_class_modules(modules, task_id - 1)
+    # every loaded module is frozen and its file is copied forward
+    unchanged = {m.class_id for m in modules}
 
     registry = register_task(registry, [(n, world.text_embeddings[n]) for n in new_names])
 
@@ -316,10 +327,9 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
         cal_scenes=load_split(world, "cal", _world_dir(cfg)),
     )
     registry, modules, log = train_task(data, registry, modules, train_cfg, task_id)
-    registry, modules = finalize_task(registry, modules, task_id)
     ckpt = _checkpoint_dir(cfg, task_id)
     save_checkpoint(ckpt, registry, modules, log.theta, train_cfg, log,
-                    previous=prev_dir, unchanged=unchanged)
+                    previous=prev_dir, unchanged=unchanged, world_digest=digest)
     print(f"task {task_id}: {registry.num_known} embeddings, {len(modules)} modules, "
           f"theta={log.theta:.6f} -> {ckpt}")
     return 0
@@ -329,20 +339,20 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               no_mscal: bool, prompt_key: str | None = None,
               out_file: str | None = None) -> int:
     world = load_world(_world_dir(cfg))
-    registry, modules, theta = _load_checkpoint(_checkpoint_dir(cfg, task_id), world)
-    registry = replace(registry, alpha=cfg.train_config().alpha)
+    registry, modules, theta, _ = _load_checkpoint(_checkpoint_dir(cfg, task_id), world,
+                                                   _world_digest(cfg))
+    alpha = cfg.train_config().alpha
+    generic = world.generic_object
     if prompt_key is not None:
-        embeddings = world.text_embeddings | {GENERIC_OBJECT_KEY: world.generic_object}
+        embeddings = world.text_embeddings | {GENERIC_OBJECT_KEY: generic}
         if prompt_key not in embeddings:
             raise ConfigError(f"prompt key {prompt_key!r} not in embedding file")
-        registry = replace(registry, generic_object=embeddings[prompt_key])
+        generic = embeddings[prompt_key]
 
-    if no_owel:
-        # generic-object prompt passes through untouched as the unknown row
-        prompts = np.vstack([np.stack([e.embedding for e in registry.entries]),
-                             registry.generic_object[None, :]])
-    else:
-        prompts = prompt_matrix(registry, include_unknown=True)
+    # without OWEL the generic-object prompt passes through untouched as the
+    # unknown row
+    prompts = prompt_matrix(registry, generic if no_owel else pseudo_unknown_embedding(
+        [e.embedding for e in registry.entries], generic, alpha))
     if no_mscal:
         theta = float("inf")
 

@@ -2,9 +2,9 @@
 
 The registry holds one embedding per known class, ordered by the task that
 introduced it. Entries from finished tasks are frozen and never change
-again. From the registry we derive the mean known direction, a synthesized
-unknown-class prompt (the generic-object embedding pushed away from the
-known mean), and the prompt matrix consumed by the detection head.
+again. From known embeddings we derive the mean known direction, a
+synthesized unknown-class prompt (the generic-object embedding pushed away
+from the known mean), and the prompt matrix consumed by the detection head.
 """
 
 from __future__ import annotations
@@ -50,24 +50,15 @@ class ClassEntry:
 
 @dataclass(frozen=True)
 class ClassEmbeddingRegistry:
-    """Ordered per-task class embeddings plus the generic-object direction.
+    """Ordered per-task class embeddings, all of one dim.
 
-    Immutable: `register_task` returns a new registry. `alpha` weights the
-    known-mean subtraction when synthesizing the unknown prompt.
+    Immutable: `register_task` returns a new registry.
     """
 
     entries: tuple[ClassEntry, ...]
-    generic_object: np.ndarray
-    alpha: float = 0.4
 
     def __post_init__(self):
-        gen = np.asarray(self.generic_object, dtype=np.float64)
-        if gen.ndim != 1 or not np.all(np.isfinite(gen)):
-            raise ValueError("generic_object must be a finite vector")
-        object.__setattr__(self, "generic_object", gen)
         object.__setattr__(self, "entries", tuple(self.entries))
-        if not 0.0 <= self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in [0, 2], got {self.alpha}")
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise DuplicateClass("class names must be unique")
@@ -76,9 +67,9 @@ class ClassEmbeddingRegistry:
             raise ValueError("task ids start at 1")
         if any(b < a for a, b in zip(task_ids, task_ids[1:])):
             raise ValueError("task ids must be non-decreasing along the registry order")
-        for e in self.entries:
-            if e.embedding.shape != gen.shape:
-                raise ValueError(f"class {e.name!r}: dim {e.embedding.size} != {gen.size}")
+        for e in self.entries[1:]:
+            if e.embedding.shape != self.entries[0].embedding.shape:
+                raise ValueError(f"class {e.name!r}: dim {e.embedding.size} != {self.dim}")
 
     @property
     def num_known(self) -> int:
@@ -86,7 +77,7 @@ class ClassEmbeddingRegistry:
 
     @property
     def dim(self) -> int:
-        return int(self.generic_object.size)
+        return int(self.entries[0].embedding.size)
 
     @property
     def names(self) -> list[str]:
@@ -109,36 +100,37 @@ class ClassEmbeddingRegistry:
         return replace(self, entries=tuple(new_entries))
 
 
-def mean_known_embedding(registry: ClassEmbeddingRegistry) -> np.ndarray:
-    """Mean of the normalized known embeddings. Generally not unit norm."""
-    if registry.num_known == 0:
+def mean_known_embedding(known_rows) -> np.ndarray:
+    """Mean of the normalized rows of `known_rows`. Generally not unit norm."""
+    if len(known_rows) == 0:
         raise EmptyRegistry("mean of known embeddings needs at least one class")
-    acc = np.zeros(registry.dim, dtype=np.float64)
-    for e in registry.entries:
-        acc += normalize(e.embedding)
-    return acc / registry.num_known
+    acc = np.zeros(len(known_rows[0]), dtype=np.float64)
+    for row in known_rows:
+        acc += normalize(row)
+    return acc / len(known_rows)
 
 
-def pseudo_unknown_embedding(registry: ClassEmbeddingRegistry) -> np.ndarray:
-    """Generic-object embedding shifted away from the known-class mean.
+def pseudo_unknown_embedding(known_rows, generic, alpha: float) -> np.ndarray:
+    """The OWEL unknown prompt: the generic-object embedding `generic`
+    shifted away from the known-class mean.
 
-    Returns `generic_object - alpha * mean_dir` where `mean_dir` is the
-    unit-normalized mean of the known embeddings. The result is left
+    Returns `generic - alpha * mean_dir` where `mean_dir` is the
+    unit-normalized mean of the normalized `known_rows`. The result is left
     unnormalized; the cosine-similarity head makes its scale irrelevant.
     """
-    mean = mean_known_embedding(registry)
+    mean = mean_known_embedding(known_rows)
     norm = float(np.linalg.norm(mean))
     if norm < _EPS:
         raise DegenerateMean("known-class embeddings cancel; mean direction undefined")
-    return registry.generic_object - registry.alpha * (mean / norm)
+    return generic - alpha * (mean / norm)
 
 
-def prompt_matrix(registry: ClassEmbeddingRegistry, include_unknown: bool) -> np.ndarray:
-    """Stack known embeddings in registry order; optionally append the
-    synthesized unknown prompt as the final row."""
+def prompt_matrix(registry: ClassEmbeddingRegistry, unknown_row=None) -> np.ndarray:
+    """Stack known embeddings in registry order, then `unknown_row`, the
+    unknown prompt, as the final row when one is given."""
     rows = [e.embedding for e in registry.entries]
-    if include_unknown:
-        rows.append(pseudo_unknown_embedding(registry))
+    if unknown_row is not None:
+        rows.append(unknown_row)
     return np.stack(rows, axis=0)
 
 

@@ -421,18 +421,10 @@ def calibrate_threshold(known_scores, quantile: float = 0.95) -> float:
     return float(s[lo] + frac * (s[lo + 1] - s[lo]))
 
 
-def freeze_class_modules(modules: list[MscalModule], up_to_task: int) -> list[MscalModule]:
-    """Mark all modules belonging to tasks <= `up_to_task` frozen. Idempotent."""
-    for m in modules:
-        if m.task_id <= up_to_task:
-            m.frozen = True
-    return modules
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 _ARRAY_FIELDS = TRAINED_FIELDS + ("running_mean", "running_var")
 
@@ -492,7 +484,6 @@ def module_to_payload(module: MscalModule) -> dict:
         "class_id": module.class_id,
         "task_id": module.task_id,
         "tau": module.tau,
-        "frozen": module.frozen,
         "bn_momentum": module.bn_momentum,
         "layers": [
             {name: _encode_array(getattr(p, name)) for name in _ARRAY_FIELDS}
@@ -502,6 +493,7 @@ def module_to_payload(module: MscalModule) -> dict:
 
 
 def module_from_payload(payload: dict) -> MscalModule:
+    """The module of a checkpoint's module file, which loads frozen."""
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"unsupported module checkpoint format {payload.get('format')!r}")
     layers = _layers_from_payload(payload["layers"])
@@ -510,7 +502,7 @@ def module_from_payload(payload: dict) -> MscalModule:
         task_id=int(payload["task_id"]),
         layers=layers,
         tau=float(payload["tau"]),
-        frozen=bool(payload["frozen"]),
+        frozen=True,
         bn_momentum=float(payload["bn_momentum"]),
     )
     try:  # scoring needs every anchor it reads as a unit; an overflowing norm is inf

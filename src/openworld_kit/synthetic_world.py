@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .detection import _record_line
-from .embedding_space import GENERIC_OBJECT_KEY, load_embedding_file, save_embedding_file
+from .embedding_space import (GENERIC_OBJECT_KEY, load_embedding_file, normalize,
+                              pseudo_unknown_embedding, save_embedding_file)
 from .errors import (InfeasibleSpec, MissingInput, MissingWorld, ParseError, read_json,
                      write_json)
 from .owod_eval import GtRecord, TaskSplitSpec, read_gt_jsonl, save_task_split, write_gt_jsonl
@@ -344,10 +345,8 @@ def _build_world(spec: WorldSpec, seed: int, rng: np.random.Generator,
     # than to any known embedding, with margin
     if foods:
         stacked = np.stack([text[n] for n in known_names])
-        mean_dir = stacked.mean(axis=0)
-        mean_dir /= np.linalg.norm(mean_dir)
-        shifted = generic - spec.food_alignment_alpha * mean_dir
-        shifted /= np.linalg.norm(shifted)
+        shifted = normalize(pseudo_unknown_embedding(stacked, generic,
+                                                     spec.food_alignment_alpha))
         best_known = max(float(shifted @ t) for t in stacked)
         worst_food = min(float(shifted @ f) for f in foods)
         if worst_food - best_known < spec.min_unknown_margin:
@@ -632,26 +631,24 @@ def _gt_visible_in_split(world: World, split: str, class_name: str) -> bool:
     return world.class_named(class_name).task_id is not None
 
 
-def export_split(world: World, split: str, out_dir) -> list[Scene]:
+def export_split(world: World, split: str, out_dir) -> None:
     """Write every scene blob of a split plus its ground-truth JSON lines.
 
     Scenes are generated and written through `ordered_map`, on every CPU
     this process may use; a scene depends on its own seeded stream alone, so
-    the files are the same at any CPU count."""
+    the files are the same at any CPU count. Each scene hands back only its
+    visible ground truth, never its pyramid."""
     out = Path(out_dir) / "scenes" / split
     out.mkdir(parents=True, exist_ok=True)
 
-    def export_scene(index: int) -> Scene:
+    def export_scene(index: int) -> list[GtRecord]:
         scene = generate_scene(world, split, index)
         write_pyramid_blob(out / f"{scene.scene_id}.pyr", scene.pyramid)
-        return scene
+        return [GtRecord(scene_id=scene.scene_id, box=sb.box, class_name=sb.class_name)
+                for sb in scene.gt if _gt_visible_in_split(world, split, sb.class_name)]
 
-    scenes = ordered_map(export_scene, range(world.spec.scene_count(split)))
-    write_gt_jsonl(out / "gt.jsonl", [
-        GtRecord(scene_id=scene.scene_id, box=sb.box, class_name=sb.class_name)
-        for scene in scenes for sb in scene.gt
-        if _gt_visible_in_split(world, split, sb.class_name)])
-    return scenes
+    records = ordered_map(export_scene, range(world.spec.scene_count(split)))
+    write_gt_jsonl(out / "gt.jsonl", [r for scene in records for r in scene])
 
 
 def split_scene_blobs(world: World, split: str, out_dir,

@@ -10,7 +10,7 @@ labeled streams of the run seed.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from .mscal import (
     batch_moments,
     calibrate_threshold,
     fold_modules,
-    freeze_class_modules,
     init_module,
     module_from_payload,
     module_to_payload,
@@ -489,20 +488,6 @@ def known_positive_scores_for_registry(modules, scenes, scene_pairs) -> list[flo
     return np.concatenate(ood_score_map(fold_modules(modules), blocks)).tolist()
 
 
-def finalize_task(registry: ClassEmbeddingRegistry, modules: list[MscalModule],
-                  task_id: int) -> tuple[ClassEmbeddingRegistry, list[MscalModule]]:
-    """Freeze everything a finished task produced.
-
-    Checkpoints are immutable task-boundary artifacts, so entries and
-    modules are stored frozen; this keeps a class's checkpoint file
-    byte-identical across all later tasks.
-    """
-    entries = tuple(replace(e, frozen=True) for e in registry.entries)
-    registry = replace(registry, entries=entries)
-    freeze_class_modules(modules, task_id)
-    return registry, modules
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -511,47 +496,46 @@ THETA_FILE = "theta.json"
 CONFIG_FILE = "config.json"
 LOG_FILE = "train_log.csv"
 MODULE_DIR = "modules"
+REGISTRY_FORMAT = 2
+# the config key of the SHA-256 of the manifest of the world a task trained on
+WORLD_DIGEST_KEY = "world_sha256"
 
 
 def registry_to_payload(registry: ClassEmbeddingRegistry) -> dict:
     return {
-        "format": 1,
-        "alpha": registry.alpha,
-        "generic_object": registry.generic_object.tolist(),
-        "entries": [
-            {"name": e.name, "task_id": e.task_id, "frozen": e.frozen,
-             "embedding": e.embedding.tolist()}
-            for e in registry.entries
-        ],
+        "format": REGISTRY_FORMAT,
+        "entries": [{"name": e.name, "task_id": e.task_id, "embedding": e.embedding.tolist()}
+                    for e in registry.entries],
     }
 
 
 def registry_from_payload(payload: dict) -> ClassEmbeddingRegistry:
-    entries = tuple(
-        ClassEntry(name=e["name"], task_id=int(e["task_id"]), frozen=bool(e["frozen"]),
+    """The registry of a checkpoint's registry file; every entry loads frozen."""
+    if payload.get("format") != REGISTRY_FORMAT:
+        raise ParseError(f"unsupported registry format {payload.get('format')!r}")
+    if not payload["entries"]:
+        raise ParseError("registry holds no class")
+    return ClassEmbeddingRegistry(entries=tuple(
+        ClassEntry(name=e["name"], task_id=int(e["task_id"]), frozen=True,
                    embedding=np.asarray(e["embedding"], dtype=np.float64))
-        for e in payload["entries"]
-    )
-    return ClassEmbeddingRegistry(
-        entries=entries,
-        generic_object=np.asarray(payload["generic_object"], dtype=np.float64),
-        alpha=float(payload["alpha"]),
-    )
+        for e in payload["entries"]))
 
 
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
-                    previous=None, unchanged=frozenset()) -> None:
+                    previous=None, unchanged=frozenset(), *, world_digest: str) -> None:
     """Write a checkpoint holding exactly `modules`, whole or not at all: the
     files go into a fresh directory that then replaces `directory`.
-    `unchanged` names the classes whose modules were loaded frozen from the
-    checkpoint at `previous` and never trained since; their files are
-    copied byte for byte instead of re-encoded."""
+    `unchanged` names the classes whose modules were loaded from the
+    checkpoint at `previous`; their files are copied byte for byte instead
+    of re-encoded. `world_digest`, the digest of the world the task trained
+    on, is stored beside the config."""
     with atomic_directory(directory) as base:
         (base / MODULE_DIR).mkdir()
         write_json(base / REGISTRY_FILE, registry_to_payload(registry))
         write_json(base / THETA_FILE, {"theta": theta})
-        write_json(base / CONFIG_FILE, vars(config) | {"format": 1})
+        write_json(base / CONFIG_FILE,
+                   vars(config) | {"format": 1, WORLD_DIGEST_KEY: world_digest})
         for module in modules:
             name = f"class_{module.class_id:03d}.json"
             if module.class_id in unchanged:
@@ -564,7 +548,8 @@ def save_checkpoint(directory, registry, modules, theta: float,
 
 def load_checkpoint(directory) -> tuple[ClassEmbeddingRegistry, list[MscalModule], float]:
     """The registry, one module per registry entry in class order, and the
-    OOD threshold of the checkpoint at `directory`."""
+    OOD threshold of the checkpoint at `directory`; its entries and modules
+    are all frozen."""
     base = Path(directory)
     if not (base / REGISTRY_FILE).exists():
         raise MissingCheckpoint(f"no checkpoint at {base}")

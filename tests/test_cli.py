@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -168,7 +170,7 @@ class TestPipeline:
         assert sorted(json.loads((ckpt / "config.json").read_text())) == [
             "alpha", "batch_size", "bn_momentum", "det_weight", "format", "learning_rate",
             "logit_scale", "mscal_weight", "neg_cap", "quantile", "seed",
-            "steps_per_task", "tau", "weight_decay"]
+            "steps_per_task", "tau", "weight_decay", "world_sha256"]
         assert (ckpt / "train_log.csv").exists()
         assert len(list((ckpt / "modules").glob("class_*.json"))) == 2
         ckpt2 = trained / "out" / "checkpoints" / "task_2"
@@ -192,18 +194,17 @@ class TestPipeline:
         assert (workdir / "out/checkpoints/task_2/modules/class_000.json").read_bytes() == \
             path.read_bytes()
 
-    def test_unfrozen_module_file_is_not_copied_forward(self, workdir):
-        # a task-1 module file that says it is not frozen is frozen at load,
-        # so task 2 writes the module it holds instead of copying the file
-        args = ("--config", "tiny.ini", "--seed", "0", "--out", "out")
-        assert run("gen", *args) == 0
-        assert run("train", *args, "--task", "1") == 0
-        path = workdir / "out/checkpoints/task_1/modules/class_000.json"
-        written = path.read_bytes()
-        path.write_text(json.dumps(json.loads(written) | {"frozen": False}))
-        assert run("train", *args, "--task", "2") == 0
-        assert (workdir / "out/checkpoints/task_2/modules/class_000.json").read_bytes() == \
-            written
+    def test_loaded_checkpoint_is_frozen_and_copied_forward(self, trained):
+        # everything a checkpoint holds loads frozen, and the next task copies
+        # every module file it loaded byte for byte
+        from openworld_kit.training import load_checkpoint
+        task1, task2 = (trained / "out/checkpoints" / f"task_{t}" for t in (1, 2))
+        registry, modules, _ = load_checkpoint(task1)
+        assert all(e.frozen for e in registry.entries) and all(m.frozen for m in modules)
+        assert [m.class_id for m in modules] == [0, 1]
+        for name in ("class_000.json", "class_001.json"):
+            assert (task2 / "modules" / name).read_bytes() == \
+                (task1 / "modules" / name).read_bytes()
 
     def test_rerun_with_fewer_classes_drops_their_modules(self, workdir):
         # a 3+3-class run, then a 2+2-class world trained into the same --out:
@@ -251,7 +252,7 @@ class TestPipeline:
         # the gate contract operates before suppression: same boxes, same
         # confidences, same sources; only labels and ood fields may differ
         from openworld_kit.detection import apply_ood_gate, classify_locations, decode_detections
-        from openworld_kit.embedding_space import prompt_matrix
+        from openworld_kit.embedding_space import prompt_matrix, pseudo_unknown_embedding
         from openworld_kit.mscal import fold_modules, ood_score_map
         from openworld_kit.synthetic_world import load_split, load_world
         from openworld_kit.training import load_checkpoint
@@ -259,7 +260,8 @@ class TestPipeline:
         world = load_world(trained / "out" / "world")
         registry, modules, theta = load_checkpoint(trained / "out/checkpoints/task_2")
         scene = load_split(world, "test", trained / "out" / "world")[0]
-        prompts = prompt_matrix(registry, include_unknown=True)
+        prompts = prompt_matrix(registry, pseudo_unknown_embedding(
+            [e.embedding for e in registry.entries], world.generic_object, 0.4))
         scores = classify_locations(scene.pyramid, prompts, 10.0)
         dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
         smap = ood_score_map(fold_modules(modules), scene.pyramid)
@@ -301,22 +303,24 @@ def oracle_detections_file(out, task_id, split, no_owel=False, no_mscal=False,
     confidence threshold, built by the scalar path: one object per
     candidate, NMS as the greedy loop, each line from the json encoder."""
     from openworld_kit.detection import classify_locations
-    from openworld_kit.embedding_space import prompt_matrix
+    from openworld_kit.embedding_space import prompt_matrix, pseudo_unknown_embedding
     from openworld_kit.mscal import fold_modules, ood_score_map
     from openworld_kit.synthetic_world import load_split, load_world
     from openworld_kit.training import load_checkpoint
     from oracles import oracle_decode, oracle_format_detection_line, oracle_gate, oracle_nms
 
     registry, modules, theta = load_checkpoint(out / "checkpoints" / f"task_{task_id}")
+    world = load_world(out / "world")
     if no_owel:
         prompts = np.vstack([np.stack([e.embedding for e in registry.entries]),
-                             registry.generic_object[None, :]])
+                             world.generic_object[None, :]])
     else:
-        prompts = prompt_matrix(registry, include_unknown=True)
+        prompts = prompt_matrix(registry, pseudo_unknown_embedding(
+            [e.embedding for e in registry.entries], world.generic_object, 0.4))
     if no_mscal:
         theta = float("inf")
     lines = []
-    for scene in load_split(load_world(out / "world"), split, out / "world"):
+    for scene in load_split(world, split, out / "world"):
         scores = classify_locations(scene.pyramid, prompts, 10.0)
         rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)
         rows = oracle_gate(rows, ood_score_map(fold_modules(modules), scene.pyramid), theta)
@@ -666,14 +670,11 @@ class TestLoaderErrors:
         ("registry.json", lambda p: {k: v for k, v in p.items() if k != "entries"}),
         ("registry.json", lambda p: p | {"entries": [
             {k: v for k, v in e.items() if k != "task_id"} for e in p["entries"]]}),
-        ("registry.json", lambda p: {k: v for k, v in p.items() if k != "generic_object"}),
-        ("registry.json", lambda p: {k: v for k, v in p.items() if k != "alpha"}),
         ("theta.json", lambda p: {}),
         ("theta.json", lambda p: {"theta": 10 ** 400}),
         ("modules/class_000.json", lambda p: {k: v for k, v in p.items() if k != "layers"}),
         ("modules/class_000.json", lambda p: []),
-    ], ids=["no-entries", "entry-without-task-id", "no-generic-object", "no-alpha",
-            "no-theta", "theta-overflows", "module-without-layers", "module-not-an-object"])
+    ], ids=["no-entries", "entry-without-task-id", "no-theta", "theta-overflows", "module-without-layers", "module-not-an-object"])
     def test_checkpoint_file_missing_field(self, trained, capsys, name, edit):
         path = trained / "out" / "checkpoints" / "task_2" / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -681,6 +682,29 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"out/checkpoints/task_2/{name}" in err
+
+    @staticmethod
+    def registry_of_format_1(payload):
+        """The registry file format 1 wrote: alpha, the generic-object vector
+        and a frozen flag per entry beside what format 2 holds."""
+        return payload | {"format": 1, "alpha": 0.4, "generic_object": [0.5] * 8,
+                          "entries": [e | {"frozen": True} for e in payload["entries"]]}
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("registry.json", registry_of_format_1, "unsupported registry format 1"),
+        ("registry.json", lambda p: p | {"entries": []}, "registry holds no class"),
+        ("modules/class_000.json", lambda p: p | {"format": 4, "frozen": True},
+         "unsupported module checkpoint format 4"),
+    ], ids=["registry-format-1", "registry-without-entries", "module-format-4"])
+    def test_old_format_or_empty_registry_is_refused(self, trained, capsys, name, edit,
+                                                     message):
+        path = trained / "out" / "checkpoints" / "task_2" / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert self.infer() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and f"out/checkpoints/task_2/{name}" in err
+        assert not (trained / "d.jsonl").exists()
 
     @pytest.mark.parametrize("command, blob", [
         ("train", "train/train-0002.pyr"),
@@ -955,6 +979,55 @@ class TestCheckpointGeometry:
         assert "out/checkpoints/task_1" in err and "class 1" in err
         assert geometry in err and "2 layers of dim 8" in err
         assert not (task1 / "out/checkpoints/task_2").exists()
+
+
+class TestCheckpointWorld:
+    """A checkpoint runs only on the world it was trained on: `train` records
+    the SHA-256 of the world's manifest, and `train` and `infer` refuse a
+    checkpoint of another digest."""
+
+    ARGS = ("--seed", "0", "--out", "out", "--set", "train.steps_per_task=2",
+            "--set", "world.scenes_per_split=train:8,cal:4,test:4")
+
+    @pytest.fixture(scope="class")
+    def seed0_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("seed0")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            assert run("gen", *self.ARGS) == 0
+            for task in ("1", "2", "3"):
+                assert run("train", *self.ARGS, "--task", task) == 0
+        return root
+
+    @pytest.mark.parametrize("argv", [("infer", "--task", "3"), ("train", "--task", "3")],
+                             ids=["infer", "train"])
+    @pytest.mark.parametrize("world", [("--seed", "5"),
+                                       ("--set", "world.known_per_task=4,4,4")],
+                             ids=["seed-5", "known-4-4-4"])
+    def test_world_of_another_digest_is_a_config_error(self, seed0_run, tmp_path,
+                                                       monkeypatch, capsys, argv, world):
+        shutil.copytree(seed0_run / "out", tmp_path / "out")
+        monkeypatch.chdir(tmp_path)
+        ckpt = tmp_path / "out/checkpoints/task_3" if argv[0] == "infer" else \
+            tmp_path / "out/checkpoints/task_2"
+        before = {p: p.read_bytes() for p in ckpt.parent.rglob("*") if p.is_file()}
+        trained_on = json.loads((ckpt / "config.json").read_text())["world_sha256"]
+        assert run("gen", *self.ARGS, *world) == 0
+        now = hashlib.sha256((tmp_path / "out/world/manifest.json").read_bytes()).hexdigest()
+        assert now != trained_on
+        capsys.readouterr()
+        assert run(*argv[:1], *self.ARGS, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert trained_on in err and now in err and str(ckpt.relative_to(tmp_path)) in err
+        assert {p: p.read_bytes() for p in ckpt.parent.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "out/detections").exists()
+
+    def test_digest_is_the_manifest_sha256(self, seed0_run):
+        digest = hashlib.sha256((seed0_run / "out/world/manifest.json").read_bytes()).hexdigest()
+        for task in (1, 2, 3):
+            config = seed0_run / "out/checkpoints" / f"task_{task}" / "config.json"
+            assert json.loads(config.read_text())["world_sha256"] == digest
 
 
 class TestTaskConfigReadBack:

@@ -22,7 +22,7 @@ from openworld_kit.detection import (
     read_detections_jsonl,
     write_detections_jsonl,
 )
-from openworld_kit.embedding_space import prompt_matrix
+from openworld_kit.embedding_space import prompt_matrix, pseudo_unknown_embedding
 from openworld_kit.errors import ParseError, SourceOutOfRange, ZeroVector
 from openworld_kit.mscal import fold_modules, ood_score_map
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
@@ -369,7 +369,9 @@ class TestNms:
         registry, modules, theta = load_checkpoint(out / "checkpoints" / "task_1")
         world = load_world(out / "world")
         scene = load_split(world, "test", out / "world")[0]
-        scores = classify_locations(scene.pyramid, prompt_matrix(registry, True))
+        unknown_row = pseudo_unknown_embedding([e.embedding for e in registry.entries],
+                                               world.generic_object, 0.4)
+        scores = classify_locations(scene.pyramid, prompt_matrix(registry, unknown_row))
         ood = ood_score_map(fold_modules(modules), scene.pyramid)
         dets = decode_detections(scene.pyramid, scores, 0.25, registry.num_known)
         rows = oracle_decode(scene.pyramid, scores, 0.25, registry.num_known)

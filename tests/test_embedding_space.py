@@ -24,16 +24,16 @@ from openworld_kit.errors import (
     ZeroVector,
 )
 from openworld_kit.owod_eval import TaskSplitSpec
+from openworld_kit.training import TrainConfig
 
 
-def make_registry(embs, generic, alpha=0.4, task_id=1, frozen=False):
+def make_registry(embs, task_id=1, frozen=False):
     entries = tuple(
         ClassEntry(name=f"c{i}", embedding=np.asarray(e, dtype=float),
                    task_id=task_id, frozen=frozen)
         for i, e in enumerate(embs)
     )
-    return ClassEmbeddingRegistry(entries=entries, generic_object=np.asarray(generic, dtype=float),
-                                  alpha=alpha)
+    return ClassEmbeddingRegistry(entries=entries)
 
 
 class TestNormalize:
@@ -58,25 +58,23 @@ class TestNormalize:
 
 class TestMeanKnownEmbedding:
     def test_single_class_reduces_to_normalize(self):
-        reg = make_registry([[0.0, 2.0]], generic=[1.0, 0.0])
-        np.testing.assert_allclose(mean_known_embedding(reg), [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(mean_known_embedding(np.array([[0.0, 2.0]])), [0.0, 1.0],
+                                   atol=1e-15)
 
     def test_two_orthogonal_units(self):
-        reg = make_registry([[1.0, 0.0], [0.0, 1.0]], generic=[1.0, 0.0])
-        mean = mean_known_embedding(reg)
+        mean = mean_known_embedding(np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(mean, [0.5, 0.5], atol=1e-15)
         assert np.linalg.norm(mean) == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
 
     def test_antipodal_cancellation_then_downstream_error(self):
-        reg = make_registry([[1.0, 0.0], [-1.0, 0.0]], generic=[0.0, 1.0])
-        np.testing.assert_allclose(mean_known_embedding(reg), [0.0, 0.0], atol=1e-15)
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        np.testing.assert_allclose(mean_known_embedding(rows), [0.0, 0.0], atol=1e-15)
         with pytest.raises(DegenerateMean):
-            pseudo_unknown_embedding(reg)
+            pseudo_unknown_embedding(rows, np.array([0.0, 1.0]), 0.4)
 
     def test_empty_registry(self):
-        reg = ClassEmbeddingRegistry(entries=(), generic_object=np.array([1.0, 0.0]))
         with pytest.raises(EmptyRegistry):
-            mean_known_embedding(reg)
+            mean_known_embedding(np.empty((0, 2)))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -87,67 +85,67 @@ class TestMeanKnownEmbedding:
         if len(embs) == 0:
             return
         scales = rng.uniform(0.1, 50.0, size=len(embs))
-        base = make_registry(embs, generic=np.eye(6)[0])
-        scaled = make_registry(embs * scales[:, None], generic=np.eye(6)[0])
-        np.testing.assert_allclose(mean_known_embedding(base),
-                                   mean_known_embedding(scaled), atol=1e-12)
+        np.testing.assert_allclose(mean_known_embedding(embs),
+                                   mean_known_embedding(embs * scales[:, None]), atol=1e-12)
 
 
 class TestPseudoUnknownEmbedding:
     def test_alpha_zero_is_generic_exactly(self):
         rng = np.random.default_rng(0)
         generic = rng.normal(size=8)
-        reg = make_registry(rng.normal(size=(5, 8)), generic=generic, alpha=0.0)
-        assert np.array_equal(pseudo_unknown_embedding(reg), generic)
+        assert np.array_equal(pseudo_unknown_embedding(rng.normal(size=(5, 8)), generic, 0.0),
+                              generic)
 
     def test_direct_substitution(self):
         # single class along e2: mean direction is e2 regardless of its scale
-        reg = make_registry([[0.0, 5.0, 0.0]], generic=[1.0, 0.0, 0.0], alpha=0.4)
-        np.testing.assert_allclose(pseudo_unknown_embedding(reg),
-                                   [1.0, -0.4, 0.0], atol=1e-15)
+        np.testing.assert_allclose(
+            pseudo_unknown_embedding(np.array([[0.0, 5.0, 0.0]]), np.array([1.0, 0.0, 0.0]), 0.4),
+            [1.0, -0.4, 0.0], atol=1e-15)
 
     def test_mean_scale_is_normalized_away(self):
-        a = make_registry([[0.0, 2.0, 0.0]], generic=[1.0, 0.0, 0.0], alpha=0.4)
-        b = make_registry([[0.0, 0.02, 0.0]], generic=[1.0, 0.0, 0.0], alpha=0.4)
-        np.testing.assert_array_equal(pseudo_unknown_embedding(a),
-                                      pseudo_unknown_embedding(b))
+        generic = np.array([1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            pseudo_unknown_embedding(np.array([[0.0, 2.0, 0.0]]), generic, 0.4),
+            pseudo_unknown_embedding(np.array([[0.0, 0.02, 0.0]]), generic, 0.4))
 
     def test_default_alpha_matches_shipped_value(self):
-        reg = make_registry([[0.0, 1.0]], generic=[1.0, 0.0])
-        assert reg.alpha == 0.4
+        # alpha is a [train] key, read whenever the unknown prompt is built
+        assert TrainConfig().alpha == 0.4
 
 
 class TestPromptMatrix:
     def test_known_rows_in_registry_order(self):
         embs = np.eye(4)[:3] * [[2.0], [3.0], [4.0]]
-        reg = make_registry(embs, generic=np.eye(4)[3])
-        mat = prompt_matrix(reg, include_unknown=False)
+        reg = make_registry(embs)
+        mat = prompt_matrix(reg)
         assert mat.shape == (3, 4)
         np.testing.assert_array_equal(mat, embs)
 
     def test_unknown_row_appended(self):
-        reg = make_registry(np.eye(4)[:3], generic=np.eye(4)[3])
-        mat = prompt_matrix(reg, include_unknown=True)
+        reg = make_registry(np.eye(4)[:3])
+        unknown = pseudo_unknown_embedding(np.eye(4)[:3], np.eye(4)[3], 0.4)
+        mat = prompt_matrix(reg, unknown)
         assert mat.shape == (4, 4)
-        np.testing.assert_array_equal(mat[3], pseudo_unknown_embedding(reg))
+        np.testing.assert_array_equal(mat[3], unknown)
 
     def test_voc_sized_registry_gets_21_rows(self):
         rng = np.random.default_rng(1)
-        reg = make_registry(rng.normal(size=(20, 16)), generic=rng.normal(size=16))
-        assert prompt_matrix(reg, include_unknown=True).shape[0] == 21
+        reg = make_registry(rng.normal(size=(20, 16)))
+        assert prompt_matrix(reg, rng.normal(size=16)).shape[0] == 21
 
     @given(st.integers(1, 8), st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_row_count_contract(self, n, include_unknown):
         rng = np.random.default_rng(n)
-        reg = make_registry(rng.normal(size=(n, 5)), generic=rng.normal(size=5))
-        assert prompt_matrix(reg, include_unknown).shape[0] == n + int(include_unknown)
+        reg = make_registry(rng.normal(size=(n, 5)))
+        unknown = rng.normal(size=5) if include_unknown else None
+        assert prompt_matrix(reg, unknown).shape[0] == n + int(include_unknown)
 
 
 class TestRegisterTask:
     def test_incremental_registration_freezes_previous(self):
         rng = np.random.default_rng(2)
-        reg = make_registry(rng.normal(size=(10, 8)), generic=np.eye(8)[0])
+        reg = make_registry(rng.normal(size=(10, 8)))
         reg = register_task(reg, [(f"new{i}", rng.normal(size=8)) for i in range(7)])
         assert reg.num_known == 17
         assert all(e.frozen for e in reg.entries[:10])
@@ -155,19 +153,19 @@ class TestRegisterTask:
         assert all(e.task_id == 2 for e in reg.entries[10:])
 
     def test_register_into_empty(self):
-        reg = ClassEmbeddingRegistry(entries=(), generic_object=np.array([1.0, 0.0]))
+        reg = ClassEmbeddingRegistry(entries=())
         reg = register_task(reg, [("only", np.array([0.0, 1.0]))])
         assert reg.num_known == 1
         assert reg.entries[0].task_id == 1
         assert not reg.entries[0].frozen
 
     def test_duplicate_name_rejected(self):
-        reg = make_registry([[1.0, 0.0]], generic=[0.0, 1.0])
+        reg = make_registry([[1.0, 0.0]])
         with pytest.raises(DuplicateClass):
             register_task(reg, [("c0", np.array([0.0, 1.0]))])
 
     def test_frozen_embeddings_cannot_be_replaced(self):
-        reg = make_registry([[1.0, 0.0]], generic=[0.0, 1.0])
+        reg = make_registry([[1.0, 0.0]])
         reg = register_task(reg, [("late", np.array([0.0, 1.0]))])
         with pytest.raises(ValueError):
             reg.with_embeddings({"c0": np.array([0.5, 0.5])})
@@ -175,7 +173,7 @@ class TestRegisterTask:
     def test_prior_embedding_bytes_survive_registration(self):
         rng = np.random.default_rng(3)
         emb = rng.normal(size=(3, 6))
-        reg = make_registry(emb, generic=np.eye(6)[0])
+        reg = make_registry(emb)
         before = [e.embedding.tobytes() for e in reg.entries]
         reg2 = register_task(reg, [("x", rng.normal(size=6))])
         after = [e.embedding.tobytes() for e in reg2.entries[:3]]

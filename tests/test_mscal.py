@@ -27,7 +27,6 @@ from openworld_kit.mscal import (
     batch_moments,
     calibrate_threshold,
     fold_modules,
-    freeze_class_modules,
     init_module,
     module_from_payload,
     module_to_payload,
@@ -698,23 +697,12 @@ class TestCalibrateThreshold:
             calibrate_threshold([], 0.95)
 
 
-class TestFreezing:
-    def test_freeze_marks_and_is_idempotent(self):
-        rng = np.random.default_rng(0)
-        modules = [init_module(i, task_id=1 + (i > 1), dim=8, num_layers=1, rng=rng)
-                   for i in range(4)]
-        freeze_class_modules(modules, up_to_task=1)
-        assert [m.frozen for m in modules] == [True, True, False, False]
-        freeze_class_modules(modules, up_to_task=1)
-        assert [m.frozen for m in modules] == [True, True, False, False]
-
-
 class TestCheckpoint:
     def test_round_trip_reproduces_infer_outputs_bit_identically(self, tmp_path):
         import json
         rng = np.random.default_rng(0)
+        # trained and unfrozen when saved, frozen when loaded
         module = init_module(3, 2, dim=8, num_layers=2, rng=rng)
-        module.frozen = True
         pyr = make_pyramid(np.random.default_rng(1))
         before = project(module, pyr)
         payload = module_to_payload(module)
@@ -812,9 +800,10 @@ class TestCheckpoint:
         assert err.value.path == str(path)
 
     def test_format_1_is_rejected(self, tmp_path):
-        # format 1 stored arrays as JSON lists; formats 2 and 3 stored them as
-        # format 4 does, beside flags that format 4 no longer has: format 2 a
-        # `normalize` flag, format 3 a `share_anchor` flag
+        # format 1 stored arrays as JSON lists; formats 2 to 4 stored them as
+        # format 5 does, beside flags that format 5 no longer has: format 2 a
+        # `normalize` flag, format 3 a `share_anchor` flag and formats 2 to 4
+        # a `frozen` flag (format 5 modules are all frozen)
         module = init_module(0, 1, dim=4, num_layers=1, rng=np.random.default_rng(0))
         old = module_to_payload(module) | {"format": 1}
         old["layers"] = [{name: getattr(layer, name).tolist() for name in rec}
@@ -822,7 +811,8 @@ class TestCheckpoint:
         for fmt, payload in (
                 (1, old),
                 (2, module_to_payload(module) | {"format": 2, "normalize": True}),
-                (3, module_to_payload(module) | {"format": 3, "share_anchor": False})):
+                (3, module_to_payload(module) | {"format": 3, "share_anchor": False}),
+                (4, module_to_payload(module) | {"format": 4, "frozen": True})):
             with pytest.raises(ParseError, match=f"unsupported module checkpoint format {fmt}"):
                 module_from_payload(payload)
 

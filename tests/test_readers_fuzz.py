@@ -105,11 +105,9 @@ def directories(tmp_path_factory):
     export_world(make_world(spec, seed=0), world)
     checkpoint = tmp_path_factory.mktemp("checkpoint")
     rng = np.random.default_rng(0)
-    registry = register_task(
-        ClassEmbeddingRegistry(entries=(), generic_object=rng.normal(size=4)),
-        [("a", rng.normal(size=4))])
+    registry = register_task(ClassEmbeddingRegistry(entries=()), [("a", rng.normal(size=4))])
     save_checkpoint(checkpoint, registry, [init_module(0, 1, 4, 1, rng)], 0.5,
-                    TrainConfig())
+                    TrainConfig(), world_digest="0" * 64)
     return {"world": read_tree(world), "checkpoint": read_tree(checkpoint)}
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from openworld_kit import synthetic_world
+from openworld_kit.embedding_space import pseudo_unknown_embedding
 from openworld_kit.errors import InfeasibleSpec
 from openworld_kit.owod_eval import read_gt_jsonl
 from openworld_kit.synthetic_world import (
@@ -89,6 +91,20 @@ class TestMakeWorld:
     def test_generic_object_central(self, default_world):
         for c in default_world.classes:
             assert float(default_world.generic_object @ c.prototype) > 0.0
+
+    def test_margin_rule_gates_the_owel_unknown_row(self, monkeypatch):
+        # the margin rule judges the unknown row OWEL builds from the world's
+        # known text embeddings, its generic-object prompt and alpha 0.4
+        rows = []
+
+        def spy(*args):
+            rows.append(pseudo_unknown_embedding(*args))
+            return rows[-1]
+        monkeypatch.setattr(synthetic_world, "pseudo_unknown_embedding", spy)
+        w = make_world(WorldSpec(), seed=0)
+        texts = [w.text_embeddings[c.name] for c in w.known_classes]
+        assert rows[-1].tobytes() == \
+            pseudo_unknown_embedding(texts, w.generic_object, 0.4).tobytes()
 
     def test_schedule_and_split(self, world):
         split = world.task_split()
@@ -287,7 +303,8 @@ class TestBlockDrawnScenes:
 
 class TestExport:
     def test_round_trip_blobs_bit_identical(self, world, tmp_path):
-        scenes = export_split(world, "cal", tmp_path)
+        export_split(world, "cal", tmp_path)
+        scenes = [generate_scene(world, "cal", i) for i in range(world.spec.scene_count("cal"))]
         loaded = load_split(world, "cal", tmp_path)
         assert [s.scene_id for s in loaded] == [s.scene_id for s in scenes]
         blob = (tmp_path / "scenes" / "cal" / "cal-0000.pyr").read_bytes()
@@ -297,8 +314,12 @@ class TestExport:
 
     def test_gt_line_counts_and_visibility(self, world, tmp_path):
         export_world(world, tmp_path)
-        train_scenes = export_split(world, "train", tmp_path)
-        test_scenes = export_split(world, "test", tmp_path)
+        export_split(world, "train", tmp_path)
+        export_split(world, "test", tmp_path)
+        train_scenes = [generate_scene(world, "train", i)
+                        for i in range(world.spec.scene_count("train"))]
+        test_scenes = [generate_scene(world, "test", i)
+                       for i in range(world.spec.scene_count("test"))]
         never_known = {c.name for c in world.unknown_classes}
 
         train_gt = read_gt_jsonl(tmp_path / "scenes" / "train" / "gt.jsonl")

@@ -24,7 +24,6 @@ from openworld_kit.training import (
     TrainConfig,
     adamw_step,
     detection_loss,
-    finalize_task,
     init_optimizer_state,
     load_checkpoint,
     registry_from_payload,
@@ -65,14 +64,24 @@ class TaskData:
         self.cal_scenes = [generate_scene(world, "cal", i) for i in range(n_cal)]
 
 
+# the world digest the checkpoints of these tests record
+WORLD_DIGEST = "0" * 64
+
+
 def fresh_registry(world, task_id=1):
-    registry = ClassEmbeddingRegistry(entries=(), generic_object=world.generic_object,
-                                      alpha=0.4)
+    registry = ClassEmbeddingRegistry(entries=())
     split = world.task_split()
     for t in range(1, task_id + 1):
         registry = register_task(
             registry, [(n, world.text_embeddings[n]) for n in split.current_classes(t)])
     return registry
+
+
+def as_loaded(modules):
+    """`modules`, frozen as a checkpoint loads them."""
+    for module in modules:
+        module.frozen = True
+    return modules
 
 
 @pytest.fixture(scope="module")
@@ -230,13 +239,13 @@ class TestTrainTask:
         assert [e.embedding.tobytes() for e in out_reg.entries] != before
 
     def task2_inputs(self, tiny_world, data):
-        """A trained and finalized task 1, with task 2's classes registered."""
+        """A trained task 1, its modules frozen as loaded, with task 2's
+        classes registered."""
         config = self.config()
         reg1, modules1, _ = train_task(data, fresh_registry(tiny_world), [], config, 1)
-        reg1, modules1 = finalize_task(reg1, modules1, 1)
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
                                     for n in tiny_world.task_split().current_classes(2)])
-        return reg2, modules1
+        return reg2, as_loaded(modules1)
 
     def test_loss_sum_decomposition(self, tiny_world):
         data = TaskData(tiny_world)
@@ -294,7 +303,8 @@ class TestTrainTask:
             registry = fresh_registry(tiny_world)
             reg, modules, log = train_task(data, registry, [], self.config(), 1)
             ckpt = tmp_path / f"run{run}"
-            save_checkpoint(ckpt, reg, modules, log.theta, self.config(), log)
+            save_checkpoint(ckpt, reg, modules, log.theta, self.config(), log,
+                            world_digest=WORLD_DIGEST)
             payload = b"".join(sorted(p.read_bytes() for p in ckpt.rglob("*") if p.is_file()))
             outputs.append((tuple(log.rows), payload))
         assert outputs[0] == outputs[1]
@@ -304,16 +314,17 @@ class TestTrainTask:
         config = self.config(steps_per_task=6)
         registry = fresh_registry(tiny_world)
         reg1, modules1, log1 = train_task(data, registry, [], config, 1)
-        reg1, modules1 = finalize_task(reg1, modules1, 1)
-        save_checkpoint(tmp_path / "task1", reg1, modules1, log1.theta, config, log1)
+        save_checkpoint(tmp_path / "task1", reg1, modules1, log1.theta, config, log1,
+                        world_digest=WORLD_DIGEST)
+        reg1, modules1, _ = load_checkpoint(tmp_path / "task1")
 
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
                                     for n in tiny_world.task_split().current_classes(2)])
         fixed_scene = data.cal_scenes[0]
         maps_before = [ood_score_map(fold_modules([m]), fixed_scene.pyramid) for m in modules1]
         reg2, modules2, log2 = train_task(data, reg2, modules1, config, 2)
-        reg2, modules2 = finalize_task(reg2, modules2, 2)
-        save_checkpoint(tmp_path / "task2", reg2, modules2, log2.theta, config, log2)
+        save_checkpoint(tmp_path / "task2", reg2, modules2, log2.theta, config, log2,
+                        world_digest=WORLD_DIGEST)
 
         for cid in (0, 1):
             a = (tmp_path / "task1" / "modules" / f"class_{cid:03d}.json").read_bytes()
@@ -338,8 +349,7 @@ class TestTrainTask:
         reg1, modules, log1 = train_task(data, registry, [], config, 1)
         reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n])
                                     for n in tiny_world.task_split().current_classes(2)])
-        from openworld_kit.mscal import freeze_class_modules
-        freeze_class_modules(modules, 1)
+        as_loaded(modules)
         snapshot = copy.deepcopy([m.layers[0].anchor for m in modules])
         reg2, modules2, _ = train_task(data, reg2, modules, config, 2)
         new = [m for m in modules2 if m.task_id == 2]
@@ -580,12 +590,15 @@ class TestAssignment:
 class TestCheckpointFiles:
     def test_registry_payload_round_trip(self):
         rng = np.random.default_rng(0)
-        registry = ClassEmbeddingRegistry(entries=(), generic_object=rng.normal(size=6))
+        registry = ClassEmbeddingRegistry(entries=())
         registry = register_task(registry, [("a", rng.normal(size=6))])
         payload = json.loads(json.dumps(registry_to_payload(registry)))
         back = registry_from_payload(payload)
         assert back.entries[0].embedding.tobytes() == registry.entries[0].embedding.tobytes()
-        assert back.generic_object.tobytes() == registry.generic_object.tobytes()
+        # a checkpoint keeps only trained state, and all of it loads frozen
+        assert sorted(payload) == ["entries", "format"]
+        assert sorted(payload["entries"][0]) == ["embedding", "name", "task_id"]
+        assert back.entries[0].frozen and not registry.entries[0].frozen
 
     def test_missing_checkpoint(self, tmp_path):
         from openworld_kit.errors import MissingCheckpoint
@@ -597,7 +610,8 @@ class TestCheckpointFiles:
         registry = fresh_registry(tiny_world)
         config = TrainConfig(steps_per_task=2, batch_size=2, seed=1)
         reg, modules, log = train_task(data, registry, [], config, 1)
-        save_checkpoint(tmp_path, reg, modules, log.theta, config, log)
+        save_checkpoint(tmp_path, reg, modules, log.theta, config, log,
+                        world_digest=WORLD_DIGEST)
         reg2, modules2, theta = load_checkpoint(tmp_path)
         assert theta == log.theta
         assert reg2.names == reg.names
@@ -660,17 +674,20 @@ class TestCheckpointIsWholeOrAbsent:
         registry, modules, log, config = trained
         ckpt = tmp_path / "checkpoints" / "task_1"
         if previous:
-            save_checkpoint(ckpt, registry, modules[:1], 0.25, config)
+            save_checkpoint(ckpt, registry, modules[:1], 0.25, config,
+                            world_digest=WORLD_DIGEST)
             old = read_tree(ckpt)
         self.torn_writes(monkeypatch, fail_at)
         with pytest.raises(OSError):
-            save_checkpoint(ckpt, registry, modules, log.theta, config, log)
+            save_checkpoint(ckpt, registry, modules, log.theta, config, log,
+                            world_digest=WORLD_DIGEST)
         if previous:
             assert read_tree(ckpt) == old
         assert [p.name for p in (tmp_path / "checkpoints").iterdir()] == (
             ["task_1"] if previous else [])
         monkeypatch.undo()
-        save_checkpoint(ckpt, registry, modules, log.theta, config, log)
+        save_checkpoint(ckpt, registry, modules, log.theta, config, log,
+                        world_digest=WORLD_DIGEST)
         assert sorted(read_tree(ckpt)) == [
             "config.json", "modules/class_000.json", "modules/class_001.json",
             "registry.json", "theta.json", "train_log.csv"]
