@@ -42,6 +42,7 @@ from .synthetic_world import (
     export_world,
     load_split,
     load_world,
+    load_world_spec,
     make_world,
     split_scene_blobs,
 )
@@ -361,8 +362,8 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     folds = fold_modules(modules)
     labels = det.label_texts(registry.names)
 
-    def detect(scene) -> tuple[int, str]:
-        """The scene's detection count and JSONL lines."""
+    def detect(scene) -> tuple[str, det.Detections]:
+        """The scene's JSONL lines and detections (`format_detection_lines`)."""
         scores = det.classify_locations(scene.pyramid, prompts,
                                         cfg.get("train", "logit_scale"))
         dets = det.decode_detections(scene.pyramid, scores,
@@ -371,9 +372,10 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta)
         dets = det.nms(dets, cfg.get("detect", "nms_iou"),
                        cfg.get("detect", "class_wise_nms"))
-        return len(dets), det.format_detection_lines(scene.scene_id, dets, labels)
+        return det.format_detection_lines(scene.scene_id, dets, labels)
 
-    results = ordered_map(detect, load_split(world, split, _world_dir(cfg)))
+    scenes = load_split(world, split, _world_dir(cfg))
+    results = ordered_map(detect, scenes)
 
     if out_file is None:
         suffix = ""
@@ -385,8 +387,12 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     else:
         out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    det.write_detections_jsonl(out_path, [lines for _, lines in results])
-    total = sum(count for count, _ in results)
+    per_scene = [dets for _, dets in results]
+    det.write_detections_jsonl(out_path, [lines for lines, _ in results],
+                               det.DetectionTable.from_scenes(
+                                   [scene.scene_id for scene in scenes], per_scene,
+                                   registry.names))
+    total = sum(map(len, per_scene))
     print(f"{total} detections over {len(results)} scenes -> {out_path}")
     return 0
 
@@ -412,7 +418,7 @@ def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
     dets = det.read_detections_jsonl(detections_path)
     gts = ev.read_gt_jsonl(world_dir / "scenes" / split / "gt.jsonl")
     task_split = ev.load_task_split(world_dir / TASK_SPLIT_NAME)
-    scenes = {blob.stem for blob in split_scene_blobs(load_world(world_dir), split,
+    scenes = {blob.stem for blob in split_scene_blobs(load_world_spec(world_dir), split,
                                                       world_dir, gts)}
     stray = _stray(dets.scene_names, dets.scenes, scenes, detections_path)
     if stray:

@@ -12,17 +12,22 @@ prompt set.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
+import zlib
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (MissingInput, ParseError, ShapeMismatch, SourceOutOfRange, ZeroVector,
-                     atomic_text_file)
+from .errors import (MissingInput, ParseError, ShapeMismatch, SourceOutOfRange,
+                     UnwritableOutput, ZeroVector, atomic_text_file)
 from .pyramid import FeaturePyramid
 
 UNKNOWN_CLASS_ID = -1
@@ -264,7 +269,8 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
 
 
 # ---------------------------------------------------------------------------
-# detection file format: JSON lines, one object per detection, keys sorted
+# detection file format: JSON lines, one object per detection, keys sorted;
+# beside it, a column file holding the table those lines parse to
 
 # the bytes json.JSONEncoder(sort_keys=True) writes, every value encoded
 _LINE = ('{"confidence": %s, "label": %s, "ood": %s, "scene_id": %s, '
@@ -284,28 +290,53 @@ def label_texts(label_names: list[str]) -> dict[int, str]:
 
 
 def format_detection_lines(scene_id: str, dets: Detections,
-                           labels: dict[int, str]) -> str:
-    """The scene's JSONL lines; coordinates are `round(v, 4)`."""
+                           labels: dict[int, str]) -> tuple[str, Detections]:
+    """The scene's JSONL lines, and `dets` with each box as the lines hold
+    it: coordinates are `round(v, 4)`."""
     scene = encode_basestring_ascii(scene_id)
-    # each distinct coordinate formatted once: distinct by bit pattern, so
-    # -0.0 and 0.0 stay apart (every NaN writes NaN)
+    # each distinct coordinate rounded and formatted once: distinct by bit
+    # pattern, so -0.0 and 0.0 stay apart (every NaN writes NaN)
     bits, inverse = np.unique(np.asarray(dets.boxes, dtype=np.float64).view(np.uint64),
                               return_inverse=True)
-    texts = np.array([_json_float(round(v, 4)) for v in bits.view(np.float64).tolist()],
-                     dtype=object)
-    x1, y1, x2, y2 = texts[inverse.reshape(-1, 4)].T.tolist()
+    rounded = [round(v, 4) for v in bits.view(np.float64).tolist()]
+    inverse = inverse.reshape(-1, 4)
+    texts = np.array([_json_float(v) for v in rounded], dtype=object)
+    x1, y1, x2, y2 = texts[inverse].T.tolist()
     rows = zip(map(_json_float, dets.confidence.tolist()),
                map(labels.__getitem__, dets.labels.tolist()),
                map(_json_float, dets.ood.tolist()), [scene] * len(dets), x1, x2, y1, y2)
-    return "".join([_LINE % row for row in rows])
+    boxes = np.array(rounded, dtype=np.float64)[inverse]
+    return "".join([_LINE % row for row in rows]), replace(dets, boxes=boxes)
 
 
-def write_detections_jsonl(path, scene_lines: list[str]) -> None:
+def columns_path(path) -> Path:
+    """The column file beside the detections file at `path`."""
+    return Path(f"{path}.columns")
+
+
+def write_detections_jsonl(path, scene_lines: list[str], table: DetectionTable) -> None:
     """Write each scene's `format_detection_lines` text to `path`, in
-    order, whole or not at all."""
-    with atomic_text_file(path) as fh:
+    order, whole or not at all; then `table`, the records of those lines
+    (`DetectionTable.from_scenes`), to the column file beside it, whole or
+    not at all, keyed by the SHA-256 of the lines' bytes.
+
+    The column file only spares `read_detections_jsonl` the parse: a table
+    that the parse would refuse (a value that is not finite, say) writes
+    none and removes an old one, and a column file that cannot be written
+    leaves the detections file the one output."""
+    digest = hashlib.sha256()
+    with atomic_text_file(path, binary=True) as fh:
         for lines in scene_lines:
-            fh.write(lines)
+            data = lines.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    stored = columns_path(path)
+    with suppress(OSError, UnwritableOutput):
+        if _usable(table):
+            with atomic_text_file(stored, binary=True) as fh:
+                _write_columns(fh, table, digest.hexdigest())
+        else:
+            stored.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -347,6 +378,28 @@ class DetectionTable:
                    np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
                    np.asarray(confidence, dtype=np.float64),
                    np.asarray(ood, dtype=np.float64))
+
+    @classmethod
+    def from_scenes(cls, scene_ids: list[str], scenes: list[Detections],
+                    class_names: list[str]) -> DetectionTable:
+        """The table that the parse reads from the lines of `scenes` of
+        `scene_ids`, in order (each with the boxes `format_detection_lines`
+        hands back), labelled by `class_names` and `unknown`: the names and
+        codes of `from_columns`, found without a loop over the rows."""
+        counts = [len(dets) for dets in scenes]
+        scene_names, codes = _codes([s for s, n in zip(scene_ids, counts) if n])
+        label_ids = np.concatenate([np.empty(0, np.int64), *(d.labels for d in scenes)])
+        distinct, first, inverse = np.unique(label_ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)           # the distinct ids in first-seen order
+        names = dict(enumerate(class_names)) | {UNKNOWN_CLASS_ID: "unknown"}
+        label_names, label_codes = _codes([names[i] for i in distinct[order].tolist()])
+        by_distinct = np.empty_like(label_codes)
+        by_distinct[order] = label_codes
+        return cls(scene_names, np.repeat(codes, [n for n in counts if n]), label_names,
+                   by_distinct[inverse.ravel()],
+                   np.concatenate([np.empty((0, 4)), *(d.boxes for d in scenes)]),
+                   np.concatenate([np.empty(0), *(d.confidence for d in scenes)]),
+                   np.concatenate([np.empty(0), *(d.ood for d in scenes)]))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -431,6 +484,9 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
         raise MissingInput(f"no {what} file at {path}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file is not UTF-8: {exc}", path=str(path)) from exc
+    except OSError as exc:  # a directory, say
+        raise ParseError(f"cannot read {what} file: {exc.strerror or exc}",
+                         path=str(path)) from exc
 
     def reject(key, index, problem):
         raise ParseError(f"bad {what} record: {key} {problem}",
@@ -460,9 +516,100 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
     return {key: columns[key] for key in text}, boxes, arrays
 
 
+# the column file beside a detections file: an 8-byte little-endian header
+# length, a sorted-key JSON header, each column's raw little-endian values in
+# this order, then the little-endian CRC-32 of every byte before it
+_COLUMNS_FORMAT = 1
+_COLUMNS = (("scenes", np.int64, 1), ("labels", np.int64, 1), ("boxes", np.float64, 4),
+            ("confidence", np.float64, 1), ("ood", np.float64, 1))
+_ROW_BYTES = sum(8 * width for _, _, width in _COLUMNS)
+
+
+def _little(dtype) -> np.dtype:
+    return np.dtype(dtype).newbyteorder("<")
+
+
+def _usable(table: DetectionTable) -> bool:
+    """Whether the parse could return `table`: every code indexes its name
+    list, every value is finite, and no box has x2 < x1 or y2 < y1."""
+    boxes = table.boxes
+    return bool(all(len(codes) == 0 or (codes.min() >= 0 and codes.max() < len(names))
+                    for codes, names in ((table.scenes, table.scene_names),
+                                         (table.labels, table.label_names)))
+                and np.isfinite(boxes).all() and np.isfinite(table.confidence).all()
+                and np.isfinite(table.ood).all()
+                and (boxes[:, 2] >= boxes[:, 0]).all() and (boxes[:, 3] >= boxes[:, 1]).all())
+
+
+def _write_columns(fh, table: DetectionTable, jsonl_sha256: str) -> None:
+    header = json.dumps({"format": _COLUMNS_FORMAT, "jsonl_sha256": jsonl_sha256,
+                         "label_names": table.label_names, "rows": len(table),
+                         "scene_names": table.scene_names}, sort_keys=True).encode("ascii")
+    crc = 0
+    for part in (len(header).to_bytes(8, "little"), header,
+                 *(np.ascontiguousarray(getattr(table, name), _little(dtype))
+                   for name, dtype, _ in _COLUMNS)):
+        fh.write(part)
+        crc = zlib.crc32(part, crc)
+    fh.write(crc.to_bytes(4, "little"))
+
+
+def _file_sha256(path) -> str:
+    # in blocks: a buffer of the whole file is one large allocation, and
+    # freeing it slowed the later stages of the same process
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _stored_table(path) -> DetectionTable | None:
+    """The table in the column file beside `path` if that file is whole
+    (its length and CRC-32), holds a usable table and records the SHA-256
+    of the bytes of the detections file at `path`; otherwise None. It never
+    raises: a missing, stale, torn or malformed column file only costs the
+    parse."""
+    try:
+        with open(columns_path(path), "rb") as fh:
+            length = os.fstat(fh.fileno()).st_size
+            head = fh.read(8)
+            size = int.from_bytes(head, "little")
+            if size > length:
+                return None
+            text = fh.read(size)
+            header = json.loads(text)
+            rows, names = header["rows"], (header["scene_names"], header["label_names"])
+            if (header["format"] != _COLUMNS_FORMAT or type(rows) is not int or rows < 0
+                    or length != 8 + size + _ROW_BYTES * rows + 4
+                    or any(type(n) is not list or set(map(type, n)) - {str} for n in names)):
+                return None
+            crc, columns = zlib.crc32(text, zlib.crc32(head)), {}
+            for name, dtype, width in _COLUMNS:
+                column = np.empty(rows * width, _little(dtype))
+                fh.readinto(column)
+                crc = zlib.crc32(column, crc)
+                column = column.astype(dtype, copy=False)
+                columns[name] = column.reshape(rows, width) if width > 1 else column
+            if (crc != int.from_bytes(fh.read(4), "little")
+                    or header["jsonl_sha256"] != _file_sha256(path)):
+                return None
+        table = DetectionTable(names[0], columns["scenes"], names[1], columns["labels"],
+                               columns["boxes"], columns["confidence"], columns["ood"])
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return table if _usable(table) else None
+
+
 def read_detections_jsonl(path) -> DetectionTable:
-    """Every record of a detections file as one `DetectionTable`; malformed
-    records raise `ParseError` as `read_box_columns` describes."""
+    """Every record of a detections file as one `DetectionTable`: the table
+    of its column file when that file is whole and usable and records the
+    SHA-256 of the file's bytes (`_stored_table`), otherwise the parse of
+    the file, whose malformed records raise `ParseError` as
+    `read_box_columns` describes."""
+    table = _stored_table(path)
+    if table is not None:
+        return table
     texts, boxes, values = read_box_columns(
         path, ("scene_id", "label"), ("confidence", "ood"), "detection", {"ood": 0.0})
     return DetectionTable.from_columns(texts["scene_id"], texts["label"], boxes,

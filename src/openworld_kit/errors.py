@@ -5,7 +5,7 @@ and of a whole directory."""
 import json
 import os
 import shutil
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 
@@ -69,6 +69,10 @@ class MissingInput(OpenWorldKitError):
     """An input file named on the command line or by a run does not exist."""
 
 
+class UnwritableOutput(OpenWorldKitError):
+    """An output file cannot be written at its path (a directory, say)."""
+
+
 class UndefinedOperatingPoint(OpenWorldKitError):
     """The requested recall level is unreachable on this detection set."""
 
@@ -116,31 +120,44 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
 
 
 @contextmanager
-def atomic_text_files(*paths):
-    """Yield a text handle on `<path>.tmp` for each of `paths` to write;
-    when the block ends and every file is whole, each replaces its path in
-    one rename.
+def atomic_text_files(*paths, binary: bool = False):
+    """Yield a text handle (a bytes handle with `binary`) on `<path>.tmp` for
+    each of `paths` to write; when the block ends and every file is whole,
+    each replaces its path in one rename.
 
     Each path is therefore its old file, the whole new one or absent, never
     a torn file. A block that raises leaves every path as it was and no
-    temporary file behind.
+    temporary file behind. A path whose temporary file cannot be opened, or
+    that the rename cannot replace (a directory, say), raises
+    `UnwritableOutput` naming it.
     """
     tmps = [Path(f"{path}.tmp") for path in paths]
     try:
         with ExitStack() as stack:
-            yield [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmps]
+            yield [stack.enter_context(_unwritable_as_toolkit_error(
+                path, lambda: open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")))
+                for tmp, path in zip(tmps, paths)]
         for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
     except BaseException:
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
         raise
 
 
+def _unwritable_as_toolkit_error(path, step):
+    """`step()`, an `OSError` of which raises `UnwritableOutput` naming `path`."""
+    try:
+        return step()
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 @contextmanager
-def atomic_text_file(path):
+def atomic_text_file(path, binary: bool = False):
     """`atomic_text_files` of the one file at `path`."""
-    with atomic_text_files(path) as (fh,):
+    with atomic_text_files(path, binary=binary) as (fh,):
         yield fh
 
 

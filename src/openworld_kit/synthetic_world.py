@@ -597,6 +597,10 @@ def export_world(world: World, out_dir) -> None:
     save_task_split(out / TASK_SPLIT_NAME, world.task_split())
 
 
+def _manifest_spec(manifest) -> WorldSpec:
+    return WorldSpec(**{key: _tuples(v) for key, v in manifest["spec"].items()})
+
+
 def _manifest_fields(manifest) -> tuple[WorldSpec, int, tuple[WorldClass, ...]]:
     classes = tuple(
         WorldClass(name=c["name"], kind=c["kind"], task_id=c["task_id"],
@@ -604,15 +608,24 @@ def _manifest_fields(manifest) -> tuple[WorldSpec, int, tuple[WorldClass, ...]]:
                    partner=c.get("partner"))
         for c in manifest["classes"]
     )
-    spec = WorldSpec(**{key: _tuples(v) for key, v in manifest["spec"].items()})
-    return spec, int(manifest["seed"]), classes
+    return _manifest_spec(manifest), int(manifest["seed"]), classes
+
+
+def _read_manifest(out_dir, parse):
+    return read_json(Path(out_dir) / MANIFEST_NAME, "world manifest", parse, MissingWorld,
+                     "; run gen first")
+
+
+def load_world_spec(out_dir) -> WorldSpec:
+    """The spec of the world `export_world` wrote to `out_dir`, read from
+    its manifest alone."""
+    return _read_manifest(out_dir, _manifest_spec)
 
 
 def load_world(out_dir) -> World:
     """The world `export_world` wrote to `out_dir`; a manifest or embedding
     file that is not one raises `ParseError` naming it."""
-    spec, seed, classes = read_json(Path(out_dir) / MANIFEST_NAME, "world manifest",
-                                    _manifest_fields, MissingWorld, "; run gen first")
+    spec, seed, classes = _read_manifest(out_dir, _manifest_fields)
     path = Path(out_dir) / EMBEDDINGS_NAME
     embeddings = load_embedding_file(path)
     needed = [GENERIC_OBJECT_KEY] + [c.name for c in classes if c.kind == KIND_KNOWN]
@@ -651,7 +664,7 @@ def export_split(world: World, split: str, out_dir) -> None:
     write_gt_jsonl(out / "gt.jsonl", [r for scene in records for r in scene])
 
 
-def split_scene_blobs(world: World, split: str, out_dir,
+def split_scene_blobs(spec: WorldSpec, split: str, out_dir,
                       gt: list[GtRecord]) -> list[Path]:
     """The blob of every scene of `split` under `out_dir`, `{split}-0000.pyr`
     up to the manifest's scene count (none for a split it does not list), in
@@ -661,7 +674,7 @@ def split_scene_blobs(world: World, split: str, out_dir,
     scene of the split, or a ground-truth record of a scene that has no
     blob, raises `ParseError`."""
     base = Path(out_dir) / "scenes" / split
-    count = dict(world.spec.scenes_per_split).get(split, 0)
+    count = dict(spec.scenes_per_split).get(split, 0)
     ids = [f"{split}-{index:04d}" for index in range(count)]
     on_disk = {blob.stem for blob in base.glob("*.pyr")}
     for scene_id in ids:
@@ -692,4 +705,4 @@ def load_split(world: World, split: str, out_dir) -> list[Scene]:
     thresholds = world.geometry.level_thresholds
     return [Scene(scene_id=blob.stem, pyramid=read_pyramid_blob(blob, thresholds),
                   gt=tuple(gt_by_scene.get(blob.stem, ())))
-            for blob in split_scene_blobs(world, split, out_dir, gt)]
+            for blob in split_scene_blobs(world.spec, split, out_dir, gt)]

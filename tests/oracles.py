@@ -11,14 +11,19 @@ refill queue that the block-drawn `generate_scene` must match, the
 full-batch module init, whole-grid detection loss and `setdiff1d`
 assignment that the moment init, sampled-row loss and mask assignment must
 match, plus single-scene MSCAL references built on the library's
-assignment code.
+assignment code, and the checks of a detections file's column file (its
+table against the parse's, and the ways to damage it).
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
 """
 
 import json
+import struct
+import tempfile
+import zlib
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +34,8 @@ from openworld_kit.detection import (
     DetectionRecord,
     DetectionTable,
     _sigmoid,
+    _stored_table,
+    read_detections_jsonl,
 )
 from openworld_kit.errors import (
     DegenerateProjection,
@@ -161,6 +168,79 @@ def oracle_format_detection_line(scene_id, d, label_names):
         "confidence": d.confidence,
         "ood": d.ood,
     })
+
+
+def assert_same_table(got, want):
+    """`got` equals `want` in names, codes, dtypes, shapes and bits."""
+    assert (got.scene_names, got.label_names) == (want.scene_names, want.label_names)
+    for name in ("scenes", "labels", "boxes", "confidence", "ood"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def parsed_table(path):
+    """The table of the detections file at `path` as the parse reads it,
+    from a copy that has no column file beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "copy.jsonl"
+        copy.write_bytes(Path(path).read_bytes())
+        return read_detections_jsonl(copy)
+
+
+def stored_table(path):
+    """The table of the column file beside the detections file at `path`,
+    which must be whole and current."""
+    table = _stored_table(path)
+    assert table is not None, path
+    return table
+
+
+# ways to damage a column file: all but `truncated`, `flipped-byte` and
+# `directory` end in a valid CRC-32, so that a check of the reader's own
+# must refuse them
+COLUMN_DAMAGE = ("truncated", "flipped-byte", "directory", "bad-header", "wrong-length",
+                 "scene-code-out-of-range", "negative-label-code", "non-finite-confidence",
+                 "non-finite-ood", "inverted-box")
+
+
+def damage_column_file(path, damage):
+    """Damage the column file at `path`, of a detections file of at least
+    one record, as `damage` (one of `COLUMN_DAMAGE`) names; `resealed`
+    rewrites its CRC-32 alone."""
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+        return
+    if damage == "directory":
+        path.unlink()
+        path.mkdir()
+        return
+    body = bytearray(data[:-4])
+    size = int.from_bytes(body[:8], "little")
+    header = json.loads(body[8:8 + size])
+    rows, start = header["rows"], 8 + size
+    if damage == "flipped-byte":
+        body[start + 16 * rows] ^= 1        # x1 of the first box
+        path.write_bytes(bytes(body) + data[-4:])
+        return
+    if damage == "bad-header":
+        body[8] = ord("[")
+    elif damage == "wrong-length":
+        body += bytes(8)
+    elif damage == "scene-code-out-of-range":
+        struct.pack_into("<q", body, start, len(header["scene_names"]))
+    elif damage == "negative-label-code":
+        struct.pack_into("<q", body, start + 8 * rows, -1)
+    elif damage == "non-finite-confidence":
+        struct.pack_into("<d", body, start + 48 * rows, float("nan"))
+    elif damage == "non-finite-ood":
+        struct.pack_into("<d", body, start + 56 * rows, float("inf"))
+    elif damage == "inverted-box":
+        struct.pack_into("<d", body, start + 16 * rows + 16, -1e300)   # x2 of the first box
+    else:
+        assert damage == "resealed", damage
+    path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def oracle_nms(dets, iou_threshold, class_wise):

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from openworld_kit import cli
+from openworld_kit.detection import columns_path
 from openworld_kit.errors import ConfigError, write_json
 from openworld_kit.mscal import init_module, module_from_payload, module_to_payload
 from openworld_kit.synthetic_world import WorldSpec
 from openworld_kit.training import TrainConfig
+
+from oracles import (COLUMN_DAMAGE, assert_same_table, damage_column_file, parsed_table,
+                     stored_table)
 
 TINY_INI = """
 [world]
@@ -423,6 +427,9 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, settin
     assert dets.count(b"\n") > 100
     assert (tmp_path / "dets2.jsonl").read_bytes() == dets
     assert (tmp_path / "dets3.jsonl").read_bytes() == dets
+    columns = columns_path(tmp_path / "dets1.jsonl").read_bytes()
+    assert columns_path(tmp_path / "dets2.jsonl").read_bytes() == columns
+    assert columns_path(tmp_path / "dets3.jsonl").read_bytes() == columns
 
 
 def oracle_report_files(root, common, task_id, det_path, split="test"):
@@ -551,6 +558,88 @@ class TestEvalRefusesStrayDetections:
         (root / "stray_report.json").unlink()
         (root / "stray_report.csv").unlink()
         assert (report["map_both"], report["a_ose"]) == (0.0, 0)
+
+
+class TestColumnFile:
+    """`infer` writes the table of each detections file to a column file
+    beside it. `eval` scores that table only while the file holds the bytes
+    `infer` wrote; any other file, or a damaged column file, scores as the
+    parse of the file alone."""
+
+    @pytest.mark.parametrize("args", [
+        [], ["--no-mscal"], ["--no-owel"], ["--no-owel", "--no-mscal"],
+        ["--prompt-key", "object"], ["--split", "cal"], ["--split", "empty"],
+    ], ids=["gated", "no-mscal", "no-owel", "base", "prompt-key", "cal", "empty"])
+    def test_stored_table_equals_the_parse(self, trained_world, args):
+        root, common = trained_world
+        path = root / "columns.jsonl"
+        assert run("infer", *common, "--task", "2", "--out-file", str(path), *args) == 0
+        assert_same_table(stored_table(path), parsed_table(path))
+        assert (len(parsed_table(path)) == 0) == (args == ["--split", "empty"])
+
+    def test_stored_table_of_ablate_equals_the_parse(self, trained_world):
+        root, common = trained_world
+        assert run("ablate", *common, "--task", "2", "--parameter", "alpha",
+                   "--values", "0.2,0.8") == 0
+        for value in ("0.2", "0.8"):
+            path = root / "out" / "detections" / f"ablate_alpha_{value}.jsonl"
+            assert_same_table(stored_table(path), parsed_table(path))
+
+    def scored(self, trained_world, path, name):
+        """`eval`'s exit code, stderr and report bytes (JSON, CSV) for `path`."""
+        root, common = trained_world
+        report = root / f"{name}.json"
+        code = run("eval", *common, "--task", "2", "--detections", str(path),
+                   "--report", str(report))
+        if code != 0:
+            return code, None
+        return code, (report.read_bytes(), report.with_suffix(".csv").read_bytes())
+
+    def inferred(self, trained_world, name):
+        root, common = trained_world
+        path = root / f"{name}.jsonl"
+        assert run("infer", *common, "--task", "2", "--out-file", str(path)) == 0
+        return path
+
+    @pytest.mark.parametrize("edit", ["deleted-line", "changed-digit"])
+    def test_edited_file_scores_as_without_its_column_file(self, trained_world, edit):
+        path = self.inferred(trained_world, edit)
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "deleted-line":
+            del lines[len(lines) // 2]
+        else:
+            # the last digit of the first detection's confidence
+            line = lines[0]
+            end = line.index(", ", line.index('"confidence": '))
+            lines[0] = line[:end - 1] + str((int(line[end - 1]) + 1) % 10) + line[end:]
+        path.write_text("".join(lines))
+        with_columns = self.scored(trained_world, path, "with")
+        columns_path(path).unlink()
+        assert with_columns == self.scored(trained_world, path, "without")
+        assert with_columns[0] == 0
+
+    def test_label_renamed_to_a_non_class_is_refused(self, trained_world, capsys):
+        path = self.inferred(trained_world, "renamed")
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        lines[1] = lines[1].replace(json.dumps(record["label"]), '"zebra"')
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        errors = []
+        for name in ("with", "without"):
+            assert self.scored(trained_world, path, f"renamed_{name}") == (1, None)
+            errors.append(capsys.readouterr().err)
+            columns_path(path).unlink(missing_ok=True)
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1 and "'zebra'" in errors[0] and f"{path}:2]" in errors[0]
+
+    @pytest.mark.parametrize("damage", COLUMN_DAMAGE)
+    def test_damaged_column_file_scores_as_without_it(self, trained_world, damage):
+        path = self.inferred(trained_world, damage)
+        intact = self.scored(trained_world, path, "intact")
+        damage_column_file(columns_path(path), damage)
+        assert self.scored(trained_world, path, "damaged") == intact
+        assert intact[0] == 0
 
 
 class TestLoaderErrors:
@@ -772,6 +861,22 @@ class TestLoaderErrors:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--task", "2", "--detections", "adir"),
+        ("eval", "--task", "2", "--detections", "d.jsonl", "--report", "adir"),
+        ("infer", "--task", "2", "--out-file", "adir"),
+    ], ids=["eval-detections", "eval-report", "infer-out-file"])
+    def test_directory_path_is_one_error_line(self, trained, capsys, argv):
+        common = ("--config", "tiny.ini", "--out", "out")
+        assert run("infer", *common, "--task", "2", "--out-file", "d.jsonl") == 0
+        (trained / "adir").mkdir()
+        capsys.readouterr()
+        assert run(*argv, *common) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "adir" in err, err
+        assert list(trained.rglob("*.tmp")) == []
+        assert list((trained / "adir").iterdir()) == []
 
 
 class TestOutOfRangeValues:

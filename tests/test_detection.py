@@ -1,5 +1,7 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from openworld_kit.detection import (
     Detection,
     DetectionRecord,
     Detections,
+    DetectionTable,
+    _stored_table,
     apply_ood_gate,
     box_iou,
     classify_locations,
+    columns_path,
     decode_detections,
     format_detection_lines,
     label_texts,
@@ -23,18 +28,23 @@ from openworld_kit.detection import (
     write_detections_jsonl,
 )
 from openworld_kit.embedding_space import prompt_matrix, pseudo_unknown_embedding
-from openworld_kit.errors import ParseError, SourceOutOfRange, ZeroVector
+from openworld_kit.errors import ParseError, SourceOutOfRange, UnwritableOutput, ZeroVector
 from openworld_kit.mscal import fold_modules, ood_score_map
 from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
 from openworld_kit.synthetic_world import load_split, load_world
 from openworld_kit.training import load_checkpoint
 
 from oracles import (
+    COLUMN_DAMAGE,
+    assert_same_table,
+    damage_column_file,
     oracle_decode,
     oracle_format_detection_line,
     oracle_gate,
     oracle_iou,
     oracle_nms,
+    parsed_table,
+    stored_table,
 )
 
 
@@ -412,6 +422,15 @@ def columnar_scene(draw):
     return draw(TEXT), rows, names
 
 
+def write_scenes(path, scenes, class_names):
+    """`write_detections_jsonl` of `(scene_id, Detections)` pairs, as
+    `infer` writes them: the lines and the table of `format_detection_lines`."""
+    formatted = [format_detection_lines(scene_id, dets, label_texts(class_names))
+                 for scene_id, dets in scenes]
+    write_detections_jsonl(path, [lines for lines, _ in formatted], DetectionTable.from_scenes(
+        [scene_id for scene_id, _ in scenes], [dets for _, dets in formatted], class_names))
+
+
 class TestDetectionsFile:
     def test_round_trip(self, tmp_path):
         dets = [Detection(box=(1.23456, 2.0, 10.5, 12.0), label=0, confidence=0.875,
@@ -419,8 +438,7 @@ class TestDetectionsFile:
                 Detection(box=(0.0, 0.0, 4.0, 4.0), label=UNKNOWN_CLASS_ID,
                           confidence=0.5, source=(0, 0, 1), ood=0.75)]
         path = tmp_path / "dets.jsonl"
-        write_detections_jsonl(path, [format_detection_lines(
-            "scene-0", Detections.from_rows(dets), label_texts(["cat"]))])
+        write_scenes(path, [("scene-0", Detections.from_rows(dets))], ["cat"])
         table = read_detections_jsonl(path)
         assert len(table) == 2
         records = list(table)
@@ -432,7 +450,7 @@ class TestDetectionsFile:
     def test_line_is_canonical_json(self):
         dets = Detections.from_rows([Detection(box=(0, 0, 1, 1), label=0, confidence=0.5,
                                      source=(0, 0, 0))])
-        line = format_detection_lines("s", dets, label_texts(["dog"]))
+        line, _ = format_detection_lines("s", dets, label_texts(["dog"]))
         assert line.index('"confidence"') < line.index('"label"') < line.index('"scene_id"')
 
     @given(columnar_scene())
@@ -440,7 +458,8 @@ class TestDetectionsFile:
     def test_lines_equal_the_json_encoder(self, scene):
         scene_id, rows, names = scene
         want = "".join(oracle_format_detection_line(scene_id, d, names) + "\n" for d in rows)
-        assert format_detection_lines(scene_id, Detections.from_rows(rows), label_texts(names)) == want
+        got, _ = format_detection_lines(scene_id, Detections.from_rows(rows), label_texts(names))
+        assert got == want
 
     def test_coordinates_distinct_by_bits(self):
         # the writer formats each distinct coordinate bit pattern once: 0.0
@@ -449,7 +468,7 @@ class TestDetectionsFile:
         x1 = [0.0, -0.0, *nans.view(np.float64).tolist(), 0.0, -0.0]
         rows = [Detection(box=(v, 1.0, 2.0, -0.0), label=0, confidence=0.5,
                           source=(0, 0, i)) for i, v in enumerate(x1)]
-        got = format_detection_lines("s", Detections.from_rows(rows), label_texts(["dog"]))
+        got, _ = format_detection_lines("s", Detections.from_rows(rows), label_texts(["dog"]))
         assert got == "".join(oracle_format_detection_line("s", d, ["dog"]) + "\n"
                               for d in rows)
         assert [line.split('"x1": ')[1][:4] for line in got.splitlines()] == [
@@ -458,18 +477,19 @@ class TestDetectionsFile:
     @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
     def test_torn_write_leaves_the_old_file_or_none(self, tmp_path, tear_writes, previous):
         path = tmp_path / "dets.jsonl"
-        scenes = [format_detection_lines(f"s{i}", Detections.from_rows([
-            Detection(box=(0.0, 0.0, 1.0, 1.0), label=0, confidence=0.5, source=(0, 0, i))]),
-            label_texts(["dog"])) for i in range(2)]
+        scenes = [(f"s{i}", Detections.from_rows([
+            Detection(box=(0.0, 0.0, 1.0, 1.0), label=0, confidence=0.5, source=(0, 0, i))]))
+            for i in range(2)]
         if previous:
-            write_detections_jsonl(path, scenes[:1])
-            old = path.read_bytes()
+            write_scenes(path, scenes[:1], ["dog"])
+            old = path.read_bytes(), columns_path(path).read_bytes()
         tear_writes("dets.jsonl")
         with pytest.raises(OSError):
-            write_detections_jsonl(path, scenes)
-        assert [p.name for p in tmp_path.iterdir()] == (["dets.jsonl"] if previous else [])
+            write_scenes(path, scenes, ["dog"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["dets.jsonl", "dets.jsonl.columns"] if previous else [])
         if previous:
-            assert path.read_bytes() == old
+            assert (path.read_bytes(), columns_path(path).read_bytes()) == old
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -554,3 +574,109 @@ class TestDetectionsFile:
         with pytest.raises(ParseError) as err:
             read_detections_jsonl(path)
         assert str(path) in str(err.value)
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   SPECIAL_FLOATS.filter(math.isfinite))
+
+
+@st.composite
+def written_scenes(draw):
+    """Scenes of finite detections whose box corners are ordered: -0.0
+    beside 0.0, subnormals, large magnitudes and repeated coordinates among
+    them; scene ids and class names may repeat, and a class may be called
+    `unknown`."""
+    names = draw(st.lists(st.one_of(TEXT, st.just("unknown")), min_size=1, max_size=3))
+    coordinate = st.one_of(FINITE, st.sampled_from([0.0, -0.0, 1.5]))
+    scenes = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = []
+        for i in range(draw(st.integers(0, 5))):
+            (x1, x2), (y1, y2) = (sorted([draw(coordinate), draw(coordinate)]) for _ in "xy")
+            rows.append(Detection(box=(x1, y1, x2, y2),
+                                  label=draw(st.integers(UNKNOWN_CLASS_ID, len(names) - 1)),
+                                  confidence=draw(FINITE), source=(0, 0, i), ood=draw(FINITE)))
+        scene_id = draw(st.one_of(st.sampled_from(["s0", "s1"]), TEXT))
+        scenes.append((scene_id, Detections.from_rows(rows)))
+    return scenes, names
+
+
+def two_records():
+    return [("s0", Detections.from_rows([
+        Detection(box=(0.0, 0.5, 1.0, 1.5), label=0, confidence=0.75, source=(0, 0, 0),
+                  ood=0.25),
+        Detection(box=(1.0, 1.0, 2.0, 2.0), label=UNKNOWN_CLASS_ID, confidence=0.5,
+                  source=(0, 0, 1), ood=0.5)]))]
+
+
+class TestColumnFile:
+    """The writer stores the file's table in a column file beside it; the
+    reader returns that table only while it is whole and usable and records
+    the digest of the file's bytes, and otherwise the parse."""
+
+    @given(case=written_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_stored_table_equals_the_parse(self, case):
+        scenes, names = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dets.jsonl"
+            write_scenes(path, scenes, names)
+            assert_same_table(stored_table(path), parsed_table(path))
+            assert_same_table(read_detections_jsonl(path), parsed_table(path))
+
+    @pytest.mark.parametrize("box, confidence, ood", [
+        ((0.0, 0.0, math.nan, 1.0), 0.5, 0.0),
+        ((0.0, 0.0, 1.0, 1.0), math.inf, 0.0),
+        ((0.0, 0.0, 1.0, 1.0), 0.5, -math.inf),
+        ((2.0, 0.0, 1.0, 1.0), 0.5, 0.0),
+    ], ids=["nan-box", "infinite-confidence", "infinite-ood", "x2-below-x1"])
+    def test_table_the_parse_refuses_writes_no_column_file(self, tmp_path, box, confidence,
+                                                           ood):
+        path = tmp_path / "dets.jsonl"
+        write_scenes(path, two_records(), ["dog"])
+        assert columns_path(path).exists()
+        bad = Detections.from_rows([Detection(box=box, label=0, confidence=confidence,
+                                              source=(0, 0, 0), ood=ood)])
+        write_scenes(path, [*two_records(), ("s1", bad)], ["dog"])
+        assert not columns_path(path).exists()
+        with pytest.raises(ParseError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("damage", COLUMN_DAMAGE)
+    def test_damaged_column_file_reads_as_the_parse(self, tmp_path, damage):
+        path = tmp_path / "dets.jsonl"
+        write_scenes(path, two_records(), ["dog"])
+        stored_table(path)
+        damage_column_file(columns_path(path), damage)
+        assert _stored_table(path) is None
+        assert_same_table(read_detections_jsonl(path), parsed_table(path))
+
+    def test_resealed_column_file_is_read(self, tmp_path):
+        # the damage above keeps a valid CRC-32 where it says so, so the
+        # reader's own checks are what refuse it
+        path = tmp_path / "dets.jsonl"
+        write_scenes(path, two_records(), ["dog"])
+        before = columns_path(path).read_bytes()
+        damage_column_file(columns_path(path), "resealed")
+        assert columns_path(path).read_bytes() == before
+        stored_table(path)
+
+    def test_column_file_of_other_bytes_is_not_read(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        write_scenes(path, two_records(), ["dog"])
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[1] + lines[0])
+        assert _stored_table(path) is None
+        assert list(read_detections_jsonl(path))[0].label == "unknown"
+
+    def test_directory_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            read_detections_jsonl(tmp_path)
+        assert err.value.path == str(tmp_path)
+
+    def test_directory_target_is_unwritable(self, tmp_path):
+        (tmp_path / "dets.jsonl").mkdir()
+        with pytest.raises(UnwritableOutput, match="dets.jsonl"):
+            write_scenes(tmp_path / "dets.jsonl", two_records(), ["dog"])
+        assert [p.name for p in tmp_path.iterdir()] == ["dets.jsonl"]

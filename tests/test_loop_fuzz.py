@@ -4,21 +4,28 @@ edge values of every kind included. Each call returns 0, or prints one
 `error: ...` line and returns nonzero; no traceback escapes. A gen or train
 that returns 0 writes the same world or checkpoint bytes again on a rerun
 into another `--out`. An infer that returns 0 writes the same bytes again on
-a rerun, and its file reads back one record a line. Every metric of a report
-that eval writes lies in its range, and an eval rerun into another report
-writes the same JSON and CSV bytes.
+a rerun, and its file reads back one record a line; its column file, when
+there is one, holds the table that the parse reads. Every metric of a
+report that eval writes lies in its range, and an eval rerun into another
+report, with the column file removed, writes the same JSON and CSV bytes.
+The run's task-1 checkpoint, copied under a world of the next seed, is
+refused by infer and by train, naming the digest of each world's manifest.
 
 Budget: about 10 s of tier-1 time (150 examples of a few tiny-world calls
 each), set by `max_examples`; there is no per-example deadline.
 """
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openworld_kit import cli
-from openworld_kit.detection import read_detections_jsonl
+from openworld_kit.detection import columns_path, read_detections_jsonl
+
+from oracles import assert_same_table, parsed_table, stored_table
 
 # (key, values): each draw sets every key to one of its values; the first
 # value of a key is a plain one, the others are edges
@@ -108,6 +115,8 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
         assert call(capsys, "train", *again, "--task", str(task)) == 0
         checkpoint = Path("checkpoints") / f"task_{task}"
         assert tree(root / "again" / checkpoint) == tree(root / checkpoint)
+        if task == 1:
+            mix_worlds(capsys, text, seed, root, tasks)
     for arm in ([], ["--no-owel", "--no-mscal"]):
         dets = root / f"dets{len(arm)}.jsonl"
         report = root / f"report{len(arm)}.json"
@@ -120,9 +129,12 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
                     "--out-file", str(again), *arm) == 0
         assert again.read_bytes() == dets.read_bytes()
         assert len(read_detections_jsonl(dets)) == dets.read_bytes().count(b"\n")
+        if columns_path(dets).exists():
+            assert_same_table(stored_table(dets), parsed_table(dets))
         if call(capsys, "eval", *common, "--task", str(tasks), "--detections", str(dets),
                 "--report", str(report)) == 0:
             rerun = root / f"rerun{len(arm)}.json"
+            columns_path(dets).unlink(missing_ok=True)
             assert call(capsys, "eval", *common, "--task", str(tasks),
                         "--detections", str(dets), "--report", str(rerun)) == 0
             for suffix in (".json", ".csv"):
@@ -133,3 +145,23 @@ def test_loop_ends_in_zero_or_one_error_line(tmp_path_factory, capsys, text, see
                 assert metrics[key] is None or 0.0 <= metrics[key] <= 1.0, (key, metrics)
             assert metrics["wi"] is None or metrics["wi"] >= 0.0  # unknown FPs over known hits
             assert metrics["a_ose"] >= 0
+
+
+def mix_worlds(capsys, text, seed, root, tasks):
+    """The run's task-1 checkpoint under a world of the next seed: infer of
+    task 1, and train of task 2 when there is one, each end in one `error:`
+    line naming the digest of both worlds' manifests."""
+    other = root / "other"
+    other.mkdir()
+    (other / "run.ini").write_text(text)
+    common = ["--config", str(other / "run.ini"), "--seed", str(seed + 1), "--out", str(other)]
+    if call(capsys, "gen", *common) != 0:
+        return
+    shutil.copytree(root / "checkpoints", other / "checkpoints")
+    digests = [hashlib.sha256((base / "world" / "manifest.json").read_bytes()).hexdigest()
+               for base in (root, other)]
+    for command in [("infer", "--task", "1"), ("train", "--task", "2")][:tasks]:
+        assert cli.main([*command, *common]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert all(digest in err for digest in digests), (command, err)

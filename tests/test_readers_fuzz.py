@@ -1,6 +1,7 @@
 """Fuzzed inputs for the file readers: a valid file, truncated or with bytes
 replaced, inserted or deleted, either reads or raises an `OpenWorldKitError`
-subclass; no other exception escapes a reader. Run configurations with
+subclass; no other exception escapes a reader. A fuzzed column file beside a
+valid detections file never changes what the detections reader returns. Run configurations with
 fuzzed values either resolve into a world spec and a train config or raise
 `ConfigError`."""
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from openworld_kit import cli
-from openworld_kit.detection import read_detections_jsonl
+from openworld_kit.detection import columns_path, read_detections_jsonl, write_detections_jsonl
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
 from openworld_kit.errors import OpenWorldKitError, ParseError
 from openworld_kit.mscal import init_module
@@ -21,6 +22,8 @@ from openworld_kit.owod_eval import load_task_split, read_gt_jsonl
 from openworld_kit.pyramid import read_pyramid_blob
 from openworld_kit.synthetic_world import WorldSpec, export_world, load_world, make_world
 from openworld_kit.training import TrainConfig, load_checkpoint, save_checkpoint
+
+from oracles import assert_same_table
 
 DETECTIONS = (
     b'{"confidence": 0.875, "label": "cat", "ood": -0.25, "scene_id": "s0", '
@@ -89,6 +92,28 @@ def test_only_toolkit_errors_escape(tmp_path, capsys, original, reader, data):
     except OpenWorldKitError:
         pass
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def detections_with_columns(tmp_path_factory):
+    """`DETECTIONS`, its table as the parse reads it and its column file."""
+    path = tmp_path_factory.mktemp("columns") / "dets.jsonl"
+    path.write_bytes(DETECTIONS)
+    table = read_detections_jsonl(path)
+    write_detections_jsonl(path, [DETECTIONS.decode()], table)
+    assert path.read_bytes() == DETECTIONS
+    return table, columns_path(path).read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_column_file_reads_as_the_parse(tmp_path, detections_with_columns, data):
+    table, columns = detections_with_columns
+    path = tmp_path / "dets.jsonl"
+    path.write_bytes(DETECTIONS)
+    columns_path(path).write_bytes(data.draw(mutated(columns)))
+    assert_same_table(read_detections_jsonl(path), table)
 
 
 def read_tree(root):
