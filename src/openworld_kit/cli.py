@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -291,13 +292,6 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-class _TaskData:
-    def __init__(self, geometry, train_scenes, cal_scenes):
-        self.geometry = geometry
-        self.train_scenes = train_scenes
-        self.cal_scenes = cal_scenes
-
-
 def cmd_train(cfg: RunConfig, task_id: int) -> int:
     world = load_world(_world_dir(cfg))
     digest = _world_digest(cfg)
@@ -322,11 +316,9 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
 
     registry = register_task(registry, [(n, world.text_embeddings[n]) for n in new_names])
 
-    data = _TaskData(
-        geometry=world.geometry,
-        train_scenes=load_split(world, "train", _world_dir(cfg)),
-        cal_scenes=load_split(world, "cal", _world_dir(cfg)),
-    )
+    data = SimpleNamespace(geometry=world.geometry,
+                           train_scenes=load_split(world, "train", _world_dir(cfg)),
+                           cal_scenes=load_split(world, "cal", _world_dir(cfg)))
     registry, modules, log = train_task(data, registry, modules, train_cfg, task_id)
     ckpt = _checkpoint_dir(cfg, task_id)
     save_checkpoint(ckpt, registry, modules, log.theta, train_cfg, log,
@@ -433,7 +425,7 @@ def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
         dets, gts, task_split, task_id,
         iou_thr=cfg.get("eval", "iou_threshold"),
         recall_level=cfg.get("eval", "recall_level"),
-        config_echo=cfg.echo() | {"detections": str(detections_path), "split": split},
+        config=cfg.echo() | {"detections": str(detections_path), "split": split},
     )
     if report_path is None:
         base = cfg.out_dir / "reports"
@@ -520,17 +512,11 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
     return 0
 
 
-def _report_from_json(raw) -> ev.EvalReport:
-    return ev.EvalReport(
-        task_id=raw["task_id"], map_prev=raw["map_prev"], map_curr=raw["map_curr"],
-        map_both=raw["map_both"], u_recall=raw["u_recall"], wi=raw["wi"],
-        a_ose=raw["a_ose"], per_class_ap=raw.get("per_class_ap", {}),
-        config_echo=raw.get("config", {}),
-    )
-
-
 def cmd_report(report_path: str) -> int:
-    print(ev.render_report(read_json(report_path, "report", _report_from_json)))
+    """Render the report `eval` wrote; a document with a key that a report
+    does not have, or without one it does, raises `ParseError`."""
+    print(ev.render_report(read_json(report_path, "report",
+                                     lambda document: ev.EvalReport(**document))))
     return 0
 
 

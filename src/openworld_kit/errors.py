@@ -2,6 +2,7 @@
 maps a missing or malformed file onto it, and the writers of a whole file
 and of a whole directory."""
 
+import errno
 import json
 import os
 import shutil
@@ -128,8 +129,10 @@ def atomic_text_files(*paths, binary: bool = False):
     Each path is therefore its old file, the whole new one or absent, never
     a torn file. A block that raises leaves every path as it was and no
     temporary file behind. A path whose temporary file cannot be opened, or
-    that the rename cannot replace (a directory, say), raises
-    `UnwritableOutput` naming it.
+    that is a directory, raises `UnwritableOutput` naming it; every path is
+    checked before the first rename, so such a path leaves all of them as
+    they were. Only a rename that fails for another reason can leave the
+    paths before it replaced and the rest old.
     """
     tmps = [Path(f"{path}.tmp") for path in paths]
     try:
@@ -137,6 +140,9 @@ def atomic_text_files(*paths, binary: bool = False):
             yield [stack.enter_context(_unwritable_as_toolkit_error(
                 path, lambda: open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")))
                 for tmp, path in zip(tmps, paths)]
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise UnwritableOutput(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         for tmp, path in zip(tmps, paths):
             _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
     except BaseException:

@@ -16,21 +16,22 @@ reported as None (JSON null), never as 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detection import DetectionTable, box_iou, read_box_columns
+from .detection import Box, DetectionTable, box_iou, read_box_columns
 from .errors import (ConfigError, DuplicateClass, MissingWorld, ParseError,
                      UndefinedOperatingPoint, dump_json, read_json, write_json)
 
 UNKNOWN_NAME = "unknown"
 
-Box = tuple[float, float, float, float]
-
 
 @dataclass(frozen=True)
 class GtRecord:
+    """One ground-truth box of a scene: a line of a split's `gt.jsonl` (the
+    box as `x1`..`y2`, rounded to four places) and an item of `Scene.gt`."""
+
     scene_id: str
     box: Box
     class_name: str
@@ -323,6 +324,8 @@ PROTOCOL = {
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One task's metrics; its fields are the report JSON's keys."""
+
     task_id: int
     map_prev: float | None
     map_curr: float | None
@@ -331,22 +334,8 @@ class EvalReport:
     wi: float | None
     a_ose: int
     per_class_ap: dict[str, float | None]
-    config_echo: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
     protocol: dict = field(default_factory=lambda: dict(PROTOCOL))
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "map_prev": self.map_prev,
-            "map_curr": self.map_curr,
-            "map_both": self.map_both,
-            "u_recall": self.u_recall,
-            "wi": self.wi,
-            "a_ose": self.a_ose,
-            "per_class_ap": dict(self.per_class_ap),
-            "config": self.config_echo,
-            "protocol": self.protocol,
-        }
 
 
 def _mean_defined(values):
@@ -358,9 +347,11 @@ def _mean_defined(values):
 
 def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSplitSpec,
                   task_id: int, iou_thr: float = 0.5, recall_level: float = 0.8,
-                  config_echo: dict | None = None) -> EvalReport:
+                  config: dict | None = None) -> EvalReport:
     """All metrics for one task: mAP split into previously/currently known,
-    pooled unknown recall, wilderness impact, and open-set error count."""
+    pooled unknown recall, wilderness impact, and open-set error count. The
+    report's protocol names `iou_thr` and `recall_level`; `config` is echoed
+    as given."""
     prev = task_split.previous_classes(task_id)
     curr = task_split.current_classes(task_id)
     known = prev + curr
@@ -379,15 +370,17 @@ def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSpl
         wi=wi,
         a_ose=a_ose(ov, known),
         per_class_ap=per_class,
-        config_echo=config_echo or {},
+        config=config or {},
+        protocol=PROTOCOL | {"iou_threshold": iou_thr, "wi_recall_level": recall_level},
     )
 
 
 def write_report_json(fh, report: EvalReport) -> None:
-    dump_json(report.to_dict(), fh)
+    dump_json(asdict(report), fh)
 
 
-REPORT_CSV_HEADER = "task_id,map_prev,map_curr,map_both,u_recall,wi,a_ose"
+# the report fields of a CSV row, in column order
+CSV_FIELDS = ("task_id", "map_prev", "map_curr", "map_both", "u_recall", "wi", "a_ose")
 
 
 def csv_cell(v) -> str:
@@ -396,15 +389,11 @@ def csv_cell(v) -> str:
 
 
 def report_csv_row(report: EvalReport) -> str:
-    return ",".join([
-        str(report.task_id), csv_cell(report.map_prev), csv_cell(report.map_curr),
-        csv_cell(report.map_both), csv_cell(report.u_recall), csv_cell(report.wi),
-        str(report.a_ose),
-    ])
+    return ",".join(csv_cell(getattr(report, name)) for name in CSV_FIELDS)
 
 
 def write_report_csv(fh, reports: list[EvalReport]) -> None:
-    fh.write(REPORT_CSV_HEADER + "\n")
+    fh.write(",".join(CSV_FIELDS) + "\n")
     for report in reports:
         fh.write(report_csv_row(report) + "\n")
 

@@ -163,12 +163,6 @@ class World:
     def unknown_classes(self) -> tuple[WorldClass, ...]:
         return tuple(c for c in self.classes if c.kind != KIND_KNOWN)
 
-    def class_named(self, name: str) -> WorldClass:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def task_split(self) -> TaskSplitSpec:
         """Known class names per task, in the order `make_world` built them."""
         return TaskSplitSpec(tasks=tuple(
@@ -363,16 +357,10 @@ def _build_world(spec: WorldSpec, seed: int, rng: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class SceneBox:
-    box: tuple[float, float, float, float]
-    class_name: str
-
-
-@dataclass(frozen=True)
 class Scene:
     scene_id: str
     pyramid: FeaturePyramid
-    gt: tuple[SceneBox, ...]
+    gt: tuple[GtRecord, ...]
 
 
 # placement tries per box; a box with no free spot among them is dropped
@@ -382,7 +370,7 @@ _PLACEMENT_TRIES = 200
 _BLOCK_ROWS = 1 << 14
 
 
-def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
+def _sample_boxes(world: World, scene_id: str, rng: np.random.Generator) -> list[GtRecord]:
     spec = world.spec
     geometry = world.geometry
     img_w, img_h = spec.image_extent()
@@ -390,7 +378,7 @@ def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
     n_boxes = int(rng.integers(lo, hi + 1))
     known = [c.name for c in world.known_classes]
     unknown = [c.name for c in world.unknown_classes]
-    boxes: list[SceneBox] = []
+    boxes: list[GtRecord] = []
     taken = np.empty((0, 4))
     for _ in range(n_boxes):
         if unknown and rng.random() < spec.unknown_box_ratio:
@@ -421,7 +409,7 @@ def _sample_boxes(world: World, rng: np.random.Generator) -> list[SceneBox]:
             rng.bit_generator.state = state
             rng.random(2 * (t + 1))
             x, y = float(corner[t, 0]), float(corner[t, 1])
-            boxes.append(SceneBox(box=(x, y, x + w, y + h), class_name=name))
+            boxes.append(GtRecord(scene_id, (x, y, x + w, y + h), name))
             taken = np.array([sb.box for sb in boxes])
     return boxes
 
@@ -520,15 +508,15 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
     rng = derive_rng(world.seed, "scene", split, index)
     spec = world.spec
     geometry = world.geometry
-    gt = _sample_boxes(world, rng)
+    scene_id = f"{split}-{index:04d}"
+    gt = _sample_boxes(world, scene_id, rng)
     owned = [geometry.owned_cells(sb.box) for sb in gt]
     jitter = spec.box_jitter > 0.0
     extra = 0 if jitter else sum(cells.size for _, cells in owned)
     if jitter:
         state = rng.bit_generator.state
     feats, noise, used = _background_layers(
-        world, [g.height * g.width for g in geometry.layers], extra, rng,
-        f"{split}-{index:04d}")
+        world, [g.height * g.width for g in geometry.layers], extra, rng, scene_id)
     if jitter:
         rng.bit_generator.state = state
         for start in range(0, used, _BLOCK_ROWS):
@@ -562,7 +550,7 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
 
     pyramid = FeaturePyramid(geometry=geometry, layers=tuple(layers),
                              box_field=tuple(box_fields))
-    return Scene(scene_id=f"{split}-{index:04d}", pyramid=pyramid, gt=tuple(gt))
+    return Scene(scene_id=scene_id, pyramid=pyramid, gt=tuple(gt))
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +570,7 @@ def export_world(world: World, out_dir) -> None:
         "format": 1,
         "seed": world.seed,
         "spec": asdict(world.spec),
-        "classes": [
-            {
-                "name": c.name, "kind": c.kind, "task_id": c.task_id,
-                "partner": c.partner, "prototype": c.prototype.tolist(),
-            }
-            for c in world.classes
-        ],
+        "classes": [asdict(c) | {"prototype": c.prototype.tolist()} for c in world.classes],
     }
     write_json(out / MANIFEST_NAME, manifest)
     embeddings = dict(world.text_embeddings)
@@ -603,11 +585,8 @@ def _manifest_spec(manifest) -> WorldSpec:
 
 def _manifest_fields(manifest) -> tuple[WorldSpec, int, tuple[WorldClass, ...]]:
     classes = tuple(
-        WorldClass(name=c["name"], kind=c["kind"], task_id=c["task_id"],
-                   prototype=np.asarray(c["prototype"], dtype=np.float64),
-                   partner=c.get("partner"))
-        for c in manifest["classes"]
-    )
+        WorldClass(**c | {"prototype": np.asarray(c["prototype"], dtype=np.float64)})
+        for c in manifest["classes"])
     return _manifest_spec(manifest), int(manifest["seed"]), classes
 
 
@@ -637,13 +616,6 @@ def load_world(out_dir) -> World:
                  generic_object=generic, text_embeddings=embeddings)
 
 
-def _gt_visible_in_split(world: World, split: str, class_name: str) -> bool:
-    # never-introduced classes are unlabeled outside the test split
-    if split == "test":
-        return True
-    return world.class_named(class_name).task_id is not None
-
-
 def export_split(world: World, split: str, out_dir) -> None:
     """Write every scene blob of a split plus its ground-truth JSON lines.
 
@@ -653,12 +625,13 @@ def export_split(world: World, split: str, out_dir) -> None:
     visible ground truth, never its pyramid."""
     out = Path(out_dir) / "scenes" / split
     out.mkdir(parents=True, exist_ok=True)
+    known = {c.name for c in world.known_classes}
 
     def export_scene(index: int) -> list[GtRecord]:
         scene = generate_scene(world, split, index)
         write_pyramid_blob(out / f"{scene.scene_id}.pyr", scene.pyramid)
-        return [GtRecord(scene_id=scene.scene_id, box=sb.box, class_name=sb.class_name)
-                for sb in scene.gt if _gt_visible_in_split(world, split, sb.class_name)]
+        # never-introduced classes are unlabeled outside the test split
+        return [g for g in scene.gt if split == "test" or g.class_name in known]
 
     records = ordered_map(export_scene, range(world.spec.scene_count(split)))
     write_gt_jsonl(out / "gt.jsonl", [r for scene in records for r in scene])
@@ -698,10 +671,9 @@ def load_split(world: World, split: str, out_dir) -> list[Scene]:
     `split_scene_blobs` names."""
     base = Path(out_dir) / "scenes" / split
     gt = read_gt_jsonl(base / "gt.jsonl")
-    gt_by_scene: dict[str, list[SceneBox]] = {}
+    gt_by_scene: dict[str, list[GtRecord]] = {}
     for rec in gt:
-        gt_by_scene.setdefault(rec.scene_id, []).append(
-            SceneBox(box=rec.box, class_name=rec.class_name))
+        gt_by_scene.setdefault(rec.scene_id, []).append(rec)
     thresholds = world.geometry.level_thresholds
     return [Scene(scene_id=blob.stem, pyramid=read_pyramid_blob(blob, thresholds),
                   gt=tuple(gt_by_scene.get(blob.stem, ())))

@@ -60,7 +60,6 @@ from openworld_kit.mscal import (
 from openworld_kit.pyramid import FeaturePyramid
 from openworld_kit.owod_eval import GtRecord, find_overlaps
 from openworld_kit.seeding import derive_rng
-from openworld_kit.synthetic_world import SceneBox
 from openworld_kit.training import (
     _assignment_for_class,
     _owned_pairs,
@@ -455,7 +454,7 @@ def assign_samples(geometry, gt_boxes, class_id, neg_cap, rng_seed):
     int seed or a Generator."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
-    scene = SimpleNamespace(gt=[SceneBox(box, str(cls)) for box, cls in gt_boxes])
+    scene = SimpleNamespace(gt=[GtRecord("scene", box, str(cls)) for box, cls in gt_boxes])
     pairs = _owned_pairs([scene], geometry, {str(cls): cls for _, cls in gt_boxes})
     # one scene: indices into its (1, H, W) batch grids are indices into (H, W)
     return _assignment_for_class(_owner_index(pairs, geometry), class_id, neg_cap, rng)
@@ -821,7 +820,7 @@ def _intersects(a, b):
     return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
 
 
-def oracle_sample_boxes(world, rng):
+def oracle_sample_boxes(world, scene_id, rng):
     spec = world.spec
     geometry = world.geometry
     img_w, img_h = spec.image_extent()
@@ -854,7 +853,7 @@ def oracle_sample_boxes(world, rng):
                 placed = cand
                 break
         if placed is not None:
-            boxes.append(SceneBox(box=placed, class_name=name))
+            boxes.append(GtRecord(scene_id, placed, name))
     return boxes
 
 
@@ -879,7 +878,7 @@ def oracle_generate_scene(world, split, index):
     rng = derive_rng(world.seed, "scene", split, index)
     spec = world.spec
     geometry = world.geometry
-    gt = oracle_sample_boxes(world, rng)
+    gt = oracle_sample_boxes(world, f"{split}-{index:04d}", rng)
     layers, box_fields = [], []
     for g in geometry.layers:
         feats = oracle_background_features(world, g.height * g.width, rng)
@@ -892,7 +891,7 @@ def oracle_generate_scene(world, split, index):
         level, cells = geometry.owned_cells(sb.box)
         g = geometry.layers[level]
         rows, cols = np.divmod(cells, g.width)
-        proto = world.class_named(sb.class_name).prototype
+        proto = {c.name: c for c in world.classes}[sb.class_name].prototype
         scale = spec.noise_sigma / np.sqrt(spec.dim)
         noisy = proto[None, :] + scale * rng.normal(size=(rows.size, spec.dim))
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)

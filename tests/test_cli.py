@@ -469,7 +469,7 @@ def oracle_report_files(root, common, task_id, det_path, split="test"):
         map_curr=mean(curr) if curr else None, map_both=mean(prev + curr),
         u_recall=oracle_u_recall(dets, gts, prev + curr, 0.5), wi=wi,
         a_ose=oracle_a_ose(dets, gts, prev + curr, 0.5), per_class_ap=per_class,
-        config_echo=cfg.echo() | {"detections": str(det_path), "split": split})
+        config=cfg.echo() | {"detections": str(det_path), "split": split})
     with open(root / "oracle.json", "w", encoding="utf-8") as fh:
         write_report_json(fh, report)
     with open(root / "oracle.csv", "w", encoding="utf-8") as fh:
@@ -491,6 +491,29 @@ class TestEvalEqualsScalarPath:
         assert report.read_bytes() == want_json
         assert report.with_suffix(".csv").read_bytes() == want_csv
         assert json.loads(want_json)["u_recall"] is not None
+
+    @pytest.mark.parametrize("task", ["1", "2"])
+    @pytest.mark.parametrize("args", [[], ["--no-mscal"], ["--no-owel", "--no-mscal"]],
+                             ids=["gated", "no-mscal", "base"])
+    def test_report_renders_what_eval_printed(self, trained_world, capsys, args, task):
+        """`report` reads back the report `eval` wrote as the one record it
+        was written from: it renders what `eval` printed, and written again
+        it keeps its bytes."""
+        root, common = trained_world
+        det_path = root / f"render_dets_{task}.jsonl"
+        assert run("infer", *common, "--task", task, "--out-file", str(det_path), *args) == 0
+        report = root / "render_report.json"
+        capsys.readouterr()
+        assert run("eval", *common, "--task", task, "--detections", str(det_path),
+                   "--report", str(report)) == 0
+        printed = capsys.readouterr().out
+        assert run("report", str(report)) == 0
+        assert capsys.readouterr().out + f"report -> {report}\n" == printed
+        with open(report, encoding="utf-8") as fh:
+            back = cli.ev.EvalReport(**json.load(fh))
+        with open(root / "again.json", "w", encoding="utf-8") as fh:
+            cli.ev.write_report_json(fh, back)
+        assert (root / "again.json").read_bytes() == report.read_bytes()
 
 
 class TestEvalRefusesStrayDetections:
@@ -1297,6 +1320,38 @@ class TestReportIsWholePair:
             self.eval(2)
         self.assert_old_pair(workdir, *task3_report)
 
+    def test_directory_csv_target_leaves_the_old_json(self, workdir, task3_report, capsys):
+        (json_path, csv_path), (old_json, _) = task3_report
+        csv_path.unlink()
+        csv_path.mkdir()
+        capsys.readouterr()
+        assert self.eval(2) == 1
+        assert capsys.readouterr().err == "error: cannot write r.csv: Is a directory\n"
+        assert json_path.read_bytes() == old_json
+        assert list(csv_path.iterdir()) == []
+        assert list(workdir.rglob("*.tmp")) == []
+
+
+class TestReportProtocol:
+    """The report's protocol pins are the IoU threshold and the WI recall
+    level that the eval used, as its config echo says."""
+
+    @pytest.mark.parametrize("overrides, iou, level", [
+        ((), 0.5, 0.8),
+        (("eval.iou_threshold=0.3",), 0.3, 0.8),
+        (("eval.iou_threshold=0.3", "eval.recall_level=0.6"), 0.3, 0.6),
+    ], ids=["default", "iou", "iou-and-level"])
+    def test_pins_echo_the_arguments(self, trained, overrides, iou, level):
+        run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--out-file", "d.jsonl")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        run("eval", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--detections", "d.jsonl", "--report", "r.json", *sets)
+        report = json.loads((trained / "r.json").read_text())
+        assert report["config"]["eval"] == {"iou_threshold": iou, "recall_level": level}
+        assert report["protocol"] == cli.ev.PROTOCOL | {"iou_threshold": iou,
+                                                    "wi_recall_level": level}
+
 
 class TestReportCommand:
     def test_renders_report(self, trained, capsys):
@@ -1308,6 +1363,27 @@ class TestReportCommand:
         assert run("report", "r.json") == 0
         out = capsys.readouterr().out
         assert "task 2" in out and "U-Recall" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(colour="red"),
+        lambda doc: doc.pop("wi"),
+        lambda doc: doc.pop("per_class_ap"),
+    ], ids=["unexpected-key", "missing-metric", "missing-per-class-ap"])
+    def test_report_with_other_keys_is_an_error(self, trained, capsys, edit):
+        """A document is a report only with exactly the keys `eval` writes
+        (`config` and `protocol` may be absent)."""
+        run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--out-file", "d.jsonl")
+        run("eval", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--detections", "d.jsonl", "--split", "test", "--report", "r.json")
+        document = json.loads((trained / "r.json").read_text())
+        edit(document)
+        (trained / "r.json").write_text(json.dumps(document))
+        capsys.readouterr()
+        assert run("report", "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad report") and err.count("\n") == 1
+        assert "r.json" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ['{"task_id": 2, "map_prev"', '{}', '[1]', '"r"',
                                       '\udcff', '[' * 100_000],

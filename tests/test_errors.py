@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,35 @@ class TestAtomicTextFile:
         assert [p.name for p in tmp_path.iterdir()] == (["x.txt"] if previous else [])
         if previous:
             assert path.read_bytes() == b"old\n"
+
+
+class TestAtomicTextFiles:
+    @pytest.mark.parametrize("directory", [0, 1], ids=["first", "second"])
+    def test_directory_target_leaves_every_path_as_it_was(self, tmp_path, directory):
+        """A directory among the targets is refused before the first rename,
+        so the other target keeps its old bytes whatever its place."""
+        paths = [tmp_path / "r.json", tmp_path / "r.csv"]
+        old = paths[1 - directory]
+        old.write_bytes(b"old\n")
+        paths[directory].mkdir()
+        with pytest.raises(errors.UnwritableOutput,
+                           match=re.escape(f"cannot write {paths[directory]}: Is a directory")):
+            with errors.atomic_text_files(*paths) as handles:
+                for fh in handles:
+                    fh.write("new\n")
+        assert old.read_bytes() == b"old\n"
+        assert list(paths[directory].iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+    def test_link_to_a_directory_is_replaced(self, tmp_path):
+        """A rename replaces a symbolic link itself, so a link to a
+        directory is a writable target."""
+        (tmp_path / "d").mkdir()
+        (tmp_path / "x.txt").symlink_to(tmp_path / "d")
+        with errors.atomic_text_files(tmp_path / "x.txt") as (fh,):
+            fh.write("new\n")
+        assert (tmp_path / "x.txt").read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "x.txt"]
 
 
 class TestAtomicDirectory:

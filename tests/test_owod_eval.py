@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from openworld_kit.errors import (MissingWorld, ParseError, UndefinedOperatingPoint,
                                   atomic_text_file)
 from openworld_kit.owod_eval import (
+    PROTOCOL,
     TaskSplitSpec,
     _claim_walk,
     a_ose,
@@ -364,11 +365,20 @@ class TestEvaluateTask:
         assert report.a_ose == 0
         assert report.u_recall is None
 
+    @pytest.mark.parametrize("iou_thr, recall_level", [(0.5, 0.8), (0.3, 0.6)])
+    def test_protocol_pins_are_the_arguments(self, iou_thr, recall_level):
+        gts = [gt("s", (0, 0, 4, 4), "car")]
+        dets = [det("s", (0, 0, 4, 4), "car", 0.9)]
+        report = evaluate_task(table_of(dets), gts, self.split(), task_id=1,
+                               iou_thr=iou_thr, recall_level=recall_level)
+        assert report.protocol == PROTOCOL | {"iou_threshold": iou_thr,
+                                              "wi_recall_level": recall_level}
+
     def test_report_serialization(self, tmp_path):
         gts = [gt("s", (0, 0, 4, 4), "car"), gt("s", (8, 0, 12, 4), "mystery")]
         dets = [det("s", (0, 0, 4, 4), "car", 0.9)]
         report = evaluate_task(table_of(dets), gts, self.split(), task_id=1,
-                               config_echo={"seed": "0"})
+                               config={"seed": "0"})
         path = tmp_path / "report.json"
         save_json(path, report)
         first = path.read_bytes()

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ from hypothesis import given, strategies as st
 
 from openworld_kit import synthetic_world
 from openworld_kit.embedding_space import pseudo_unknown_embedding
-from openworld_kit.errors import InfeasibleSpec
+from openworld_kit.errors import InfeasibleSpec, ParseError
 from openworld_kit.owod_eval import read_gt_jsonl
 from openworld_kit.synthetic_world import (
     KIND_FOOD,
     KIND_KNOWN,
     KIND_NOOD,
+    WorldClass,
     WorldSpec,
     _replay_rounds,
     export_split,
@@ -77,7 +78,7 @@ class TestMakeWorld:
             worst = min(angle(food.prototype, k.prototype) for k in knowns)
             assert worst >= spec.food_min_angle - 1e-9
         for nood in (c for c in default_world.classes if c.kind == KIND_NOOD):
-            partner = default_world.class_named(nood.partner)
+            partner = next(c for c in knowns if c.name == nood.partner)
             assert abs(angle(nood.prototype, partner.prototype) - spec.nood_angle) < 1e-6
             ranked = sorted(knowns, key=lambda k: angle(nood.prototype, k.prototype))
             assert ranked[0].name == nood.partner
@@ -346,6 +347,31 @@ class TestExport:
         for a, b in zip(world.classes, back.classes):
             assert a.name == b.name and a.kind == b.kind and a.task_id == b.task_id
             assert a.prototype.tobytes() == b.prototype.tobytes()
+
+    def test_class_entries_round_trip(self, world, tmp_path):
+        """A manifest class entry holds the class's fields, the prototype as
+        a list, and loads back as the same class."""
+        export_world(world, tmp_path)
+        entries = json.loads((tmp_path / "manifest.json").read_text())["classes"]
+        back = load_world(tmp_path).classes
+        assert len(entries) == len(back) == len(world.classes)
+        assert any(c.partner is not None for c in world.classes)
+        names = [f.name for f in fields(WorldClass)]
+        for c, entry, b in zip(world.classes, entries, back):
+            assert entry == asdict(c) | {"prototype": c.prototype.tolist()}
+            assert [getattr(b, n) for n in names if n != "prototype"] == \
+                [getattr(c, n) for n in names if n != "prototype"]
+            assert b.prototype.dtype == np.float64
+            assert b.prototype.tobytes() == c.prototype.tobytes()
+
+    def test_class_entry_with_an_unknown_key_is_refused(self, world, tmp_path):
+        export_world(world, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["classes"][0]["colour"] = "red"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="manifest"):
+            load_world(tmp_path)
 
     def test_split_seed_tuples_never_collide(self, world):
         from openworld_kit.seeding import derive_seed

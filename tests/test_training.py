@@ -18,8 +18,9 @@ from openworld_kit.mscal import (
     mscal_loss_gradients,
     ood_score_map,
 )
+from openworld_kit.owod_eval import GtRecord
 from openworld_kit.pyramid import LayerGeometry, PyramidGeometry
-from openworld_kit.synthetic_world import SceneBox, WorldSpec, generate_scene, make_world
+from openworld_kit.synthetic_world import WorldSpec, generate_scene, make_world
 from openworld_kit.training import (
     TrainConfig,
     adamw_step,
@@ -491,7 +492,7 @@ def pyramid_geometry(sizes):
 
 
 def scene_of(*boxes):
-    return SimpleNamespace(gt=tuple(SceneBox(box, name) for box, name in boxes))
+    return SimpleNamespace(gt=tuple(GtRecord("scene", box, name) for box, name in boxes))
 
 
 @st.composite
