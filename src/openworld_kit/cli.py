@@ -513,10 +513,9 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
 
 
 def cmd_report(report_path: str) -> int:
-    """Render the report `eval` wrote; a document with a key that a report
-    does not have, or without one it does, raises `ParseError`."""
-    print(ev.render_report(read_json(report_path, "report",
-                                     lambda document: ev.EvalReport(**document))))
+    """Render the report `eval` wrote; a document that is not one
+    (`owod_eval.read_report`) raises `ParseError`."""
+    print(ev.render_report(ev.read_report(report_path)))
     return 0
 
 

@@ -126,15 +126,17 @@ def atomic_text_files(*paths, binary: bool = False):
     each of `paths` to write; when the block ends and every file is whole,
     each replaces its path in one rename.
 
-    Each path is therefore its old file, the whole new one or absent, never
-    a torn file. A block that raises leaves every path as it was and no
-    temporary file behind. A path whose temporary file cannot be opened, or
-    that is a directory, raises `UnwritableOutput` naming it; every path is
-    checked before the first rename, so such a path leaves all of them as
-    they were. Only a rename that fails for another reason can leave the
-    paths before it replaced and the rest old.
+    Each path is therefore its old file (absent if it had none) or the whole
+    new one, never a torn file, and unless the process dies between two
+    renames, all paths are old or all new. A block that raises leaves every
+    path as it was and no temporary file behind. A path whose temporary file
+    cannot be opened, or that is a directory, raises `UnwritableOutput`
+    naming it before the first rename. Every path but the last keeps its old
+    file at `<path>.old.tmp` (a hard link, or a copy) until the renames are
+    done, so a rename that fails puts back the paths renamed before it.
     """
     tmps = [Path(f"{path}.tmp") for path in paths]
+    olds = [Path(f"{path}.old.tmp") for path in paths[:-1]]
     try:
         with ExitStack() as stack:
             yield [stack.enter_context(_unwritable_as_toolkit_error(
@@ -143,13 +145,41 @@ def atomic_text_files(*paths, binary: bool = False):
         for path in paths:
             if os.path.isdir(path) and not os.path.islink(path):
                 raise UnwritableOutput(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-        for tmp, path in zip(tmps, paths):
-            _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
+        renamed = 0
+        try:
+            for old, path in zip(olds, paths):
+                _unwritable_as_toolkit_error(path, lambda: _keep_old(path, old))
+            for tmp, path in zip(tmps, paths):
+                _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
+                renamed += 1
+        except BaseException:
+            for old, path in zip(olds[:renamed], paths):
+                with suppress(OSError):
+                    if os.path.lexists(old):
+                        os.replace(old, path)
+                    else:
+                        os.unlink(path)
+            raise
     except BaseException:
         for tmp in tmps:
             with suppress(OSError):
                 tmp.unlink(missing_ok=True)
         raise
+    finally:
+        for old in olds:
+            with suppress(OSError):
+                old.unlink(missing_ok=True)
+
+
+def _keep_old(path, old: Path) -> None:
+    """Leave the file at `path`, if any, also at `old`: a hard link to it, or
+    a copy on a file system without hard links."""
+    old.unlink(missing_ok=True)
+    if os.path.lexists(path):
+        try:
+            os.link(path, old, follow_symlinks=False)
+        except OSError:
+            shutil.copy2(path, old, follow_symlinks=False)
 
 
 def _unwritable_as_toolkit_error(path, step):

@@ -2,15 +2,17 @@
 wilderness impact, and absolute open-set error.
 
 An eval takes a detections file as columns (`detection.DetectionTable`) and
-computes the IoU of every detection against every ground-truth box of its
-scene once, in one `detection.box_iou` pass over the paired rows, and
-keeps only the pairs that can match (`find_overlaps`). The greedy claims,
-the AP envelope and recall steps and the WI operating point stay plain
-Python in the canonical order (-confidence, scene_id, index), but walk
-only those pairs: a detection without one is a miss that costs no Python
-work. Results are reproducible bit-for-bit and equal brute-force oracles
-exactly. AP is all-point interpolated at IoU 0.5. Undefined metrics are
-reported as None (JSON null), never as 0.
+keeps only the (detection, ground-truth box) pairs of one scene that can
+match (`find_overlaps`). A pair whose boxes do not meet with positive area
+has an IoU of 0, so its x-ranges, then its y-ranges, are compared on the
+coordinate columns first, and one `detection.box_iou` pass scores only the
+pairs that meet. The greedy claims, the AP envelope and recall steps and
+the WI operating point stay plain Python in the canonical order
+(-confidence, scene_id, index), but walk only the pairs that can match: a
+detection without one is a miss that costs no Python work. Results are
+reproducible bit-for-bit and equal brute-force oracles exactly. AP is
+all-point interpolated at IoU 0.5. Undefined metrics are reported as None
+(JSON null), never as 0.
 """
 
 from __future__ import annotations
@@ -161,20 +163,30 @@ def find_overlaps(dets: DetectionTable, gts: list[GtRecord],
     by_name = sorted(range(len(dets.scene_names)), key=dets.scene_names.__getitem__)
     scene_rank = np.empty(len(by_name), dtype=np.int64)
     scene_rank[by_name] = np.arange(len(by_name))
-    order = np.lexsort((np.arange(n), scene_rank[dets.scenes], -dets.confidence))
+    order = np.lexsort((scene_rank[dets.scenes], -dets.confidence))  # stable: ties by index
     det_rank = np.empty(n, dtype=np.int64)
     det_rank[order] = np.arange(n)
 
-    # every same-scene pair: detection i meets the boxes of its scene, which
-    # sit at starts[scene]:starts[scene] + counts[scene] of `by_scene`
+    # a pair has an IoU above 0 only if its boxes meet with positive area:
+    # the k-th box of each scene, `by_scene[first + k]`, is compared with the
+    # scene's detections on x-ranges, then y-ranges, and only the pairs that
+    # meet go to `box_iou`
     by_scene = np.argsort(gt_scene, kind="stable")
     counts = np.bincount(gt_scene, minlength=len(scenes))
-    starts = np.cumsum(counts) - counts
-    per_det = counts[dets.scenes]
-    pair_det = np.repeat(np.arange(n), per_det)
-    offset = np.repeat(starts[dets.scenes] - (np.cumsum(per_det) - per_det), per_det)
-    pair_gt = by_scene[offset + np.arange(len(pair_det))]
-
+    first, count = (np.cumsum(counts) - counts).take(dets.scenes), counts.take(dets.scenes)
+    det_cols, gt_cols = dets.boxes.T.copy(), gt_boxes.T.copy()
+    rows = np.arange(n)
+    pair_det, pair_gt = [rows[:0]], [rows[:0]]
+    for k in range(counts.max(initial=0)):
+        rows = rows.take(np.flatnonzero(count.take(rows) > k))
+        d, g = rows, by_scene.take(first.take(rows) + k)
+        for lo, hi in ((0, 2), (1, 3)):
+            meet = np.flatnonzero(np.maximum(det_cols[lo].take(d), gt_cols[lo].take(g))
+                                  < np.minimum(det_cols[hi].take(d), gt_cols[hi].take(g)))
+            d, g = d.take(meet), g.take(meet)
+        pair_det.append(d)
+        pair_gt.append(g)
+    pair_det, pair_gt = np.concatenate(pair_det), np.concatenate(pair_gt)
     overlap = box_iou(dets.boxes[pair_det], gt_boxes[pair_gt])
     keep = (overlap >= iou_thr) & (overlap > 0.0)
     pair_det, pair_gt, overlap = pair_det[keep], pair_gt[keep], overlap[keep]
@@ -377,6 +389,37 @@ def evaluate_task(dets: DetectionTable, gts: list[GtRecord], task_split: TaskSpl
 
 def write_report_json(fh, report: EvalReport) -> None:
     dump_json(asdict(report), fh)
+
+
+def _report_from_json(document) -> EvalReport:
+    report = EvalReport(**document)
+
+    def metric(value):
+        return value is None or type(value) in (int, float)
+
+    wrong = [f"{name} is not a number or null"
+             for name in ("map_prev", "map_curr", "map_both", "u_recall", "wi")
+             if not metric(getattr(report, name))]
+    wrong += [f"{name} is not an integer" for name in ("task_id", "a_ose")
+              if type(getattr(report, name)) is not int]
+    if not (isinstance(report.per_class_ap, dict)
+            and all(map(metric, report.per_class_ap.values()))):
+        wrong.append("per_class_ap is not an object of class name -> number or null")
+    wrong += [f"{name} is not an object" for name in ("config", "protocol")
+              if not isinstance(getattr(report, name), dict)]
+    if wrong:
+        raise ParseError("; ".join(wrong))
+    return report
+
+
+def read_report(path) -> EvalReport:
+    """The report that `write_report_json` wrote. A document with a key that
+    a report does not have, or without one it does (`config` and `protocol`
+    may be absent), or with a field of another type raises `ParseError`: the
+    metrics are numbers (not booleans) or null, `task_id` and `a_ose`
+    integers, `per_class_ap` an object of numbers or nulls, and `config` and
+    `protocol` objects."""
+    return read_json(path, "report", _report_from_json)
 
 
 # the report fields of a CSV row, in column order

@@ -171,7 +171,8 @@ class World:
 
 
 def _angle(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    # `np.clip` of one scalar; max and min keep NaN and -0.0 as it does
+    return float(np.arccos(min(max(a @ b, -1.0), 1.0)))
 
 
 class _DrawBudget:

@@ -35,6 +35,7 @@ from openworld_kit.detection import (
     DetectionTable,
     _sigmoid,
     _stored_table,
+    box_iou,
     read_detections_jsonl,
 )
 from openworld_kit.errors import (
@@ -58,7 +59,7 @@ from openworld_kit.mscal import (
     sampled_rows,
 )
 from openworld_kit.pyramid import FeaturePyramid
-from openworld_kit.owod_eval import GtRecord, find_overlaps
+from openworld_kit.owod_eval import GtRecord, Overlaps, find_overlaps
 from openworld_kit.seeding import derive_rng
 from openworld_kit.training import (
     _assignment_for_class,
@@ -90,6 +91,46 @@ def table_of(records):
 def overlaps_of(dets, gts, iou_thr=0.5):
     """The `Overlaps` the metrics read, from detection and GT records."""
     return find_overlaps(table_of(dets), gts, iou_thr)
+
+
+def oracle_find_overlaps(dets, gts, iou_thr=0.5):
+    """`find_overlaps` of a detections table and GT records by scoring every
+    same-scene pair with `box_iou`, whether or not its boxes meet."""
+    codes = {name: i for i, name in enumerate(dets.label_names)}
+    gt_class = np.array([codes.setdefault(g.class_name, len(codes)) for g in gts],
+                        dtype=np.int64)
+    scenes = {name: i for i, name in enumerate(dets.scene_names)}
+    gt_scene = np.array([scenes.setdefault(g.scene_id, len(scenes)) for g in gts],
+                        dtype=np.int64)
+    gt_boxes = np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4)
+
+    n = len(dets)
+    by_name = sorted(range(len(dets.scene_names)), key=dets.scene_names.__getitem__)
+    scene_rank = np.empty(len(by_name), dtype=np.int64)
+    scene_rank[by_name] = np.arange(len(by_name))
+    order = np.lexsort((np.arange(n), scene_rank[dets.scenes], -dets.confidence))
+    det_rank = np.empty(n, dtype=np.int64)
+    det_rank[order] = np.arange(n)
+
+    # every same-scene pair: detection i meets the boxes of its scene, which
+    # sit at starts[scene]:starts[scene] + counts[scene] of `by_scene`
+    by_scene = np.argsort(gt_scene, kind="stable")
+    counts = np.bincount(gt_scene, minlength=len(scenes))
+    starts = np.cumsum(counts) - counts
+    per_det = counts[dets.scenes]
+    pair_det = np.repeat(np.arange(n), per_det)
+    offset = np.repeat(starts[dets.scenes] - (np.cumsum(per_det) - per_det), per_det)
+    pair_gt = by_scene[offset + np.arange(len(pair_det))]
+
+    overlap = box_iou(dets.boxes[pair_det], gt_boxes[pair_gt])
+    keep = (overlap >= iou_thr) & (overlap > 0.0)
+    pair_det, pair_gt, overlap = pair_det[keep], pair_gt[keep], overlap[keep]
+    pair_rank = det_rank[pair_det]
+    pref = np.lexsort((pair_gt, -overlap, pair_rank))
+    pair_det, pair_gt, pair_rank = pair_det[pref], pair_gt[pref], pair_rank[pref]
+    return Overlaps(codes=codes, det_label=dets.labels, det_rank=det_rank,
+                    gt_class=gt_class, pair_rank=pair_rank, pair_gt=pair_gt,
+                    pair_label=dets.labels[pair_det], pair_class=gt_class[pair_gt])
 
 
 def _nan_min(x, y):

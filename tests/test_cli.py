@@ -1385,6 +1385,33 @@ class TestReportCommand:
         assert err.startswith("error: bad report") and err.count("\n") == 1
         assert "r.json" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("map_both", []), ("u_recall", "0.5"), ("wi", True), ("a_ose", "many"),
+        ("a_ose", 2.0), ("task_id", False), ("task_id", "2"), ("per_class_ap", []),
+        ("per_class_ap", {"car": "0.5"}), ("per_class_ap", {"car": True}),
+        ("config", 3), ("protocol", None),
+    ], ids=["map-list", "metric-string", "metric-bool", "a_ose-string", "a_ose-float",
+            "task-bool", "task-string", "per-class-list", "per-class-string",
+            "per-class-bool", "config-number", "protocol-null"])
+    def test_report_with_a_field_of_another_type_is_an_error(self, trained, capsys, key,
+                                                             value):
+        """Every metric of a report is a number or null, `task_id` and
+        `a_ose` are integers: `report` renders nothing else."""
+        run("infer", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--out-file", "d.jsonl")
+        run("eval", "--config", "tiny.ini", "--out", "out", "--task", "2",
+            "--detections", "d.jsonl", "--split", "test", "--report", "r.json")
+        document = json.loads((trained / "r.json").read_text())
+        document[key] = value
+        (trained / "r.json").write_text(json.dumps(document))
+        capsys.readouterr()
+        assert run("report", "r.json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad report: {key} ")
+        assert captured.err.count("\n") == 1
+        assert "r.json" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("text", ['{"task_id": 2, "map_prev"', '{}', '[1]', '"r"',
                                       '\udcff', '[' * 100_000],
                              ids=["truncated", "no-fields", "list", "string", "not-utf8",

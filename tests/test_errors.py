@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +90,50 @@ class TestAtomicTextFiles:
         assert list(paths[directory].iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
 
+    @pytest.mark.parametrize("links", [True, False], ids=["hard-link", "copy"])
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+    def test_failed_second_rename_puts_back_the_first(self, tmp_path, monkeypatch,
+                                                      previous, links):
+        """The first target is renamed when the second rename fails: it gets
+        its old bytes back (or goes, if it had none), the second keeps its
+        own, and no temporary file stays behind, with or without hard
+        links."""
+        paths = [tmp_path / "r.json", tmp_path / "r.csv"]
+        if previous:
+            for path in paths:
+                path.write_bytes(f"old {path.name}\n".encode())
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "I/O error")
+            real_replace(src, dst)
+        monkeypatch.setattr(errors.os, "replace", replace)
+        if not links:
+            def no_link(*args, **kwargs):
+                raise OSError(errno.EPERM, "Operation not permitted")
+            monkeypatch.setattr(errors.os, "link", no_link)
+        with pytest.raises(errors.UnwritableOutput, match="cannot write .*r.csv: I/O error"):
+            with errors.atomic_text_files(*paths) as handles:
+                for fh in handles:
+                    fh.write("new\n")
+        assert [Path(dst).name for _, dst in calls[:2]] == ["r.json", "r.csv"]
+        if previous:
+            assert [path.read_bytes() for path in paths] == [b"old r.json\n", b"old r.csv\n"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_renames_leave_no_old_file_behind(self, tmp_path):
+        paths = [tmp_path / "r.json", tmp_path / "r.csv"]
+        for text in ("old\n", "new\n"):
+            with errors.atomic_text_files(*paths) as handles:
+                for fh in handles:
+                    fh.write(text)
+        assert [path.read_bytes() for path in paths] == [b"new\n", b"new\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
     def test_link_to_a_directory_is_replaced(self, tmp_path):
         """A rename replaces a symbolic link itself, so a link to a
         directory is a writable target."""
@@ -96,6 +143,18 @@ class TestAtomicTextFiles:
             fh.write("new\n")
         assert (tmp_path / "x.txt").read_bytes() == b"new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "x.txt"]
+
+    def test_link_to_a_directory_first_of_two_is_replaced(self, tmp_path):
+        """The old file kept for the first of two targets is the link
+        itself, not the directory it points to."""
+        (tmp_path / "d").mkdir()
+        (tmp_path / "x.txt").symlink_to(tmp_path / "d")
+        paths = [tmp_path / "x.txt", tmp_path / "y.csv"]
+        with errors.atomic_text_files(*paths) as handles:
+            for fh in handles:
+                fh.write("new\n")
+        assert [path.read_bytes() for path in paths] == [b"new\n", b"new\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "x.txt", "y.csv"]
 
 
 class TestAtomicDirectory:

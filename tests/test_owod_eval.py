@@ -2,12 +2,14 @@
 oracle written from the definitions, with exact equality on small instances."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openworld_kit import owod_eval
 from openworld_kit.errors import (MissingWorld, ParseError, UndefinedOperatingPoint,
                                   atomic_text_file)
 from openworld_kit.owod_eval import (
@@ -21,6 +23,7 @@ from openworld_kit.owod_eval import (
     find_overlaps,
     load_task_split,
     read_gt_jsonl,
+    read_report,
     render_report,
     report_csv_row,
     save_task_split,
@@ -37,6 +40,7 @@ from oracles import (
     gt,
     oracle_a_ose,
     oracle_class_ap,
+    oracle_find_overlaps,
     oracle_greedy_match,
     oracle_u_recall,
     oracle_wi,
@@ -336,6 +340,100 @@ class TestColumnarEqualsOracles:
             wilderness_impact(overlaps_of(dets, gts), KNOWN, level)
 
 
+# boxes that share only an edge, have no width or height, repeat, or reach
+# past +-1e308, where a width or an area overflows
+EDGE_COORDS = (0.0, 1.0, 2.0, 3.0, -1e308, 1e308, -np.finfo(float).max, np.finfo(float).max)
+GT_SCENES = ("a", "b", "c")     # `a` has boxes but no detections
+DET_SCENES = ("b", "c", "d")    # `d` has detections but no boxes
+OVERLAPS_FIELDS = ("det_label", "det_rank", "gt_class", "pair_rank", "pair_gt",
+                   "pair_label", "pair_class")
+
+
+@st.composite
+def edge_instance(draw):
+    """Detections and GT whose boxes meet, touch or miss on the edge cases
+    of the meet test; detections mostly copy or shift a GT box."""
+    coord = st.sampled_from(EDGE_COORDS)
+
+    def box():
+        x1, x2 = sorted((draw(coord), draw(coord)))
+        y1, y2 = sorted((draw(coord), draw(coord)))
+        return (x1, y1, x2, y2)
+
+    gts = [gt(draw(st.sampled_from(GT_SCENES)), box(), draw(st.sampled_from(GT_NAMES)))
+           for _ in range(draw(st.integers(0, 8)))]
+    dets = []
+    for _ in range(draw(st.integers(0, 12))):
+        scene, b = draw(st.sampled_from(DET_SCENES)), box()
+        if gts and draw(st.booleans()):
+            g = draw(st.sampled_from(gts))
+            shift = draw(st.sampled_from((0.0, 1.0, 2.0)))
+            scene, b = draw(st.sampled_from((g.scene_id, scene))), (
+                g.box[0] + shift, g.box[1], g.box[2] + shift, g.box[3])
+        dets.append(det(scene, b, draw(st.sampled_from(DET_LABELS)),
+                        draw(st.sampled_from((0.25, 0.5, 1.0)))))
+    return dets, gts
+
+
+def assert_same_overlaps(got, want):
+    assert got.codes == want.codes
+    for name in OVERLAPS_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestOverlapsEqualAllPairs:
+    """`find_overlaps` scores only the pairs whose boxes meet with positive
+    area; every array equals the all-pairs oracle's, element for element."""
+
+    @given(st.one_of(edge_instance(), grid_instance()), st.sampled_from((0.0, 0.5, 1.0)))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_all_pairs_oracle(self, instance, iou_thr):
+        dets, gts = instance
+        with np.errstate(over="ignore", invalid="ignore"):  # widths past the float range
+            got = overlaps_of(dets, gts, iou_thr)
+            want = oracle_find_overlaps(table_of(dets), gts, iou_thr)
+        assert_same_overlaps(got, want)
+
+    @given(st.one_of(edge_instance(), grid_instance()))
+    @settings(max_examples=200, deadline=None)
+    def test_box_iou_scores_only_boxes_that_meet(self, instance):
+        dets, gts = instance
+        calls, box_iou = [], owod_eval.box_iou
+
+        def recording(a, b):
+            calls.append((a, b))
+            return box_iou(a, b)
+        with patch.object(owod_eval, "box_iou", recording), \
+                np.errstate(over="ignore", invalid="ignore"):
+            overlaps_of(dets, gts, 0.0)
+        for a, b in calls:
+            assert (np.maximum(a[:, 0], b[:, 0]) < np.minimum(a[:, 2], b[:, 2])).all()
+            assert (np.maximum(a[:, 1], b[:, 1]) < np.minimum(a[:, 3], b[:, 3])).all()
+
+    @pytest.mark.parametrize("iou_thr", [0.0, 0.5, 1.0])
+    def test_edge_sharing_and_degenerate_boxes_never_pair(self, iou_thr):
+        gts = [gt("b", (0, 0, 2, 2), "car"), gt("b", (1, 1, 1, 3), "bus")]
+        dets = [det("b", (2, 0, 4, 2), "car", 0.9),    # shares an edge with box 0
+                det("b", (0, 2, 2, 4), "car", 0.8),    # so does this one
+                det("b", (1, 0, 1, 2), "car", 0.7),    # zero width, inside box 0
+                det("b", (0, 0, 2, 2), "car", 0.6),    # box 0 itself
+                det("b", (0, 0, 2, 2), "car", 0.6)]    # and a duplicate of it
+        got = overlaps_of(dets, gts, iou_thr)
+        assert_same_overlaps(got, oracle_find_overlaps(table_of(dets), gts, iou_thr))
+        assert got.pair_gt.tolist() == [0, 0]
+        assert got.pair_rank.tolist() == [3, 4]
+
+    def test_scenes_with_boxes_only_or_detections_only(self):
+        gts = [gt("a", (0, 0, 2, 2), "car")]
+        dets = [det("d", (0, 0, 2, 2), "car", 0.9)]
+        got = overlaps_of(dets, gts)
+        assert_same_overlaps(got, oracle_find_overlaps(table_of(dets), gts))
+        assert got.pair_gt.tolist() == []
+        assert_same_overlaps(overlaps_of([], gts), oracle_find_overlaps(table_of([]), gts))
+        assert_same_overlaps(overlaps_of(dets, []), oracle_find_overlaps(table_of(dets), []))
+
+
 def save_json(path, report):
     with atomic_text_file(path) as fh:
         write_report_json(fh, report)
@@ -406,6 +504,27 @@ class TestEvaluateTask:
         assert [p.name for p in tmp_path.iterdir()] == (["report.csv"] if previous else [])
         if previous:
             assert path.read_bytes() == old
+
+    def test_report_reads_back_as_written(self, tmp_path):
+        gts = [gt("s", (0, 0, 4, 4), "car"), gt("s", (8, 0, 12, 4), "mystery")]
+        report = evaluate_task(table_of([det("s", (0, 0, 4, 4), "car", 0.9)]), gts,
+                               self.split(), task_id=1, config={"seed": "0"})
+        save_json(tmp_path / "r.json", report)
+        assert read_report(tmp_path / "r.json") == report
+
+    @pytest.mark.parametrize("key, value", [
+        ("map_prev", [0.5]), ("map_curr", {}), ("u_recall", "x"), ("wi", False),
+        ("a_ose", None), ("a_ose", 1.5), ("task_id", True), ("per_class_ap", None),
+        ("per_class_ap", {"car": [1.0]}), ("config", []), ("protocol", "all-point"),
+    ])
+    def test_report_field_of_another_type_is_a_parse_error(self, tmp_path, key, value):
+        report = evaluate_task(table_of([]), [gt("s", (0, 0, 4, 4), "car")], self.split(),
+                               task_id=1)
+        path = tmp_path / "r.json"
+        save_json(path, replace(report, **{key: value}))
+        with pytest.raises(ParseError, match=f"bad report: {key} ") as err:
+            read_report(path)
+        assert str(path) in str(err.value)
 
     def test_undefined_serializes_as_null_not_zero(self, tmp_path):
         import json

@@ -17,6 +17,7 @@ from openworld_kit.synthetic_world import (
     KIND_NOOD,
     WorldClass,
     WorldSpec,
+    _angle,
     _replay_rounds,
     export_split,
     export_world,
@@ -43,6 +44,27 @@ SMALL_SPEC = WorldSpec(
 
 def angle(a, b):
     return math.acos(max(-1.0, min(1.0, float(a @ b))))
+
+
+@pytest.mark.parametrize("cos", [float("nan"), -0.0, 0.0, 0.5, -1.0, 1.0,
+                                 np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 2.0,
+                                 float("inf"), float("-inf")])
+def test_angle_clips_as_np_clip(cos):
+    """`_angle` clips the cosine into [-1, 1] with the bits of `np.clip`:
+    NaN stays NaN, -0.0 stays -0.0, and one ulp past either end clips."""
+    a, b = np.array([cos]), np.array([1.0])
+    want = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    assert np.array_equal(np.float64(_angle(a, b)), np.float64(want), equal_nan=True)
+    assert math.copysign(1.0, _angle(a, b)) == math.copysign(1.0, want)
+
+
+def test_angle_equals_np_clip_on_random_pairs():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        a, b = rng.standard_normal((2, 8))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        assert _angle(a, b) == float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+        assert _angle(a, a) == float(np.arccos(np.clip(a @ a, -1.0, 1.0)))
 
 
 @pytest.fixture(scope="module")
