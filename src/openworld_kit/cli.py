@@ -39,7 +39,7 @@ from .synthetic_world import (
     TASK_SPLIT_NAME,
     World,
     WorldSpec,
-    export_split,
+    export_splits,
     export_world,
     load_split,
     load_world,
@@ -285,8 +285,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     out = _world_dir(cfg)
     with atomic_directory(out) as tmp:
         export_world(world, tmp)
-        for split, _ in spec.scenes_per_split:
-            export_split(world, split, tmp)
+        export_splits(world, tmp)
     print(f"world written to {out}: {len(spec.known_per_task)} tasks, "
           f"{spec.num_known} known classes, {spec.num_unknown} unknown classes")
     return 0

@@ -459,8 +459,9 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
 
     A line that is not such an object, a string field that is not a JSON
     string, a number that is not a JSON int or float (`true` is not one) or
-    is not finite, and a box with x2 < x1 or y2 < y1 raise `ParseError`
-    naming the line. Types are checked once per column after the read."""
+    is not finite, and a box with x2 < x1 or y2 < y1 or whose area is not
+    finite raise `ParseError` naming the line. Types are checked once per
+    column after the read."""
     defaults = defaults or {}
     keys = (*text, "x1", "y1", "x2", "y2", *numbers)
     columns = {key: [] for key in keys}
@@ -513,7 +514,17 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
     inverted = (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])
     if inverted.any():
         reject("box", int(np.argmax(inverted)), "has x2 < x1 or y2 < y1")
+    finite = _finite_areas(boxes)
+    if not finite.all():
+        reject("box", int(np.argmin(finite)), "has an area that is not finite")
     return {key: columns[key] for key in text}, boxes, arrays
+
+
+def _finite_areas(boxes: np.ndarray) -> np.ndarray:
+    """Whether each box's area `(x2 - x1) * (y2 - y1)` is finite: `box_iou`
+    scores a box whose area overflows against itself as NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]))
 
 
 # the column file beside a detections file: an 8-byte little-endian header
@@ -531,14 +542,16 @@ def _little(dtype) -> np.dtype:
 
 def _usable(table: DetectionTable) -> bool:
     """Whether the parse could return `table`: every code indexes its name
-    list, every value is finite, and no box has x2 < x1 or y2 < y1."""
+    list, every value is finite, and no box has x2 < x1 or y2 < y1 or an
+    area that is not finite."""
     boxes = table.boxes
     return bool(all(len(codes) == 0 or (codes.min() >= 0 and codes.max() < len(names))
                     for codes, names in ((table.scenes, table.scene_names),
                                          (table.labels, table.label_names)))
                 and np.isfinite(boxes).all() and np.isfinite(table.confidence).all()
                 and np.isfinite(table.ood).all()
-                and (boxes[:, 2] >= boxes[:, 0]).all() and (boxes[:, 3] >= boxes[:, 1]).all())
+                and (boxes[:, 2] >= boxes[:, 0]).all() and (boxes[:, 3] >= boxes[:, 1]).all()
+                and _finite_areas(boxes).all())
 
 
 def _write_columns(fh, table: DetectionTable, jsonl_sha256: str) -> None:

@@ -210,23 +210,49 @@ def write_json(path, payload) -> None:
         dump_json(payload, fh)
 
 
+def _remove(path: Path) -> None:
+    """Remove whatever is at `path`, if anything: a directory tree, or a
+    file or symlink, which is not followed."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        path.unlink()
+
+
 @contextmanager
 def atomic_directory(path):
     """Yield an empty directory beside `path` to fill; when the block ends,
     it replaces `path` and all of its old contents in one rename.
 
-    `path` is therefore the old directory, the whole new one or absent,
-    never a mix. A block that raises leaves `path` as it was and no
-    temporary directory behind.
+    `path` is therefore the old directory or the whole new one (absent if
+    there was none), never a mix. A block that raises leaves `path` as it
+    was and no temporary directory behind. Whatever a failed run left at
+    `<path>.tmp` or `<path>.old.tmp`, a file or a symlink included, is
+    removed first. The old directory waits at `<path>.old.tmp` until the
+    new one is in place, and goes back if that rename fails. An `OSError`
+    of these steps raises `UnwritableOutput` naming `path`.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
+    old = path.with_name(path.name + ".old.tmp")
+    for leftover in (tmp, old):
+        _unwritable_as_toolkit_error(path, lambda: _remove(leftover))
     try:
-        tmp.mkdir(parents=True)
+        _unwritable_as_toolkit_error(path, lambda: tmp.mkdir(parents=True))
         yield tmp
-        shutil.rmtree(path, ignore_errors=True)
-        os.replace(tmp, path)
+        if os.path.lexists(path):
+            _unwritable_as_toolkit_error(path, lambda: os.replace(path, old))
+        try:
+            _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
+        except BaseException:
+            if os.path.lexists(old):
+                with suppress(OSError):
+                    os.replace(old, path)
+            raise
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    # the new directory is in place: the old one is only a leftover, which
+    # the next call removes if this one cannot
+    with suppress(OSError):
+        _remove(old)

@@ -133,7 +133,12 @@ def _read_exact(fh, size: int, path) -> bytes:
 
 
 def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
-    """Read a pyramid blob; thresholds come from the world manifest."""
+    """Read a pyramid blob; thresholds come from the world manifest.
+
+    After the header, exactly the grid bytes it declares are read, in one
+    buffer that is checked for finite values and converted to float64 once;
+    each layer's grids are views of it. Bytes past the declared grids are
+    never read."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -153,16 +158,18 @@ def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
         if declared > held:
             raise ParseError(f"truncated pyramid blob: the header declares {declared} "
                              f"bytes of grids, the file holds {held}", path=str(path))
-        feats: list[np.ndarray] = []
-        boxes: list[np.ndarray] = []
-        for h, w, d, _ in headers:
-            feat = np.frombuffer(_read_exact(fh, h * w * d * 4, path), dtype="<f4")
-            box = np.frombuffer(_read_exact(fh, h * w * 4 * 4, path), dtype="<f4")
-            if not np.isfinite(np.concatenate((feat, box))).all():
-                raise ParseError("non-finite feature or box value in pyramid blob",
-                                 path=str(path))
-            feats.append(feat.astype(np.float64).reshape(h, w, d))
-            boxes.append(box.astype(np.float64).reshape(h, w, 4))
+        values = np.frombuffer(_read_exact(fh, declared, path), dtype="<f4")
+    if not np.isfinite(values).all():
+        raise ParseError("non-finite feature or box value in pyramid blob", path=str(path))
+    values = values.astype(np.float64)
+    feats: list[np.ndarray] = []
+    boxes: list[np.ndarray] = []
+    start = 0
+    for h, w, d, _ in headers:
+        feats.append(values[start:start + h * w * d].reshape(h, w, d))
+        start += h * w * d
+        boxes.append(values[start:start + h * w * 4].reshape(h, w, 4))
+        start += h * w * 4
     try:
         geometry = PyramidGeometry(
             layers=tuple(LayerGeometry(h, w, float(s)) for h, w, _, s in headers),

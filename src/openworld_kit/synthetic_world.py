@@ -617,25 +617,35 @@ def load_world(out_dir) -> World:
                  generic_object=generic, text_embeddings=embeddings)
 
 
-def export_split(world: World, split: str, out_dir) -> None:
-    """Write every scene blob of a split plus its ground-truth JSON lines.
+def export_splits(world: World, out_dir) -> None:
+    """Write every scene blob of every split of the spec plus each split's
+    ground-truth JSON lines.
 
-    Scenes are generated and written through `ordered_map`, on every CPU
-    this process may use; a scene depends on its own seeded stream alone, so
-    the files are the same at any CPU count. Each scene hands back only its
-    visible ground truth, never its pyramid."""
-    out = Path(out_dir) / "scenes" / split
-    out.mkdir(parents=True, exist_ok=True)
+    All the splits' scenes are generated and written through one
+    `ordered_map`, on every CPU this process may use; a scene depends on its
+    own seeded stream alone, so the files are the same at any CPU count.
+    Each scene hands back only its visible ground truth, never its
+    pyramid."""
+    splits = [split for split, _ in world.spec.scenes_per_split]
+    base = Path(out_dir) / "scenes"
+    for split in splits:
+        (base / split).mkdir(parents=True, exist_ok=True)
     known = {c.name for c in world.known_classes}
 
-    def export_scene(index: int) -> list[GtRecord]:
+    def export_scene(item: tuple[str, int]) -> list[GtRecord]:
+        split, index = item
         scene = generate_scene(world, split, index)
-        write_pyramid_blob(out / f"{scene.scene_id}.pyr", scene.pyramid)
+        write_pyramid_blob(base / split / f"{scene.scene_id}.pyr", scene.pyramid)
         # never-introduced classes are unlabeled outside the test split
         return [g for g in scene.gt if split == "test" or g.class_name in known]
 
-    records = ordered_map(export_scene, range(world.spec.scene_count(split)))
-    write_gt_jsonl(out / "gt.jsonl", [r for scene in records for r in scene])
+    items = [(split, index) for split in splits
+             for index in range(world.spec.scene_count(split))]
+    records: dict[str, list[GtRecord]] = {split: [] for split in splits}
+    for (split, _), scene in zip(items, ordered_map(export_scene, items)):
+        records[split] += scene
+    for split in splits:
+        write_gt_jsonl(base / split / "gt.jsonl", records[split])
 
 
 def split_scene_blobs(spec: WorldSpec, split: str, out_dir,

@@ -4,7 +4,8 @@ and the per-task driver with threshold calibration and checkpointing.
 
 Training is single-threaded and fully deterministic per seed: batch
 composition, negative subsampling, and module initialization all draw from
-labeled streams of the run seed.
+labeled streams of the run seed. Only the classes a task trains are sampled
+and scored; a frozen class costs the detection loss a count of its pairs.
 """
 
 from __future__ import annotations
@@ -148,52 +149,47 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def detection_loss(
     layer_grids: list[np.ndarray],
     embeddings: np.ndarray,
-    trainable: np.ndarray,
     assignments: list[SampleAssignment],
     logit_scale: float,
+    total_pairs: int | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over (sampled location, known class) pairs.
+    """Binary cross-entropy over the sampled (location, class) pairs of the
+    classes in `embeddings`, summed and divided by `total_pairs`: the pairs
+    of every known class, those of classes not scored here (frozen ones)
+    included. It defaults to the pairs of `assignments`.
 
     For class i the sampled locations are its assigned positives (target 1)
     and negatives (target 0); the logit is `logit_scale * cos(w_i, f)`.
-    Returns the loss and gradients shaped like `embeddings`, zeroed for
-    rows where `trainable` is False.
+    Returns the loss and gradients shaped like `embeddings`.
     """
-    n_classes = embeddings.shape[0]
-    if len(assignments) != n_classes:
-        raise ShapeMismatch("one sample assignment per class is required")
-    total_pairs = 0
+    if len(assignments) != embeddings.shape[0]:
+        raise ShapeMismatch("one sample assignment per embedding row is required")
+    if total_pairs is None:
+        total_pairs = sum(idx.size for a in assignments for idx in a.index)
+    if total_pairs == 0:
+        raise NoSamples("detection loss has no assigned locations")
     raw_losses = []
-    per_class_rows = []
-    for a in assignments:
+    grads = np.zeros_like(embeddings)
+    for i, a in enumerate(assignments):
         # only the sampled rows are normalized: a row's norm is its own
         blocks = sampled_rows(layer_grids, a)
         rows = np.concatenate(blocks)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        rows /= np.where(norms < 1e-12, 1.0, norms)
-        targets = np.concatenate([np.arange(len(b)) < n for b, n in zip(blocks, a.n_pos)])
-        per_class_rows.append((rows, targets.astype(np.float64)))
-        total_pairs += rows.shape[0]
-    if total_pairs == 0:
-        raise NoSamples("detection loss has no assigned locations")
-
-    loss = 0.0
-    grads = np.zeros_like(embeddings)
-    for i, (rows, targets) in enumerate(per_class_rows):
         if rows.shape[0] == 0:
             continue
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.where(norms < 1e-12, 1.0, norms)
+        targets = np.concatenate([np.arange(len(b)) < n
+                                  for b, n in zip(blocks, a.n_pos)]).astype(np.float64)
         w = embeddings[i]
         w_norm = float(np.linalg.norm(w))
         w_hat = w / w_norm
         logits = logit_scale * (rows @ w_hat)
         # bce(target, logit) = softplus(logit) - target * logit
         raw_losses.append(float(np.sum(_softplus(logits) - targets * logits)))
-        if trainable[i]:
-            d_logit = (_sigmoid(logits) - targets) / total_pairs
-            d_w_hat = logit_scale * (d_logit @ rows)
-            grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
-    loss = sum(raw_losses) / total_pairs
-    return loss, grads
+        d_logit = (_sigmoid(logits) - targets) / total_pairs
+        d_w_hat = logit_scale * (d_logit @ rows)
+        grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
+    return sum(raw_losses) / total_pairs, grads
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +275,15 @@ def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
         index=[np.concatenate([pos, neg]) - start
                for pos, neg, start in zip(pos_layers, neg_layers, owners.starts)],
         n_pos=[pos.size for pos in pos_layers])
+
+
+def _sample_count(owners: OwnerIndex, class_id: int, neg_cap: int) -> int:
+    """The number of locations `_assignment_for_class` samples for
+    `class_id`, found without drawing them: its positives, and negatives up
+    to the cap from every other location of the batch."""
+    positives = int(np.count_nonzero(owners.classes == class_id))
+    others = owners.foreground.size - positives + owners.background.size
+    return positives + min(int(neg_cap) * max(1, positives), others)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +372,12 @@ def train_task(
     never-introduced classes) is ignored, leaving their locations as
     background. Only unfrozen embeddings and modules receive
     updates; the loss is `det_weight * detection + mscal_weight * anchor
-    loss`, logged per step, where the anchor loss sums the trained modules'
-    losses over the number of known classes (a frozen module's loss is a
-    constant, so it is not computed). A cal split in which no known class
+    loss`, logged per step. Both sum the trained classes' terms only, since
+    a frozen class's terms are constants: the detection loss is the BCE of
+    the trained classes' sampled pairs over the sampled pairs of every known
+    class (a frozen class's sample is counted by `_sample_count`, never
+    drawn), and the anchor loss the trained modules' losses over the number
+    of known classes. A cal split in which no known class
     owns a location gives no score to calibrate on and raises `EmptyScores`.
     """
     geometry = world_data.geometry
@@ -393,16 +401,17 @@ def train_task(
                           f"known class, so theta cannot be calibrated")
 
     n_classes = registry.num_known
-    trainable_rows = np.array([not e.frozen for e in registry.entries])
-    trainable_idx = np.flatnonzero(trainable_rows)
-    # one stacked copy per task keeps the caller's entries untouched
-    embeddings = np.stack([e.embedding for e in registry.entries])
+    trainable_idx = [i for i, e in enumerate(registry.entries) if not e.frozen]
     trained = [m for m in modules if not m.frozen]
+    # only the classes whose embedding or module trains are sampled; a
+    # frozen class adds only its sample count to the detection loss's pairs
+    sampled = sorted({*trainable_idx, *(m.class_id for m in trained)})
     # the optimizer sees one flat buffer: the trainable rows, then each trained
     # module's fields, which become views into it; frozen rows stay out of it,
     # since weight decay would shrink them
     fields = [(layer, name) for m in trained for layer in m.layers for name in TRAINED_FIELDS]
-    values = [embeddings[trainable_idx]] + [getattr(layer, name) for layer, name in fields]
+    values = [np.stack([e.embedding for e in registry.entries])[trainable_idx]]
+    values += [getattr(layer, name) for layer, name in fields]
     sizes = [sum(getattr(layer, name).size for layer in m.layers for name in TRAINED_FIELDS)
              for m in trained]
     flat = np.concatenate([v.ravel() for v in values])
@@ -425,14 +434,18 @@ def train_task(
                  for j in range(geometry.num_layers)]
         moments = batch_moments(grids)
         owners = _owner_index([train_pairs[i] for i in idx], geometry)
-        assignments = [
-            _assignment_for_class(owners, class_id, config.neg_cap,
-                                  derive_rng(config.seed, "assign", task_id, step, class_id))
-            for class_id in range(n_classes)]
+        assignments = {
+            class_id: _assignment_for_class(
+                owners, class_id, config.neg_cap,
+                derive_rng(config.seed, "assign", task_id, step, class_id))
+            for class_id in sampled}
+        total_pairs = sum(_sample_count(owners, class_id, config.neg_cap)
+                          for class_id in range(n_classes))
 
         det_value, det_grads = detection_loss(
-            grids, embeddings, trainable_rows, assignments, config.logit_scale)
-        np.multiply(det_grads[trainable_idx], config.det_weight, out=row_grads)
+            grids, rows, [assignments[i] for i in trainable_idx], config.logit_scale,
+            total_pairs)
+        np.multiply(det_grads, config.det_weight, out=row_grads)
         con_value = 0.0
         for module, out in zip(trained, module_grads):
             assignment = assignments[module.class_id]
@@ -453,7 +466,6 @@ def train_task(
 
         adamw_step([flat], [flat_grad], state, config.learning_rate, config.weight_decay)
         _normalize_anchors(trained)
-        embeddings[trainable_idx] = rows
 
         total = config.det_weight * det_value + config.mscal_weight * con_value
         log.rows.append((step, det_value, con_value, total))
@@ -462,7 +474,7 @@ def train_task(
     # carry the rounding of this second normalization
     _normalize_anchors(trained)
     registry = registry.with_embeddings(
-        {registry.entries[i].name: embeddings[i] for i in trainable_idx})
+        {registry.entries[i].name: row for i, row in zip(trainable_idx, rows)})
     scores = known_positive_scores_for_registry(modules, cal_scenes, cal_pairs)
     log.theta = calibrate_threshold(scores, config.quantile)
     return registry, modules, log

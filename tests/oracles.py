@@ -10,7 +10,8 @@ folded scorer must match, the round-by-round scene generator and FIFO
 refill queue that the block-drawn `generate_scene` must match, the
 full-batch module init, whole-grid detection loss and `setdiff1d`
 assignment that the moment init, sampled-row loss and mask assignment must
-match, plus single-scene MSCAL references built on the library's
+match, the all-class detection loss whose gradients the trained-class
+loss must give, plus single-scene MSCAL references built on the library's
 assignment code, and the checks of a detections file's column file (its
 table against the parse's, and the ways to damage it).
 
@@ -241,7 +242,7 @@ def stored_table(path):
 # must refuse them
 COLUMN_DAMAGE = ("truncated", "flipped-byte", "directory", "bad-header", "wrong-length",
                  "scene-code-out-of-range", "negative-label-code", "non-finite-confidence",
-                 "non-finite-ood", "inverted-box")
+                 "non-finite-ood", "inverted-box", "overflowing-area")
 
 
 def damage_column_file(path, damage):
@@ -278,6 +279,10 @@ def damage_column_file(path, damage):
         struct.pack_into("<d", body, start + 56 * rows, float("inf"))
     elif damage == "inverted-box":
         struct.pack_into("<d", body, start + 16 * rows + 16, -1e300)   # x2 of the first box
+    elif damage == "overflowing-area":
+        # the first box from x -1e308 to x 1e308
+        struct.pack_into("<dd", body, start + 16 * rows, -1e308, 0.0)
+        struct.pack_into("<d", body, start + 16 * rows + 16, 1e308)
     else:
         assert damage == "resealed", damage
     path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
@@ -645,8 +650,8 @@ def full_batch_running_stats(module, grids):
     return stats
 
 
-def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
-                              logit_scale):
+def whole_grid_detection_loss(layer_grids, embeddings, assignments, logit_scale,
+                              total_pairs=None):
     """`training.detection_loss` with every location of the batch
     normalized before the sampled rows are gathered, which the sampled-row
     normalization must match bit for bit."""
@@ -660,7 +665,8 @@ def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
         blocks = sampled_rows(feat_hat, a)
         targets = np.concatenate([np.arange(len(b)) < n for b, n in zip(blocks, a.n_pos)])
         per_class_rows.append((np.concatenate(blocks), targets.astype(np.float64)))
-    total_pairs = sum(rows.shape[0] for rows, _ in per_class_rows)
+    if total_pairs is None:
+        total_pairs = sum(rows.shape[0] for rows, _ in per_class_rows)
     if total_pairs == 0:
         raise NoSamples("detection loss has no assigned locations")
     raw_losses = []
@@ -672,11 +678,52 @@ def whole_grid_detection_loss(layer_grids, embeddings, trainable, assignments,
         w_hat = embeddings[i] / w_norm
         logits = logit_scale * (rows @ w_hat)
         raw_losses.append(float(np.sum(_softplus(logits) - targets * logits)))
+        d_logit = (_sigmoid(logits) - targets) / total_pairs
+        d_w_hat = logit_scale * (d_logit @ rows)
+        grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
+    return sum(raw_losses) / total_pairs, grads
+
+
+def oracle_all_class_detection_loss(layer_grids, embeddings, trainable, assignments,
+                                    logit_scale):
+    """The detection loss that samples and scores every known class, frozen
+    ones too: the mean BCE over every class's sampled pairs, with gradients
+    only for the `trainable` rows. Returns the loss, the gradients shaped
+    like `embeddings`, and each class's summed BCE (absent for a class with
+    no sampled pair). `training.detection_loss`, given the trainable rows
+    and this pair count, must give these gradients bit for bit, and the
+    trainable classes' summed BCE over the same count."""
+    n_classes = embeddings.shape[0]
+    if len(assignments) != n_classes:
+        raise ShapeMismatch("one sample assignment per class is required")
+    total_pairs = 0
+    raw_losses = {}
+    per_class_rows = []
+    for a in assignments:
+        blocks = sampled_rows(layer_grids, a)
+        rows = np.concatenate(blocks)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.where(norms < 1e-12, 1.0, norms)
+        targets = np.concatenate([np.arange(len(b)) < n for b, n in zip(blocks, a.n_pos)])
+        per_class_rows.append((rows, targets.astype(np.float64)))
+        total_pairs += rows.shape[0]
+    if total_pairs == 0:
+        raise NoSamples("detection loss has no assigned locations")
+
+    grads = np.zeros_like(embeddings)
+    for i, (rows, targets) in enumerate(per_class_rows):
+        if rows.shape[0] == 0:
+            continue
+        w = embeddings[i]
+        w_norm = float(np.linalg.norm(w))
+        w_hat = w / w_norm
+        logits = logit_scale * (rows @ w_hat)
+        raw_losses[i] = float(np.sum(_softplus(logits) - targets * logits))
         if trainable[i]:
             d_logit = (_sigmoid(logits) - targets) / total_pairs
             d_w_hat = logit_scale * (d_logit @ rows)
             grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
-    return sum(raw_losses) / total_pairs, grads
+    return sum(raw_losses.values()) / total_pairs, grads, raw_losses
 
 
 def unfolded_project(module, grids):

@@ -125,15 +125,15 @@ def test_criterion_1_gradient_correctness():
             pos = [rng.random((4, 4)) < 0.15 for _ in range(2)]
             neg = [(rng.random((4, 4)) < 0.25) & ~m for m in pos]
             assignments.append(assignment_from_masks(pos, neg))
-        _, grads = detection_loss(grids, emb, np.array([True] * 3), assignments, 10.0)
+        _, grads = detection_loss(grids, emb, assignments, 10.0)
         h = 1e-5
         for i in range(3):
             for k in range(8):
                 orig = emb[i, k]
                 emb[i, k] = orig + h
-                up, _ = detection_loss(grids, emb, np.array([True] * 3), assignments, 10.0)
+                up, _ = detection_loss(grids, emb, assignments, 10.0)
                 emb[i, k] = orig - h
-                down, _ = detection_loss(grids, emb, np.array([True] * 3), assignments, 10.0)
+                down, _ = detection_loss(grids, emb, assignments, 10.0)
                 emb[i, k] = orig
                 numeric = (up - down) / (2 * h)
                 rel = abs(grads[i, k] - numeric) / max(1e-8, abs(numeric))

@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1421,3 +1424,72 @@ class TestReportCommand:
         assert run("report", "r.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "r.json" in err
+
+
+class TestWholeDirectoryWrites:
+    """`gen` and `train` replace their directory whole: whatever a failed run
+    left at `<dir>.tmp` or `<dir>.old.tmp` is cleared, symlinks unfollowed,
+    and a failed rename keeps the old directory and ends in one error line."""
+
+    ARGS = ("--config", "tiny.ini", "--seed", "0", "--out", "out")
+    COMMANDS = {"gen": (("gen",), "out/world"),
+                "train": (("train", "--task", "2"), "out/checkpoints/task_2")}
+
+    def first_run(self, workdir, command):
+        """Run `command` once after what it needs; its directory."""
+        assert run("gen", *self.ARGS) == 0
+        if command == "train":
+            assert run("train", *self.ARGS, "--task", "1") == 0
+        argv, target = self.COMMANDS[command]
+        assert run(*argv, *self.ARGS) == 0
+        return argv, workdir / target
+
+    @pytest.mark.parametrize("suffix", [".tmp", ".old.tmp"])
+    @pytest.mark.parametrize("stale", ["file", "symlink", "directory"])
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_stale_temporary_path_is_cleared(self, workdir, command, stale, suffix):
+        argv, target = self.first_run(workdir, command)
+        clean = tree_bytes(target)
+        elsewhere = workdir / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "keep").write_text("keep")
+        leftover = target.with_name(target.name + suffix)
+        if stale == "file":
+            leftover.write_text("stale")
+        elif stale == "symlink":
+            leftover.symlink_to(elsewhere, target_is_directory=True)
+        else:
+            shutil.copytree(elsewhere, leftover)
+        assert run(*argv, *self.ARGS) == 0
+        assert tree_bytes(target) == clean
+        assert not os.path.lexists(leftover)
+        assert tree_bytes(elsewhere) == {Path("keep"): b"keep"}
+
+    @pytest.mark.parametrize("fail_at", [1, 2], ids=["moving-old-aside", "renaming-new"])
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_failed_rename_keeps_the_old_directory(self, workdir, monkeypatch, capsys,
+                                                   command, fail_at):
+        argv, target = self.first_run(workdir, command)
+        (target / "marker").write_text("old")
+        old = tree_bytes(target)
+        renames = []
+        replace = os.replace
+
+        def failing(src, dst):
+            # only the renames of the directory itself count
+            if str(target) in (os.path.abspath(src), os.path.abspath(dst)):
+                renames.append((src, dst))
+                if len(renames) == fail_at:
+                    raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            return replace(src, dst)
+        monkeypatch.setattr(os, "replace", failing)
+        capsys.readouterr()
+        assert run(*argv, *self.ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target.relative_to(workdir)}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert tree_bytes(target) == old
+        assert list(workdir.rglob("*.tmp")) == []
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(*argv, *self.ARGS) == 0
+        assert "marker" not in {p.name for p in target.iterdir()}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -540,11 +541,16 @@ class TestDetectionsFile:
         '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
         '"x1": 0.0, "x2": 1.0, "y1": 0.0, "y2": 1.0} {}',
         '[' * 100_000,
+        # finite corners whose width, or area, is past the float range
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": -1e308, "x2": 1e308, "y1": 0.0, "y2": 10.0}',
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1e200, "y1": 0.0, "y2": 1e200}',
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "overflow-box",
             "infinite-confidence", "infinite-ood", "nan-ood", "overflow-int-box",
             "overflow-int-ood", "string-coordinate", "bool-confidence", "bool-ood",
             "null-scene", "numeric-scene", "list-label", "x2-below-x1", "y2-below-y1",
-            "trailing-data", "deep-nesting"])
+            "trailing-data", "deep-nesting", "overflowing-width", "overflowing-area"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text('\xa0\n{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
@@ -617,19 +623,32 @@ class TestColumnFile:
     @given(case=written_scenes())
     @settings(max_examples=300, deadline=None)
     def test_stored_table_equals_the_parse(self, case):
+        # a box whose area is past the float range is written, but both
+        # readers refuse it: the column file is not used and the parse raises
         scenes, names = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dets.jsonl"
             write_scenes(path, scenes, names)
-            assert_same_table(stored_table(path), parsed_table(path))
-            assert_same_table(read_detections_jsonl(path), parsed_table(path))
+            boxes = np.array([[r[k] for k in ("x1", "y1", "x2", "y2")] for r in map(
+                json.loads, path.read_text(encoding="utf-8").splitlines())]).reshape(-1, 4)
+            with np.errstate(over="ignore", invalid="ignore"):
+                areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+            if not np.isfinite(areas).all():
+                assert _stored_table(path) is None
+                with pytest.raises(ParseError, match="area that is not finite"):
+                    read_detections_jsonl(path)
+            else:
+                assert_same_table(stored_table(path), parsed_table(path))
+                assert_same_table(read_detections_jsonl(path), parsed_table(path))
 
     @pytest.mark.parametrize("box, confidence, ood", [
         ((0.0, 0.0, math.nan, 1.0), 0.5, 0.0),
         ((0.0, 0.0, 1.0, 1.0), math.inf, 0.0),
         ((0.0, 0.0, 1.0, 1.0), 0.5, -math.inf),
         ((2.0, 0.0, 1.0, 1.0), 0.5, 0.0),
-    ], ids=["nan-box", "infinite-confidence", "infinite-ood", "x2-below-x1"])
+        ((-1e308, 0.0, 1e308, 10.0), 0.5, 0.0),
+    ], ids=["nan-box", "infinite-confidence", "infinite-ood", "x2-below-x1",
+            "overflowing-area"])
     def test_table_the_parse_refuses_writes_no_column_file(self, tmp_path, box, confidence,
                                                            ood):
         path = tmp_path / "dets.jsonl"

@@ -11,7 +11,13 @@ from openworld_kit.mscal import (
 from openworld_kit.training import detection_loss
 
 from gradcheck_support import H, build_instance, check_gradient, sweep_module
-from oracles import assignment_from_masks, full_grid_loss_gradients, out_dim, train_project
+from oracles import (
+    assignment_from_masks,
+    full_grid_loss_gradients,
+    oracle_all_class_detection_loss,
+    out_dim,
+    train_project,
+)
 
 
 def loss_and_gradients(module, grids, assignment):
@@ -79,8 +85,15 @@ def test_frozen_embedding_rows_receive_zero_gradient():
     pos = [rng.random((2, 3, 3)) < 0.3]
     neg = [(rng.random((2, 3, 3)) < 0.3) & ~pos[0]]
     assignments = [assignment_from_masks(pos, neg) for _ in range(2)]
-    _, grads = detection_loss(grids, emb, np.array([True, False]), assignments, 10.0)
-    assert np.abs(grads[1]).max() == 0.0
+    # the frozen class 1 is not scored: its pairs count only in the divisor,
+    # and the trained row gets the gradient the all-class loss gives it
+    total = sum(idx.size for a in assignments for idx in a.index)
+    _, grads = detection_loss(grids, emb[:1], assignments[:1], 10.0, total)
+    _, want, _ = oracle_all_class_detection_loss(grids, emb, np.array([True, False]),
+                                                 assignments, 10.0)
+    assert np.abs(want[1]).max() == 0.0
+    assert grads.shape == (1, 6)
+    assert grads[0].tobytes() == want[0].tobytes()
     assert np.abs(grads[0]).max() > 0.0
 
 
@@ -90,21 +103,22 @@ def test_detection_loss_gradients_match_central_differences(seed):
     grids = [rng.normal(size=(2, 4, 4, 8)), rng.normal(size=(2, 2, 2, 8))]
     n_classes = 3
     emb = rng.normal(size=(n_classes, 8))
-    trainable = np.array([True] * n_classes)
     assignments = []
     for _ in range(n_classes):
         pos = [rng.random((2, 4, 4)) < 0.15, rng.random((2, 2, 2)) < 0.15]
         neg = [(rng.random(m.shape) < 0.25) & ~m for m in pos]
         assignments.append(assignment_from_masks(pos, neg))
+    # 17 pairs of classes not scored here (frozen ones) join the divisor
+    total = sum(idx.size for a in assignments for idx in a.index) + 17
 
-    _, grads = detection_loss(grids, emb, trainable, assignments, 10.0)
+    _, grads = detection_loss(grids, emb, assignments, 10.0, total)
     for i in range(n_classes):
         for k in range(8):
             orig = emb[i, k]
             emb[i, k] = orig + H
-            up, _ = detection_loss(grids, emb, trainable, assignments, 10.0)
+            up, _ = detection_loss(grids, emb, assignments, 10.0, total)
             emb[i, k] = orig - H
-            down, _ = detection_loss(grids, emb, trainable, assignments, 10.0)
+            down, _ = detection_loss(grids, emb, assignments, 10.0, total)
             emb[i, k] = orig
             numeric = (up - down) / (2 * H)
             assert check_gradient(grads[i, k], numeric), (i, k, grads[i, k], numeric)

@@ -596,10 +596,15 @@ class TestGtFile:
         '{"class_name": "car", "scene_id": "s", "x1": 2.0, "x2": 1.0, "y1": 0.0, "y2": 1.0}',
         '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1.0, "y1": 3.0, "y2": 1.0}',
         '[' * 100_000,
+        # finite corners whose width, or area, is past the float range
+        '{"class_name": "car", "scene_id": "s", "x1": -1e308, "x2": 1e308, "y1": 0.0, '
+        '"y2": 10.0}',
+        '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1e200, "y1": 0.0, '
+        '"y2": 1e200}',
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "infinite-box",
             "overflow-box", "overflow-int-box", "string-coordinate", "bool-coordinate",
             "null-scene", "numeric-scene", "list-class", "x2-below-x1", "y2-below-y1",
-            "deep-nesting"])
+            "deep-nesting", "overflowing-width", "overflowing-area"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "gt.jsonl"
         write_gt_jsonl(path, [gt("s0", (1.5, 2.5, 10.0, 12.0), "car")])

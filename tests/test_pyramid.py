@@ -121,6 +121,20 @@ class TestBlobFormat:
             assert g_orig.stride == g_back.stride
             assert (g_orig.height, g_orig.width) == (g_back.height, g_back.width)
 
+    @pytest.mark.parametrize("tail", [b"x", struct.pack("<f", float("nan")) * 64])
+    def test_bytes_after_the_grids_are_not_read(self, tmp_path, tail):
+        # a trailing NaN would fail the finiteness check if it were read
+        pyr = random_pyramid(seed=8)
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, pyr)
+        want = read_pyramid_blob(path, pyr.geometry.level_thresholds)
+        path.write_bytes(path.read_bytes() + tail)
+        got = read_pyramid_blob(path, pyr.geometry.level_thresholds)
+        assert got.geometry == want.geometry
+        for a, b in zip(got.layers + got.box_field, want.layers + want.box_field, strict=True):
+            assert a.dtype == b.dtype == np.float64
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("cut", [10, 1000])  # inside the header, inside layer 0
     def test_truncated_blob_is_a_parse_error(self, tmp_path, cut):
         pyr = random_pyramid(seed=5, dim=16)

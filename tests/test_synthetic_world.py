@@ -19,7 +19,7 @@ from openworld_kit.synthetic_world import (
     WorldSpec,
     _angle,
     _replay_rounds,
-    export_split,
+    export_splits,
     export_world,
     generate_scene,
     load_split,
@@ -326,7 +326,7 @@ class TestBlockDrawnScenes:
 
 class TestExport:
     def test_round_trip_blobs_bit_identical(self, world, tmp_path):
-        export_split(world, "cal", tmp_path)
+        export_splits(world, tmp_path)
         scenes = [generate_scene(world, "cal", i) for i in range(world.spec.scene_count("cal"))]
         loaded = load_split(world, "cal", tmp_path)
         assert [s.scene_id for s in loaded] == [s.scene_id for s in scenes]
@@ -335,10 +335,24 @@ class TestExport:
         write_pyramid_blob(tmp_path / "again.pyr", loaded[0].pyramid)
         assert (tmp_path / "again.pyr").read_bytes() == blob
 
+    def test_every_split_goes_through_one_map(self, world, tmp_path, monkeypatch):
+        # one fan-out per world, not one per split
+        calls = []
+
+        def spy(fn, items):
+            calls.append(list(items))
+            return [fn(item) for item in calls[-1]]
+        monkeypatch.setattr(synthetic_world, "ordered_map", spy)
+        export_splits(world, tmp_path)
+        assert calls == [[(split, index) for split, count in world.spec.scenes_per_split
+                          for index in range(count)]]
+        for split, count in world.spec.scenes_per_split:
+            assert sorted(p.name for p in (tmp_path / "scenes" / split).iterdir()) == \
+                sorted([f"{split}-{index:04d}.pyr" for index in range(count)] + ["gt.jsonl"])
+
     def test_gt_line_counts_and_visibility(self, world, tmp_path):
         export_world(world, tmp_path)
-        export_split(world, "train", tmp_path)
-        export_split(world, "test", tmp_path)
+        export_splits(world, tmp_path)
         train_scenes = [generate_scene(world, "train", i)
                         for i in range(world.spec.scene_count("train"))]
         test_scenes = [generate_scene(world, "test", i)

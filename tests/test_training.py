@@ -20,6 +20,7 @@ from openworld_kit.mscal import (
 )
 from openworld_kit.owod_eval import GtRecord
 from openworld_kit.pyramid import LayerGeometry, PyramidGeometry
+from openworld_kit.seeding import derive_rng
 from openworld_kit.synthetic_world import WorldSpec, generate_scene, make_world
 from openworld_kit.training import (
     TrainConfig,
@@ -38,6 +39,7 @@ from oracles import (
     assignment_from_masks,
     full_batch_running_stats,
     known_positive_scores_full_grid,
+    oracle_all_class_detection_loss,
     oracle_assignment_for_class,
     oracle_ownership_masks,
     setdiff_assignment_for_class,
@@ -158,6 +160,23 @@ class TestAdamW:
                 assert got.tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
 
 
+def random_assignments(rng, grids, n_classes, most, first_min=1):
+    """One random `SampleAssignment` per class over `grids`: per layer up to
+    `most` distinct locations (the first class at least `first_min` of
+    them), split at random into positives and negatives."""
+    assignments = []
+    for i in range(n_classes):
+        index, n_pos = [], []
+        for g in grids:
+            picked = rng.permutation(g.size // g.shape[-1])[
+                :rng.integers(0 if i else first_min, most)]
+            cut = rng.integers(0, picked.size + 1)
+            index.append(np.concatenate([np.sort(picked[:cut]), np.sort(picked[cut:])]))
+            n_pos.append(int(cut))
+        assignments.append(mscal.SampleAssignment(index=index, n_pos=n_pos))
+    return assignments
+
+
 class TestDetectionLoss:
     def test_saturated_logits_drive_loss_to_zero(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -172,8 +191,7 @@ class TestDetectionLoss:
             assignment_from_masks([np.array([[False, False], [True, False]])],
                                   [np.array([[False, False], [False, True]])]),
         ]
-        loss, _ = detection_loss([grid], w, np.array([True, True]), assignments,
-                                 logit_scale=200.0)
+        loss, _ = detection_loss([grid], w, assignments, logit_scale=200.0)
         assert loss < 1e-12
 
     def test_orthogonal_features_give_ln2(self):
@@ -182,7 +200,7 @@ class TestDetectionLoss:
         grid[0, :, 2] = 1.0  # orthogonal to the class embedding
         assignment = assignment_from_masks([np.array([[True, False]])],
                                            [np.array([[False, True]])])
-        loss, _ = detection_loss([grid], w, np.array([True]), [assignment], 10.0)
+        loss, _ = detection_loss([grid], w, [assignment], 10.0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((3, 8, 16, 32)),
@@ -196,22 +214,40 @@ class TestDetectionLoss:
         grids = [rng.normal(size=(batch, h, h, dim)) for h in (6, 3)]
         for g in grids:
             g.reshape(-1, dim)[rng.random(g.size // dim) < 0.1] = 0.0
-        assignments = []
-        for i in range(n_classes):
-            index, n_pos = [], []
-            for g in grids:
-                picked = rng.permutation(g.size // dim)[:rng.integers(0 if i else 1, 40)]
-                cut = rng.integers(0, picked.size + 1)
-                index.append(np.concatenate([np.sort(picked[:cut]), np.sort(picked[cut:])]))
-                n_pos.append(int(cut))
-            assignments.append(mscal.SampleAssignment(index=index, n_pos=n_pos))
+        assignments = random_assignments(rng, grids, n_classes, 40)
         embeddings = rng.normal(size=(n_classes, dim))
-        trainable = rng.random(n_classes) < 0.7
-        loss, grads = detection_loss(grids, embeddings, trainable, assignments, 10.0)
-        want_loss, want_grads = whole_grid_detection_loss(grids, embeddings, trainable,
-                                                          assignments, 10.0)
+        # the pairs of classes not scored (frozen ones) count in the divisor
+        total = sum(idx.size for a in assignments for idx in a.index) + int(rng.integers(0, 50))
+        loss, grads = detection_loss(grids, embeddings, assignments, 10.0, total)
+        want_loss, want_grads = whole_grid_detection_loss(grids, embeddings, assignments,
+                                                          10.0, total)
         assert loss == want_loss
         assert grads.tobytes() == want_grads.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((3, 8, 16)),
+           batch=st.integers(1, 3), n_classes=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_trained_classes_equal_all_class_oracle(self, seed, dim, batch, n_classes):
+        # scoring only the trained classes, over every class's pair count,
+        # gives the all-class loss's gradients bit for bit and the trained
+        # classes' share of its summed BCE
+        rng = np.random.default_rng(seed)
+        grids = [rng.normal(size=(batch, h, h, dim)) for h in (5, 2)]
+        assignments = random_assignments(rng, grids, n_classes, 30, first_min=0)
+        total = sum(idx.size for a in assignments for idx in a.index)
+        if total == 0:
+            return
+        embeddings = rng.normal(size=(n_classes, dim))
+        trainable = rng.random(n_classes) < 0.5
+        trained = np.flatnonzero(trainable)
+        want_loss, want_grads, class_losses = oracle_all_class_detection_loss(
+            grids, embeddings, trainable, assignments, 10.0)
+        loss, grads = detection_loss(grids, embeddings[trained],
+                                     [assignments[i] for i in trained], 10.0, total)
+        assert grads.tobytes() == want_grads[trained].tobytes()
+        assert loss == sum(class_losses[i] for i in trained if i in class_losses) / total
+        if trainable.all():
+            assert loss == want_loss
 
 
 class TestTrainTask:
@@ -480,6 +516,81 @@ class TestCalibrationScores:
         assert training.known_positive_scores_for_registry(modules, [], []) == []
 
 
+class TestFrozenClassesAreCounted:
+    """Tasks 1-3 leave the bits of a run whose steps sample and score every
+    class, frozen ones too (`oracle_all_class_detection_loss`): frozen
+    classes only add their pair count to the detection loss."""
+
+    @staticmethod
+    def all_class_path(monkeypatch, registry, config, task_id):
+        """Patch the all-class sample and loss into `training.train_task`:
+        each step draws every class's assignment from the step's owner
+        index, checks the pair count it was given against them, and returns
+        the oracle's loss and the trainable rows' gradients."""
+        owner_index = training._owner_index
+        seen = []
+
+        def spy(*args):
+            seen.append(owner_index(*args))
+            return seen[-1]
+
+        frozen = np.stack([e.embedding for e in registry.entries])
+        trainable = np.array([not e.frozen for e in registry.entries])
+
+        def all_class_loss(grids, rows, assignments, logit_scale, total_pairs):
+            step = len(seen) - 1
+            every = [training._assignment_for_class(
+                seen[-1], c, config.neg_cap,
+                derive_rng(config.seed, "assign", task_id, step, c))
+                for c in range(registry.num_known)]
+            assert total_pairs == sum(idx.size for a in every for idx in a.index)
+            embeddings = frozen.copy()
+            embeddings[trainable] = rows
+            loss, grads, _ = oracle_all_class_detection_loss(
+                grids, embeddings, trainable, every, logit_scale)
+            return loss, grads[trainable]
+
+        monkeypatch.setattr(training, "_owner_index", spy)
+        monkeypatch.setattr(training, "detection_loss", all_class_loss)
+
+    def run(self, world, monkeypatch, all_class):
+        data = TaskData(world)
+        config = TrainConfig(steps_per_task=4, batch_size=2, seed=0)
+        registry, modules, out = ClassEmbeddingRegistry(entries=()), [], []
+        for task_id in (1, 2, 3):
+            registry = register_task(registry, [
+                (n, world.text_embeddings[n])
+                for n in world.task_split().current_classes(task_id)])
+            with monkeypatch.context() as patch:
+                if all_class:
+                    self.all_class_path(patch, registry, config, task_id)
+                registry, modules, log = train_task(data, registry, as_loaded(modules),
+                                                    config, task_id)
+            out.append(([json.dumps(mscal.module_to_payload(m), sort_keys=True)
+                         for m in modules],
+                        [e.embedding.tobytes() for e in registry.entries],
+                        log.theta, log.rows))
+        return out
+
+    def test_every_task_equals_the_all_class_path(self, monkeypatch):
+        world = make_world(dataclasses.replace(TINY_SPEC, known_per_task=(2, 2, 2)), seed=0)
+        got = self.run(world, monkeypatch, all_class=False)
+        want = self.run(world, monkeypatch, all_class=True)
+        for task_id, ((modules, rows, theta, log), (modules_w, rows_w, theta_w, log_w)) in \
+                enumerate(zip(got, want, strict=True), start=1):
+            assert len(modules) == 2 * task_id
+            assert modules == modules_w
+            assert rows == rows_w
+            assert theta == theta_w
+            # the logged anchor loss is the same; the detection loss differs
+            # after task 1 by the frozen classes' BCE
+            assert [(r[0], r[2]) for r in log] == [(r[0], r[2]) for r in log_w]
+            if task_id == 1:
+                assert log == log_w
+            else:
+                assert all(r[1] < r_w[1] for r, r_w in zip(log, log_w, strict=True))
+
+
 REGISTERED = {"c0": 0, "c1": 1, "c2": 2}  # c3 and c4 stay unregistered
 
 
@@ -520,6 +631,29 @@ SHARED_CELL = (pyramid_geometry([(4, 4), (2, 2)]), [
     scene_of(((0.0, 0.0, 12.0, 12.0), "c0"), ((4.0, 4.0, 16.0, 16.0), "c0"),
              ((4.0, 0.0, 14.0, 10.0), "c1"), ((0.0, 0.0, 30.0, 30.0), "c3")),
     scene_of()], 0)
+
+
+@st.composite
+def owner_index_case(draw):
+    """(layer sizes, owners, neg_cap): 1-3 layers of 1-12 locations, each
+    owned by any subset of classes 0-2 (class 3 owns nothing); every
+    location may be owned, which leaves no background."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    owned = draw(st.lists(st.frozensets(st.integers(0, 2)),
+                          min_size=sum(sizes), max_size=sum(sizes)))
+    return sizes, owned, draw(st.integers(0, 12))
+
+
+def _owners(sizes, owned):
+    """The `OwnerIndex` of one location per entry of `owned`, each owned by
+    the classes its set names."""
+    pairs = [(cell, cls) for cell, classes in enumerate(owned) for cls in sorted(classes)]
+    is_owned = np.array([bool(classes) for classes in owned])
+    return training.OwnerIndex(
+        starts=np.cumsum([0] + sizes[:-1]), foreground=np.flatnonzero(is_owned),
+        background=np.flatnonzero(~is_owned),
+        cells=np.array([cell for cell, _ in pairs], dtype=np.int64),
+        classes=np.array([cls for _, cls in pairs], dtype=np.int64))
 
 
 class TestAssignment:
@@ -571,6 +705,22 @@ class TestAssignment:
                                                 np.random.default_rng(seed))
             assert got.n_pos == want.n_pos
             assert all(np.array_equal(a, b) for a, b in zip(got.index, want.index, strict=True))
+
+    @given(case=owner_index_case(), seed=st.integers(0, 2 ** 32 - 1))
+    # no background; neg_cap 0; other-class pools above and below the cap
+    @example(case=([3], [{0}, {1}, {0, 2}], 1), seed=0)
+    @example(case=([2, 2], [{0}, set(), {1}, set()], 0), seed=0)
+    @example(case=([6], [{0}, {1}, {1}, {1}, {2}, set()], 1), seed=0)
+    @example(case=([6], [{0}, {1}, {1}, {1}, {2}, set()], 10), seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_sample_count_is_the_assignment_length(self, case, seed):
+        sizes, owned, neg_cap = case
+        owners = _owners(sizes, owned)
+        for class_id in range(4):  # class 3 has no positive
+            got = training._assignment_for_class(owners, class_id, neg_cap,
+                                                 np.random.default_rng(seed))
+            assert training._sample_count(owners, class_id, neg_cap) == sum(
+                idx.size for idx in got.index)
 
     @pytest.mark.parametrize("neg_cap", [0, 1, 3, 10, 1000])
     def test_cell_owned_by_two_classes(self, neg_cap):
