@@ -45,6 +45,7 @@ from .synthetic_world import (
     load_world,
     load_world_spec,
     make_world,
+    read_scene_pyramid,
     split_scene_blobs,
 )
 from .training import (
@@ -327,9 +328,24 @@ def cmd_train(cfg: RunConfig, task_id: int) -> int:
     return 0
 
 
+# scenes per `ordered_map` item of `infer`: fixed, so that no byte depends
+# on the CPU count; both bench test splits (40, 20 scenes) cut into an even
+# number of chunks
+INFER_CHUNK = 5
+
+
 def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
               no_mscal: bool, prompt_key: str | None = None,
               out_file: str | None = None) -> int:
+    """Detect every scene of `split` into a detections file and its column
+    file. The parent checks the split (`split_scene_blobs`) and reads no
+    pyramid; each `ordered_map` item, a chunk of `INFER_CHUNK` blobs, is
+    read, classified and OOD-scored in one call per layer stack, then each
+    scene is decoded, gated, suppressed and formatted. The first blob that
+    fails to read, in split order, raises its own error. A stack keeps a
+    score's bits where each layer's cell count is a multiple of the BLAS
+    kernels' row block (16 x 16, 8 x 8 grids), and can move its last bits
+    elsewhere; the chunks never depend on the CPU count, nor do the bytes."""
     world = load_world(_world_dir(cfg))
     registry, modules, theta, _ = _load_checkpoint(_checkpoint_dir(cfg, task_id), world,
                                                    _world_digest(cfg))
@@ -353,20 +369,28 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     folds = fold_modules(modules)
     labels = det.label_texts(registry.names)
 
-    def detect(scene) -> tuple[str, det.Detections]:
-        """The scene's JSONL lines and detections (`format_detection_lines`)."""
-        scores = det.classify_locations(scene.pyramid, prompts,
-                                        cfg.get("train", "logit_scale"))
-        dets = det.decode_detections(scene.pyramid, scores,
-                                     cfg.get("detect", "conf_threshold"),
-                                     registry.num_known)
-        dets = det.apply_ood_gate(dets, ood_score_map(folds, scene.pyramid), theta)
-        dets = det.nms(dets, cfg.get("detect", "nms_iou"),
-                       cfg.get("detect", "class_wise_nms"))
-        return det.format_detection_lines(scene.scene_id, dets, labels)
+    def detect(blobs: list[Path]) -> list[tuple[str, det.Detections]]:
+        """Each scene's JSONL lines and detections (`format_detection_lines`)."""
+        pyramids = [read_scene_pyramid(world, blob) for blob in blobs]
+        stacks = [np.stack(grids) for grids in zip(*(p.layers for p in pyramids))]
+        scores = det.classify_locations(stacks, prompts, cfg.get("train", "logit_scale"))
+        ood = ood_score_map(folds, stacks)
+        out = []
+        for i, (blob, pyramid) in enumerate(zip(blobs, pyramids)):
+            dets = det.decode_detections(pyramid, [grid[i] for grid in scores],
+                                         cfg.get("detect", "conf_threshold"),
+                                         registry.num_known)
+            dets = det.apply_ood_gate(dets, [grid[i] for grid in ood], theta)
+            dets = det.nms(dets, cfg.get("detect", "nms_iou"),
+                           cfg.get("detect", "class_wise_nms"))
+            out.append(det.format_detection_lines(blob.stem, dets, labels))
+        return out
 
-    scenes = load_split(world, split, _world_dir(cfg))
-    results = ordered_map(detect, scenes)
+    world_dir = _world_dir(cfg)
+    blobs = split_scene_blobs(world.spec, split, world_dir,
+                              ev.read_gt_jsonl(world_dir / "scenes" / split / "gt.jsonl"))
+    chunks = [blobs[i:i + INFER_CHUNK] for i in range(0, len(blobs), INFER_CHUNK)]
+    results = [scene for chunk in ordered_map(detect, chunks) for scene in chunk]
 
     if out_file is None:
         suffix = ""
@@ -381,8 +405,7 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     per_scene = [dets for _, dets in results]
     det.write_detections_jsonl(out_path, [lines for lines, _ in results],
                                det.DetectionTable.from_scenes(
-                                   [scene.scene_id for scene in scenes], per_scene,
-                                   registry.names))
+                                   [blob.stem for blob in blobs], per_scene, registry.names))
     total = sum(map(len, per_scene))
     print(f"{total} detections over {len(results)} scenes -> {out_path}")
     return 0

@@ -96,11 +96,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def classify_locations(
-    pyramid: FeaturePyramid,
+    pyramid: FeaturePyramid | list[np.ndarray],
     prompts: np.ndarray,
     logit_scale: float = 10.0,
 ) -> list[np.ndarray]:
-    """Per-layer (H, W, C) confidence grids.
+    """Per-layer confidence grids, shaped like the pyramid's layers (or a
+    list of (..., D) grids, such as a stack of scenes' layers) with the
+    embedding axis replaced by the C prompts.
 
     confidence(c, location) = sigmoid(logit_scale * cos(prompt_c, feature)).
     Cosines are computed on normalized vectors, so prompt row scale never
@@ -114,7 +116,7 @@ def classify_locations(
         raise ZeroVector("prompt matrix contains a zero-norm row")
     unit_prompts = prompts / norms[:, None]
     out = []
-    for grid in pyramid.layers:
+    for grid in pyramid.layers if isinstance(pyramid, FeaturePyramid) else pyramid:
         if grid.shape[-1] != prompts.shape[1]:
             raise ShapeMismatch(
                 f"prompt dim {prompts.shape[1]} != feature dim {grid.shape[-1]}")
@@ -224,9 +226,9 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
     the threshold. Confidence ties keep the earlier index. The survivors
     come back in visiting order. The result equals the scalar greedy loop
     over pairwise IoU, with `box_iou` run only on the same-group pairs
-    whose x-ranges overlap: any other pair of finite boxes has IoU exactly
-    0, which suppresses only at a threshold <= 0. At such a threshold, or
-    with a non-finite box, every same-group pair is scored.
+    whose x-ranges and y-ranges overlap: any other pair of finite boxes has
+    IoU exactly 0, which suppresses only at a threshold <= 0. At such a
+    threshold, or with a non-finite box, every same-group pair is scored.
     """
     if not isinstance(dets, Detections):
         dets = Detections.from_rows(dets)
@@ -240,7 +242,8 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
     # position, as the later positions of the group up to `end`
     by_x = np.lexsort((boxes[:, 0], groups))
     gid = np.unique(groups, return_inverse=True)[1][by_x]   # ascending
-    if iou_threshold > 0 and np.isfinite(boxes).all():
+    prefilter = iou_threshold > 0 and np.isfinite(boxes).all()
+    if prefilter:
         # only those with x1_b < x2_a, since otherwise the pair has no
         # width. With rank(v) the count of x1 values below v, the keys
         # gid * (n + 1) + rank(x1) below gid_a * (n + 1) + rank(x2_a) are
@@ -256,6 +259,11 @@ def nms(dets: Detections, iou_threshold: float = 0.7,
     # each pair as (earlier, later) in visiting order, the matrix's [i, j], i < j
     earlier = np.minimum(by_x[first], by_x[second])
     later = np.maximum(by_x[first], by_x[second])
+    if prefilter:
+        # of those, only the pairs whose y-ranges overlap: any other pair
+        # has no height
+        meet = (boxes[later, 1] < boxes[earlier, 3]) & (boxes[earlier, 1] < boxes[later, 3])
+        earlier, later = earlier[meet], later[meet]
     # `>=`, never keep-if-`<`: a NaN IoU suppresses nothing
     hit = box_iou(boxes[earlier], boxes[later]) >= iou_threshold
     earlier, later = earlier[hit], later[hit]
@@ -459,8 +467,9 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
 
     A line that is not such an object, a string field that is not a JSON
     string, a number that is not a JSON int or float (`true` is not one) or
-    is not finite, and a box with x2 < x1 or y2 < y1 or whose area is not
-    finite raise `ParseError` naming the line. Types are checked once per
+    is not finite, and a box with x2 < x1 or y2 < y1, whose area is not
+    finite or whose area exceeds `MAX_BOX_AREA` raise `ParseError` naming
+    the line. Types are checked once per
     column after the read."""
     defaults = defaults or {}
     keys = (*text, "x1", "y1", "x2", "y2", *numbers)
@@ -514,17 +523,27 @@ def read_box_columns(path, text: tuple[str, ...], numbers: tuple[str, ...], what
     inverted = (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])
     if inverted.any():
         reject("box", int(np.argmax(inverted)), "has x2 < x1 or y2 < y1")
-    finite = _finite_areas(boxes)
+    areas = _areas(boxes)
+    finite = np.isfinite(areas)
     if not finite.all():
         reject("box", int(np.argmin(finite)), "has an area that is not finite")
+    large = areas > MAX_BOX_AREA
+    if large.any():
+        reject("box", int(np.argmax(large)),
+               f"has an area above {MAX_BOX_AREA!r}, half the float range")
     return {key: columns[key] for key in text}, boxes, arrays
 
 
-def _finite_areas(boxes: np.ndarray) -> np.ndarray:
-    """Whether each box's area `(x2 - x1) * (y2 - y1)` is finite: `box_iou`
-    scores a box whose area overflows against itself as NaN."""
+# the largest box area the readers accept: `box_iou` adds two areas, and two
+# areas above half the float range add past it (to inf, and an IoU of 0)
+MAX_BOX_AREA = float(np.finfo(np.float64).max) / 2
+
+
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    """Each box's area `(x2 - x1) * (y2 - y1)`, inf or NaN where it
+    overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]))
+        return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
 
 # the column file beside a detections file: an 8-byte little-endian header
@@ -543,7 +562,7 @@ def _little(dtype) -> np.dtype:
 def _usable(table: DetectionTable) -> bool:
     """Whether the parse could return `table`: every code indexes its name
     list, every value is finite, and no box has x2 < x1 or y2 < y1 or an
-    area that is not finite."""
+    area that is not finite or exceeds `MAX_BOX_AREA`."""
     boxes = table.boxes
     return bool(all(len(codes) == 0 or (codes.min() >= 0 and codes.max() < len(names))
                     for codes, names in ((table.scenes, table.scene_names),
@@ -551,7 +570,7 @@ def _usable(table: DetectionTable) -> bool:
                 and np.isfinite(boxes).all() and np.isfinite(table.confidence).all()
                 and np.isfinite(table.ood).all()
                 and (boxes[:, 2] >= boxes[:, 0]).all() and (boxes[:, 3] >= boxes[:, 1]).all()
-                and _finite_areas(boxes).all())
+                and (_areas(boxes) <= MAX_BOX_AREA).all())
 
 
 def _write_columns(fh, table: DetectionTable, jsonl_sha256: str) -> None:

@@ -91,7 +91,7 @@ class MscalModule:
 
     def effective_anchor(self, layer: int) -> np.ndarray:
         mu = self.layers[layer].anchor
-        n = float(np.linalg.norm(mu))
+        n = math.sqrt(mu @ mu)   # the bits of `np.linalg.norm(mu)`
         if n < _NORM_EPS:
             raise ZeroVector(f"anchor of layer {layer} has zero norm")
         return mu / n
@@ -178,7 +178,7 @@ def _row_norms(u: np.ndarray, layer: int) -> np.ndarray:
     # the bits of `np.linalg.norm(u, axis=1)`, without its call overhead
     norms = np.sqrt(np.add.reduce(u * u, axis=1))
     bad = norms < _NORM_EPS
-    if bad.any():
+    if np.logical_or.reduce(bad):
         raise DegenerateProjection(
             f"{int(bad.sum())} locations collapsed to zero norm at layer {layer}")
     return norms
@@ -241,8 +241,8 @@ def sampled_rows(grids: list[np.ndarray], assignment: SampleAssignment) -> list[
 
 
 def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
+    m = float(np.maximum.reduce(x))
+    return m + float(np.log(np.add.reduce(np.exp(x - m))))
 
 
 def mscal_loss(module: MscalModule, projected: list[np.ndarray],
@@ -274,7 +274,7 @@ def batch_moments(grids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]
     moments = []
     for grid in grids:
         x = grid.reshape(-1, grid.shape[-1])
-        mean = x.mean(axis=0)
+        mean = np.add.reduce(x, axis=0) / x.shape[0]   # the bits of `x.mean(axis=0)`
         centered = x - mean
         moments.append((mean, centered.T @ centered / x.shape[0]))
     return moments
@@ -298,6 +298,12 @@ def mscal_loss_gradients(
     statistics, the batch contributes to `d_w1` only through the moments,
     and `d_b1` is exactly zero: a shift of every row by `b1` leaves the
     normalized rows unchanged.
+
+    A step's arrays are small, so each numpy call costs more than its
+    arithmetic: every reduction and norm calls the ufunc that numpy's
+    wrapper (`np.sum`, `np.linalg.norm`, `np.outer`, `ndarray.mean`) would
+    call, with the same bits, and the softmax reuses the exponentials of
+    the loss's log-sum-exp.
     """
     _check_grids(module, grids)
     forward, logits, stats = [], [], []
@@ -305,7 +311,7 @@ def mscal_loss_gradients(
                                              strict=True)):
         p = module.layers[j]
         cov_w1 = cov @ p.w1
-        var = np.sum(cov_w1 * p.w1, axis=0)
+        var = np.add.reduce(cov_w1 * p.w1, axis=0)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         centered = x - mean
         x_hat = (centered @ p.w1) * inv_std
@@ -324,11 +330,13 @@ def mscal_loss_gradients(
         raise NoSamples(f"class {module.class_id}: no positive samples in batch")
     n_pos_total = pos_logits.size
     all_logits = np.concatenate(logits)
-    loss = _logsumexp(all_logits) - float(pos_logits.mean())
-
-    shift = all_logits - np.max(all_logits)
-    soft = np.exp(shift)
-    soft /= soft.sum()
+    # `_logsumexp(all_logits) - pos_logits.mean()`, its exponentials kept
+    # for the softmax
+    top = float(np.maximum.reduce(all_logits))
+    soft = np.exp(all_logits - top)
+    total = np.add.reduce(soft)
+    loss = (top + float(np.log(total))) - float(np.add.reduce(pos_logits) / n_pos_total)
+    soft /= total
 
     grads: list[dict[str, np.ndarray]] = []
     offset = 0
@@ -341,25 +349,26 @@ def mscal_loss_gradients(
 
         # logits = (z . mu_eff) / tau, with mu_eff the unit `params.anchor`
         d_mu_eff = (d_logit @ z) / module.tau
-        mu_norm = float(np.linalg.norm(params.anchor))
+        mu_norm = math.sqrt(params.anchor @ params.anchor)
         d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
 
-        dz = np.outer(d_logit, mu_eff) / module.tau
-        du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / norms[:, None]
+        dz = d_logit[:, None] * mu_eff / module.tau
+        du = (dz - np.add.reduce(dz * z, axis=1, keepdims=True) * z) / norms[:, None]
 
         d_w2 = r.T @ du
-        d_b2 = du.sum(axis=0)
+        d_b2 = np.add.reduce(du, axis=0)
         dy = np.where(relu_mask, du @ params.w2.T, 0.0)
-        d_gamma = np.sum(dy * x_hat, axis=0)
-        d_beta = dy.sum(axis=0)
+        d_gamma = np.add.reduce(dy * x_hat, axis=0)
+        d_beta = np.add.reduce(dy, axis=0)
         # through the batch statistics: d_h = inv_std * (g - mean(g) - x_hat *
         # mean(g * x_hat)) over all batch rows, zero outside the samples, and
         # the batch sums of x and of x * x_hat are the moments
         g = dy * params.gamma
-        d_w1 = (centered.T @ g - cov_w1 * (inv_std * np.sum(g * x_hat, axis=0))) * inv_std
+        d_w1 = (centered.T @ g
+                - cov_w1 * (inv_std * np.add.reduce(g * x_hat, axis=0))) * inv_std
 
         grads.append({
-            "w1": d_w1, "b1": np.zeros_like(params.b1), "gamma": d_gamma, "beta": d_beta,
+            "w1": d_w1, "b1": np.zeros(params.b1.shape), "gamma": d_gamma, "beta": d_beta,
             "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
         })
     return loss, grads, stats

@@ -54,27 +54,43 @@ class PyramidGeometry:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def level_for_box(self, box: tuple[float, float, float, float]) -> int:
-        x1, y1, x2, y2 = box
-        side = max(x2 - x1, y2 - y1)
-        th = self.level_thresholds
-        for j in range(self.num_layers):
-            if th[j] <= side < th[j + 1]:
-                return j
-        raise ValueError(f"box side {side} outside threshold range {th}")
+    def owned_cells(self, boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells the (n, 4) `boxes` own, the one ownership rule of the
+        toolkit: a box belongs to the layer j whose thresholds hold its max
+        side, `thresholds[j] <= side < thresholds[j + 1]`, and owns that
+        layer's cells whose centres lie in the half-open box [x1, x2) x
+        [y1, y2).
 
-    def owned_cells(self, box: tuple[float, float, float, float]) -> tuple[int, np.ndarray]:
-        """The cells a box owns: its `level_for_box` layer, and the row-major
-        flat indices of that layer's cells whose centres lie in the half-open
-        box [x1, x2) x [y1, y2). The one ownership rule of the toolkit."""
-        level = self.level_for_box(box)
-        g = self.layers[level]
-        x1, y1, x2, y2 = box
-        cx = (np.arange(g.width, dtype=np.float64) + 0.5) * g.stride
-        cy = (np.arange(g.height, dtype=np.float64) + 0.5) * g.stride
-        cols = np.flatnonzero((cx >= x1) & (cx < x2))
-        rows = np.flatnonzero((cy >= y1) & (cy < y2))
-        return level, (rows[:, None] * g.width + cols).ravel()
+        Returns each box's layer, then the owned (box, cell) pairs as two
+        flat int64 arrays: box index ascending, each box's cells as row-major
+        flat indices of its layer, ascending. A box whose side lies outside
+        the threshold range raises `ValueError`, the first such box first."""
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        x1, y1, x2, y2 = boxes.T
+        w, h = x2 - x1, y2 - y1
+        side = np.where(h > w, h, w)   # Python's `max(w, h)`, NaN and all
+        levels = np.searchsorted(self.level_thresholds, side, side="right") - 1
+        outside = (levels < 0) | (levels >= self.num_layers)
+        if np.logical_or.reduce(outside):
+            raise ValueError(f"box side {float(side[np.argmax(outside)])} outside "
+                             f"threshold range {self.level_thresholds}")
+        # each box's level's k-th column (row) centre, (k + 0.5) * stride;
+        # the centres inside a box's x- (y-) range are one run of columns
+        # (rows): its first index and length
+        height, width = np.array([(g.height, g.width) for g in self.layers],
+                                 dtype=np.int64)[levels].T
+        index = np.arange(max(max(g.height, g.width) for g in self.layers))
+        centre = (index + 0.5) * np.array([g.stride for g in self.layers])[levels, None]
+        cols = (centre >= x1[:, None]) & (centre < x2[:, None]) & (index < width[:, None])
+        rows = (centre >= y1[:, None]) & (centre < y2[:, None]) & (index < height[:, None])
+        ncol, nrow = np.add.reduce(cols, axis=1), np.add.reduce(rows, axis=1)
+        counts = nrow * ncol
+        box = np.repeat(np.arange(len(boxes)), counts)
+        k = np.arange(box.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ncol = ncol[box]
+        cells = ((rows.argmax(axis=1)[box] + k // ncol) * width[box]
+                 + cols.argmax(axis=1)[box] + k % ncol)
+        return levels, box, cells
 
 
 @dataclass(frozen=True)
@@ -98,7 +114,7 @@ class FeaturePyramid:
                     f"feature grid {feat.shape} does not match layer {g.height}x{g.width}")
             if boxes.shape != (g.height, g.width, 4):
                 raise ShapeMismatch(f"box field {boxes.shape} must be (H, W, 4)")
-            if np.any(boxes[..., 2] <= boxes[..., 0]) or np.any(boxes[..., 3] <= boxes[..., 1]):
+            if np.logical_or.reduce(boxes[..., 2:] <= boxes[..., :2], axis=None):
                 raise ValueError("box field contains degenerate boxes")
             dims.add(feat.shape[2])
         if len(dims) != 1:
@@ -146,20 +162,27 @@ def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
         version, count = struct.unpack("<ii", _read_exact(fh, 8, path))
         if version != _VERSION:
             raise ParseError(f"unsupported blob version {version}", path=str(path))
+        # every layer header in one read, of no more bytes than the file
+        # holds; each whole header is checked before a short read is told
+        length = os.fstat(fh.fileno()).st_size
+        wanted = 16 * max(count, 0)
+        data = fh.read(min(wanted, max(length - fh.tell(), 0)))
         headers = []
-        for _ in range(count):
-            h, w, d, stride = struct.unpack("<iiif", _read_exact(fh, 16, path))
+        for h, w, d, stride in struct.iter_unpack("<iiif", data[:len(data) - len(data) % 16]):
             if min(h, w, d) < 1:
                 raise ParseError(f"non-positive grid size {h}x{w}x{d} in pyramid blob",
                                  path=str(path))
             headers.append((h, w, d, stride))
+        if len(data) < wanted:
+            raise ParseError(f"truncated pyramid blob: expected 16 more bytes, "
+                             f"found {len(data) % 16}", path=str(path))
         declared = sum(h * w * (d + 4) * 4 for h, w, d, _ in headers)
-        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        held = length - fh.tell()
         if declared > held:
             raise ParseError(f"truncated pyramid blob: the header declares {declared} "
                              f"bytes of grids, the file holds {held}", path=str(path))
         values = np.frombuffer(_read_exact(fh, declared, path), dtype="<f4")
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values)):
         raise ParseError("non-finite feature or box value in pyramid blob", path=str(path))
     values = values.astype(np.float64)
     feats: list[np.ndarray] = []

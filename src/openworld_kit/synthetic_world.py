@@ -511,9 +511,12 @@ def generate_scene(world: World, split: str, index: int) -> Scene:
     geometry = world.geometry
     scene_id = f"{split}-{index:04d}"
     gt = _sample_boxes(world, scene_id, rng)
-    owned = [geometry.owned_cells(sb.box) for sb in gt]
+    levels, box, cells = geometry.owned_cells([sb.box for sb in gt])
+    cuts = box.searchsorted(np.arange(len(gt) + 1)).tolist()
+    owned = [(level, cells[start:stop])
+             for level, start, stop in zip(levels.tolist(), cuts, cuts[1:])]
     jitter = spec.box_jitter > 0.0
-    extra = 0 if jitter else sum(cells.size for _, cells in owned)
+    extra = 0 if jitter else cells.size
     if jitter:
         state = rng.bit_generator.state
     feats, noise, used = _background_layers(
@@ -677,6 +680,19 @@ def split_scene_blobs(spec: WorldSpec, split: str, out_dir,
     return [base / f"{scene_id}.pyr" for scene_id in ids]
 
 
+def read_scene_pyramid(world: World, blob) -> FeaturePyramid:
+    """The pyramid of the scene blob at `blob`, whose grids must have the
+    shapes of the world's pyramid, (H, W, dim) per layer, or a `ParseError`
+    names it: the scenes of a split stack into one array per layer."""
+    pyramid = read_pyramid_blob(blob, world.geometry.level_thresholds)
+    want = [(h, w, world.spec.dim) for h, w, _ in world.spec.pyramid_layers]
+    got = [grid.shape for grid in pyramid.layers]
+    if got != want:
+        raise ParseError(f"scene blob of grid shapes {got}, but the world's pyramid has "
+                         f"{want}", path=str(blob))
+    return pyramid
+
+
 def load_split(world: World, split: str, out_dir) -> list[Scene]:
     """Read a split back from disk in index order; its blobs must be the ones
     `split_scene_blobs` names."""
@@ -685,7 +701,6 @@ def load_split(world: World, split: str, out_dir) -> list[Scene]:
     gt_by_scene: dict[str, list[GtRecord]] = {}
     for rec in gt:
         gt_by_scene.setdefault(rec.scene_id, []).append(rec)
-    thresholds = world.geometry.level_thresholds
-    return [Scene(scene_id=blob.stem, pyramid=read_pyramid_blob(blob, thresholds),
+    return [Scene(scene_id=blob.stem, pyramid=read_scene_pyramid(world, blob),
                   gt=tuple(gt_by_scene.get(blob.stem, ())))
             for blob in split_scene_blobs(world.spec, split, out_dir, gt)]

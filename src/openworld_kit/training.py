@@ -10,6 +10,7 @@ and scored; a frozen class costs the detection loss a count of its pairs.
 
 from __future__ import annotations
 
+import math
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -169,23 +170,27 @@ def detection_loss(
     if total_pairs == 0:
         raise NoSamples("detection loss has no assigned locations")
     raw_losses = []
-    grads = np.zeros_like(embeddings)
+    grads = np.zeros(embeddings.shape)
     for i, a in enumerate(assignments):
         # only the sampled rows are normalized: a row's norm is its own
         blocks = sampled_rows(layer_grids, a)
         rows = np.concatenate(blocks)
         if rows.shape[0] == 0:
             continue
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        # the bits of `np.linalg.norm(rows, axis=1, keepdims=True)`
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
         rows /= np.where(norms < 1e-12, 1.0, norms)
-        targets = np.concatenate([np.arange(len(b)) < n
-                                  for b, n in zip(blocks, a.n_pos)]).astype(np.float64)
+        targets = np.zeros(rows.shape[0])
+        start = 0
+        for b, n in zip(blocks, a.n_pos):
+            targets[start:start + n] = 1.0
+            start += b.shape[0]
         w = embeddings[i]
-        w_norm = float(np.linalg.norm(w))
+        w_norm = math.sqrt(w @ w)
         w_hat = w / w_norm
         logits = logit_scale * (rows @ w_hat)
         # bce(target, logit) = softplus(logit) - target * logit
-        raw_losses.append(float(np.sum(_softplus(logits) - targets * logits)))
+        raw_losses.append(float(np.add.reduce(_softplus(logits) - targets * logits)))
         d_logit = (_sigmoid(logits) - targets) / total_pairs
         d_w_hat = logit_scale * (d_logit @ rows)
         grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
@@ -199,19 +204,33 @@ def detection_loss(
 def _owned_pairs(scenes, geometry: PyramidGeometry,
                  name_to_id: dict[str, int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Per scene and layer, the (class, cell) pairs that the scene's boxes of
-    registered classes own (`PyramidGeometry.owned_cells`), each pair once.
-    Cells of boxes of other classes stay background."""
-    sizes = [g.height * g.width for g in geometry.layers]
-    out = []
-    for scene in scenes:
-        keys = [[np.empty(0, dtype=np.int64)] for _ in sizes]
+    registered classes own, each pair once, as a `(classes, cells)` pair of
+    int64 arrays sorted by class, then cell. Cells of boxes of other classes
+    stay background.
+
+    One `PyramidGeometry.owned_cells` call finds the cells of every box of
+    the split; each pair becomes one key ordered by scene, layer, class and
+    cell, so one sort and one pass over the keys give every scene's
+    layers."""
+    owner, classes, boxes = [], [], []
+    for s, scene in enumerate(scenes):
         for sb in scene.gt:
             if sb.class_name in name_to_id:
-                level, cells = geometry.owned_cells(sb.box)
-                keys[level].append(name_to_id[sb.class_name] * sizes[level] + cells)
-        out.append([np.divmod(np.unique(np.concatenate(k)), size)
-                    for k, size in zip(keys, sizes)])
-    return out
+                owner.append(s)
+                classes.append(name_to_id[sb.class_name])
+                boxes.append(sb.box)
+    levels, box, cells = geometry.owned_cells(boxes)
+    layers = geometry.num_layers
+    size = max(g.height * g.width for g in geometry.layers)
+    span = (max(classes, default=0) + 1) * size
+    block = (np.array(owner, dtype=np.int64) * layers + levels)[box]
+    keys = np.unique(block * span + np.array(classes, dtype=np.int64)[box] * size + cells)
+    block, pair = np.divmod(keys, span)
+    pair_class, pair_cell = np.divmod(pair, size)
+    cuts = block.searchsorted(np.arange(len(scenes) * layers + 1)).tolist()
+    return [[(pair_class[cuts[b]:cuts[b + 1]], pair_cell[cuts[b]:cuts[b + 1]])
+             for b in range(s * layers, (s + 1) * layers)]
+            for s in range(len(scenes))]
 
 
 @dataclass(frozen=True)
@@ -267,14 +286,15 @@ def _assignment_for_class(owners: OwnerIndex, class_id: int, neg_cap: int,
     bg_idx = owners.background if quota > 0 else owners.background[:0]
     if bg_idx.size > quota:
         bg_idx = bg_idx[rng.choice(bg_idx.size, size=quota, replace=False)]
-    negative = np.sort(np.concatenate([other_idx, bg_idx]))
-    cuts = owners.starts[1:]
-    pos_layers = np.split(positive, np.searchsorted(positive, cuts))
-    neg_layers = np.split(negative, np.searchsorted(negative, cuts))
+    negative = np.concatenate([other_idx, bg_idx])
+    negative.sort()
+    # each layer's slice of the positives (p) and of the negatives (q)
+    p = [0, *positive.searchsorted(owners.starts[1:]).tolist(), positive.size]
+    q = [0, *negative.searchsorted(owners.starts[1:]).tolist(), negative.size]
     return SampleAssignment(
-        index=[np.concatenate([pos, neg]) - start
-               for pos, neg, start in zip(pos_layers, neg_layers, owners.starts)],
-        n_pos=[pos.size for pos in pos_layers])
+        index=[np.concatenate([positive[p[j]:p[j + 1]], negative[q[j]:q[j + 1]]]) - start
+               for j, start in enumerate(owners.starts.tolist())],
+        n_pos=[p[j + 1] - p[j] for j in range(len(owners.starts))])
 
 
 def _sample_count(owners: OwnerIndex, class_id: int, neg_cap: int) -> int:
@@ -342,7 +362,7 @@ def _init_modules_for_task(
         if moments is not None:
             for params, (mean, cov) in zip(module.layers, moments):
                 params.running_mean = mean @ params.w1 + params.b1
-                params.running_var = np.sum((cov @ params.w1) * params.w1, axis=0)
+                params.running_var = np.add.reduce((cov @ params.w1) * params.w1, axis=0)
         emb_grid = [entry.embedding[None, None, :] for _ in range(geometry.num_layers)]
         projected = project(module, emb_grid)
         for j, params in enumerate(module.layers):
@@ -354,7 +374,7 @@ def _init_modules_for_task(
 def _normalize_anchors(modules: list[MscalModule]) -> None:
     for module in modules:
         for layer in module.layers:
-            layer.anchor /= np.linalg.norm(layer.anchor)
+            layer.anchor /= math.sqrt(layer.anchor @ layer.anchor)
 
 
 def train_task(

@@ -12,8 +12,10 @@ full-batch module init, whole-grid detection loss and `setdiff1d`
 assignment that the moment init, sampled-row loss and mask assignment must
 match, the all-class detection loss whose gradients the trained-class
 loss must give, plus single-scene MSCAL references built on the library's
-assignment code, and the checks of a detections file's column file (its
-table against the parse's, and the ways to damage it).
+assignment code, the checks of a detections file's column file (its
+table against the parse's, and the ways to damage it), and the training
+step through numpy's wrappers and box-by-box ownership whose bits the
+ufunc step and the one-pass ownership must give.
 
 Shared by the unit tests and the acceptance suite; the metric oracles are
 written directly from the metric definitions with plain loops.
@@ -242,7 +244,8 @@ def stored_table(path):
 # must refuse them
 COLUMN_DAMAGE = ("truncated", "flipped-byte", "directory", "bad-header", "wrong-length",
                  "scene-code-out-of-range", "negative-label-code", "non-finite-confidence",
-                 "non-finite-ood", "inverted-box", "overflowing-area")
+                 "non-finite-ood", "inverted-box", "overflowing-area",
+                 "area-above-half-the-range")
 
 
 def damage_column_file(path, damage):
@@ -283,6 +286,9 @@ def damage_column_file(path, damage):
         # the first box from x -1e308 to x 1e308
         struct.pack_into("<dd", body, start + 16 * rows, -1e308, 0.0)
         struct.pack_into("<d", body, start + 16 * rows + 16, 1e308)
+    elif damage == "area-above-half-the-range":
+        # the first box from (0, 0) to (1e300, 1e8): its area is finite
+        struct.pack_into("<dddd", body, start + 16 * rows, 0.0, 0.0, 1e300, 1e8)
     else:
         assert damage == "resealed", damage
     path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
@@ -816,7 +822,7 @@ def oracle_ownership_masks(geometry, gt_boxes):
     per_layer = [dict() for _ in geometry.layers]
     centers = [layer_centers(g) for g in geometry.layers]
     for box, cls in gt_boxes:
-        level = geometry.level_for_box(box)
+        level = oracle_level_for_box(geometry, box)
         cx, cy = centers[level]
         x1, y1, x2, y2 = box
         inside = (cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2)
@@ -976,7 +982,7 @@ def oracle_generate_scene(world, split, index):
         box_fields.append(np.stack(np.broadcast_arrays(
             xs[None, :-1], ys[:-1, None], xs[None, 1:], ys[1:, None]), axis=-1))
     for sb in gt:
-        level, cells = geometry.owned_cells(sb.box)
+        level, cells = oracle_owned_cells(geometry, sb.box)
         g = geometry.layers[level]
         rows, cols = np.divmod(cells, g.width)
         proto = {c.name: c for c in world.classes}[sb.class_name].prototype
@@ -1141,3 +1147,157 @@ def oracle_config_value(section, key, text):
     if text == "":
         raise ValueError(f"{section}.{key} needs a value")
     return parse(text)
+
+
+# ---------------------------------------------------------------------------
+# the training step and the ownership rule as they were before the step
+# called ufuncs in place of numpy's wrappers and ownership became one pass
+# over a split: the new code must give their bits
+
+
+def oracle_level_for_box(geometry, box):
+    """The layer whose thresholds hold the box's max side, one threshold
+    pair at a time."""
+    x1, y1, x2, y2 = box
+    side = max(x2 - x1, y2 - y1)
+    th = geometry.level_thresholds
+    for j in range(geometry.num_layers):
+        if th[j] <= side < th[j + 1]:
+            return j
+    raise ValueError(f"box side {side} outside threshold range {th}")
+
+
+def oracle_owned_cells(geometry, box):
+    """One box's layer and the row-major flat indices of that layer's cells
+    whose centres lie in the half-open box."""
+    level = oracle_level_for_box(geometry, box)
+    g = geometry.layers[level]
+    x1, y1, x2, y2 = box
+    cx = (np.arange(g.width, dtype=np.float64) + 0.5) * g.stride
+    cy = (np.arange(g.height, dtype=np.float64) + 0.5) * g.stride
+    cols = np.flatnonzero((cx >= x1) & (cx < x2))
+    rows = np.flatnonzero((cy >= y1) & (cy < y2))
+    return level, (rows[:, None] * g.width + cols).ravel()
+
+
+def oracle_owned_pairs(scenes, geometry, name_to_id):
+    """Per scene and layer, the unique (class, cell) pairs of the scene's
+    boxes of registered classes, one box at a time."""
+    sizes = [g.height * g.width for g in geometry.layers]
+    out = []
+    for scene in scenes:
+        keys = [[np.empty(0, dtype=np.int64)] for _ in sizes]
+        for sb in scene.gt:
+            if sb.class_name in name_to_id:
+                level, cells = oracle_owned_cells(geometry, sb.box)
+                keys[level].append(name_to_id[sb.class_name] * sizes[level] + cells)
+        out.append([np.divmod(np.unique(np.concatenate(k)), size)
+                    for k, size in zip(keys, sizes)])
+    return out
+
+
+def oracle_batch_moments(grids):
+    """Per layer, the mean and population covariance of a batch's rows."""
+    moments = []
+    for grid in grids:
+        x = grid.reshape(-1, grid.shape[-1])
+        mean = x.mean(axis=0)
+        centered = x - mean
+        moments.append((mean, centered.T @ centered / x.shape[0]))
+    return moments
+
+
+def oracle_mscal_loss_gradients(module, grids, assignment, moments):
+    """`mscal_loss_gradients` through numpy's wrappers (`np.sum`,
+    `np.linalg.norm`, `np.outer`, `ndarray.mean`, `np.zeros_like`)."""
+    _check_grids(module, grids)
+    forward, logits, stats = [], [], []
+    for j, (x, (mean, cov)) in enumerate(zip(sampled_rows(grids, assignment), moments,
+                                             strict=True)):
+        p = module.layers[j]
+        cov_w1 = cov @ p.w1
+        var = np.sum(cov_w1 * p.w1, axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        centered = x - mean
+        x_hat = (centered @ p.w1) * inv_std
+        y = p.gamma * x_hat + p.beta
+        relu_mask = y > 0.0
+        r = np.where(relu_mask, y, 0.0)
+        u = r @ p.w2 + p.b2
+        norms = np.linalg.norm(u, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateProjection(f"locations collapsed to zero norm at layer {j}")
+        z = u / norms[:, None]
+        mu_eff = p.anchor / float(np.linalg.norm(p.anchor))
+        logits.append((z @ mu_eff) / module.tau)
+        forward.append((centered, cov_w1, inv_std, x_hat, relu_mask, r, norms, z, mu_eff))
+        stats.append((mean @ p.w1 + p.b1, var))
+    pos_logits = np.concatenate([lg[:n] for lg, n in zip(logits, assignment.n_pos)])
+    if pos_logits.size == 0:
+        raise NoSamples(f"class {module.class_id}: no positive samples in batch")
+    n_pos_total = pos_logits.size
+    all_logits = np.concatenate(logits)
+    m = float(np.max(all_logits))
+    loss = (m + float(np.log(np.sum(np.exp(all_logits - m))))) - float(pos_logits.mean())
+
+    shift = all_logits - np.max(all_logits)
+    soft = np.exp(shift)
+    soft /= soft.sum()
+
+    grads = []
+    offset = 0
+    for fwd, n_pos, params in zip(forward, assignment.n_pos, module.layers):
+        centered, cov_w1, inv_std, x_hat, relu_mask, r, norms, z, mu_eff = fwd
+        n = z.shape[0]
+        d_logit = soft[offset:offset + n].copy()
+        d_logit[:n_pos] -= 1.0 / n_pos_total
+        offset += n
+        d_mu_eff = (d_logit @ z) / module.tau
+        mu_norm = float(np.linalg.norm(params.anchor))
+        d_anchor = (d_mu_eff - float(mu_eff @ d_mu_eff) * mu_eff) / mu_norm
+        dz = np.outer(d_logit, mu_eff) / module.tau
+        du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / norms[:, None]
+        d_w2 = r.T @ du
+        d_b2 = du.sum(axis=0)
+        dy = np.where(relu_mask, du @ params.w2.T, 0.0)
+        d_gamma = np.sum(dy * x_hat, axis=0)
+        d_beta = dy.sum(axis=0)
+        g = dy * params.gamma
+        d_w1 = (centered.T @ g - cov_w1 * (inv_std * np.sum(g * x_hat, axis=0))) * inv_std
+        grads.append({
+            "w1": d_w1, "b1": np.zeros_like(params.b1), "gamma": d_gamma, "beta": d_beta,
+            "w2": d_w2, "b2": d_b2, "anchor": d_anchor,
+        })
+    return loss, grads, stats
+
+
+def oracle_detection_loss(layer_grids, embeddings, assignments, logit_scale,
+                          total_pairs=None):
+    """`detection_loss` through numpy's wrappers (`np.linalg.norm`,
+    `np.sum`, `np.zeros_like`)."""
+    if len(assignments) != embeddings.shape[0]:
+        raise ShapeMismatch("one sample assignment per embedding row is required")
+    if total_pairs is None:
+        total_pairs = sum(idx.size for a in assignments for idx in a.index)
+    if total_pairs == 0:
+        raise NoSamples("detection loss has no assigned locations")
+    raw_losses = []
+    grads = np.zeros_like(embeddings)
+    for i, a in enumerate(assignments):
+        blocks = sampled_rows(layer_grids, a)
+        rows = np.concatenate(blocks)
+        if rows.shape[0] == 0:
+            continue
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.where(norms < 1e-12, 1.0, norms)
+        targets = np.concatenate([np.arange(len(b)) < n
+                                  for b, n in zip(blocks, a.n_pos)]).astype(np.float64)
+        w = embeddings[i]
+        w_norm = float(np.linalg.norm(w))
+        w_hat = w / w_norm
+        logits = logit_scale * (rows @ w_hat)
+        raw_losses.append(float(np.sum(_softplus(logits) - targets * logits)))
+        d_logit = (_sigmoid(logits) - targets) / total_pairs
+        d_w_hat = logit_scale * (d_logit @ rows)
+        grads[i] = (d_w_hat - float(w_hat @ d_w_hat) * w_hat) / w_norm
+    return sum(raw_losses) / total_pairs, grads

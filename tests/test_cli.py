@@ -358,11 +358,63 @@ class TestInferEqualsScalarPath:
             labels = {json.loads(line)["label"] for line in want.splitlines()}
             assert "unknown" in labels and len(labels) > 1
 
+    @pytest.mark.parametrize("args, oracle", [
+        ([], {}),
+        (["--no-owel", "--no-mscal"], {"no_owel": True, "no_mscal": True}),
+    ], ids=["gated", "base"])
+    def test_chunks_write_the_bytes_of_per_scene_infer(self, trained_world, monkeypatch,
+                                                       args, oracle):
+        # the test split's 4 scenes in chunks of 1 (per scene), 2, 3 and 5
+        # (the last two leave a short chunk): the same detections file and
+        # column file, at one worker and at three
+        from openworld_kit import parallel
+        root, common = trained_world
+        want = oracle_detections_file(root / "out", 2, "test", **oracle).encode("utf-8")
+        files = []
+        for chunk in (1, 2, 3, 5):
+            for workers in (1, 3):
+                path = root / f"chunk{chunk}_{workers}.jsonl"
+                monkeypatch.setattr(cli, "INFER_CHUNK", chunk)
+                monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+                assert run("infer", *common, "--task", "2", "--out-file", str(path),
+                           *args) == 0
+                files.append((path.read_bytes(), columns_path(path).read_bytes()))
+        assert files[0][0] == want
+        assert all(f == files[0] for f in files)
+
+    def test_failing_blob_of_a_later_chunk_is_named(self, trained_world, monkeypatch,
+                                                    capsys):
+        # the first blob that fails to read, in split order, raises its own
+        # error in the parent, whichever process read its chunk
+        from openworld_kit import parallel
+        root, common = trained_world
+        scenes = root / "out" / "world" / "scenes" / "test"
+        saved = {name: (scenes / name).read_bytes() for name in ("test-0001.pyr",
+                                                                 "test-0003.pyr")}
+        try:
+            for name in saved:
+                (scenes / name).write_bytes(saved[name][:40])
+            for chunk in (1, 2, 5):
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(cli, "INFER_CHUNK", chunk)
+                    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+                    capsys.readouterr()
+                    assert run("infer", *common, "--task", "2",
+                               "--out-file", str(root / "torn.jsonl")) == 1
+                    err = capsys.readouterr().err
+                    assert err.startswith("error: truncated pyramid blob")
+                    assert err.count("\n") == 1 and "test-0001.pyr]" in err
+        finally:
+            for name, data in saved.items():
+                (scenes / name).write_bytes(data)
+        assert not (root / "torn.jsonl").exists()
+
     def test_folds_are_built_once_per_call(self, trained_world, monkeypatch):
-        # one infer folds the modules once and scores every scene against
-        # those folds, with the bytes of a fresh fold for each scene; the
-        # spies count in one process, since calls in forked children are
-        # lost to them (the folding itself happens before any fork)
+        # one infer folds the modules once and scores every chunk of scenes
+        # against those folds, with the bytes of a fresh fold for each
+        # chunk; the spies count in one process, since calls in forked
+        # children are lost to them (the folding itself happens before any
+        # fork)
         from openworld_kit import mscal, parallel
         from openworld_kit.synthetic_world import load_split, load_world
         root, common = trained_world
@@ -383,7 +435,8 @@ class TestInferEqualsScalarPath:
             pinned.setattr(cli, "ood_score_map", score_spy)
             assert run("infer", *common, "--task", "2",
                        "--out-file", str(root / "once.jsonl")) == 0
-        assert scenes >= 2 and built == [4] and scored == [4] * scenes
+        chunks = -(-scenes // cli.INFER_CHUNK)
+        assert scenes >= 2 and built == [4] and scored == [4] * chunks
 
         def fresh_fold_spy(modules, pyramid):
             return mscal.ood_score_map(mscal.fold_modules(modules), pyramid)
@@ -849,6 +902,24 @@ class TestLoaderErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"scene blob of no scene of split {split!r}" in err
         assert f"[out/world/scenes/{split}/{split}-0010.pyr]" in err
+
+    @pytest.mark.parametrize("command, blob", [
+        ("train", "train/train-0001.pyr"),
+        ("infer", "test/test-0003.pyr"),
+    ])
+    def test_scene_blob_of_other_grid_shapes(self, trained, capsys, command, blob):
+        # a split's scenes stack into one array per layer: a blob of another
+        # dim is one error line naming it, not a numpy traceback
+        assert run("gen", "--config", "tiny.ini", "--seed", "0", "--out", "dim6",
+                   "--set", "world.dim=6") == 0
+        (trained / "out/world/scenes" / blob).write_bytes(
+            (trained / "dim6/world/scenes" / blob).read_bytes())
+        capsys.readouterr()
+        assert self.run_task_2(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene blob of grid shapes [(8, 8, 6), (4, 4, 6)], "
+                              "but the world's pyramid has [(8, 8, 8), (4, 4, 8)]")
+        assert err.count("\n") == 1 and f"[out/world/scenes/{blob}]" in err
 
     @pytest.mark.parametrize("command", ["train", "infer", "eval"])
     def test_ground_truth_of_a_scene_without_blob(self, trained, capsys, command):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from openworld_kit import cli
 from openworld_kit.detection import (
+    MAX_BOX_AREA,
     UNKNOWN_CLASS_ID,
     Detection,
     DetectionRecord,
@@ -546,11 +548,15 @@ class TestDetectionsFile:
         '"x1": -1e308, "x2": 1e308, "y1": 0.0, "y2": 10.0}',
         '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
         '"x1": 0.0, "x2": 1e200, "y1": 0.0, "y2": 1e200}',
+        # a finite area above half the float range: two such add past it
+        '{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
+        '"x1": 0.0, "x2": 1e300, "y1": 0.0, "y2": 1e8}',
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "overflow-box",
             "infinite-confidence", "infinite-ood", "nan-ood", "overflow-int-box",
             "overflow-int-ood", "string-coordinate", "bool-confidence", "bool-ood",
             "null-scene", "numeric-scene", "list-label", "x2-below-x1", "y2-below-y1",
-            "trailing-data", "deep-nesting", "overflowing-width", "overflowing-area"])
+            "trailing-data", "deep-nesting", "overflowing-width", "overflowing-area",
+            "area-above-half-the-range"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text('\xa0\n{"confidence": 0.5, "label": "dog", "ood": 0.0, "scene_id": "s", '
@@ -560,6 +566,32 @@ class TestDetectionsFile:
             read_detections_jsonl(path)
         assert err.value.line == 3
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("x2, y2, message", [
+        (1e300, math.inf, "is not finite"),
+        (-1e308, 1e308, "has an area that is not finite"),
+        (1e300, 1e8, "has an area above 8.988465674311579e+307, half the float range"),
+    ], ids=["infinite-corner", "overflowing-area", "area-above-half-the-range"])
+    def test_each_large_box_has_its_own_message(self, tmp_path, x2, y2, message):
+        path = tmp_path / "bad.jsonl"
+        x1 = -1e308 if x2 < 0 else 0.0
+        path.write_text(json.dumps({"confidence": 0.5, "label": "dog", "ood": 0.0,
+                                    "scene_id": "s", "x1": x1, "x2": abs(x2), "y1": 0.0,
+                                    "y2": y2}) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 1
+
+    def test_area_of_half_the_float_range_is_read_and_scores_iou_one(self, tmp_path):
+        # the largest area the reader takes adds to itself without overflow
+        path = tmp_path / "dets.jsonl"
+        path.write_text(json.dumps({"confidence": 0.5, "label": "dog", "ood": 0.0,
+                                    "scene_id": "s", "x1": 0.0, "x2": MAX_BOX_AREA,
+                                    "y1": 0.0, "y2": 1.0}) + "\n", encoding="utf-8")
+        boxes = read_detections_jsonl(path).boxes
+        assert boxes[0, 2] * boxes[0, 3] == MAX_BOX_AREA
+        with np.errstate(all="raise"):
+            assert box_iou(boxes, boxes).tolist() == [1.0]
 
     def test_zero_area_box_and_blank_lines_are_read(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -623,8 +655,9 @@ class TestColumnFile:
     @given(case=written_scenes())
     @settings(max_examples=300, deadline=None)
     def test_stored_table_equals_the_parse(self, case):
-        # a box whose area is past the float range is written, but both
-        # readers refuse it: the column file is not used and the parse raises
+        # a box whose area is past the float range, or above half of it, is
+        # written, but both readers refuse it: the column file is not used
+        # and the parse raises
         scenes, names = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dets.jsonl"
@@ -633,9 +666,9 @@ class TestColumnFile:
                 json.loads, path.read_text(encoding="utf-8").splitlines())]).reshape(-1, 4)
             with np.errstate(over="ignore", invalid="ignore"):
                 areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-            if not np.isfinite(areas).all():
+            if not (areas <= MAX_BOX_AREA).all():
                 assert _stored_table(path) is None
-                with pytest.raises(ParseError, match="area that is not finite"):
+                with pytest.raises(ParseError, match="has an area "):
                     read_detections_jsonl(path)
             else:
                 assert_same_table(stored_table(path), parsed_table(path))
@@ -647,8 +680,9 @@ class TestColumnFile:
         ((0.0, 0.0, 1.0, 1.0), 0.5, -math.inf),
         ((2.0, 0.0, 1.0, 1.0), 0.5, 0.0),
         ((-1e308, 0.0, 1e308, 10.0), 0.5, 0.0),
+        ((0.0, 0.0, 1e300, 1e8), 0.5, 0.0),
     ], ids=["nan-box", "infinite-confidence", "infinite-ood", "x2-below-x1",
-            "overflowing-area"])
+            "overflowing-area", "area-above-half-the-range"])
     def test_table_the_parse_refuses_writes_no_column_file(self, tmp_path, box, confidence,
                                                            ood):
         path = tmp_path / "dets.jsonl"

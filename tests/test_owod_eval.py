@@ -601,10 +601,14 @@ class TestGtFile:
         '"y2": 10.0}',
         '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1e200, "y1": 0.0, '
         '"y2": 1e200}',
+        # a finite area above half the float range: two such add past it
+        '{"class_name": "car", "scene_id": "s", "x1": 0.0, "x2": 1e300, "y1": 0.0, '
+        '"y2": 1e8}',
     ], ids=["list", "string", "null-line", "null-coordinate", "nan-box", "infinite-box",
             "overflow-box", "overflow-int-box", "string-coordinate", "bool-coordinate",
             "null-scene", "numeric-scene", "list-class", "x2-below-x1", "y2-below-y1",
-            "deep-nesting", "overflowing-width", "overflowing-area"])
+            "deep-nesting", "overflowing-width", "overflowing-area",
+            "area-above-half-the-range"])
     def test_malformed_record_is_a_parse_error(self, tmp_path, line):
         path = tmp_path / "gt.jsonl"
         write_gt_jsonl(path, [gt("s0", (1.5, 2.5, 10.0, 12.0), "car")])

@@ -14,7 +14,8 @@ from openworld_kit.pyramid import (
     write_pyramid_blob,
 )
 
-from oracles import cell_box, layer_centers, location_count
+from oracles import (cell_box, layer_centers, location_count, oracle_level_for_box,
+                     oracle_owned_cells)
 
 
 def small_geometry():
@@ -51,9 +52,8 @@ class TestGeometry:
 
     def test_level_for_box_uses_max_side(self):
         geo = small_geometry()
-        assert geo.level_for_box((0, 0, 10, 4)) == 0
-        assert geo.level_for_box((0, 0, 10, 20)) == 1
-        assert geo.level_for_box((0, 0, 200, 10)) == 1
+        levels, _, _ = geo.owned_cells([(0, 0, 10, 4), (0, 0, 10, 20), (0, 0, 200, 10)])
+        assert levels.tolist() == [0, 1, 1]
 
     @given(corner=st.tuples(COORD, COORD), size=st.tuples(COORD, COORD))
     @example(corner=(4.0, 4.0), size=(8.0, 8.0))  # edges on centres: (4, 4) in, (12, 12) out
@@ -61,12 +61,45 @@ class TestGeometry:
         x1, y1 = corner
         x2, y2 = x1 + abs(size[0]), y1 + abs(size[1])
         geo = small_geometry()
-        level, cells = geo.owned_cells((x1, y1, x2, y2))
-        assert level == geo.level_for_box((x1, y1, x2, y2))
-        g = geo.layers[level]
+        levels, box, cells = geo.owned_cells([(x1, y1, x2, y2)])
+        assert levels.tolist() == [oracle_level_for_box(geo, (x1, y1, x2, y2))]
+        assert (box == 0).all()
+        g = geo.layers[levels[0]]
         expected = [r * g.width + c for r in range(g.height) for c in range(g.width)
                     if x1 <= (c + 0.5) * g.stride < x2 and y1 <= (r + 0.5) * g.stride < y2]
         assert cells.tolist() == expected
+
+    # boxes whose edges lie on cell centres and cell edges, and whose sides
+    # lie on the level threshold (16) or next to it
+    EDGE = st.integers(-2, 12).map(lambda k: k * 4.0)
+    SIDE = st.sampled_from([0.0, 4.0, 8.0, 15.999999999999998, 16.0, 16.000000000000004,
+                            24.0, 40.0])
+
+    @given(boxes=st.lists(st.tuples(EDGE, EDGE, SIDE, SIDE), max_size=8))
+    def test_owned_cells_of_many_boxes_are_each_box_alone(self, boxes):
+        geo = small_geometry()
+        boxes = [(x, y, x + w, y + h) for x, y, w, h in boxes]
+        levels, box, cells = geo.owned_cells(boxes)
+        assert levels.dtype == box.dtype == cells.dtype == np.int64
+        want = [oracle_owned_cells(geo, b) for b in boxes]
+        assert levels.tolist() == [level for level, _ in want]
+        assert box.tolist() == [i for i, (_, c) in enumerate(want) for _ in c]
+        assert cells.tolist() == [k for _, c in want for k in c.tolist()]
+
+    def test_owned_cells_names_the_first_box_outside_the_thresholds(self):
+        geo = PyramidGeometry(layers=small_geometry().layers,
+                              level_thresholds=(4.0, 16.0, 64.0))
+        boxes = [(0.0, 0.0, 8.0, 8.0), (0.0, 0.0, 2.0, 3.0), (0.0, 0.0, 100.0, 1.0)]
+        with pytest.raises(ValueError) as got:
+            geo.owned_cells(boxes)
+        with pytest.raises(ValueError) as want:
+            oracle_owned_cells(geo, boxes[1])
+        assert str(got.value) == str(want.value) == \
+            "box side 3.0 outside threshold range (4.0, 16.0, 64.0)"
+
+    def test_owned_cells_of_no_box(self):
+        levels, box, cells = small_geometry().owned_cells(np.empty((0, 4)))
+        assert levels.size == box.size == cells.size == 0
 
     def test_strides_must_increase(self):
         with pytest.raises(ValueError):

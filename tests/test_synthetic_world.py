@@ -27,7 +27,8 @@ from openworld_kit.synthetic_world import (
     make_world,
 )
 
-from oracles import cell_box, layer_centers, oracle_fifo_cells, oracle_generate_scene
+from oracles import (cell_box, layer_centers, oracle_fifo_cells, oracle_generate_scene,
+                     oracle_level_for_box)
 
 SMALL_SPEC = WorldSpec(
     dim=12,
@@ -179,7 +180,7 @@ class TestGenerateScene:
             scene = generate_scene(world, "train", index)
             expected = 0
             for sb in scene.gt:
-                level = geometry.level_for_box(sb.box)
+                level = oracle_level_for_box(geometry, sb.box)
                 g = geometry.layers[level]
                 count = 0
                 for r in range(g.height):
@@ -212,7 +213,7 @@ class TestGenerateScene:
         scene = generate_scene(world, "test", 1)
         geometry = world.geometry
         for sb in scene.gt:
-            level = geometry.level_for_box(sb.box)
+            level = oracle_level_for_box(geometry, sb.box)
             g = geometry.layers[level]
             cx, cy = layer_centers(g)
             inside = (cx >= sb.box[0]) & (cx < sb.box[2]) & \
@@ -225,7 +226,7 @@ class TestGenerateScene:
         geometry = world.geometry
         foreground = [np.zeros((g.height, g.width), dtype=bool) for g in geometry.layers]
         for sb in scene.gt:
-            level = geometry.level_for_box(sb.box)
+            level = oracle_level_for_box(geometry, sb.box)
             cx, cy = layer_centers(geometry.layers[level])
             foreground[level] |= (cx >= sb.box[0]) & (cx < sb.box[2]) & \
                                  (cy >= sb.box[1]) & (cy < sb.box[3])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from openworld_kit import mscal, training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
+from openworld_kit.errors import NoSamples
 from openworld_kit.mscal import (
     batch_moments,
     calibrate_threshold,
@@ -41,6 +42,10 @@ from oracles import (
     known_positive_scores_full_grid,
     oracle_all_class_detection_loss,
     oracle_assignment_for_class,
+    oracle_batch_moments,
+    oracle_detection_loss,
+    oracle_mscal_loss_gradients,
+    oracle_owned_pairs,
     oracle_ownership_masks,
     setdiff_assignment_for_class,
     whole_grid_detection_loss,
@@ -736,6 +741,134 @@ class TestAssignment:
             want = setdiff_assignment_for_class(owners, class_id, neg_cap,
                                                 np.random.default_rng(1))
             assert all(np.array_equal(a, b) for a, b in zip(got.index, want.index, strict=True))
+
+
+def random_module(rng, dim, num_layers, tau):
+    """A fresh module whose every trained field is moved off its init, so
+    no parameter keeps a special value (unit gamma, zero b1)."""
+    module = mscal.init_module(0, 1, dim=dim, num_layers=num_layers, rng=rng, tau=tau)
+    for layer in module.layers:
+        for name in mscal.TRAINED_FIELDS:
+            value = getattr(layer, name)
+            setattr(layer, name, value + 0.3 * rng.normal(size=value.shape))
+    return module
+
+
+@st.composite
+def step_case(draw):
+    """(seed, dim, batch, layer grid sides, tau, per-layer sample counts
+    and positive counts): a layer may sample no row, and the whole sample
+    may hold a single positive."""
+    sides = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    samples = []
+    for h in sides:
+        n = draw(st.integers(0, min(h * h, 12)))
+        samples.append((n, draw(st.integers(0, n))))
+    if draw(st.booleans()):  # one positive in all
+        samples = [(n, 0) for n, _ in samples]
+        j = draw(st.integers(0, len(sides) - 1))
+        samples[j] = (max(samples[j][0], 1), 1)
+    return (draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from((4, 8, 16))),
+            draw(st.integers(1, 3)), sides, draw(st.sampled_from((0.05, 0.1, 1.0))), samples)
+
+
+class TestStepEqualsTheWrapperPath:
+    """The step's reductions call the ufuncs numpy's wrappers call (`np.sum`,
+    `np.linalg.norm`, `np.outer`, `ndarray.mean`, `np.split`), so every
+    loss, gradient, statistic and ownership array has the bits of the
+    wrapper path the oracles keep."""
+
+    @given(case=step_case())
+    @example(case=(0, 8, 2, [4, 2], 0.1, [(5, 0), (3, 1)]))     # one positive, layer 1
+    @example(case=(1, 4, 1, [3, 2], 1.0, [(0, 0), (4, 2)]))     # layer 0 samples no row
+    @settings(max_examples=150, deadline=None)
+    def test_mscal_loss_gradients_and_moments(self, case):
+        seed, dim, batch, sides, tau, samples = case
+        rng = np.random.default_rng(seed)
+        grids = [rng.normal(size=(batch, h, h, dim)) for h in sides]
+        module = random_module(rng, dim, len(sides), tau)
+        index, n_pos = [], []
+        for g, (n, pos) in zip(grids, samples):
+            picked = rng.permutation(g.size // dim)[:n]
+            index.append(np.concatenate([np.sort(picked[:pos]), np.sort(picked[pos:])]))
+            n_pos.append(pos)
+        assignment = mscal.SampleAssignment(index=index, n_pos=n_pos)
+        moments = batch_moments(grids)
+        want_moments = oracle_batch_moments(grids)
+        for (mean, cov), (want_mean, want_cov) in zip(moments, want_moments, strict=True):
+            assert mean.tobytes() == want_mean.tobytes()
+            assert cov.tobytes() == want_cov.tobytes()
+        if not sum(n_pos):
+            with pytest.raises(NoSamples):
+                mscal_loss_gradients(module, grids, assignment, moments)
+            return
+        loss, grads, stats = mscal_loss_gradients(module, grids, assignment, moments)
+        want_loss, want_grads, want_stats = oracle_mscal_loss_gradients(
+            module, grids, assignment, want_moments)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].dtype == want[name].dtype
+                assert got[name].tobytes() == want[name].tobytes(), name
+        for got, want in zip(stats, want_stats, strict=True):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((3, 8, 16)),
+           batch=st.integers(1, 3), n_classes=st.integers(1, 4),
+           extra=st.integers(0, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_detection_loss(self, seed, dim, batch, n_classes, extra):
+        rng = np.random.default_rng(seed)
+        grids = [rng.normal(size=(batch, h, h, dim)) for h in (4, 2)]
+        for g in grids:  # zero rows take the small-norm branch
+            g.reshape(-1, dim)[rng.random(g.size // dim) < 0.1] = 0.0
+        assignments = random_assignments(rng, grids, n_classes, 12, first_min=0)
+        total = sum(idx.size for a in assignments for idx in a.index) + extra
+        embeddings = rng.normal(size=(n_classes, dim))
+        if total == 0:
+            with pytest.raises(NoSamples):
+                detection_loss(grids, embeddings, assignments, 10.0, total)
+            return
+        loss, grads = detection_loss(grids, embeddings, assignments, 10.0, total)
+        want_loss, want_grads = oracle_detection_loss(grids, embeddings, assignments, 10.0,
+                                                      total)
+        assert loss == want_loss
+        assert grads.dtype == want_grads.dtype and grads.tobytes() == want_grads.tobytes()
+
+    @given(case=ownership_case())
+    @example(case=SHARED_CELL)
+    # edges on cell centres (4, 12, ...) and sides on the thresholds 16 and 32
+    @example(case=(pyramid_geometry([(4, 4), (2, 2), (1, 1)]), [
+        scene_of(((4.0, 4.0, 20.0, 12.0), "c0"), ((12.0, 12.0, 28.0, 28.0), "c1"),
+                 ((0.0, 0.0, 32.0, 8.0), "c2"), ((4.0, 0.0, 20.0, 16.0), "c4")),
+        scene_of(), scene_of(((0.0, 0.0, 4.0, 4.0), "c3"))], 0))
+    @settings(max_examples=200, deadline=None)
+    def test_owned_pairs(self, case):
+        geometry, scenes, _ = case
+        got = training._owned_pairs(scenes, geometry, REGISTERED)
+        want = oracle_owned_pairs(scenes, geometry, REGISTERED)
+        assert len(got) == len(want)
+        for got_scene, want_scene in zip(got, want):
+            assert len(got_scene) == len(want_scene) == geometry.num_layers
+            for (classes, cells), (want_classes, want_cells) in zip(got_scene, want_scene):
+                assert classes.dtype == cells.dtype == want_classes.dtype == np.int64
+                assert want_cells.dtype == np.int64
+                assert classes.tolist() == want_classes.tolist()
+                assert cells.tolist() == want_cells.tolist()
+
+    def test_owned_pairs_refuse_the_first_box_outside_the_thresholds(self):
+        geometry = PyramidGeometry((LayerGeometry(4, 4, 8.0), LayerGeometry(2, 2, 16.0)),
+                                   (4.0, 16.0, 32.0))
+        scenes = [scene_of(((0.0, 0.0, 8.0, 8.0), "c0")),
+                  scene_of(((0.0, 0.0, 40.0, 8.0), "c3"),    # unregistered: not owned
+                           ((0.0, 0.0, 2.0, 2.0), "c1"), ((0.0, 0.0, 50.0, 1.0), "c2"))]
+        with pytest.raises(ValueError) as want:
+            oracle_owned_pairs(scenes, geometry, REGISTERED)
+        with pytest.raises(ValueError) as got:
+            training._owned_pairs(scenes, geometry, REGISTERED)
+        assert str(got.value) == str(want.value)
+        assert "box side 2.0 " in str(got.value)
 
 
 class TestCheckpointFiles:
