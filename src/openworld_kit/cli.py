@@ -401,7 +401,6 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
         out_path = cfg.out_dir / "detections" / f"task{task_id}_{split}{suffix}.jsonl"
     else:
         out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     per_scene = [dets for _, dets in results]
     det.write_detections_jsonl(out_path, [lines for lines, _ in results],
                                det.DetectionTable.from_scenes(
@@ -450,12 +449,8 @@ def cmd_eval(cfg: RunConfig, task_id: int, detections_path: str, split: str,
         config=cfg.echo() | {"detections": str(detections_path), "split": split},
     )
     if report_path is None:
-        base = cfg.out_dir / "reports"
-        base.mkdir(parents=True, exist_ok=True)
-        report_path = base / (Path(detections_path).stem + "_report.json")
-    else:
-        report_path = Path(report_path)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
+        report_path = cfg.out_dir / "reports" / (Path(detections_path).stem + "_report.json")
+    report_path = Path(report_path)
     # the JSON and its CSV replace the old pair together or not at all
     with atomic_text_files(report_path, report_path.with_suffix(".csv")) as (js, csv):
         ev.write_report_json(js, report)
@@ -491,12 +486,10 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
               file=sys.stderr)
         return 1
     base = cfg.out_dir / "reports" / f"ablate_{parameter}"
-    base.mkdir(parents=True, exist_ok=True)
     reports = []
     for value in values:
         tag = value.replace("/", "_")
         det_path = cfg.out_dir / "detections" / f"ablate_{parameter}_{tag}.jsonl"
-        det_path.parent.mkdir(parents=True, exist_ok=True)
         if parameter == "alpha":
             eval_cfg = cfg.with_overrides([f"train.alpha={value}"])
             cmd_infer(eval_cfg, task_id, split, no_owel=False, no_mscal=False,
@@ -508,7 +501,6 @@ def cmd_ablate(cfg: RunConfig, task_id: int, parameter: str, values: list[str],
         else:  # tau, retrain into a sandboxed output tree
             eval_cfg = cfg.with_overrides(
                 [f"train.tau={value}", f"run.out_dir={cfg.out_dir / f'ablate_tau_{tag}'}"])
-            eval_cfg.out_dir.mkdir(parents=True, exist_ok=True)
             if not _world_dir(eval_cfg).exists():
                 cmd_gen(eval_cfg)
             for t in range(1, task_id + 1):

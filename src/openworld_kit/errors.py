@@ -121,54 +121,67 @@ def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
 
 
 @contextmanager
+def _reported(output):
+    """A scope whose `OSError`s raise `UnwritableOutput` naming `output`."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {output}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
 def atomic_text_files(*paths, binary: bool = False):
     """Yield a text handle (a bytes handle with `binary`) on `<path>.tmp` for
-    each of `paths` to write; when the block ends and every file is whole,
-    each replaces its path in one rename.
+    each of `paths` to write, its directory created first; when the block
+    ends and every file is whole, each replaces its path in one rename.
 
     Each path is therefore its old file (absent if it had none) or the whole
-    new one, never a torn file, and unless the process dies between two
-    renames, all paths are old or all new. A block that raises leaves every
-    path as it was and no temporary file behind. A path whose temporary file
-    cannot be opened, or that is a directory, raises `UnwritableOutput`
-    naming it before the first rename. Every path but the last keeps its old
-    file at `<path>.old.tmp` (a hard link, or a copy) until the renames are
-    done, so a rename that fails puts back the paths renamed before it.
+    new one, and unless the process dies between two renames, all paths are
+    old or all new. A block that raises leaves every path as it was and no
+    temporary file behind. Any `OSError` of the scope, the block's writes
+    included, raises one `UnwritableOutput` naming the paths; a path that
+    is a directory raises it naming that path, before the first rename.
+    Every path but the last keeps its old file at `<path>.old.tmp` (a hard
+    link, or a copy) until the renames are done, so a rename that fails
+    puts back the paths renamed before it.
     """
     tmps = [Path(f"{path}.tmp") for path in paths]
     olds = [Path(f"{path}.old.tmp") for path in paths[:-1]]
-    try:
-        with ExitStack() as stack:
-            yield [stack.enter_context(_unwritable_as_toolkit_error(
-                path, lambda: open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")))
-                for tmp, path in zip(tmps, paths)]
-        for path in paths:
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise UnwritableOutput(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-        renamed = 0
+    with _reported(" and ".join(map(str, paths))):
         try:
-            for old, path in zip(olds, paths):
-                _unwritable_as_toolkit_error(path, lambda: _keep_old(path, old))
-            for tmp, path in zip(tmps, paths):
-                _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
-                renamed += 1
+            for tmp in tmps:  # a file in a directory's place fails the open
+                if not os.path.lexists(tmp.parent):
+                    tmp.parent.mkdir(parents=True)
+            with ExitStack() as stack:
+                yield [stack.enter_context(open(tmp, "wb") if binary else
+                                           open(tmp, "w", encoding="utf-8")) for tmp in tmps]
+            for path in paths:
+                if os.path.isdir(path) and not os.path.islink(path):
+                    raise UnwritableOutput(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+            renamed = 0
+            try:
+                for old, path in zip(olds, paths):
+                    _keep_old(path, old)
+                for tmp, path in zip(tmps, paths):
+                    os.replace(tmp, path)
+                    renamed += 1
+            except BaseException:
+                for old, path in zip(olds[:renamed], paths):
+                    with suppress(OSError):
+                        if os.path.lexists(old):
+                            os.replace(old, path)
+                        else:
+                            os.unlink(path)
+                raise
         except BaseException:
-            for old, path in zip(olds[:renamed], paths):
+            for tmp in tmps:
                 with suppress(OSError):
-                    if os.path.lexists(old):
-                        os.replace(old, path)
-                    else:
-                        os.unlink(path)
+                    tmp.unlink(missing_ok=True)
             raise
-    except BaseException:
-        for tmp in tmps:
-            with suppress(OSError):
-                tmp.unlink(missing_ok=True)
-        raise
-    finally:
-        for old in olds:
-            with suppress(OSError):
-                old.unlink(missing_ok=True)
+        finally:
+            for old in olds:
+                with suppress(OSError):
+                    old.unlink(missing_ok=True)
 
 
 def _keep_old(path, old: Path) -> None:
@@ -180,14 +193,6 @@ def _keep_old(path, old: Path) -> None:
             os.link(path, old, follow_symlinks=False)
         except OSError:
             shutil.copy2(path, old, follow_symlinks=False)
-
-
-def _unwritable_as_toolkit_error(path, step):
-    """`step()`, an `OSError` of which raises `UnwritableOutput` naming `path`."""
-    try:
-        return step()
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -205,8 +210,9 @@ def dump_json(payload, fh) -> None:
 
 
 def write_json(path, payload) -> None:
-    """`dump_json` into the file at `path`, whole or not at all."""
-    with atomic_text_file(path) as fh:
+    """`dump_json` into the file at `path`, written in place: every caller
+    writes inside an `atomic_directory`, whose rename makes the file whole."""
+    with open(path, "w", encoding="utf-8") as fh:
         dump_json(payload, fh)
 
 
@@ -221,37 +227,40 @@ def _remove(path: Path) -> None:
 
 @contextmanager
 def atomic_directory(path):
-    """Yield an empty directory beside `path` to fill; when the block ends,
-    it replaces `path` and all of its old contents in one rename.
+    """Yield an empty directory beside `path` to fill, its parents created
+    first; when the block ends, it replaces `path` and all of its old
+    contents in one rename.
 
     `path` is therefore the old directory or the whole new one (absent if
-    there was none), never a mix. A block that raises leaves `path` as it
-    was and no temporary directory behind. Whatever a failed run left at
-    `<path>.tmp` or `<path>.old.tmp`, a file or a symlink included, is
-    removed first. The old directory waits at `<path>.old.tmp` until the
-    new one is in place, and goes back if that rename fails. An `OSError`
-    of these steps raises `UnwritableOutput` naming `path`.
+    there was none), so the block writes its files in place. A block that
+    raises leaves `path` as it was and no temporary directory behind.
+    Whatever a failed run left at `<path>.tmp` or `<path>.old.tmp`, a file
+    or a symlink included, is removed first. The old directory waits at
+    `<path>.old.tmp` until the new one is in place, and goes back if that
+    rename fails. Any `OSError` of the scope, the block's writes, mkdirs and
+    copies included, raises one `UnwritableOutput` naming `path`.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     old = path.with_name(path.name + ".old.tmp")
-    for leftover in (tmp, old):
-        _unwritable_as_toolkit_error(path, lambda: _remove(leftover))
-    try:
-        _unwritable_as_toolkit_error(path, lambda: tmp.mkdir(parents=True))
-        yield tmp
-        if os.path.lexists(path):
-            _unwritable_as_toolkit_error(path, lambda: os.replace(path, old))
+    with _reported(path):
+        for leftover in (tmp, old):
+            _remove(leftover)
         try:
-            _unwritable_as_toolkit_error(path, lambda: os.replace(tmp, path))
+            tmp.mkdir(parents=True)
+            yield tmp
+            if os.path.lexists(path):
+                os.replace(path, old)
+            try:
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.lexists(old):
+                    with suppress(OSError):
+                        os.replace(old, path)
+                raise
         except BaseException:
-            if os.path.lexists(old):
-                with suppress(OSError):
-                    os.replace(old, path)
+            shutil.rmtree(tmp, ignore_errors=True)
             raise
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
     # the new directory is in place: the old one is only a leftover, which
     # the next call removes if this one cannot
     with suppress(OSError):

@@ -567,9 +567,8 @@ def _tuples(value):
 
 
 def export_world(world: World, out_dir) -> None:
-    """Write the manifest, the embedding file, and the task split."""
+    """Write the manifest, the embedding file, and the task split into `out_dir`."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": 1,
         "seed": world.seed,

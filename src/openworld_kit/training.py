@@ -556,8 +556,8 @@ def registry_from_payload(payload: dict) -> ClassEmbeddingRegistry:
 def save_checkpoint(directory, registry, modules, theta: float,
                     config: TrainConfig, log: TrainLog | None = None,
                     previous=None, unchanged=frozenset(), *, world_digest: str) -> None:
-    """Write a checkpoint holding exactly `modules`, whole or not at all: the
-    files go into a fresh directory that then replaces `directory`.
+    """Write a checkpoint holding exactly `modules` in one `atomic_directory`
+    at `directory`: whole, or not at all and an `UnwritableOutput`.
     `unchanged` names the classes whose modules were loaded from the
     checkpoint at `previous`; their files are copied byte for byte instead
     of re-encoded. `world_digest`, the digest of the world the task trained

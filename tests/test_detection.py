@@ -487,7 +487,7 @@ class TestDetectionsFile:
             write_scenes(path, scenes[:1], ["dog"])
             old = path.read_bytes(), columns_path(path).read_bytes()
         tear_writes("dets.jsonl")
-        with pytest.raises(OSError):
+        with pytest.raises(UnwritableOutput):
             write_scenes(path, scenes, ["dog"])
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["dets.jsonl", "dets.jsonl.columns"] if previous else [])

@@ -7,22 +7,9 @@ from pathlib import Path
 import pytest
 
 from openworld_kit import errors
-from openworld_kit.errors import atomic_text_file, write_json
+from openworld_kit.errors import UnwritableOutput, atomic_text_file, write_json
 
 PAYLOAD = {"b": [1.5, 0.1], "a": {"nested": True}}
-
-
-def torn_dump(monkeypatch):
-    """Make `json.dump` write half of its text and then fail, as a crash or
-    a full disk would partway through a write."""
-    real = json.dumps
-
-    def dump(payload, fh, **kwargs):
-        text = real(payload, **kwargs)
-        fh.write(text[:len(text) // 2])
-        fh.flush()
-        raise OSError("no space left on device")
-    monkeypatch.setattr(errors.json, "dump", dump)
 
 
 class TestWriteJson:
@@ -32,21 +19,10 @@ class TestWriteJson:
             json.dumps(PAYLOAD, indent=1, sort_keys=True) + "\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
-    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "x.json"
-        write_json(path, {"old": 1})
-        old = path.read_bytes()
-        torn_dump(monkeypatch)
-        with pytest.raises(OSError):
-            write_json(path, PAYLOAD)
-        assert path.read_bytes() == old
-        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
-
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        torn_dump(monkeypatch)
-        with pytest.raises(OSError):
-            write_json(tmp_path / "x.json", PAYLOAD)
-        assert list(tmp_path.iterdir()) == []
+    # `write_json` writes in place, and its callers' `atomic_directory` makes
+    # the file whole: `test_training.py::TestCheckpointIsWholeOrAbsent`,
+    # gen's `test_failed_gen_keeps_the_old_world` in `test_cli.py` and the
+    # fault sweep of `test_faults.py` fail writes inside it
 
 
 class TestAtomicTextFile:
@@ -63,7 +39,7 @@ class TestAtomicTextFile:
         if previous:
             path.write_bytes(b"old\n")
         tear_writes("x.txt")
-        with pytest.raises(OSError):
+        with pytest.raises(UnwritableOutput):
             with atomic_text_file(path) as fh:
                 fh.write("a\n")
                 fh.write("b\n")
@@ -171,7 +147,7 @@ class TestAtomicDirectory:
         if previous:
             with errors.atomic_directory(tmp_path / "d") as d:
                 (d / "old.txt").write_text("old")
-        with pytest.raises(OSError):
+        with pytest.raises(UnwritableOutput):
             with errors.atomic_directory(tmp_path / "d") as d:
                 (d / "half.txt").write_text("ha")
                 raise OSError("no space left on device")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from openworld_kit import owod_eval
 from openworld_kit.errors import (MissingWorld, ParseError, UndefinedOperatingPoint,
-                                  atomic_text_file)
+                                  UnwritableOutput, atomic_text_file)
 from openworld_kit.owod_eval import (
     PROTOCOL,
     TaskSplitSpec,
@@ -499,7 +499,7 @@ class TestEvaluateTask:
             save_csv(path, [report])
             old = path.read_bytes()
         tear_writes("report.csv")
-        with pytest.raises(OSError):
+        with pytest.raises(UnwritableOutput):
             save_csv(path, [report, report])
         assert [p.name for p in tmp_path.iterdir()] == (["report.csv"] if previous else [])
         if previous:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from openworld_kit import mscal, training
 from openworld_kit.embedding_space import ClassEmbeddingRegistry, register_task
-from openworld_kit.errors import NoSamples
+from openworld_kit.errors import NoSamples, UnwritableOutput
 from openworld_kit.mscal import (
     batch_moments,
     calibrate_threshold,
@@ -962,7 +962,7 @@ class TestCheckpointIsWholeOrAbsent:
                             world_digest=WORLD_DIGEST)
             old = read_tree(ckpt)
         self.torn_writes(monkeypatch, fail_at)
-        with pytest.raises(OSError):
+        with pytest.raises(UnwritableOutput):
             save_checkpoint(ckpt, registry, modules, log.theta, config, log,
                             world_digest=WORLD_DIGEST)
         if previous:
