@@ -372,7 +372,8 @@ def cmd_infer(cfg: RunConfig, task_id: int, split: str, no_owel: bool,
     def detect(blobs: list[Path]) -> list[tuple[str, det.Detections]]:
         """Each scene's JSONL lines and detections (`format_detection_lines`)."""
         pyramids = [read_scene_pyramid(world, blob) for blob in blobs]
-        stacks = [np.stack(grids) for grids in zip(*(p.layers for p in pyramids))]
+        stacks = [np.stack(grids, dtype=np.float64)
+                  for grids in zip(*(p.layers for p in pyramids))]
         scores = det.classify_locations(stacks, prompts, cfg.get("train", "logit_scale"))
         ood = ood_score_map(folds, stacks)
         out = []

@@ -106,7 +106,8 @@ def classify_locations(
 
     confidence(c, location) = sigmoid(logit_scale * cos(prompt_c, feature)).
     Cosines are computed on normalized vectors, so prompt row scale never
-    changes a single confidence.
+    changes a single confidence. Float32 grids (a loaded scene's) are
+    widened to float64 first, exactly.
     """
     if logit_scale <= 0:
         raise ValueError(f"logit_scale must be positive, got {logit_scale}")
@@ -120,7 +121,7 @@ def classify_locations(
         if grid.shape[-1] != prompts.shape[1]:
             raise ShapeMismatch(
                 f"prompt dim {prompts.shape[1]} != feature dim {grid.shape[-1]}")
-        flat = grid.reshape(-1, grid.shape[-1])
+        flat = np.asarray(grid, dtype=np.float64).reshape(-1, grid.shape[-1])
         feat_norms = np.linalg.norm(flat, axis=1)
         safe = np.where(feat_norms < 1e-12, 1.0, feat_norms)
         cos = (flat / safe[:, None]) @ unit_prompts.T
@@ -328,10 +329,10 @@ def write_detections_jsonl(path, scene_lines: list[str], table: DetectionTable) 
     (`DetectionTable.from_scenes`), to the column file beside it, whole or
     not at all, keyed by the SHA-256 of the lines' bytes.
 
-    The column file only spares `read_detections_jsonl` the parse: a table
-    that the parse would refuse (a value that is not finite, say) writes
-    none and removes an old one, and a column file that cannot be written
-    leaves the detections file the one output."""
+    The column file only spares `read_detections_jsonl` the parse: the old
+    one goes first, so a table that the parse would refuse (a value that is
+    not finite, say) or a column file that cannot be written leaves the
+    detections file the one output, never beside a stale column file."""
     digest = hashlib.sha256()
     with atomic_text_file(path, binary=True) as fh:
         for lines in scene_lines:
@@ -340,11 +341,10 @@ def write_detections_jsonl(path, scene_lines: list[str], table: DetectionTable) 
             fh.write(data)
     stored = columns_path(path)
     with suppress(OSError, UnwritableOutput):
+        stored.unlink(missing_ok=True)
         if _usable(table):
             with atomic_text_file(stored, binary=True) as fh:
                 _write_columns(fh, table, digest.hexdigest())
-        else:
-            stored.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)

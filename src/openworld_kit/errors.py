@@ -97,17 +97,20 @@ class ConfigError(OpenWorldKitError):
 def read_json(path, what: str, parse, missing=MissingInput, hint: str = ""):
     """`parse` applied to the JSON document in the file at `path`.
 
-    A missing file raises `missing` (with `hint` appended). A file that is
-    not UTF-8 JSON or nests past the recursion limit, and a document that
-    `parse` rejects with a `ParseError`, `KeyError`, `TypeError`,
-    `ValueError`, `AttributeError` or `OverflowError`, raise `ParseError`.
-    Every message names `what` and the file.
+    A missing file raises `missing` (with `hint` appended). A file that
+    cannot be read (a directory, say), is not UTF-8 JSON or nests past the
+    recursion limit, and a document that `parse` rejects with a
+    `ParseError`, `KeyError`, `TypeError`, `ValueError`, `AttributeError` or
+    `OverflowError`, raise `ParseError`. Every message names `what` and the
+    file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
     except FileNotFoundError as exc:
         raise missing(f"no {what} at {path}{hint}") from exc
+    except OSError as exc:  # a directory, say
+        raise ParseError(f"cannot read {what}: {exc.strerror or exc}", path=str(path)) from exc
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad {what}: {exc}", path=str(path)) from exc
     try:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch
+from .errors import MissingInput, ParseError, ShapeMismatch
 
 _MAGIC = b"OWKP"
 _VERSION = 1
@@ -96,7 +96,9 @@ class PyramidGeometry:
 @dataclass(frozen=True)
 class FeaturePyramid:
     """Per-layer (H, W, D) embedding grids plus a (H, W, 4) box field giving
-    the box each location would emit."""
+    the box each location would emit. A pyramid read from a blob holds them
+    as float32, a generated one as float64; every consumer computes in
+    float64, widening float32 input exactly."""
 
     geometry: PyramidGeometry
     layers: tuple[np.ndarray, ...]
@@ -151,40 +153,52 @@ def _read_exact(fh, size: int, path) -> bytes:
 def read_pyramid_blob(path, level_thresholds) -> FeaturePyramid:
     """Read a pyramid blob; thresholds come from the world manifest.
 
-    After the header, exactly the grid bytes it declares are read, in one
-    buffer that is checked for finite values and converted to float64 once;
-    each layer's grids are views of it. Bytes past the declared grids are
-    never read."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParseError("not a pyramid blob (bad magic)", path=str(path))
-        version, count = struct.unpack("<ii", _read_exact(fh, 8, path))
-        if version != _VERSION:
-            raise ParseError(f"unsupported blob version {version}", path=str(path))
-        # every layer header in one read, of no more bytes than the file
-        # holds; each whole header is checked before a short read is told
-        length = os.fstat(fh.fileno()).st_size
-        wanted = 16 * max(count, 0)
-        data = fh.read(min(wanted, max(length - fh.tell(), 0)))
-        headers = []
-        for h, w, d, stride in struct.iter_unpack("<iiif", data[:len(data) - len(data) % 16]):
-            if min(h, w, d) < 1:
-                raise ParseError(f"non-positive grid size {h}x{w}x{d} in pyramid blob",
-                                 path=str(path))
-            headers.append((h, w, d, stride))
-        if len(data) < wanted:
-            raise ParseError(f"truncated pyramid blob: expected 16 more bytes, "
-                             f"found {len(data) % 16}", path=str(path))
-        declared = sum(h * w * (d + 4) * 4 for h, w, d, _ in headers)
-        held = length - fh.tell()
-        if declared > held:
-            raise ParseError(f"truncated pyramid blob: the header declares {declared} "
-                             f"bytes of grids, the file holds {held}", path=str(path))
-        values = np.frombuffer(_read_exact(fh, declared, path), dtype="<f4")
+    After the header, exactly the grid bytes it declares are read into one
+    float32 array, the precision they are stored at, which is checked for
+    finite values; each layer's grids are views of it. Bytes past the
+    declared grids are never read. A file that cannot be read (a directory,
+    say) raises `ParseError` naming it; a missing one, `MissingInput`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != _MAGIC:
+                raise ParseError("not a pyramid blob (bad magic)", path=str(path))
+            version, count = struct.unpack("<ii", _read_exact(fh, 8, path))
+            if version != _VERSION:
+                raise ParseError(f"unsupported blob version {version}", path=str(path))
+            # every layer header in one read, of no more bytes than the file
+            # holds; each whole header is checked before a short read is told
+            length = os.fstat(fh.fileno()).st_size
+            wanted = 16 * max(count, 0)
+            data = fh.read(min(wanted, max(length - fh.tell(), 0)))
+            headers = []
+            whole = data[:len(data) - len(data) % 16]
+            for h, w, d, stride in struct.iter_unpack("<iiif", whole):
+                if min(h, w, d) < 1:
+                    raise ParseError(f"non-positive grid size {h}x{w}x{d} in pyramid blob",
+                                     path=str(path))
+                headers.append((h, w, d, stride))
+            if len(data) < wanted:
+                raise ParseError(f"truncated pyramid blob: expected 16 more bytes, "
+                                 f"found {len(data) % 16}", path=str(path))
+            declared = sum(h * w * (d + 4) * 4 for h, w, d, _ in headers)
+            held = length - fh.tell()
+            if declared > held:
+                raise ParseError(f"truncated pyramid blob: the header declares {declared} "
+                                 f"bytes of grids, the file holds {held}", path=str(path))
+            values = np.empty(declared // 4, dtype="<f4")
+            found = fh.readinto(values)
+            if found != declared:  # the file shrank since its size was read
+                raise ParseError(f"truncated pyramid blob: expected {declared} more "
+                                 f"bytes, found {found}", path=str(path))
+    except FileNotFoundError as exc:
+        raise MissingInput(f"no pyramid blob at {path}") from exc
+    except OSError as exc:  # a directory, say
+        raise ParseError(f"cannot read pyramid blob: {exc.strerror or exc}",
+                         path=str(path)) from exc
     if not np.logical_and.reduce(np.isfinite(values)):
         raise ParseError("non-finite feature or box value in pyramid blob", path=str(path))
-    values = values.astype(np.float64)
     feats: list[np.ndarray] = []
     boxes: list[np.ndarray] = []
     start = 0

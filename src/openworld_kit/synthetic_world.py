@@ -680,9 +680,10 @@ def split_scene_blobs(spec: WorldSpec, split: str, out_dir,
 
 
 def read_scene_pyramid(world: World, blob) -> FeaturePyramid:
-    """The pyramid of the scene blob at `blob`, whose grids must have the
-    shapes of the world's pyramid, (H, W, dim) per layer, or a `ParseError`
-    names it: the scenes of a split stack into one array per layer."""
+    """The pyramid of the scene blob at `blob`, its grids float32 as the blob
+    stores them (`read_pyramid_blob`). They must have the shapes of the
+    world's pyramid, (H, W, dim) per layer, or a `ParseError` names it: the
+    scenes of a split stack into one array per layer."""
     pyramid = read_pyramid_blob(blob, world.geometry.level_thresholds)
     want = [(h, w, world.spec.dim) for h, w, _ in world.spec.pyramid_layers]
     got = [grid.shape for grid in pyramid.layers]
@@ -694,7 +695,8 @@ def read_scene_pyramid(world: World, blob) -> FeaturePyramid:
 
 def load_split(world: World, split: str, out_dir) -> list[Scene]:
     """Read a split back from disk in index order; its blobs must be the ones
-    `split_scene_blobs` names."""
+    `split_scene_blobs` names. Each scene holds its grids at the blob's
+    float32, H * W * (D + 4) * 4 bytes per layer."""
     base = Path(out_dir) / "scenes" / split
     gt = read_gt_jsonl(base / "gt.jsonl")
     gt_by_scene: dict[str, list[GtRecord]] = {}

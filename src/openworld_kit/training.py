@@ -347,7 +347,8 @@ def _init_modules_for_task(
     init_scenes = scenes[: min(config.batch_size, len(scenes))]
     moments = None
     if init_scenes:
-        moments = batch_moments([np.stack([s.pyramid.layers[j] for s in init_scenes])
+        moments = batch_moments([np.stack([s.pyramid.layers[j] for s in init_scenes],
+                                          dtype=np.float64)
                                  for j in range(geometry.num_layers)])
     out = list(modules)
     for class_id, entry in enumerate(registry.entries):
@@ -450,7 +451,7 @@ def train_task(
         batch_rng = derive_rng(config.seed, "batch", task_id, step)
         idx = batch_rng.integers(0, len(train_scenes), size=config.batch_size)
         batch_scenes = [train_scenes[i] for i in idx]
-        grids = [np.stack([s.pyramid.layers[j] for s in batch_scenes])
+        grids = [np.stack([s.pyramid.layers[j] for s in batch_scenes], dtype=np.float64)
                  for j in range(geometry.num_layers)]
         moments = batch_moments(grids)
         owners = _owner_index([train_pairs[i] for i in idx], geometry)

@@ -975,6 +975,24 @@ class TestLoaderErrors:
         assert list(trained.rglob("*.tmp")) == []
         assert list((trained / "adir").iterdir()) == []
 
+    @pytest.mark.parametrize("argv, path, what", [
+        (("train", "--task", "1"), "out/world/scenes/train/train-0003.pyr", "pyramid blob"),
+        (("infer", "--task", "2", "--out-file", "again.jsonl"),
+         "out/world/scenes/test/test-0001.pyr", "pyramid blob"),
+        (("train", "--task", "2"), "out/checkpoints/task_1/theta.json", "checkpoint file"),
+        (("eval", "--task", "2", "--detections", "d.jsonl"), "out/world/manifest.json",
+         "world manifest"),
+    ], ids=["train-blob", "infer-blob", "train-checkpoint", "eval-manifest"])
+    def test_directory_input_is_one_error_line(self, trained, capsys, argv, path, what):
+        assert self.infer() == 0
+        (trained / path).unlink()
+        (trained / path).mkdir()
+        capsys.readouterr()
+        assert run(*argv, "--config", "tiny.ini", "--out", "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {what}: Is a directory [{path}]\n"
+        assert not (trained / "again.jsonl").exists()
+
 
 class TestOutOfRangeValues:
     """A value that parses but no run can use ends in a one-line error."""

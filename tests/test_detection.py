@@ -32,8 +32,9 @@ from openworld_kit.detection import (
 )
 from openworld_kit.embedding_space import prompt_matrix, pseudo_unknown_embedding
 from openworld_kit.errors import ParseError, SourceOutOfRange, UnwritableOutput, ZeroVector
-from openworld_kit.mscal import fold_modules, ood_score_map
-from openworld_kit.pyramid import FeaturePyramid, LayerGeometry, PyramidGeometry
+from openworld_kit.mscal import fold_modules, init_module, ood_score_map, project
+from openworld_kit.pyramid import (FeaturePyramid, LayerGeometry, PyramidGeometry,
+                                   read_pyramid_blob, write_pyramid_blob)
 from openworld_kit.synthetic_world import load_split, load_world
 from openworld_kit.training import load_checkpoint
 
@@ -163,6 +164,41 @@ class TestDecodeDetections:
         assert repr(list(got)) == repr(oracle_decode(pyr, scores, threshold, num_known))
         assert got.boxes.dtype == got.confidence.dtype == got.ood.dtype == np.float64
         assert got.labels.dtype == got.source.dtype == np.int64
+
+
+class TestStoredPrecision:
+    """A pyramid read from a blob holds its float32 grids, and scoring widens
+    them exactly where arithmetic starts."""
+
+    def test_scores_equal_those_of_the_float64_widening(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pyr = pyramid_with_features([rng.normal(size=(6, 6, 8)), rng.normal(size=(3, 3, 8))])
+        write_pyramid_blob(tmp_path / "scene.pyr", pyr)
+        stored = read_pyramid_blob(tmp_path / "scene.pyr", pyr.geometry.level_thresholds)
+        widened = FeaturePyramid(stored.geometry,
+                                 tuple(g.astype(np.float64) for g in stored.layers),
+                                 tuple(b.astype(np.float64) for b in stored.box_field))
+        assert {g.dtype for g in stored.layers + stored.box_field} == {np.dtype(np.float32)}
+        prompts = rng.normal(size=(4, 8))
+        modules = [init_module(c, 1, 8, 2, np.random.default_rng(c)) for c in range(3)]
+
+        def outputs(pyramid):
+            # each function on the pyramid, and on a stack of two scenes as
+            # infer scores them
+            stacks = [np.stack([g, g[::-1]]) for g in pyramid.layers]
+            scores = classify_locations(pyramid, prompts)
+            dets = decode_detections(pyramid, scores, 0.5, 3)
+            assert len(dets.labels) > 0
+            return [*scores, *classify_locations(stacks, prompts), dets.boxes, dets.labels,
+                    dets.confidence, dets.ood, dets.source,
+                    *ood_score_map(fold_modules(modules), pyramid),
+                    *ood_score_map(fold_modules(modules), stacks),
+                    *(grid for m in modules for grid in project(m, pyramid)),
+                    *(grid for m in modules for grid in project(m, stacks))]
+
+        got, want = outputs(stored), outputs(widened)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+            [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 class TestApplyOodGate:

@@ -12,6 +12,8 @@ that every write happens, and is counted, in this process.
 
 import builtins
 import errno
+import hashlib
+import json
 import os
 import resource
 import shutil
@@ -150,6 +152,14 @@ def check_state(now, old, new, targets, pairs):
     for pair in pairs:
         assert [now.get(p) for p in pair] in ([old.get(p) for p in pair],
                                               [new.get(p) for p in pair]), pair
+    # a detections file the run replaced has no column file beside it, or
+    # one that records its SHA-256: never the old one
+    for target in targets:
+        columns = now.get(target + ".columns")
+        if now.get(target) not in (old.get(target), None) and columns is not None:
+            size = int.from_bytes(columns[:8], "little")
+            assert (json.loads(columns[8:8 + size])["jsonl_sha256"]
+                    == hashlib.sha256(now[target]).hexdigest()), target
 
 
 @pytest.mark.parametrize("kind", [OSError, KeyboardInterrupt], ids=["oserror", "interrupt"])

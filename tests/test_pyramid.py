@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from openworld_kit.errors import ParseError, ShapeMismatch
+from openworld_kit.errors import MissingInput, ParseError, ShapeMismatch
 from openworld_kit.pyramid import (
     FeaturePyramid,
     LayerGeometry,
@@ -165,7 +166,7 @@ class TestBlobFormat:
         got = read_pyramid_blob(path, pyr.geometry.level_thresholds)
         assert got.geometry == want.geometry
         for a, b in zip(got.layers + got.box_field, want.layers + want.box_field, strict=True):
-            assert a.dtype == b.dtype == np.float64
+            assert a.dtype == b.dtype == np.float32
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("cut", [10, 1000])  # inside the header, inside layer 0
@@ -228,3 +229,24 @@ class TestBlobFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError, match="declares"):
             read_pyramid_blob(path, (0.0, float("inf")))
+
+    def test_blob_that_shrinks_after_its_size_is_read_is_a_parse_error(self, tmp_path,
+                                                                        monkeypatch):
+        # the file's size passes the check against the header, then the grid
+        # read comes up short
+        pyr = random_pyramid(seed=5, dim=16)
+        path = tmp_path / "scene.pyr"
+        write_pyramid_blob(path, pyr)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:size - 100])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        grids = sum(g.height * g.width * (16 + 4) * 4 for g in pyr.geometry.layers)
+        with pytest.raises(ParseError, match=f"truncated pyramid blob: expected {grids} more "
+                                             f"bytes, found {grids - 100}"):
+            read_pyramid_blob(path, pyr.geometry.level_thresholds)
+
+    def test_directory_is_a_parse_error_and_a_missing_file_missing_input(self, tmp_path):
+        with pytest.raises(ParseError, match=r"cannot read pyramid blob: Is a directory"):
+            read_pyramid_blob(tmp_path, (0.0, 16.0, float("inf")))
+        with pytest.raises(MissingInput, match="no pyramid blob at"):
+            read_pyramid_blob(tmp_path / "none.pyr", (0.0, 16.0, float("inf")))

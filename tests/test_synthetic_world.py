@@ -336,6 +336,23 @@ class TestExport:
         write_pyramid_blob(tmp_path / "again.pyr", loaded[0].pyramid)
         assert (tmp_path / "again.pyr").read_bytes() == blob
 
+    @pytest.mark.parametrize("split", ["train", "cal"])
+    def test_loaded_split_is_held_at_float32(self, world, tmp_path, split):
+        # each scene holds its grids as views of one float32 array of
+        # H * W * (D + 4) * 4 bytes per layer, the blob's grid bytes, and no
+        # float64 copy of them
+        export_splits(world, tmp_path)
+        per_scene = sum(h * w * (world.spec.dim + 4) * 4
+                        for h, w, _ in world.spec.pyramid_layers)
+        scenes = load_split(world, split, tmp_path)
+        assert len(scenes) == world.spec.scene_count(split)
+        for scene in scenes:
+            grids = scene.pyramid.layers + scene.pyramid.box_field
+            assert {grid.dtype for grid in grids} == {np.dtype(np.float32)}
+            assert sum(grid.nbytes for grid in grids) == per_scene
+            assert len({id(grid.base) for grid in grids}) == 1
+            assert grids[0].base.nbytes == per_scene
+
     def test_every_split_goes_through_one_map(self, world, tmp_path, monkeypatch):
         # one fan-out per world, not one per split
         calls = []

@@ -384,6 +384,42 @@ class TestTrainTask:
             for x, y in zip(before, after):
                 assert x.tobytes() == y.tobytes()
 
+    def test_split_held_at_float32_trains_as_its_float64_widening(self, tiny_world,
+                                                                  tmp_path):
+        # a loaded split holds its blobs' float32 grids, and training widens
+        # them exactly where arithmetic starts: the same split held at
+        # float64 trains the same modules, registry, log and theta
+        data = TaskData(tiny_world)
+
+        def held_at(scene, dtype):
+            return dataclasses.replace(scene, pyramid=dataclasses.replace(
+                scene.pyramid,
+                layers=tuple(g.astype(np.float32).astype(dtype) for g in scene.pyramid.layers),
+                box_field=tuple(b.astype(np.float32).astype(dtype)
+                                for b in scene.pyramid.box_field)))
+
+        config = self.config()
+        files = []
+        for dtype in (np.float32, np.float64):
+            split = SimpleNamespace(
+                geometry=data.geometry,
+                train_scenes=[held_at(s, dtype) for s in data.train_scenes],
+                cal_scenes=[held_at(s, dtype) for s in data.cal_scenes])
+            assert split.train_scenes[0].pyramid.layers[0].dtype == dtype
+            reg1, modules1, log1 = train_task(split, fresh_registry(tiny_world), [], config, 1)
+            reg2 = register_task(reg1, [(n, tiny_world.text_embeddings[n]) for n in
+                                        tiny_world.task_split().current_classes(2)])
+            reg2, modules2, log2 = train_task(split, reg2, as_loaded(modules1), config, 2)
+            root = tmp_path / np.dtype(dtype).name
+            for task, (reg, modules, log) in enumerate([(reg1, modules1, log1),
+                                                        (reg2, modules2, log2)], start=1):
+                save_checkpoint(root / f"task{task}", reg, modules, log.theta, config, log,
+                                world_digest=WORLD_DIGEST)
+            files.append({p.relative_to(root): p.read_bytes()
+                          for p in root.rglob("*") if p.is_file()})
+        assert files[0] == files[1]
+        assert len(files[0]) > 8
+
     def test_new_task_modules_receive_gradient(self, tiny_world):
         data = TaskData(tiny_world)
         config = self.config(steps_per_task=3)
